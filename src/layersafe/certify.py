@@ -1,8 +1,9 @@
-"""Grid certification of initial sets, witness search, and trajectory oracles.
+"""Grid certification of initial sets and the fine-step containment oracle.
 
 certify_initial_set classifies every lattice point of an initial-condition
-grid by rolling out the closed loop and scanning running minima of h and h_V,
-without materializing whole trajectories. Verdicts:
+grid by rolling out the closed loop through the shared rollout kernel and
+scanning running minima of h and h_V, without materializing whole
+trajectories. Verdicts:
 
   certified_safe   started inside the certified region, min h >= -1e-6
   unsafe_witness   a sample with h < -1e-6 was observed (before any blowup)
@@ -13,8 +14,7 @@ without materializing whole trajectories. Verdicts:
 Points are elementwise-independent throughout (states never mix across grid
 rows), so verdicts do not depend on chunking, worker count, or which other
 points share the grid. The module also houses the fine-step containment
-oracle used to validate coarse containment times and an empirical Lipschitz
-probe for vector fields.
+oracle used to validate coarse containment times.
 """
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ from math import prod
 import numpy as np
 
 from ._io import atomic_write_text
-from ._vec import vnorm
-from .dynamics import IntegratorConfig, integrate, rk4_step
+from .dynamics import IntegratorConfig, _rollout, integrate
 from .errors import ConfigurationError
 from .recurrence import containment_times
 from .scenario import (
@@ -189,61 +188,6 @@ class CertificateReport:
         atomic_write_text(path, "\n".join(out) + "\n")
 
 
-def _scan_chunk(x0s, pair, law, rcbf, d_sig, dt, n_steps, tau_steps, beta):
-    """Streaming rollout of a block of initial states.
-
-    Returns per-row running minima and event times. Rows that lose finiteness
-    keep their minima frozen (NaN-aware reductions) and record the time; no
-    exception crosses rows.
-    """
-    k_runs = x0s.shape[0]
-    ts = np.arange(n_steps + 1) * dt
-    min_h = np.full(k_runs, np.inf)
-    min_hv = np.full(k_runs, np.inf)
-    first_viol = np.full(k_runs, np.nan)
-    min_scaled_v = np.full(k_runs, np.inf)
-    v0 = np.zeros(k_runs)
-    hv0 = np.zeros(k_runs)
-    diverged_t = np.full(k_runs, np.nan)
-    alive = np.ones(k_runs, dtype=bool)
-
-    def f_cl(t, x):
-        u = law.u_of_x(x)
-        if d_sig is not None:
-            u = u + d_sig(t)
-        return pair.fom_field(x, u)
-
-    x = x0s.copy()
-    with np.errstate(all="ignore"):
-        for k in range(n_steps + 1):
-            t = float(ts[k])
-            finite = np.isfinite(x).all(axis=-1)
-            newly_dead = alive & ~finite
-            if np.any(newly_dead):
-                diverged_t[newly_dead] = t
-                alive = alive & finite
-            inter = law.intermediate(x)
-            z = pair.project_state(x)
-            zdot = pair.rom_field(z, pair.project_input(x))
-            edot = zdot - np.broadcast_to(np.asarray(inter.z_dot_s, dtype=float), z.shape)
-            hval = np.asarray(rcbf.barrier.value(z), dtype=float)
-            vval = np.asarray(rcbf.rtf.value(z, edot), dtype=float)
-            hvval = np.asarray(rcbf.value(z, edot), dtype=float)
-            min_h = np.fmin(min_h, hval)
-            min_hv = np.fmin(min_hv, hvval)
-            viol_now = (hval < -_H_TOL) & np.isnan(first_viol)
-            if np.any(viol_now):
-                first_viol[viol_now] = t
-            if k == 0:
-                v0 = vval.copy()
-                hv0 = hvval.copy()
-            elif k <= tau_steps:
-                min_scaled_v = np.fmin(min_scaled_v, np.exp(beta * t) * vval)
-            if k < n_steps:
-                x = rk4_step(f_cl, t, x, dt)
-    return min_h, min_hv, first_viol, min_scaled_v, v0, hv0, diverged_t
-
-
 def certify_initial_set(
     scn: Scenario,
     grid: Grid,
@@ -286,9 +230,10 @@ def certify_initial_set(
 
     # initial diagnostics for every point, including the skipped ones
     z0 = x0s[:, :2]
-    e_dot0 = x0s[:, 2:4] - np.asarray(law.intermediate(x0s).z_dot_s, dtype=float)
-    h0 = np.asarray(b.value(z0), dtype=float)
-    hv0_all = np.asarray(rcbf.value(z0, e_dot0), dtype=float)
+    inter0 = law.evaluate(x0s)
+    e_dot0 = x0s[:, 2:4] - np.asarray(inter0.z_dot_s, dtype=float)
+    h0 = np.asarray(inter0.h, dtype=float)
+    hv0_all = np.asarray(rcbf.combine(rcbf.rtf.value(z0, e_dot0), h0), dtype=float)
 
     roll_idx = np.flatnonzero(h0 >= 0.0)
     min_h = h0.copy()
@@ -301,9 +246,34 @@ def certify_initial_set(
     slices = [roll_idx[i : i + chunk] for i in range(0, roll_idx.size, chunk)]
 
     def work(idx):
-        return _scan_chunk(
-            x0s[idx], pair, law, rcbf, d_sig, dt, n_steps, tau_steps, beta
-        )
+        # streaming reducers over one chunk: rows that lose finiteness keep
+        # their minima frozen (NaN-aware reductions) and record the time; no
+        # exception crosses rows
+        c_min_h = np.full(idx.size, np.inf)
+        c_min_hv = np.full(idx.size, np.inf)
+        c_viol = np.full(idx.size, np.nan)
+        c_scaled = np.full(idx.size, np.inf)
+        c_div = np.full(idx.size, np.nan)
+        alive = np.ones(idx.size, dtype=bool)
+        with np.errstate(all="ignore"):
+            for k, sample in enumerate(_rollout(pair, law, x0s[idx], dt, n_steps, d_sig, rcbf)):
+                t = sample["t"]
+                finite = np.isfinite(sample["x"]).all(axis=-1)
+                newly_dead = alive & ~finite
+                if np.any(newly_dead):
+                    c_div[newly_dead] = t
+                    alive = alive & finite
+                c_min_h = np.fmin(c_min_h, sample["h"])
+                c_min_hv = np.fmin(c_min_hv, sample["h_v"])
+                viol_now = (sample["h"] < -_H_TOL) & np.isnan(c_viol)
+                if np.any(viol_now):
+                    c_viol[viol_now] = t
+                if k == 0:
+                    c_v0 = sample["v"].copy()
+                elif k <= tau_steps:
+                    c_scaled = np.fmin(c_scaled, np.exp(beta * t) * sample["v"])
+            c_margin = c_v0 - c_scaled
+        return c_min_h, c_min_hv, c_viol, c_margin, c_div
 
     if slices:
         if workers == 1 or len(slices) == 1:
@@ -311,14 +281,11 @@ def certify_initial_set(
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(work, slices))
-        for idx, (c_min_h, c_min_hv, c_viol, c_scaled, c_v0, _c_hv0, c_div) in zip(
-            slices, results
-        ):
+        for idx, (c_min_h, c_min_hv, c_viol, c_margin, c_div) in zip(slices, results):
             min_h[idx] = c_min_h
             min_hv[idx] = c_min_hv
             first_viol[idx] = c_viol
-            with np.errstate(invalid="ignore"):
-                rtf_margin[idx] = c_v0 - c_scaled
+            rtf_margin[idx] = c_margin
             diverged_t[idx] = c_div
 
     records = []
@@ -366,21 +333,6 @@ def certify_initial_set(
         summary=counts,
         config_lines=tuple(scn.resolved_lines()),
     )
-
-
-def find_unsafe_initial_states(
-    scn: Scenario,
-    grid: Grid,
-    horizon: float | None = None,
-    velocity_mode: str = "desired",
-    workers: int = 1,
-    chunk: int = 2048,
-) -> list:
-    """The unsafe-witness records of certify_initial_set, in lattice order."""
-    report = certify_initial_set(
-        scn, grid, horizon=horizon, velocity_mode=velocity_mode, workers=workers, chunk=chunk
-    )
-    return report.records("unsafe_witness")
 
 
 def brute_force_containment_oracle(
@@ -431,29 +383,3 @@ def containment_gap(coarse_times, fine_times) -> float:
     right = fine[np.clip(idx, 0, fine.size - 1)]
     return float(np.max(np.minimum(np.abs(coarse - left), np.abs(coarse - right))))
 
-
-def estimate_lipschitz(f, region: Grid, samples: int = 256, seed: int = 0, u=None) -> float:
-    """Empirical Lipschitz lower bound of a vector field over a box.
-
-    Samples random point pairs in the region and returns the largest observed
-    ratio ||f(y) - f(x)|| / ||y - x||, with a shared input u when given.
-    ``f`` must accept batched states (rows). The estimate converges to the
-    true constant from below; it never certifies an upper bound.
-    """
-    if samples < 2:
-        raise ConfigurationError("need at least 2 samples")
-    if not np.all(region.upper > region.lower):
-        raise ConfigurationError("region must have positive volume")
-    rng = np.random.default_rng(seed)
-    k = region.ndim
-    span = region.upper - region.lower
-    xs = region.lower + span * rng.uniform(size=(samples, k))
-    ys = region.lower + span * rng.uniform(size=(samples, k))
-    gap = vnorm(ys - xs)
-    keep = gap > 0
-    if not np.any(keep):
-        return 0.0
-    fx = np.asarray(f(xs, u) if u is not None else f(xs), dtype=float)
-    fy = np.asarray(f(ys, u) if u is not None else f(ys), dtype=float)
-    ratios = vnorm(fy - fx)[keep] / gap[keep]
-    return float(np.max(ratios))

@@ -37,22 +37,28 @@ class Gains:
 
 @dataclass(frozen=True)
 class LawIntermediates:
-    """Per-state intermediates of the layered law."""
+    """One evaluation of the layered law at a state: every layer's output.
+
+    h and grad_h are the barrier value and gradient the filter used; u is the
+    tracking input.
+    """
 
     z_dot_d: np.ndarray
     z_dot_s: np.ndarray
     active: np.ndarray
+    h: np.ndarray
+    grad_h: np.ndarray
+    u: np.ndarray
 
 
 @dataclass(frozen=True)
 class ClosedLoopLaw:
-    """State feedback u_of_x plus an intermediate map exposing the velocity pipeline."""
+    """State feedback: evaluate(x) runs the whole stack once, returning LawIntermediates."""
 
     goal: np.ndarray | None
     gains: Gains | None
     barrier: BarrierFn | None
-    u_of_x: Callable
-    intermediate: Callable
+    evaluate: Callable
 
 
 def desired_velocity(goal, k_p: float, z) -> np.ndarray:
@@ -62,20 +68,32 @@ def desired_velocity(goal, k_p: float, z) -> np.ndarray:
     return -k_p * (z - goal)
 
 
+class _Filtered(tuple):
+    """The pair (z_dot_s, active), with the filter's barrier value and gradient attached."""
+
+    def __new__(cls, z_dot_s, active, h, grad_h):
+        out = super().__new__(cls, (z_dot_s, active))
+        out.h = h
+        out.grad_h = grad_h
+        return out
+
+
 def safe_velocity(b: BarrierFn, alpha: float, z, z_dot_d):
     """Minimally corrected velocity admissible for the nearest-obstacle constraint.
 
     Returns (z_dot_s, active). When the constraint is inactive the input
     passes through unchanged; otherwise the correction is the exact distance
     to the half-space boundary, applied along the barrier gradient, which is
-    the closest feasible point to z_dot_d.
+    the closest feasible point to z_dot_d. The result also carries the
+    barrier value and gradient it was computed from as ``.h`` and
+    ``.grad_h``, so a caller needs no second barrier pass.
     """
     z = np.asarray(z, dtype=float)
     z_dot_d = np.asarray(z_dot_d, dtype=float)
     h, n = b.value_and_gradient(z)
     corr = np.maximum(-vdot(n, z_dot_d) - alpha * h, 0.0)
     z_dot_s = z_dot_d + np.expand_dims(corr, -1) * n
-    return z_dot_s, corr > 0.0
+    return _Filtered(z_dot_s, corr > 0.0, h, n)
 
 
 def tracking_control(k_d: float, z_dot, z_dot_s) -> np.ndarray:
@@ -90,19 +108,21 @@ def assemble_closed_loop(pair, b: BarrierFn, gains: Gains, goal) -> ClosedLoopLa
         raise ConfigurationError(f"goal must have shape ({pair.n_reduced},)")
     k_p, k_d, alpha = gains.k_p, gains.k_d, gains.alpha
 
-    def intermediate(x):
+    def evaluate(x):
         z = pair.project_state(x)
         z_dot_d = desired_velocity(goal, k_p, z)
-        z_dot_s, active = safe_velocity(b, alpha, z, z_dot_d)
-        return LawIntermediates(z_dot_d=z_dot_d, z_dot_s=z_dot_s, active=active)
+        filtered = safe_velocity(b, alpha, z, z_dot_d)
+        z_dot_s, active = filtered
+        return LawIntermediates(
+            z_dot_d=z_dot_d,
+            z_dot_s=z_dot_s,
+            active=active,
+            h=filtered.h,
+            grad_h=filtered.grad_h,
+            u=tracking_control(k_d, pair.project_input(x), z_dot_s),
+        )
 
-    def u_of_x(x):
-        z = pair.project_state(x)
-        z_dot_d = desired_velocity(goal, k_p, z)
-        z_dot_s, _ = safe_velocity(b, alpha, z, z_dot_d)
-        return tracking_control(k_d, pair.project_input(x), z_dot_s)
-
-    return ClosedLoopLaw(goal=goal, gains=gains, barrier=b, u_of_x=u_of_x, intermediate=intermediate)
+    return ClosedLoopLaw(goal=goal, gains=gains, barrier=b, evaluate=evaluate)
 
 
 @dataclass(frozen=True)

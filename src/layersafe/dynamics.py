@@ -1,4 +1,4 @@
-"""Model pairs, a fixed-step RK4 integrator, trajectories, and reachable tubes.
+"""Model pairs, a fixed-step RK4 integrator, the closed-loop rollout kernel, and trajectories.
 
 A ModelPair couples a full-order vector field F(x, u) with a reduced-order
 field f(z, v) through a state projection and an input projection, consistent
@@ -6,27 +6,23 @@ in the sense that d/dt project_state(x) = f(project_state(x), project_input(x))
 along full-model solutions.
 
 Rollouts are deterministic: fixed step, no adaptive logic, no threading, so a
-repeated run reproduces every float bit for bit. The safe velocity is
-re-evaluated inside every RK4 substage because the control law is state
-feedback evaluated wherever the stage state lands.
+repeated run reproduces every float bit for bit. One kernel steps every
+closed-loop rollout. The law is state feedback, so it is evaluated once per
+RK4 stage, wherever the stage state lands. Stage 1 sits at the sample state,
+so its evaluation is also the recorded sample, and one extra evaluation
+records the last sample: 4 n_steps + 1 law evaluations per rollout.
 """
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from ._io import atomic_write_text
 from ._vec import vnorm
 from .errors import ConfigurationError, DivergenceError
-
-if TYPE_CHECKING:  # typing only; no runtime dependency on higher layers
-    from .controller import ClosedLoopLaw
-    from .recurrence import RecurrentCbf
-    from .robustness import Disturbance
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -135,31 +131,8 @@ def relative_degree_residual(pair: ModelPair, x, u, fd_step: float = 1e-6) -> np
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    """One recorded instant of a rollout."""
-
-    t: float
-    x: np.ndarray
-    z: np.ndarray
-    z_dot: np.ndarray
-    z_s_dot: np.ndarray
-    e: np.ndarray
-    e_dot: np.ndarray
-    u: np.ndarray
-    h: float
-    grad_h: np.ndarray
-    v: float
-    h_v: float
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A uniformly sampled rollout with derived safety fields per sample.
+class _Samples:
+    """The recorded fields of a rollout, declared once for Trajectory and BatchRollout.
 
     e is the integral of e_dot from zero (the tracked reference starts on the
     trajectory), so e = z - z_s holds by construction with z_s := z - e.
@@ -183,10 +156,24 @@ class Trajectory:
     h_v: np.ndarray
 
     def __post_init__(self):
-        for name in ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h", "grad_h", "v", "h_v"):
+        for name in _FIELDS:
             arr = getattr(self, name)
             if arr.flags.writeable:
                 arr.flags.writeable = False
+
+
+# every recorded per-sample field, in declaration order, which is also the
+# CSV column order
+_FIELDS = tuple(f.name for f in fields(_Samples) if f.name != "dt")
+
+_CSV_RENAMES = {"z_dot": "zdot", "z_s_dot": "zsdot", "e_dot": "edot", "v": "V", "h_v": "hV"}
+# CSV column stem of each written field; grad_h is not written
+_CSV_STEMS = {name: _CSV_RENAMES.get(name, name) for name in _FIELDS if name != "grad_h"}
+
+
+@dataclass(frozen=True)
+class Trajectory(_Samples):
+    """A uniformly sampled rollout with derived safety fields per sample, shape (T, ...)."""
 
     @property
     def n_samples(self) -> int:
@@ -196,40 +183,17 @@ class Trajectory:
     def horizon(self) -> float:
         return float(self.t[-1])
 
-    def sample(self, i: int) -> TrajectorySample:
-        return TrajectorySample(
-            t=float(self.t[i]),
-            x=self.x[i],
-            z=self.z[i],
-            z_dot=self.z_dot[i],
-            z_s_dot=self.z_s_dot[i],
-            e=self.e[i],
-            e_dot=self.e_dot[i],
-            u=self.u[i],
-            h=float(self.h[i]),
-            grad_h=self.grad_h[i],
-            v=float(self.v[i]),
-            h_v=float(self.h_v[i]),
-        )
-
     def min_h(self) -> float:
         return float(np.min(self.h))
 
     def csv_header(self) -> str:
-        n = self.x.shape[1]
-        r = self.z.shape[1]
-        m = self.u.shape[1]
-        names = (
-            ["t"]
-            + [f"x{i}" for i in range(1, n + 1)]
-            + [f"z{i}" for i in range(1, r + 1)]
-            + [f"zdot{i}" for i in range(1, r + 1)]
-            + [f"zsdot{i}" for i in range(1, r + 1)]
-            + [f"e{i}" for i in range(1, r + 1)]
-            + [f"edot{i}" for i in range(1, r + 1)]
-            + [f"u{i}" for i in range(1, m + 1)]
-            + ["h", "V", "hV"]
-        )
+        names = []
+        for name, stem in _CSV_STEMS.items():
+            arr = getattr(self, name)
+            if arr.ndim == 1:
+                names.append(stem)
+            else:
+                names += [f"{stem}{i}" for i in range(1, arr.shape[1] + 1)]
         return ",".join(names)
 
     def to_csv(self, path, preamble=()) -> None:
@@ -238,21 +202,7 @@ class Trajectory:
         ``preamble`` lines are emitted as leading '#' comments so an artifact
         can carry its own provenance.
         """
-        data = np.hstack(
-            [
-                self.t[:, None],
-                self.x,
-                self.z,
-                self.z_dot,
-                self.z_s_dot,
-                self.e,
-                self.e_dot,
-                self.u,
-                self.h[:, None],
-                self.v[:, None],
-                self.h_v[:, None],
-            ]
-        )
+        data = np.hstack([getattr(self, name).reshape(self.n_samples, -1) for name in _CSV_STEMS])
         buf = io.StringIO()
         for line in preamble:
             buf.write(f"# {line}\n")
@@ -262,47 +212,23 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class BatchRollout:
+class BatchRollout(_Samples):
     """Column-stacked rollouts from several initial states, one time grid.
 
-    Arrays are shaped (T, K, d) with K the number of runs; scalar fields are
-    (T, K). trajectory(k) materializes run k as a standalone Trajectory.
+    t is (T,); the other arrays are shaped (T, K, d) with K the number of
+    runs, and scalar fields are (T, K). trajectory(k) materializes run k as a
+    standalone Trajectory.
     """
-
-    dt: float
-    t: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    z_dot: np.ndarray
-    z_s_dot: np.ndarray
-    e: np.ndarray
-    e_dot: np.ndarray
-    u: np.ndarray
-    h: np.ndarray
-    grad_h: np.ndarray
-    v: np.ndarray
-    h_v: np.ndarray
 
     @property
     def n_runs(self) -> int:
         return self.x.shape[1]
 
     def trajectory(self, k: int) -> Trajectory:
-        return Trajectory(
-            dt=self.dt,
-            t=_freeze(np.ascontiguousarray(self.t)),
-            x=_freeze(np.ascontiguousarray(self.x[:, k])),
-            z=_freeze(np.ascontiguousarray(self.z[:, k])),
-            z_dot=_freeze(np.ascontiguousarray(self.z_dot[:, k])),
-            z_s_dot=_freeze(np.ascontiguousarray(self.z_s_dot[:, k])),
-            e=_freeze(np.ascontiguousarray(self.e[:, k])),
-            e_dot=_freeze(np.ascontiguousarray(self.e_dot[:, k])),
-            u=_freeze(np.ascontiguousarray(self.u[:, k])),
-            h=_freeze(np.ascontiguousarray(self.h[:, k])),
-            grad_h=_freeze(np.ascontiguousarray(self.grad_h[:, k])),
-            v=_freeze(np.ascontiguousarray(self.v[:, k])),
-            h_v=_freeze(np.ascontiguousarray(self.h_v[:, k])),
-        )
+        runs = {
+            name: np.ascontiguousarray(getattr(self, name)[:, k]) for name in _FIELDS if name != "t"
+        }
+        return Trajectory(dt=self.dt, t=self.t, **runs)
 
 
 def rk4_step(f, t, x, dt):
@@ -312,6 +238,52 @@ def rk4_step(f, t, x, dt):
     k3 = f(t + 0.5 * dt, x + (0.5 * dt) * k2)
     k4 = f(t + dt, x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig, rcbf):
+    """The closed-loop stepping kernel: yield every field but e at each sample.
+
+    Rows of x0s roll out independently. Each RK4 stage evaluates the law
+    once; the stage-1 evaluation at the sample state is the one yielded, and
+    one extra evaluation covers the last sample. ``d_sig(t)``, unless None,
+    is added to the law's input at every stage time. With ``rcbf`` None, v is
+    ||e_dot|| and h_V is NaN; otherwise h_V is built from the stage's barrier
+    value. Non-finite states propagate: run under np.errstate and check x.
+    """
+    ts = np.arange(n_steps + 1) * dt
+    stages = []
+
+    def f_cl(t, x):
+        inter = law.evaluate(x)
+        u = inter.u if d_sig is None else inter.u + d_sig(t)
+        stages.append((inter, u))
+        return pair.fom_field(x, u)
+
+    x = x0s.copy()
+    for k in range(n_steps + 1):
+        t = float(ts[k])
+        if k < n_steps:
+            x_next = rk4_step(f_cl, t, x, dt)
+        else:
+            f_cl(t, x)
+        inter, u = stages[0]
+        stages.clear()
+        z = pair.project_state(x)
+        z_dot = pair.rom_field(z, pair.project_input(x))
+        z_s_dot = np.broadcast_to(np.asarray(inter.z_dot_s, dtype=float), z.shape)
+        e_dot = z_dot - z_s_dot
+        if rcbf is not None:
+            v = rcbf.rtf.value(z, e_dot)
+            h_v = rcbf.combine(v, inter.h)
+        else:
+            v = vnorm(e_dot)
+            h_v = np.full(x.shape[0], np.nan)
+        yield {
+            "t": t, "x": x, "z": z, "z_dot": z_dot, "z_s_dot": z_s_dot, "e_dot": e_dot,
+            "u": u, "h": inter.h, "grad_h": inter.grad_h, "v": v, "h_v": h_v,
+        }
+        if k < n_steps:
+            x = x_next
 
 
 def integrate_batch(
@@ -326,96 +298,38 @@ def integrate_batch(
 
     The disturbance, when given, enters additively on the full-model input
     channel: x_dot = F(x, u(x) + d(t)), with d evaluated at each substage time.
-    Raises DivergenceError at the first non-finite sample.
+    h_V reuses the law's barrier passes, so ``rcbf`` must be built on the
+    law's barrier. Raises DivergenceError at the first non-finite sample.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != pair.n_full:
         raise ConfigurationError(f"initial states must have shape (K, {pair.n_full})")
+    if rcbf is not None and rcbf.barrier is not law.barrier:
+        raise ConfigurationError("the recurrent barrier must be built on the law's barrier")
     n_steps = cfg.n_steps
-    n_samp = n_steps + 1
-    k_runs = x0s.shape[0]
     dt = cfg.dt
-    ts = np.arange(n_samp) * dt
     d_sig = disturbance.signal if disturbance is not None else None
 
-    def f_cl(t, x):
-        u = law.u_of_x(x)
-        if d_sig is not None:
-            u = u + d_sig(t)
-        return pair.fom_field(x, u)
-
-    xs = np.empty((n_samp, k_runs, pair.n_full))
-    zs = np.empty((n_samp, k_runs, pair.n_reduced))
-    zdots = np.empty_like(zs)
-    zsdots = np.empty_like(zs)
-    edots = np.empty_like(zs)
-    us = np.empty((n_samp, k_runs, pair.m_full))
-    hs = np.empty((n_samp, k_runs))
-    grads = np.empty_like(zs)
-    vs = np.empty((n_samp, k_runs))
-    hvs = np.empty((n_samp, k_runs))
-
-    b = getattr(law, "barrier", None)
-    x = x0s.copy()
+    rec = {}
     with np.errstate(all="ignore"):
-        for k in range(n_samp):
-            t = float(ts[k])
+        for k, sample in enumerate(_rollout(pair, law, x0s, dt, n_steps, d_sig, rcbf)):
+            x = sample["x"]
             if not np.all(np.isfinite(x)):
                 bad = int(np.flatnonzero(~np.isfinite(x).all(axis=-1))[0])
                 raise DivergenceError(
-                    f"non-finite state at step {k} (t={t:.6g}), run {bad}"
+                    f"non-finite state at step {k} (t={sample['t']:.6g}), run {bad}"
                 )
-            inter = law.intermediate(x)
-            z = pair.project_state(x)
-            zdot = pair.rom_field(z, pair.project_input(x))
-            zsdot = np.broadcast_to(np.asarray(inter.z_dot_s, dtype=float), z.shape)
-            edot = zdot - zsdot
-            u = law.u_of_x(x)
-            if d_sig is not None:
-                u = u + d_sig(t)
-            if b is not None:
-                hval, grad = b.value_and_gradient(z)
-            else:
-                hval = np.full(k_runs, np.nan)
-                grad = np.full_like(z, np.nan)
-            if rcbf is not None:
-                vval = rcbf.rtf.value(z, edot)
-                hvval = rcbf.value(z, edot)
-            else:
-                vval = vnorm(edot)
-                hvval = np.full(k_runs, np.nan)
-            xs[k] = x
-            zs[k] = z
-            zdots[k] = zdot
-            zsdots[k] = zsdot
-            edots[k] = edot
-            us[k] = u
-            hs[k] = hval
-            grads[k] = grad
-            vs[k] = vval
-            hvs[k] = hvval
-            if k < n_steps:
-                x = rk4_step(f_cl, t, x, dt)
+            for name, val in sample.items():
+                if k == 0:
+                    rec[name] = np.empty((n_steps + 1,) + np.shape(val))
+                rec[name][k] = val
 
     # e(t) = integral of e_dot, trapezoid rule; the reference starts on the run
+    edots = rec["e_dot"]
     es = np.empty_like(edots)
     es[0] = 0.0
     np.cumsum((edots[:-1] + edots[1:]) * (dt / 2.0), axis=0, out=es[1:])
-    return BatchRollout(
-        dt=dt,
-        t=ts,
-        x=xs,
-        z=zs,
-        z_dot=zdots,
-        z_s_dot=zsdots,
-        e=es,
-        e_dot=edots,
-        u=us,
-        h=hs,
-        grad_h=grads,
-        v=vs,
-        h_v=hvs,
-    )
+    return BatchRollout(dt=dt, e=es, **rec)
 
 
 def integrate(
@@ -432,28 +346,3 @@ def integrate(
         raise ConfigurationError(f"initial state must have shape ({pair.n_full},)")
     batch = integrate_batch(pair, law, x0[None, :], cfg, rcbf=rcbf, disturbance=disturbance)
     return batch.trajectory(0)
-
-
-@dataclass(frozen=True)
-class ReachableTube:
-    """Sampled forward-reachable cloud over a window, with its bounding box."""
-
-    points: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def contains_box(self, other: "ReachableTube") -> bool:
-        return bool(np.all(self.lower <= other.lower) and np.all(self.upper >= other.upper))
-
-
-def reachable_tube_estimate(pair: ModelPair, law, seeds, tau: float, cfg: IntegratorConfig) -> ReachableTube:
-    """Sampled under-approximation of the states reached from the seeds within tau."""
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if seeds.shape[0] < 1:
-        raise ConfigurationError("at least one seed state is required")
-    if not tau > 0:
-        raise ConfigurationError("tau must be positive")
-    tube_cfg = IntegratorConfig(dt=cfg.dt, horizon=max(tau, cfg.dt), method=cfg.method)
-    batch = integrate_batch(pair, law, seeds, tube_cfg)
-    pts = batch.x.reshape(-1, pair.n_full)
-    return ReachableTube(points=pts, lower=pts.min(axis=0), upper=pts.max(axis=0))

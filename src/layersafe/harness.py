@@ -72,7 +72,7 @@ class RunArtifacts:
 
 def _series(traj: Trajectory, law: ClosedLoopLaw) -> dict:
     """Named per-sample series used by reports and plots."""
-    inter = law.intermediate(traj.x)
+    inter = law.evaluate(traj.x)
     return {
         "t": traj.t,
         "h": traj.h,
@@ -341,8 +341,7 @@ def effective_disturbance_bound(traj: Trajectory, law: ClosedLoopLaw) -> float:
         return 0.0
     dt = traj.dt
     acc = (traj.z_s_dot[2:] - traj.z_s_dot[:-2]) / (2.0 * dt)
-    inter = law.intermediate(traj.x)
-    active = np.asarray(inter.active, dtype=bool)
+    active = np.asarray(law.evaluate(traj.x).active, dtype=bool)
     ok = active[:-2] & active[1:-1] & active[2:]
     field = getattr(law.barrier, "field", None)
     if field is not None:

@@ -75,6 +75,13 @@ class ContainmentTimes:
         return bool(self.mask[i])
 
 
+def _predicate_mask(traj: Trajectory, predicate) -> np.ndarray:
+    mask = np.asarray(predicate(traj), dtype=bool)
+    if mask.shape != traj.t.shape:
+        raise ConfigurationError("predicate must produce one boolean per sample")
+    return mask
+
+
 def _window_selector(traj: Trajectory, a: float, b_end: float) -> np.ndarray:
     # (a, b] resolved at sample resolution: strictly after a, within half a
     # step of b so the endpoint sample always counts
@@ -93,9 +100,7 @@ def containment_times(traj: Trajectory, predicate, window) -> ContainmentTimes:
         raise ConfigurationError(
             f"window end {b_end:g} exceeds the trajectory horizon {traj.horizon:g}"
         )
-    mask = np.asarray(predicate(traj), dtype=bool)
-    if mask.shape != traj.t.shape:
-        raise ConfigurationError("predicate must produce one boolean per sample")
+    mask = _predicate_mask(traj, predicate)
     sel = _window_selector(traj, a, b_end) & mask
     return ContainmentTimes(traj=traj, window=(a, b_end), times_in=traj.t[sel], mask=mask)
 
@@ -131,10 +136,7 @@ def check_rtf_recurrence(
     v0 = float(rtf.value(traj.z[0], traj.e_dot[0])) - shift
     sel = _window_selector(traj, 0.0, rtf.tau)
     if s_predicate is not None:
-        mask = np.asarray(s_predicate(traj), dtype=bool)
-        if mask.shape != traj.t.shape:
-            raise ConfigurationError("predicate must produce one boolean per sample")
-        sel = sel & mask
+        sel = sel & _predicate_mask(traj, s_predicate)
     if not np.any(sel):
         return RecurrenceVerdict(satisfied=False, witness_t=None, margin=float("-inf"))
     tsel = traj.t[sel]
@@ -181,9 +183,11 @@ class RecurrentCbf:
     m_overshoot: float
 
     def value(self, z, e_dot):
-        return -np.asarray(self.rtf.value(z, e_dot), dtype=float) + self.alpha_e * np.asarray(
-            self.barrier.value(z), dtype=float
-        )
+        return self.combine(self.rtf.value(z, e_dot), self.barrier.value(z))
+
+    def combine(self, v, h):
+        """h_V from a certificate value V and a barrier value h already at hand."""
+        return -np.asarray(v, dtype=float) + self.alpha_e * np.asarray(h, dtype=float)
 
 
 def build_rcbf(rtf: Rtf, b: BarrierFn, alpha: float, m: float) -> RecurrentCbf:
@@ -238,8 +242,7 @@ def check_rcbf_recurrence(
     hv0 = float(hv[0])
     sel = _window_selector(traj, 0.0, tau)
     if s_predicate is not None:
-        mask = np.asarray(s_predicate(traj), dtype=bool)
-        sel = sel & mask
+        sel = sel & _predicate_mask(traj, s_predicate)
     idx = np.flatnonzero(sel)
     if idx.size == 0:
         return RcbfVerdict(satisfied=False, return_time=None)

@@ -436,7 +436,7 @@ def initial_states(scn: Scenario, law: ClosedLoopLaw, z0s, mode: str | None = No
     elif mode == "desired":
         vel = desired_velocity(law.goal, law.gains.k_p, z0s)
     elif mode == "safe":
-        vel = law.intermediate(np.concatenate([z0s, np.zeros_like(z0s)], axis=1)).z_dot_s
+        vel = law.evaluate(np.concatenate([z0s, np.zeros_like(z0s)], axis=1)).z_dot_s
     else:
         raise ConfigurationError(
             f"sim.initial_velocity must be one of {_VELOCITY_MODES}, got {mode!r}"

@@ -1,4 +1,5 @@
 """Grid certification verdicts, invariances, and the fine-step oracle."""
+import dataclasses
 import math
 from collections import Counter
 
@@ -130,18 +131,71 @@ def test_certify_argument_validation(two_disks):
         ls.certify_initial_set(two_disks, good, chunk=0)
 
 
-def test_find_unsafe_matches_report(two_disks):
-    scn = two_disks.with_horizon(1.0)
-    grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=(4, 4))
-    found = ls.find_unsafe_initial_states(scn, grid, velocity_mode="desired")
-    report = ls.certify_initial_set(scn, grid, velocity_mode="desired")
-    wanted = report.records("unsafe_witness")
-    assert len(found) == len(wanted)
-    for fa, fb in zip(found, wanted):
-        assert np.array_equal(fa.point, fb.point)
-        assert fa.verdict == fb.verdict == "unsafe_witness"
-        assert fa.min_h == fb.min_h
-        assert fa.first_violation_t == fb.first_violation_t
+@pytest.mark.parametrize(
+    "name, mode, counts",
+    [("two_disks", "desired", (6, 6)), ("two_disks", "safe", (6, 6)), ("open_field", "safe", (2, 2))],
+)
+def test_certify_minima_match_single_rollouts(name, mode, counts, request):
+    # certify's streaming minima equal those of a K=1 integrate bit for bit;
+    # open_field carries its declared sine disturbance into both
+    scn = request.getfixturevalue(name).with_horizon(0.1)
+    grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=counts)
+    report = ls.certify_initial_set(scn, grid, velocity_mode=mode)
+    pair, b = ls.build_pair(scn), ls.build_barrier(scn)
+    law, rcbf = ls.build_law(scn, b), ls.build_scenario_rcbf(scn, b)
+    dist = ls.build_disturbance(scn)
+    x0s = ls.initial_states(scn, law, grid.points, mode=mode)
+    rolled = [i for i, r in enumerate(report.per_point) if "not rolled" not in r.note]
+    assert len(rolled) >= 4
+    for i in rolled:
+        traj = ls.integrate(
+            pair, law, x0s[i], scn.integrator, rcbf=rcbf,
+            disturbance=dist if dist.kind != "none" else None,
+        )
+        rec = report.per_point[i]
+        assert (rec.min_h, rec.min_h_v) == (float(np.min(traj.h)), float(np.min(traj.h_v))), i
+
+
+def counting_barrier(field):
+    """A min-distance barrier that counts its value and value_and_gradient passes."""
+    base = ls.min_distance_barrier(field)
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(z):
+            calls[name] += 1
+            return fn(z)
+        return call
+
+    b = dataclasses.replace(
+        base, value_fn=counted("value", base.value_fn), vg_fn=counted("vg", base.vg_fn)
+    )
+    return b, calls
+
+
+def test_one_barrier_pass_per_rk4_stage(two_disks, monkeypatch):
+    # the law runs once per RK4 stage, stage 1 doubles as the recorded sample
+    # and one more pass records the last: 4 n_steps + 1 per rollout, with h
+    # and h_V taken from those passes
+    scn = two_disks.with_horizon(0.05)
+    n_steps = scn.integrator.n_steps
+    b, calls = counting_barrier(scn.field)
+    law = ls.build_law(scn, b)
+    rcbf = ls.build_scenario_rcbf(scn, b)
+    x0 = ls.initial_state(scn, law)
+    calls.clear()
+    ls.integrate(ls.build_pair(scn), law, x0, scn.integrator, rcbf=rcbf)
+    assert (calls["vg"], calls["value"]) == (4 * n_steps + 1, 0)
+
+    monkeypatch.setattr(ls.certify, "build_barrier", lambda _scn: b)
+    grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=(3, 3))
+    calls.clear()
+    report = ls.certify_initial_set(scn, grid, velocity_mode="desired", chunk=2)
+    rolled = sum("not rolled" not in r.note for r in report.per_point)
+    n_chunks = -(-rolled // 2)
+    assert n_chunks >= 2
+    # one pass over every start for the initial diagnostics, then per chunk
+    assert (calls["vg"] - 1, calls["value"]) == (n_chunks * (4 * n_steps + 1), 0)
 
 
 def test_fine_step_oracle_agrees_with_coarse(two_disks, td):
@@ -177,13 +231,3 @@ def test_containment_gap_edge_cases():
     assert gap == pytest.approx(0.05, abs=1e-15)
     assert ls.containment_gap([0.5], [0.5]) == 0.0
 
-
-def test_estimate_lipschitz():
-    region = ls.Grid(lower=[-2.0, -2.0], upper=[2.0, 2.0], counts=(2, 2))
-    c3 = ls.estimate_lipschitz(lambda X: 3.0 * X, region, samples=512, seed=1)
-    assert c3 == pytest.approx(3.0, rel=1e-12)
-    # shared-input passthrough: scaling by the input itself
-    c2 = ls.estimate_lipschitz(lambda X, U: X * U, region, samples=128, seed=2, u=2.0)
-    assert c2 == 2.0
-    with pytest.raises(ls.ConfigurationError):
-        ls.estimate_lipschitz(lambda X: X, region, samples=1)

@@ -101,15 +101,17 @@ def test_assembled_law_consistency():
     x = rng.uniform(-2, 2, size=(300, 4))
     keep = np.min(b.field.center_distances(x[:, :2]), axis=-1) > 0.05
     x = x[keep]
-    inter = law.intermediate(x)
+    inter = law.evaluate(x)
     zd_direct = ls.desired_velocity(law.goal, law.gains.k_p, x[:, :2])
     assert np.array_equal(np.asarray(inter.z_dot_d), zd_direct)
     zs_direct, act_direct = ls.safe_velocity(b, law.gains.alpha, x[:, :2], zd_direct)
     assert np.array_equal(np.asarray(inter.z_dot_s), zs_direct)
     assert np.array_equal(np.asarray(inter.active), np.asarray(act_direct))
-    u = law.u_of_x(x)
+    h_direct, grad_direct = b.value_and_gradient(x[:, :2])
+    assert np.array_equal(inter.h, h_direct)
+    assert np.array_equal(inter.grad_h, grad_direct)
     u_direct = ls.tracking_control(law.gains.k_d, x[:, 2:4], zs_direct)
-    assert np.array_equal(np.asarray(u), u_direct)
+    assert np.array_equal(np.asarray(inter.u), u_direct)
 
 
 def test_certified_envelope_constants():

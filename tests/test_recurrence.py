@@ -99,8 +99,13 @@ def test_rtf_recurrence_shift_and_predicate():
     assert empty == ls.RecurrenceVerdict(
         satisfied=False, witness_t=None, margin=float("-inf")
     )
-    with pytest.raises(ls.ConfigurationError):
-        ls.check_rtf_recurrence(rtf, traj, s_predicate=lambda tr: np.array([True]))
+    # a mask without one boolean per sample is refused, not broadcast
+    rcbf = ls.build_rcbf(rtf, far_barrier(), alpha=0.5, m=3.24)
+    for bad in (np.array([True]), True):
+        with pytest.raises(ls.ConfigurationError, match="one boolean per sample"):
+            ls.check_rtf_recurrence(rtf, traj, s_predicate=lambda tr: bad)
+        with pytest.raises(ls.ConfigurationError, match="one boolean per sample"):
+            ls.check_rcbf_recurrence(rcbf, traj, 0.0, s_predicate=lambda tr: bad)
 
 
 def test_rtf_recurrence_needs_full_window():

@@ -170,7 +170,7 @@ def test_initial_state_modes(two_disks, td):
     assert x0.shape == (4,)
     assert np.array_equal(x0[:2], scn.start)
     # the scenario declares a safe start: zero initial tracking error
-    im = law.intermediate(x0[None, :])
+    im = law.evaluate(x0[None, :])
     assert np.array_equal(im.z_dot_s[0], x0[2:])
 
     rest = ls.initial_state(scn, law, mode="zero")
