@@ -3,8 +3,10 @@
 The built-in barrier is h(z) = min_i(||z - o_i|| - r_i) over circular
 obstacles. Away from obstacle centers and equidistance loci its gradient is
 the unit vector pointing from the nearest center to z, so the gradient bound
-is exactly 1. Ties between equally near obstacles resolve to the lowest
-obstacle index.
+is exactly 1. One kernel serves a single state and a batch alike: it walks
+the obstacles in order, elementwise over all states, and takes an obstacle
+only when its margin is strictly smaller, so ties between equally near
+obstacles resolve to the lowest obstacle index.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._vec import vdot, vnorm
+from ._vec import vnorm
 from .errors import ConfigurationError, SingularGradientError
 
 
@@ -96,35 +98,56 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
     non-finite gradient entries for that row; the scalar path raises
     SingularGradientError instead.
     """
+    obstacles = [
+        (float(cx), float(cy), float(r)) for (cx, cy), r in zip(field.centers, field.radii)
+    ]
+
+    def nearest(z):
+        # margin, center distance and offset z - center of the nearest
+        # obstacle, elementwise over all states with Python-float geometry, so
+        # no operand broadcasts along the short trailing axis; strict < keeps
+        # the lowest index on ties, as argmin does
+        if z.shape[-1:] != (2,):
+            raise ConfigurationError(f"states must have shape (..., 2), got {z.shape}")
+        zx, zy = z[..., 0], z[..., 1]
+        for i, (cx, cy, r) in enumerate(obstacles):
+            dx_i = zx - cx
+            dy_i = zy - cy
+            # vnorm's sum of squares, 0.0 + dx^2 + dy^2, term by term
+            dist_i = np.sqrt(dx_i * dx_i + dy_i * dy_i)
+            h_i = dist_i - r
+            if i == 0:
+                h, dist, dx, dy = h_i, dist_i, dx_i, dy_i
+            else:
+                nearer = h_i < h
+                h = np.where(nearer, h_i, h)
+                dist = np.where(nearer, dist_i, dist)
+                dx = np.where(nearer, dx_i, dx)
+                dy = np.where(nearer, dy_i, dy)
+        return h, dist, dx, dy
+
+    def unit_offset(dist, dx, dy):
+        # offset / distance; non-finite where the distance is 0 or non-finite
+        grad = np.empty(np.shape(dist) + (2,))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(dx, dist, out=grad[..., 0])
+            np.divide(dy, dist, out=grad[..., 1])
+        return grad
 
     def value(z):
-        return np.min(field.signed_margins(z), axis=-1)
+        return nearest(np.asarray(z, dtype=float))[0]
 
     def value_and_gradient(z):
-        z = np.asarray(z, dtype=float)
-        dists = field.center_distances(z)
-        margins = dists - field.radii
-        idx = np.asarray(np.argmin(margins, axis=-1))
-        val = np.take_along_axis(margins, np.expand_dims(idx, -1), axis=-1)[..., 0]
-        dist = np.take_along_axis(dists, np.expand_dims(idx, -1), axis=-1)[..., 0]
-        diff = z - field.centers[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad = diff / np.expand_dims(dist, -1)
-        return val, grad
+        h, dist, dx, dy = nearest(np.asarray(z, dtype=float))
+        return h, unit_offset(dist, dx, dy)
 
     def gradient(z):
         z = np.asarray(z, dtype=float)
-        if z.ndim == 1:
-            dists = field.center_distances(z)
-            margins = dists - field.radii
-            i = int(np.argmin(margins))
-            dist = float(dists[i])
-            if dist == 0.0:
-                raise SingularGradientError(
-                    f"gradient undefined at obstacle center {field.centers[i]}"
-                )
-            return (z - field.centers[i]) / dist
-        return value_and_gradient(z)[1]
+        _h, dist, dx, dy = nearest(z)
+        if z.ndim == 1 and dist == 0.0:
+            center = field.centers[int(field.nearest(z))]
+            raise SingularGradientError(f"gradient undefined at obstacle center {center}")
+        return unit_offset(dist, dx, dy)
 
     return BarrierFn(
         value_fn=value,

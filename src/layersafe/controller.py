@@ -88,11 +88,9 @@ def safe_velocity(b: BarrierFn, alpha: float, z, z_dot_d):
     barrier value and gradient it was computed from as ``.h`` and
     ``.grad_h``, so a caller needs no second barrier pass.
     """
-    z = np.asarray(z, dtype=float)
-    z_dot_d = np.asarray(z_dot_d, dtype=float)
     h, n = b.value_and_gradient(z)
     corr = np.maximum(-vdot(n, z_dot_d) - alpha * h, 0.0)
-    z_dot_s = z_dot_d + np.expand_dims(corr, -1) * n
+    z_dot_s = z_dot_d + corr[..., None] * n
     return _Filtered(z_dot_s, corr > 0.0, h, n)
 
 

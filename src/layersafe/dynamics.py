@@ -82,9 +82,10 @@ def double_integrator_pair(scenario=None) -> ModelPair:
 
     def fom_field(x, u):
         x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        vel = x[..., 2:4]
-        return np.concatenate([vel, np.broadcast_to(u, vel.shape)], axis=-1)
+        x_dot = np.empty_like(x)
+        x_dot[..., :2] = x[..., 2:4]
+        x_dot[..., 2:] = u
+        return x_dot
 
     def rom_field(z, v):
         return np.asarray(v, dtype=float)
@@ -203,12 +204,16 @@ class Trajectory(_Samples):
         can carry its own provenance.
         """
         data = np.hstack([getattr(self, name).reshape(self.n_samples, -1) for name in _CSV_STEMS])
-        buf = io.StringIO()
-        for line in preamble:
-            buf.write(f"# {line}\n")
-        buf.write(self.csv_header() + "\n")
-        np.savetxt(buf, data, fmt="%.17g", delimiter=",")
-        atomic_write_text(path, buf.getvalue())
+        # np.savetxt leaves its writer, which holds buf, in a reference cycle
+        # that lives until the cyclic collector runs; closing buf frees the
+        # text now, so repeated writes do not pile up dead copies
+        with io.StringIO() as buf:
+            for line in preamble:
+                buf.write(f"# {line}\n")
+            buf.write(self.csv_header() + "\n")
+            np.savetxt(buf, data, fmt="%.17g", delimiter=",")
+            text = buf.getvalue()
+        atomic_write_text(path, text)
 
 
 @dataclass(frozen=True)
@@ -298,6 +303,8 @@ def integrate_batch(
 
     The disturbance, when given, enters additively on the full-model input
     channel: x_dot = F(x, u(x) + d(t)), with d evaluated at each substage time.
+    ``disturbance.signal(t)`` returns one input (m,) shared by every run, or
+    one row per run, shape (K, m).
     h_V reuses the law's barrier passes, so ``rcbf`` must be built on the
     law's barrier. Raises DivergenceError at the first non-finite sample.
     """

@@ -18,7 +18,7 @@ from ._io import atomic_write_text
 from ._vec import vnorm
 from .controller import ClosedLoopLaw
 from .dynamics import IntegratorConfig, Trajectory, integrate
-from .errors import HypothesisViolationError
+from .errors import ConfigurationError, HypothesisViolationError
 from .recurrence import (
     RecurrentCbf,
     Rtf,
@@ -194,7 +194,18 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
     sweep values exist to show sign changes, not to satisfy the declared
     config's checks. Alphas at or above the recurrence rate roll out with no
     recurrent-barrier column (h_V is NaN) and say so in their report.
+    Alphas whose labels coincide (f"{alpha:g}") are refused before any run,
+    since one run's artifacts would overwrite the other's.
     """
+    labels = {}
+    for alpha in alphas:
+        tag = f"{alpha:g}"
+        if tag in labels:
+            raise ConfigurationError(
+                f"alphas {labels[tag]!r} and {alpha!r} share the artifact label"
+                f" case_study_alpha_{tag}"
+            )
+        labels[tag] = alpha
     out_dir = default_out_dir() if out_dir is None else Path(out_dir)
     artifacts = []
     rows = []

@@ -26,6 +26,11 @@ def test_field_validation():
         ls.ObstacleField(centers=[[0.0, 0.0]], radii=[-1.0])
     with pytest.raises(ls.ConfigurationError):
         ls.ObstacleField(centers=[[0.0, np.inf]], radii=[0.5])
+    # the barrier takes planar states only
+    b = single_disk()
+    for z in ([0.1, 0.2, 0.3], [[0.1]], 0.5):
+        with pytest.raises(ls.ConfigurationError, match=r"shape \(\.\.\., 2\)"):
+            b.value_and_gradient(z)
 
 
 def test_value_at_known_point():
@@ -45,6 +50,50 @@ def test_min_over_obstacles():
     assert float(b.value(np.array([-0.1, 0.35]))) < 0
 
 
+def _reference_value_and_gradient(field, z):
+    """The argmin/take_along_axis formula the per-obstacle kernel replaced."""
+    z = np.asarray(z, dtype=float)
+    diff = z[..., None, :] - field.centers
+    dists = np.sqrt(np.sum(diff * diff, axis=-1))
+    margins = dists - field.radii
+    idx = np.asarray(np.argmin(margins, axis=-1))
+    val = np.take_along_axis(margins, np.expand_dims(idx, -1), axis=-1)[..., 0]
+    dist = np.take_along_axis(dists, np.expand_dims(idx, -1), axis=-1)[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = (z - field.centers[idx]) / np.expand_dims(dist, -1)
+    return np.min(margins, axis=-1), val, grad
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# symmetric worlds whose equidistance loci tie exactly in floating point
+_FIELDS = {
+    1: ls.ObstacleField(centers=[[-0.1, 0.3]], radii=[0.5]),
+    2: ls.ObstacleField(centers=[[-1.0, 0.0], [1.0, 0.0]], radii=[0.5, 0.5]),
+    3: ls.ObstacleField(centers=[[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], radii=[0.5, 0.5, 0.5]),
+}
+
+
+def _probe_states(field, rng):
+    special = [
+        [0.0, 0.0],  # ties obstacles 0 and 1 (all three when P = 3)
+        [0.0, -2.5],  # ties obstacles 0 and 1 only
+        [0.5, 0.5],  # ties obstacles 1 and 2 only (P = 3)
+        [np.inf, 0.0],
+        [-np.inf, 1.0],
+        [np.inf, -np.inf],
+        [np.nan, 0.0],
+        [0.0, np.nan],
+        [1e-200, 0.0],
+    ]
+    centers = [list(c) for c in field.centers]
+    states = np.array(special + centers + list(rng.uniform(-3, 3, size=(40, 2))))
+    return states[rng.permutation(states.shape[0])]
+
+
 def test_batch_matches_scalar_bitwise():
     b = ls.min_distance_barrier(two_disks_field())
     rng = np.random.default_rng(0)
@@ -57,6 +106,49 @@ def test_batch_matches_scalar_bitwise():
     for i in range(0, 200, 17):
         assert float(b.value(zs[i])) == hv[i]
         assert np.array_equal(np.asarray(b.gradient(zs[i])), gv[i])
+
+    # the per-obstacle kernel reproduces the argmin formula bit for bit, NaN
+    # and non-finite gradients included, over every leading shape
+    for p, field in [*_FIELDS.items(), (2, two_disks_field())]:
+        b = ls.min_distance_barrier(field)
+        zs = _probe_states(field, np.random.default_rng(p))
+        batches = [zs, zs[: 4 * (zs.shape[0] // 4)].reshape(4, -1, 2)]
+        for z in [*zs, *batches]:
+            ref_value, ref_h, ref_grad = _reference_value_and_gradient(field, z)
+            h, grad = b.value_and_gradient(z)
+            assert _same_bits(b.value(z), ref_value)
+            assert _same_bits(h, ref_h)
+            assert _same_bits(grad, ref_grad)
+            if z.ndim == 1 and np.any(np.all(z == field.centers, axis=-1)):
+                with pytest.raises(ls.SingularGradientError):
+                    b.gradient(z)
+            else:
+                assert _same_bits(b.gradient(z), ref_grad)
+        # a center row has a non-finite gradient; no other row is affected
+        at_center = np.all(zs[:, None, :] == field.centers, axis=-1).any(axis=-1)
+        _h, grad = b.value_and_gradient(zs)
+        assert not np.any(np.isfinite(grad[at_center]))
+        finite = np.all(np.isfinite(zs), axis=-1) & ~at_center
+        assert np.all(np.isfinite(grad[finite]))
+
+
+def test_vec_sums_match_numpy_bitwise():
+    """vnorm and vdot sum a short trailing axis exactly as np.sum does."""
+    rng = np.random.default_rng(7)
+    for n in range(1, 5):
+        for shape in [(n,), (1, n), (9, n), (3, 4, n)]:
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+            c = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+            a.flat[::5] = -0.0
+            c.flat[::3] = 0.0
+            a.flat[1::7] = np.inf
+            c.flat[2::11] = np.nan
+            with np.errstate(all="ignore"):
+                assert _same_bits(ls._vec.vdot(a, c), np.sum(a * c, axis=-1))
+                assert _same_bits(ls._vec.vnorm(a), np.sqrt(np.sum(a * a, axis=-1)))
+            # an all -0.0 sum is +0.0, as numpy's reduction gives
+            neg = np.full(shape, -0.0)
+            assert _same_bits(ls._vec.vdot(neg, np.ones(shape)), np.sum(neg, axis=-1))
 
 
 def test_gradient_is_unit_norm():

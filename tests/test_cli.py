@@ -85,9 +85,13 @@ def test_bad_alphas(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["case-study", scn, "--alphas", "a,b", "--out", out]) == 2
     assert main(["case-study", scn, "--alphas", ",", "--out", out]) == 2
+    # both format to the label case_study_alpha_0.5: refused before any run
+    assert main(["case-study", scn, "--alphas", "0.5,1,0.5000001", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "comma-separated numbers" in err
     assert "at least one value" in err
+    assert "share the artifact label case_study_alpha_0.5" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_disturbance(tmp_path, capsys):

@@ -150,3 +150,21 @@ def test_constant_disturbance_equals_shifted_input(linear):
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.e_dot, b.e_dot)
 
+    # a signal with one row per run, shape (K, m): each batch row is bit for
+    # bit the K=1 run driven by that row's own signal
+    rcbf = linear["rcbf"]
+    own = [
+        d,
+        ls.make_disturbance("sine", amplitude=0.4, frequency=1.5),
+        ls.make_disturbance("random", amplitude=0.5, seed=3, segment=0.05),
+    ]
+    rows = dataclasses.replace(d, signal=lambda t: np.stack([di.signal(t) for di in own]))
+    x0s = np.stack([x0, -x0, np.array([0.0, 0.0, -0.5, 0.2])])
+    batch = ls.integrate_batch(pair, law, x0s, cfg, rcbf=rcbf, disturbance=rows)
+    for k, dk in enumerate(own):
+        alone = ls.integrate(pair, law, x0s[k], cfg, rcbf=rcbf, disturbance=dk)
+        row = batch.trajectory(k)
+        for name in ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h",
+                     "grad_h", "v", "h_v"):
+            assert np.array_equal(getattr(alone, name), getattr(row, name), equal_nan=True), name
+
