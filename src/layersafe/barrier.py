@@ -1,4 +1,4 @@
-"""Obstacle worlds, the min-distance barrier, and sampled validity checks.
+"""Obstacle worlds and the min-distance barrier.
 
 The built-in barrier is h(z) = min_i(||z - o_i|| - r_i) over circular
 obstacles. Away from obstacle centers and equidistance loci its gradient is
@@ -157,68 +157,3 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
         vg_fn=value_and_gradient,
     )
 
-
-def estimate_grad_bound(b: BarrierFn, points) -> float:
-    """Empirical gradient bound: max sampled ||grad h||. A lower bound on the
-    true constant; intended for user-supplied barriers without an analytic one."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return float(np.max(vnorm(b.gradient(points))))
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Sampled check of the constraint max_v grad_h . f(z, v) + alpha h(z) >= 0."""
-
-    alpha: float
-    n_points: int
-    n_valid: int
-    margins: np.ndarray
-    fail_indices: np.ndarray
-    note: str = ""
-
-    @property
-    def all_valid(self) -> bool:
-        return self.n_valid == self.n_points
-
-
-def check_cbf_condition(b: BarrierFn, rom, alpha: float, grid, v_candidates) -> ValidityReport:
-    """Evaluate the barrier decrease condition on sampled states and inputs.
-
-    ``rom`` is either a reduced vector field f(z, v) or an object exposing one
-    as ``rom_field``. For each grid state the best achievable margin
-    max over candidates of grad_h(z) . f(z, v) + alpha h(z) is recorded; an
-    empty candidate set gives margin -inf everywhere (nothing is achievable).
-    """
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be positive")
-    f = getattr(rom, "rom_field", rom)
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    vs = np.asarray(v_candidates, dtype=float)
-    h = b.value(grid)
-    g = b.gradient(grid)
-    if vs.size == 0:
-        best = np.full(grid.shape[0], -np.inf)
-    else:
-        vs = np.atleast_2d(vs)
-        # all (state, candidate) pairs at once: (G, C, n)
-        zz = np.broadcast_to(grid[:, None, :], (grid.shape[0], vs.shape[0], grid.shape[1]))
-        ff = f(zz, np.broadcast_to(vs[None, :, :], zz.shape))
-        best = np.max(np.sum(g[:, None, :] * ff, axis=-1), axis=-1)
-    margins = best + alpha * h
-    valid = margins >= 0.0
-    note = ""
-    probe_v = np.array([0.7, -0.3])
-    probe_out = np.asarray(f(grid[0], probe_v), dtype=float)
-    if probe_out.shape == probe_v.shape and np.array_equal(probe_out, probe_v):
-        note = (
-            "reduced model acts as a single integrator with unconstrained input; "
-            "the condition is satisfiable at any state by steering along grad_h"
-        )
-    return ValidityReport(
-        alpha=float(alpha),
-        n_points=int(grid.shape[0]),
-        n_valid=int(np.count_nonzero(valid)),
-        margins=margins,
-        fail_indices=np.flatnonzero(~valid),
-        note=note,
-    )

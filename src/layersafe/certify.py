@@ -362,7 +362,7 @@ def brute_force_containment_oracle(
     dist = build_disturbance(scn)
     cfg = IntegratorConfig(dt=dt_fine, horizon=max(float(tau), dt_fine))
     traj = integrate(pair, law, x0, cfg, rcbf=rcbf, disturbance=dist)
-    return containment_times(traj, predicate, (0.0, float(tau))).times_in
+    return containment_times(traj, predicate, (0.0, float(tau)))
 
 
 def containment_gap(coarse_times, fine_times) -> float:

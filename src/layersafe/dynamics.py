@@ -26,19 +26,16 @@ from .errors import ConfigurationError, DivergenceError
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration settings. rk4 is the only supported method."""
+    """Fixed-step RK4 integration settings."""
 
     dt: float = 1e-3
     horizon: float = 10.0
-    method: str = "rk4"
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigurationError("dt must be positive")
         if self.horizon < self.dt:
             raise ConfigurationError("horizon must cover at least one step")
-        if self.method != "rk4":
-            raise ConfigurationError(f"unsupported integration method {self.method!r}")
 
     @property
     def n_steps(self) -> int:
@@ -52,17 +49,10 @@ class ModelPair:
     n_full: int
     n_reduced: int
     m_full: int
-    m_reduced: int
     fom_field: Callable
     rom_field: Callable
     project_state: Callable
     project_input: Callable
-    # analytic Jacobian of project_state when available; finite differences otherwise
-    project_state_jacobian: Callable | None = None
-
-
-_DI_PROJ_JAC = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-_DI_PROJ_JAC.flags.writeable = False
 
 
 def double_integrator_pair(scenario=None) -> ModelPair:
@@ -100,35 +90,11 @@ def double_integrator_pair(scenario=None) -> ModelPair:
         n_full=4,
         n_reduced=2,
         m_full=2,
-        m_reduced=2,
         fom_field=fom_field,
         rom_field=rom_field,
         project_state=project_state,
         project_input=project_input,
-        project_state_jacobian=lambda x: _DI_PROJ_JAC,
     )
-
-
-def relative_degree_residual(pair: ModelPair, x, u, fd_step: float = 1e-6) -> np.ndarray:
-    """|| J(project_state) F(x, u) - f(project_state(x), project_input(x)) ||.
-
-    Uses the analytic projection Jacobian when the pair declares one, central
-    finite differences otherwise.
-    """
-    x = np.asarray(x, dtype=float)
-    fx = pair.fom_field(x, u)
-    if pair.project_state_jacobian is not None:
-        jac = np.asarray(pair.project_state_jacobian(x), dtype=float)
-    else:
-        cols = []
-        for i in range(pair.n_full):
-            e = np.zeros(pair.n_full)
-            e[i] = fd_step
-            cols.append((pair.project_state(x + e) - pair.project_state(x - e)) / (2 * fd_step))
-        jac = np.stack(cols, axis=-1)
-    lhs = np.einsum("...ij,...j->...i", jac, fx)
-    rhs = pair.rom_field(pair.project_state(x), pair.project_input(x))
-    return vnorm(lhs - rhs)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from .controller import ClosedLoopLaw
 from .dynamics import IntegratorConfig, Trajectory, integrate
 from .errors import ConfigurationError, HypothesisViolationError
 from .recurrence import (
-    RecurrentCbf,
     Rtf,
     check_exponential_envelope,
     check_rtf_recurrence,
@@ -34,7 +33,6 @@ from .robustness import (
     in_robust_set,
 )
 from .scenario import (
-    Expectation,
     Scenario,
     build_barrier,
     build_disturbance,
@@ -61,28 +59,12 @@ class RunArtifacts:
     trajectory_csv: Path
     report_path: Path
     summary: dict
-    series: dict
     expectation_results: tuple
     digest: str
 
     @property
     def failed_expectations(self) -> list:
         return [e for e, _a, ok in self.expectation_results if not ok]
-
-
-def _series(traj: Trajectory, law: ClosedLoopLaw) -> dict:
-    """Named per-sample series used by reports and plots."""
-    inter = law.evaluate(traj.x)
-    return {
-        "t": traj.t,
-        "h": traj.h,
-        "V": traj.v,
-        "h_V": traj.h_v,
-        "zdot_d_norm": vnorm(np.asarray(inter.z_dot_d, dtype=float)),
-        "zdot_s_norm": vnorm(traj.z_s_dot),
-        "zdot_norm": vnorm(traj.z_dot),
-        "edot_norm": vnorm(traj.e_dot),
-    }
 
 
 def evaluate_expectations(summary: dict, expectations) -> tuple:
@@ -94,20 +76,26 @@ def evaluate_expectations(summary: dict, expectations) -> tuple:
     return tuple(out)
 
 
-def _run_summary(scn: Scenario, traj: Trajectory, law: ClosedLoopLaw, rtf: Rtf, rcbf) -> dict:
+def _covers_window(traj: Trajectory, rtf: Rtf) -> bool:
+    """Whether the rollout spans the certificate's recurrence window."""
+    return traj.horizon + traj.dt / 2 >= rtf.tau
+
+
+def _run_summary(traj: Trajectory, law: ClosedLoopLaw, rtf: Rtf, rcbf):
+    """Summary metrics shared by every run, and the certificate's recurrence
+    verdict (None when the rollout is shorter than the window)."""
+    rtf_v = check_rtf_recurrence(rtf, traj) if _covers_window(traj, rtf) else None
     summary = {
         "min_h": float(np.min(traj.h)),
         "min_h_v": float(np.min(traj.h_v)),
         "max_edot": float(np.max(vnorm(traj.e_dot))),
         "final_goal_distance": float(vnorm(traj.z[-1] - law.goal)),
-        "rtf_margin": float("nan"),
+        "rtf_margin": rtf_v.margin if rtf_v is not None else float("nan"),
         "chain_min_slack": float("nan"),
     }
-    if traj.horizon + traj.dt / 2 >= rtf.tau:
-        summary["rtf_margin"] = check_rtf_recurrence(rtf, traj).margin
     if rcbf is not None:
         summary["chain_min_slack"] = check_safety_chain(traj, rcbf).min_slack
-    return summary
+    return summary, rtf_v
 
 
 def _preamble(scn: Scenario, label: str) -> list:
@@ -142,7 +130,7 @@ def _report_text(scn: Scenario, label: str, summary: dict, checks: list, exp_res
     return "\n".join(lines)
 
 
-def _emit(scn, label, traj, law, summary, checks, out_dir) -> RunArtifacts:
+def _emit(scn, label, traj, summary, checks, out_dir) -> RunArtifacts:
     out_dir = default_out_dir() if out_dir is None else Path(out_dir)
     exp_results = evaluate_expectations(summary, scn.expectations)
     csv_path = out_dir / f"{label}.csv"
@@ -154,7 +142,6 @@ def _emit(scn, label, traj, law, summary, checks, out_dir) -> RunArtifacts:
         trajectory_csv=csv_path,
         report_path=report_path,
         summary=summary,
-        series=_series(traj, law),
         expectation_results=exp_results,
         digest=scn.digest(),
     )
@@ -170,21 +157,21 @@ def _build_run(scn: Scenario):
     except HypothesisViolationError:
         rcbf = None
     dist = build_disturbance(scn)
-    return pair, b, law, rtf, rcbf, dist
+    return pair, law, rtf, rcbf, dist
 
 
 def run_simulate(scn: Scenario, out_dir=None, label: str = "simulate") -> RunArtifacts:
     """One rollout from the scenario start; CSV, report, declared expectations."""
-    pair, _b, law, rtf, rcbf, dist = _build_run(scn)
+    pair, law, rtf, rcbf, dist = _build_run(scn)
     x0 = initial_state(scn, law)
     traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
-    summary = _run_summary(scn, traj, law, rtf, rcbf)
+    summary, _rtf_v = _run_summary(traj, law, rtf, rcbf)
     checks = []
     if rcbf is None:
         checks.append(
             "no certified region for this alpha: the recurrence rate does not exceed it"
         )
-    return _emit(scn, label, traj, law, summary, checks, out_dir)
+    return _emit(scn, label, traj, summary, checks, out_dir)
 
 
 def run_case_study(scn: Scenario, alphas, out_dir=None):
@@ -194,35 +181,31 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
     sweep values exist to show sign changes, not to satisfy the declared
     config's checks. Alphas at or above the recurrence rate roll out with no
     recurrent-barrier column (h_V is NaN) and say so in their report.
-    Alphas whose labels coincide (f"{alpha:g}") are refused before any run,
-    since one run's artifacts would overwrite the other's.
+    Every alpha is validated, and alphas whose labels coincide (f"{alpha:g}")
+    are refused, before any run, so a bad sweep writes nothing; colliding
+    labels would make one run's artifacts overwrite the other's.
     """
-    labels = {}
+    runs = {}
     for alpha in alphas:
         tag = f"{alpha:g}"
-        if tag in labels:
+        if tag in runs:
             raise ConfigurationError(
-                f"alphas {labels[tag]!r} and {alpha!r} share the artifact label"
+                f"alphas {runs[tag].gains.alpha!r} and {alpha!r} share the artifact label"
                 f" case_study_alpha_{tag}"
             )
-        labels[tag] = alpha
-    out_dir = default_out_dir() if out_dir is None else Path(out_dir)
-    artifacts = []
-    rows = []
-    for alpha in alphas:
         scn_a = scn.with_alpha(float(alpha))
         if float(alpha) != scn.gains.alpha:
             # sweep runs at non-declared alphas carry no expectations of their own
             scn_a = dataclasses.replace(scn_a, expectations=())
-        pair, _b, law, rtf, rcbf, dist = _build_run(scn_a)
+        runs[tag] = scn_a
+    out_dir = default_out_dir() if out_dir is None else Path(out_dir)
+    artifacts = []
+    rows = []
+    for tag, scn_a in runs.items():
+        pair, law, rtf, rcbf, dist = _build_run(scn_a)
         x0 = initial_state(scn_a, law)
         traj = integrate(pair, law, x0, scn_a.integrator, rcbf=rcbf, disturbance=dist)
-        summary = _run_summary(scn_a, traj, law, rtf, rcbf)
-        rtf_v = (
-            check_rtf_recurrence(rtf, traj)
-            if traj.horizon + traj.dt / 2 >= rtf.tau
-            else None
-        )
+        summary, rtf_v = _run_summary(traj, law, rtf, rcbf)
         # the exponential envelope constrains error-only starts; a quiet start
         # (zero initial tracking error) has no meaningful ratio to report
         e0 = float(np.hypot(traj.e_dot[0, 0], traj.e_dot[0, 1]))
@@ -251,12 +234,12 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
             checks.append(
                 "no certified region for this alpha: the recurrence rate does not exceed it"
             )
-        label = f"case_study_alpha_{alpha:g}"
-        art = _emit(scn_a, label, traj, law, summary, checks, out_dir)
+        label = f"case_study_alpha_{tag}"
+        art = _emit(scn_a, label, traj, summary, checks, out_dir)
         artifacts.append(art)
         env_word = "n/a" if env_v is None else ("yes" if env_v.holds else "no")
         rows.append(
-            f"alpha={alpha:g}  min_h={summary['min_h']!r}  min_h_v={summary['min_h_v']!r}"
+            f"alpha={tag}  min_h={summary['min_h']!r}  min_h_v={summary['min_h_v']!r}"
             f"  rtf_satisfied={'yes' if rtf_v is not None and rtf_v.satisfied else 'no'}"
             f"  envelope_holds={env_word}"
         )
@@ -265,7 +248,7 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
         [
             "alpha sweep summary",
             f"scenario digest: {scn.digest()}",
-            f"alphas: {', '.join(f'{a:g}' for a in alphas)}",
+            f"alphas: {', '.join(runs)}",
             "",
             *rows,
             "",
@@ -275,7 +258,7 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
     return artifacts, summary_path
 
 
-def negative_intervals(t: np.ndarray, values: np.ndarray) -> list:
+def negative_intervals(values: np.ndarray) -> list:
     """Inclusive index ranges [i0, i1] of contiguous values < 0 (NaN excluded)."""
     with np.errstate(invalid="ignore"):
         neg = np.asarray(values < 0.0)
@@ -297,16 +280,16 @@ def run_recurrence_demo(scn: Scenario, out_dir=None) -> RunArtifacts:
     Records every interval where h_V < 0, its duration, and the return time;
     requires the recurrence rate to exceed alpha.
     """
-    pair, b, law, rtf, rcbf, dist = _build_run(scn)
+    pair, law, rtf, rcbf, dist = _build_run(scn)
     if rcbf is None:
         raise HypothesisViolationError(
             "the demo needs a certified region: the recurrence rate must exceed alpha"
         )
     x0 = initial_state(scn, law)
     traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
-    summary = _run_summary(scn, traj, law, rtf, rcbf)
+    summary, _rtf_v = _run_summary(traj, law, rtf, rcbf)
 
-    dips = negative_intervals(traj.t, traj.h_v)
+    dips = negative_intervals(traj.h_v)
     durations = []
     for i0, i1 in dips:
         if i1 == traj.n_samples - 1:
@@ -337,7 +320,7 @@ def run_recurrence_demo(scn: Scenario, out_dir=None) -> RunArtifacts:
         "V non-monotone: " + ("yes (recurrent behavior observed)" if v_increase else "no")
     )
     checks.append(f"min_h = {summary['min_h']!r} (safety held)" if summary["min_h"] >= 0 else f"min_h = {summary['min_h']!r} (SAFETY VIOLATED)")
-    return _emit(scn, "recurrence_demo", traj, law, summary, checks, out_dir)
+    return _emit(scn, "recurrence_demo", traj, summary, checks, out_dir)
 
 
 def effective_disturbance_bound(traj: Trajectory, law: ClosedLoopLaw) -> float:
@@ -369,7 +352,7 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
     The class-K offset is linear, mu(r) = c r; c is calibrated from constant-
     disturbance quiet-start runs unless supplied.
     """
-    pair, b, law, rtf, rcbf, dist = _build_run(scn)
+    pair, law, rtf, rcbf, dist = _build_run(scn)
     if rcbf is None:
         raise HypothesisViolationError(
             "the ISS run needs a certified region: the recurrence rate must exceed alpha"
@@ -381,15 +364,11 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
 
     x0 = initial_state(scn, law)
     traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
-    summary = _run_summary(scn, traj, law, rtf, rcbf)
+    summary, _rtf_v = _run_summary(traj, law, rtf, rcbf)
 
     iss_v = check_iss_envelope(traj, env)
     in0 = bool(in_robust_set(rcbf, env, traj.z[0], traj.e_dot[0]))
-    prtf = (
-        check_practical_rtf(rtf, traj, env)
-        if traj.horizon + traj.dt / 2 >= rtf.tau
-        else None
-    )
+    prtf = check_practical_rtf(rtf, traj, env) if _covers_window(traj, rtf) else None
     summary["iss_holds"] = 1.0 if iss_v.holds else 0.0
     summary["iss_worst_excess"] = iss_v.worst_excess
     summary["practical_rtf_margin"] = prtf.margin if prtf is not None else float("nan")
@@ -410,7 +389,7 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
             f"shifted recurrence: {'satisfied' if prtf.satisfied else 'not satisfied'}"
             f" (margin = {prtf.margin!r})"
         )
-    return _emit(scn, "iss", traj, law, summary, checks, out_dir)
+    return _emit(scn, "iss", traj, summary, checks, out_dir)
 
 
 _PLOT_SCRIPT = '''#!/usr/bin/env python3

@@ -56,25 +56,6 @@ def norm_rtf(a1: float = 1.0, a2: float = 1.0, beta: float = 2.45, tau: float = 
     return Rtf(value=value, a1=float(a1), a2=float(a2), beta=float(beta), tau=float(tau))
 
 
-@dataclass(frozen=True)
-class ContainmentTimes:
-    """Sample times inside a window at which a membership predicate holds."""
-
-    traj: Trajectory
-    window: tuple[float, float]
-    times_in: np.ndarray
-    mask: np.ndarray
-
-    def membership(self, t: float) -> bool:
-        """Predicate value at the sample nearest to t (within half a step)."""
-        i = int(round((t - float(self.traj.t[0])) / self.traj.dt))
-        if i < 0 or i >= self.traj.n_samples:
-            return False
-        if abs(float(self.traj.t[i]) - t) > self.traj.dt / 2:
-            return False
-        return bool(self.mask[i])
-
-
 def _predicate_mask(traj: Trajectory, predicate) -> np.ndarray:
     mask = np.asarray(predicate(traj), dtype=bool)
     if mask.shape != traj.t.shape:
@@ -88,7 +69,7 @@ def _window_selector(traj: Trajectory, a: float, b_end: float) -> np.ndarray:
     return (traj.t > a) & (traj.t <= b_end + traj.dt / 2)
 
 
-def containment_times(traj: Trajectory, predicate, window) -> ContainmentTimes:
+def containment_times(traj: Trajectory, predicate, window) -> np.ndarray:
     """Sample times in the half-open window (a, b] where the predicate holds.
 
     ``predicate`` maps the trajectory to a boolean mask over samples.
@@ -100,9 +81,7 @@ def containment_times(traj: Trajectory, predicate, window) -> ContainmentTimes:
         raise ConfigurationError(
             f"window end {b_end:g} exceeds the trajectory horizon {traj.horizon:g}"
         )
-    mask = _predicate_mask(traj, predicate)
-    sel = _window_selector(traj, a, b_end) & mask
-    return ContainmentTimes(traj=traj, window=(a, b_end), times_in=traj.t[sel], mask=mask)
+    return traj.t[_window_selector(traj, a, b_end) & _predicate_mask(traj, predicate)]
 
 
 @dataclass(frozen=True)

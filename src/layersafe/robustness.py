@@ -36,13 +36,13 @@ class Disturbance:
     """A deterministic input-channel signal with a declared sup norm.
 
     signal(t) accepts a scalar or an array of times and returns values of
-    shape t.shape + (dim,); ||signal(t)|| <= sup_norm everywhere.
+    shape t.shape + (dim,), with dim as given to make_disturbance;
+    ||signal(t)|| <= sup_norm everywhere.
     """
 
     kind: str
     signal: Callable
     sup_norm: float
-    dim: int
 
     def __call__(self, t):
         return self.signal(t)
@@ -75,7 +75,7 @@ def make_disturbance(
             t = np.asarray(t, dtype=float)
             return np.zeros(t.shape + (dim,))
 
-        return Disturbance(kind="none", signal=signal, sup_norm=0.0, dim=dim)
+        return Disturbance(kind="none", signal=signal, sup_norm=0.0)
 
     if kind == "constant":
         vec = np.zeros(dim)
@@ -85,7 +85,7 @@ def make_disturbance(
             t = np.asarray(t, dtype=float)
             return np.broadcast_to(vec, t.shape + (dim,)).copy()
 
-        return Disturbance(kind=kind, signal=signal, sup_norm=amp, dim=dim)
+        return Disturbance(kind=kind, signal=signal, sup_norm=amp)
 
     if kind == "sine":
         if dim < 2:
@@ -101,7 +101,7 @@ def make_disturbance(
             out[..., 1] = amp * np.cos(w * t)
             return out
 
-        return Disturbance(kind=kind, signal=signal, sup_norm=amp, dim=dim)
+        return Disturbance(kind=kind, signal=signal, sup_norm=amp)
 
     # random: values drawn once per segment from the closed ball of radius amp
     if not segment > 0:
@@ -123,7 +123,7 @@ def make_disturbance(
         return table[idx]
 
     sup = float(np.max(vnorm(table)))
-    return Disturbance(kind=kind, signal=signal, sup_norm=sup, dim=dim)
+    return Disturbance(kind=kind, signal=signal, sup_norm=sup)
 
 
 @dataclass(frozen=True)

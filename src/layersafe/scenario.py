@@ -199,7 +199,7 @@ class Scenario:
     def with_horizon(self, horizon: float) -> "Scenario":
         sim = self.integrator
         return dataclasses.replace(
-            self, integrator=IntegratorConfig(dt=sim.dt, horizon=float(horizon), method=sim.method)
+            self, integrator=IntegratorConfig(dt=sim.dt, horizon=float(horizon))
         )
 
 

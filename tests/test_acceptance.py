@@ -229,9 +229,9 @@ def test_criterion_07_containment_oracle():
         coarse_traj = ls.integrate(pair, law, x0, scn.integrator, rcbf=rcbf)
         coarse = ls.containment_times(coarse_traj, pred, (0.0, tau))
         fine = ls.brute_force_containment_oracle(scn, x0, pred, tau, dt_fine=dt / 10)
-        gap = ls.containment_gap(coarse.times_in, fine)
+        gap = ls.containment_gap(coarse, fine)
         worst = max(worst, gap)
-        n_nonempty += 1 if coarse.times_in.size else 0
+        n_nonempty += 1 if coarse.size else 0
     assert worst <= dt * (1.0 + 1e-9)
     assert n_nonempty >= 20  # the predicates actually bite on many runs
     print(

@@ -158,6 +158,7 @@ def test_gradient_is_unit_norm():
     keep = np.min(b.field.center_distances(zs), axis=-1) > 1e-6
     g = b.gradient(zs[keep])
     assert np.allclose(np.hypot(g[:, 0], g[:, 1]), 1.0, atol=1e-12)
+    assert b.grad_bound == 1.0
 
 
 def test_gradient_matches_finite_difference():
@@ -198,44 +199,3 @@ def test_singular_gradient():
     g = b.gradient(np.array([[-0.1, 0.3], [0.9, 0.3]]))
     assert not np.all(np.isfinite(g[0]))
     assert np.allclose(g[1], [1.0, 0.0])
-
-
-def test_estimate_grad_bound_is_one():
-    b = ls.min_distance_barrier(two_disks_field())
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-3, 3, size=(2000, 2))
-    pts = pts[np.min(b.field.center_distances(pts), axis=-1) > 1e-3]
-    est = ls.estimate_grad_bound(b, pts)
-    assert est == pytest.approx(1.0, rel=1e-12)
-    assert b.grad_bound == 1.0
-
-
-def test_cbf_condition_with_strong_inputs():
-    b = ls.min_distance_barrier(two_disks_field())
-    pair = ls.double_integrator_pair()
-    rng = np.random.default_rng(4)
-    grid = rng.uniform(-2, 2, size=(300, 2))
-    grid = grid[b.value(grid) > 0.0]
-    # candidate velocities include strong pushes along every axis direction
-    vs = 3.0 * np.array(
-        [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]], dtype=float
-    )
-    rep = ls.check_cbf_condition(b, pair, alpha=1.0, grid=grid, v_candidates=vs)
-    assert rep.all_valid
-    assert rep.n_points == grid.shape[0]
-    assert np.all(rep.margins >= 0)
-    assert rep.fail_indices.size == 0
-
-
-def test_cbf_condition_detects_failures():
-    b = single_disk()
-    pair = ls.double_integrator_pair()
-    grid = np.array([[0.9, 0.3]])  # h = 0.5 here
-    # only a strong inward push is available: margin = -3 + alpha * 0.5 < 0
-    vs = np.array([[-3.0, 0.0]])
-    rep = ls.check_cbf_condition(b, pair, alpha=1.0, grid=grid, v_candidates=vs)
-    assert not rep.all_valid
-    assert rep.n_valid == 0
-    assert np.allclose(rep.margins, [-3.0 + 0.5], atol=1e-12)
-    with pytest.raises(ls.ConfigurationError):
-        ls.check_cbf_condition(b, pair, alpha=0.0, grid=grid, v_candidates=vs)

@@ -207,7 +207,7 @@ def test_fine_step_oracle_agrees_with_coarse(two_disks, td):
     # h decays from 0.6 through 0.52 inside this window, so the containment
     # set is a proper prefix with a genuine boundary crossing
     predicate = lambda tr: tr.h >= 0.52
-    coarse = ls.containment_times(coarse_traj, predicate, (0.0, tau)).times_in
+    coarse = ls.containment_times(coarse_traj, predicate, (0.0, tau))
     assert 0 < coarse.size < coarse_traj.t.size - 1
     fine = ls.brute_force_containment_oracle(scn, x0, predicate, tau, dt_fine=1e-4)
     assert fine.size > 0

@@ -87,10 +87,15 @@ def test_bad_alphas(tmp_path, capsys):
     assert main(["case-study", scn, "--alphas", ",", "--out", out]) == 2
     # both format to the label case_study_alpha_0.5: refused before any run
     assert main(["case-study", scn, "--alphas", "0.5,1,0.5000001", "--out", out]) == 2
+    # a bad alpha after a good one is refused before the good one runs
+    assert main(["case-study", scn, "--alphas", "0.5,-1", "--out", out]) == 2
+    assert main(["case-study", scn, "--alphas", "0.5,nan", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "comma-separated numbers" in err
     assert "at least one value" in err
     assert "share the artifact label case_study_alpha_0.5" in err
+    assert "gains.alpha must be strictly positive, got -1.0" in err
+    assert "gains.alpha must be strictly positive, got nan" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -12,7 +12,7 @@ def test_integrator_config_validation():
         ls.IntegratorConfig(dt=0.0, horizon=1.0)
     with pytest.raises(ls.ConfigurationError):
         ls.IntegratorConfig(dt=0.1, horizon=0.0)
-    with pytest.raises(ls.ConfigurationError):
+    with pytest.raises(TypeError):
         ls.IntegratorConfig(dt=0.1, horizon=1.0, method="euler")
     cfg = ls.IntegratorConfig(dt=0.1, horizon=1.0)
     assert cfg.n_steps == 10
@@ -27,8 +27,6 @@ def test_double_integrator_structure():
     assert np.array_equal(pair.project_input(x), [3.0, 4.0])
     # reduced model is a single integrator: z_dot equals the input
     assert np.array_equal(pair.rom_field(x[:2], u), u)
-    res = ls.relative_degree_residual(pair, x, u)
-    assert np.all(np.abs(res) < 1e-6)
 
 
 def test_rk4_is_fourth_order():
@@ -135,7 +133,6 @@ def test_constant_disturbance_equals_shifted_input(linear):
         kind="constant",
         signal=lambda t: np.broadcast_to(d0, np.shape(t) + (2,)).copy(),
         sup_norm=float(np.hypot(*d0)),
-        dim=2,
     )
 
     def shifted_evaluate(x):

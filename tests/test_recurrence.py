@@ -36,12 +36,10 @@ def test_containment_times_window_semantics():
     traj = synthetic_trajectory(t, np.zeros(11), h=np.where(t < 0.35, 1.0, -1.0))
     ct = ls.containment_times(traj, lambda tr: tr.h > 0, (0.0, 1.0))
     # window excludes t = 0 and includes the endpoint
-    assert np.allclose(ct.times_in, [0.1, 0.2, 0.3])
-    assert ct.membership(0.2)
-    assert not ct.membership(0.5)
+    assert np.allclose(ct, [0.1, 0.2, 0.3])
     full = ls.containment_times(traj, lambda tr: tr.h > -2, (0.0, 1.0))
-    assert full.times_in.size == 10
-    assert full.times_in[-1] == pytest.approx(1.0, abs=1e-12)
+    assert full.size == 10
+    assert full[-1] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ls.ConfigurationError):
         ls.containment_times(traj, lambda tr: tr.h > 0, (0.5, 0.5))
     with pytest.raises(ls.ConfigurationError):
