@@ -1,36 +1,80 @@
-"""Small shared vector helpers, broadcast friendly over the trailing axis.
+"""The component representation the control stack runs on, and vector sums.
 
-Every module routes Euclidean norms and inner products through these so the
-scalar and batched code paths perform bit-identical arithmetic. The trailing
-axis is summed by elementwise adds, one per component, rather than by a
-reduction call: over a length-2 axis a reduction costs several times the
-adds themselves.
+Each layer's arithmetic is written once, on a tuple of state components:
+Python floats for one run (K = 1), contiguous 1-D float columns for several.
+The only type-specific code is the primitives sqrt, select, clamp0 and
+divide, whose float versions reproduce numpy's bits. Array callers go
+through split and join. Sums run 0.0 + p0 + p1 + ... left to right, the
+order np.sum(..., axis=-1) uses for a trailing axis shorter than 8, so the
+two agree bit for bit there, signed zeros included.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+with np.errstate(invalid="ignore"):
+    _SQRT_NEG = float(np.sqrt(-1.0))  # numpy's NaN for the root of a negative
 
-def _sum_last(p) -> np.ndarray:
-    """Sum over the trailing axis: 0.0 + p0 + p1 + ..., left to right.
 
-    That is the order np.sum(p, axis=-1) uses for a trailing axis shorter
-    than 8, so the two agree bit for bit there, signed zeros included (the
-    0.0 start turns an all -0.0 sum into +0.0). Longer axes keep the same
-    left-to-right order for a single vector and for every row of a batch.
-    """
-    out = p[..., 0] + 0.0
-    for i in range(1, p.shape[-1]):
-        out = out + p[..., i]
+def split(a) -> tuple:
+    """Trailing-axis components: floats for a vector (n,), else contiguous arrays."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        return tuple(a.tolist())
+    return tuple(np.ascontiguousarray(a[..., i]) for i in range(a.shape[-1]))
+
+
+def join(v):
+    """For array callers: a tuple's components on a trailing axis, or a numpy per-run value."""
+    if isinstance(v, tuple):
+        return np.stack(np.broadcast_arrays(*v), axis=-1)
+    return np.asarray(v)[()]
+
+
+def sqrt(x):
+    if isinstance(x, np.ndarray):
+        return np.sqrt(x)
+    return math.sqrt(x) if not x < 0.0 else _SQRT_NEG
+
+
+def select(cond, a, b):
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def clamp0(x):
+    """np.maximum(x, 0.0)."""
+    if isinstance(x, np.ndarray):
+        return np.maximum(x, 0.0)
+    return x if x > 0.0 or x != x else 0.0
+
+
+def divide(a, b):
+    """a / b, with numpy's result and no warning where b is zero."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or b == 0.0):
+        return a / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(a, b)
+    return out if isinstance(out, np.ndarray) else float(out)
+
+
+def vsum(parts):
+    """0.0 + parts[0] + parts[1] + ..., left to right."""
+    out = parts[0] + 0.0
+    for p in parts[1:]:
+        out = out + p
     return out
-
-
-def vnorm(v) -> np.ndarray:
-    """Euclidean norm over the trailing axis."""
-    v = np.asarray(v, dtype=float)
-    return np.sqrt(_sum_last(v * v))
 
 
 def vdot(a, b) -> np.ndarray:
     """Inner product over the trailing axis."""
-    return _sum_last(np.asarray(a, dtype=float) * np.asarray(b, dtype=float))
+    p = np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
+    return vsum([p[..., i] for i in range(p.shape[-1])])
+
+
+def vnorm(v) -> np.ndarray:
+    """Euclidean norm over the trailing axis."""
+    return np.sqrt(vdot(v, v))

@@ -6,7 +6,8 @@ the unit vector pointing from the nearest center to z, so the gradient bound
 is exactly 1. One kernel serves a single state and a batch alike: it walks
 the obstacles in order, elementwise over all states, and takes an obstacle
 only when its margin is strictly smaller, so ties between equally near
-obstacles resolve to the lowest obstacle index.
+obstacles resolve to the lowest obstacle index. It runs on the state's
+components (see _vec): floats for one state, columns for a batch.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._vec import vnorm
+from ._vec import divide, join, select, split, sqrt, vnorm
 from .errors import ConfigurationError, SingularGradientError
 
 
@@ -53,20 +54,17 @@ class ObstacleField:
         z = np.asarray(z, dtype=float)
         return vnorm(z[..., None, :] - self.centers)
 
-    def signed_margins(self, z) -> np.ndarray:
-        """Distance-to-center minus radius per obstacle, shape (..., P)."""
-        return self.center_distances(z) - self.radii
-
     def nearest(self, z) -> np.ndarray:
         """Index of the nearest obstacle by signed margin; ties take the lowest index."""
-        return np.asarray(np.argmin(self.signed_margins(z), axis=-1))
+        return np.asarray(np.argmin(self.center_distances(z) - self.radii, axis=-1))
 
 
 @dataclass(frozen=True)
 class BarrierFn:
     """A scalar safety function with its gradient map and gradient bound.
 
-    ``value`` and ``gradient`` accept a single state (2,) or a batch (..., 2).
+    ``value`` and ``gradient`` accept a single state (2,) or a batch (..., 2);
+    the control stack passes a tuple of components (see _vec).
     ``grad_bound`` is the constant that turns tracking-error size into a bound
     on the barrier's rate of change.
     """
@@ -102,52 +100,44 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
         (float(cx), float(cy), float(r)) for (cx, cy), r in zip(field.centers, field.radii)
     ]
 
-    def nearest(z):
-        # margin, center distance and offset z - center of the nearest
-        # obstacle, elementwise over all states with Python-float geometry, so
-        # no operand broadcasts along the short trailing axis; strict < keeps
-        # the lowest index on ties, as argmin does
-        if z.shape[-1:] != (2,):
-            raise ConfigurationError(f"states must have shape (..., 2), got {z.shape}")
-        zx, zy = z[..., 0], z[..., 1]
+    def value_and_gradient(z):
+        # the nearest obstacle's margin and unit offset, on the components
+        # (zx, zy); strict < keeps the lowest index on ties, as argmin does
+        arrays = not isinstance(z, tuple)
+        if arrays:
+            z = np.asarray(z, dtype=float)
+            if z.shape[-1:] != (2,):
+                raise ConfigurationError(f"states must have shape (..., 2), got {z.shape}")
+            z = split(z)
+        zx, zy = z
         for i, (cx, cy, r) in enumerate(obstacles):
             dx_i = zx - cx
             dy_i = zy - cy
-            # vnorm's sum of squares, 0.0 + dx^2 + dy^2, term by term
-            dist_i = np.sqrt(dx_i * dx_i + dy_i * dy_i)
+            # vnorm's sum of squares; its leading 0.0 + never changes a square
+            dist_i = sqrt(dx_i * dx_i + dy_i * dy_i)
             h_i = dist_i - r
             if i == 0:
                 h, dist, dx, dy = h_i, dist_i, dx_i, dy_i
             else:
                 nearer = h_i < h
-                h = np.where(nearer, h_i, h)
-                dist = np.where(nearer, dist_i, dist)
-                dx = np.where(nearer, dx_i, dx)
-                dy = np.where(nearer, dy_i, dy)
-        return h, dist, dx, dy
-
-    def unit_offset(dist, dx, dy):
+                h = select(nearer, h_i, h)
+                dist = select(nearer, dist_i, dist)
+                dx = select(nearer, dx_i, dx)
+                dy = select(nearer, dy_i, dy)
         # offset / distance; non-finite where the distance is 0 or non-finite
-        grad = np.empty(np.shape(dist) + (2,))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(dx, dist, out=grad[..., 0])
-            np.divide(dy, dist, out=grad[..., 1])
-        return grad
+        grad = (divide(dx, dist), divide(dy, dist))
+        return (join(h), join(grad)) if arrays else (h, grad)
 
     def value(z):
-        return nearest(np.asarray(z, dtype=float))[0]
-
-    def value_and_gradient(z):
-        h, dist, dx, dy = nearest(np.asarray(z, dtype=float))
-        return h, unit_offset(dist, dx, dy)
+        return value_and_gradient(z)[0]
 
     def gradient(z):
-        z = np.asarray(z, dtype=float)
-        _h, dist, dx, dy = nearest(z)
-        if z.ndim == 1 and dist == 0.0:
-            center = field.centers[int(field.nearest(z))]
+        grad = value_and_gradient(z)[1]
+        # a finite single state has a non-finite gradient only at a center
+        if np.ndim(z) == 1 and np.all(np.isfinite(z)) and not np.all(np.isfinite(grad)):
+            center = field.centers[int(field.nearest(np.asarray(z, dtype=float)))]
             raise SingularGradientError(f"gradient undefined at obstacle center {center}")
-        return unit_offset(dist, dx, dy)
+        return grad
 
     return BarrierFn(
         value_fn=value,

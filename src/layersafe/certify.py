@@ -25,7 +25,8 @@ from math import prod
 import numpy as np
 
 from ._io import atomic_write_text
-from .dynamics import IntegratorConfig, _rollout, integrate
+from ._vec import join
+from .dynamics import IntegratorConfig, _derived, _rollout, integrate
 from .errors import ConfigurationError
 from .recurrence import containment_times
 from .scenario import (
@@ -229,11 +230,9 @@ def certify_initial_set(
     beta = scn.rtf_constants.beta
 
     # initial diagnostics for every point, including the skipped ones
-    z0 = x0s[:, :2]
     inter0 = law.evaluate(x0s)
-    e_dot0 = x0s[:, 2:4] - np.asarray(inter0.z_dot_s, dtype=float)
     h0 = np.asarray(inter0.h, dtype=float)
-    hv0_all = np.asarray(rcbf.combine(rcbf.rtf.value(z0, e_dot0), h0), dtype=float)
+    hv0_all = np.asarray(_derived(pair, rcbf, x0s, inter0.z_dot_s, h0)[4], dtype=float)
 
     roll_idx = np.flatnonzero(h0 >= 0.0)
     min_h = h0.copy()
@@ -256,22 +255,24 @@ def certify_initial_set(
         c_div = np.full(idx.size, np.nan)
         alive = np.ones(idx.size, dtype=bool)
         with np.errstate(all="ignore"):
-            for k, sample in enumerate(_rollout(pair, law, x0s[idx], dt, n_steps, d_sig, rcbf)):
-                t = sample["t"]
-                finite = np.isfinite(sample["x"]).all(axis=-1)
+            for k, (t, x, _u, inter) in enumerate(_rollout(pair, law, x0s[idx], dt, n_steps, d_sig)):
+                x, z_s_dot = join(x).reshape(idx.size, -1), join(inter.z_dot_s).reshape(idx.size, -1)
+                h = np.reshape(inter.h, idx.size)
+                v, h_v = _derived(pair, rcbf, x, z_s_dot, h)[3:]
+                finite = np.isfinite(x).all(axis=-1)
                 newly_dead = alive & ~finite
                 if np.any(newly_dead):
                     c_div[newly_dead] = t
                     alive = alive & finite
-                c_min_h = np.fmin(c_min_h, sample["h"])
-                c_min_hv = np.fmin(c_min_hv, sample["h_v"])
-                viol_now = (sample["h"] < -_H_TOL) & np.isnan(c_viol)
+                c_min_h = np.fmin(c_min_h, h)
+                c_min_hv = np.fmin(c_min_hv, h_v)
+                viol_now = (h < -_H_TOL) & np.isnan(c_viol)
                 if np.any(viol_now):
                     c_viol[viol_now] = t
                 if k == 0:
-                    c_v0 = sample["v"].copy()
+                    c_v0 = v.copy()
                 elif k <= tau_steps:
-                    c_scaled = np.fmin(c_scaled, np.exp(beta * t) * sample["v"])
+                    c_scaled = np.fmin(c_scaled, np.exp(beta * t) * v)
             c_margin = c_v0 - c_scaled
         return c_min_h, c_min_hv, c_viol, c_margin, c_div
 

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .certify import Grid, certify_initial_set
-from .errors import ConfigurationError, DivergenceError, NoCertificateError
+from .errors import ConfigurationError, DivergenceError, NoCertificateError, ScenarioError
 from .harness import (
     default_out_dir,
     run_case_study,
@@ -40,7 +40,7 @@ def _resolve_scenario_path(name: str) -> Path:
         base = name if name.endswith(".scn") else name + ".scn"
         try:
             return bundled_scenario_path(base)
-        except Exception:
+        except ScenarioError:
             pass
     raise ConfigurationError(f"no such scenario file: {name}")
 

@@ -6,7 +6,9 @@ The filter solves, in closed form, the one-constraint projection
 
 against the nearest obstacle only (n the barrier gradient at z): the optimum
 is z_dot_d plus max(-n . z_dot_d - alpha h, 0) along n. The tracking layer is
-plain velocity-error feedback u = -k_d (z_dot - z_dot_s).
+plain velocity-error feedback u = -k_d (z_dot - z_dot_s). Each layer is
+written once on a tuple of components (see _vec): floats for one state,
+columns for a batch; array callers get arrays back.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._vec import vdot
+from ._vec import clamp0, join, split, vsum
 from .barrier import BarrierFn
 from .errors import ConfigurationError, NoCertificateError
 
@@ -40,20 +42,21 @@ class LawIntermediates:
     """One evaluation of the layered law at a state: every layer's output.
 
     h and grad_h are the barrier value and gradient the filter used; u is the
-    tracking input.
+    tracking input. Fields take the form of the state: arrays or components.
     """
 
-    z_dot_d: np.ndarray
-    z_dot_s: np.ndarray
-    active: np.ndarray
-    h: np.ndarray
-    grad_h: np.ndarray
-    u: np.ndarray
+    z_dot_d: tuple | np.ndarray
+    z_dot_s: tuple | np.ndarray
+    active: bool | np.ndarray
+    h: float | np.ndarray
+    grad_h: tuple | np.ndarray
+    u: tuple | np.ndarray
 
 
 @dataclass(frozen=True)
 class ClosedLoopLaw:
-    """State feedback: evaluate(x) runs the whole stack once, returning LawIntermediates."""
+    """State feedback: evaluate(x) runs the whole stack once, returning LawIntermediates;
+    the rollout kernel passes x as a tuple of components (see _vec)."""
 
     goal: np.ndarray | None
     gains: Gains | None
@@ -61,18 +64,20 @@ class ClosedLoopLaw:
     evaluate: Callable
 
 
-def desired_velocity(goal, k_p: float, z) -> np.ndarray:
+def desired_velocity(goal, k_p: float, z):
     """Proportional pull toward the goal: -k_p (z - goal)."""
-    z = np.asarray(z, dtype=float)
-    goal = np.asarray(goal, dtype=float)
-    return -k_p * (z - goal)
+    arrays = not isinstance(z, tuple)
+    if arrays:
+        goal, z = split(goal), split(z)
+    z_dot_d = tuple([-k_p * (zi - gi) for zi, gi in zip(z, goal)])
+    return join(z_dot_d) if arrays else z_dot_d
 
 
 class _Filtered(tuple):
     """The pair (z_dot_s, active), with the filter's barrier value and gradient attached."""
 
     def __new__(cls, z_dot_s, active, h, grad_h):
-        out = super().__new__(cls, (z_dot_s, active))
+        out = tuple.__new__(cls, (z_dot_s, active))
         out.h = h
         out.grad_h = grad_h
         return out
@@ -88,15 +93,24 @@ def safe_velocity(b: BarrierFn, alpha: float, z, z_dot_d):
     barrier value and gradient it was computed from as ``.h`` and
     ``.grad_h``, so a caller needs no second barrier pass.
     """
+    arrays = not isinstance(z, tuple)
+    if arrays:
+        z, z_dot_d = split(z), split(z_dot_d)
     h, n = b.value_and_gradient(z)
-    corr = np.maximum(-vdot(n, z_dot_d) - alpha * h, 0.0)
-    z_dot_s = z_dot_d + corr[..., None] * n
+    corr = clamp0(-vsum([ni * vi for ni, vi in zip(n, z_dot_d)]) - alpha * h)
+    z_dot_s = tuple([vi + corr * ni for vi, ni in zip(z_dot_d, n)])
+    if arrays:
+        return _Filtered(join(z_dot_s), join(corr > 0.0), join(h), join(n))
     return _Filtered(z_dot_s, corr > 0.0, h, n)
 
 
-def tracking_control(k_d: float, z_dot, z_dot_s) -> np.ndarray:
+def tracking_control(k_d: float, z_dot, z_dot_s):
     """Velocity-error feedback: -k_d (z_dot - z_dot_s)."""
-    return -k_d * (np.asarray(z_dot, dtype=float) - np.asarray(z_dot_s, dtype=float))
+    arrays = not isinstance(z_dot, tuple)
+    if arrays:
+        z_dot, z_dot_s = split(z_dot), split(z_dot_s)
+    u = tuple([-k_d * (vi - si) for vi, si in zip(z_dot, z_dot_s)])
+    return join(u) if arrays else u
 
 
 def assemble_closed_loop(pair, b: BarrierFn, gains: Gains, goal) -> ClosedLoopLaw:
@@ -104,21 +118,20 @@ def assemble_closed_loop(pair, b: BarrierFn, gains: Gains, goal) -> ClosedLoopLa
     goal = np.asarray(goal, dtype=float)
     if goal.shape != (pair.n_reduced,):
         raise ConfigurationError(f"goal must have shape ({pair.n_reduced},)")
-    k_p, k_d, alpha = gains.k_p, gains.k_d, gains.alpha
+    goal_c = split(goal)
+    k_p, k_d, alpha = float(gains.k_p), float(gains.k_d), float(gains.alpha)
 
     def evaluate(x):
+        arrays = not isinstance(x, tuple)
+        if arrays:
+            x = split(x)
         z = pair.project_state(x)
-        z_dot_d = desired_velocity(goal, k_p, z)
+        z_dot_d = desired_velocity(goal_c, k_p, z)
         filtered = safe_velocity(b, alpha, z, z_dot_d)
         z_dot_s, active = filtered
-        return LawIntermediates(
-            z_dot_d=z_dot_d,
-            z_dot_s=z_dot_s,
-            active=active,
-            h=filtered.h,
-            grad_h=filtered.grad_h,
-            u=tracking_control(k_d, pair.project_input(x), z_dot_s),
-        )
+        u = tracking_control(k_d, pair.project_input(x), z_dot_s)
+        out = (z_dot_d, z_dot_s, active, filtered.h, filtered.grad_h, u)
+        return LawIntermediates(*(map(join, out) if arrays else out))
 
     return ClosedLoopLaw(goal=goal, gains=gains, barrier=b, evaluate=evaluate)
 

@@ -11,17 +11,18 @@ closed-loop rollout. The law is state feedback, so it is evaluated once per
 RK4 stage, wherever the stage state lands. Stage 1 sits at the sample state,
 so its evaluation is also the recorded sample, and one extra evaluation
 records the last sample: 4 n_steps + 1 law evaluations per rollout.
+The kernel's state is a tuple of components (see _vec): floats for one run,
+contiguous columns for several; the pair's maps and rk4_step take arrays too.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from ._io import atomic_write_text
-from ._vec import vnorm
+from ._vec import join, split, vnorm, vsum
 from .errors import ConfigurationError, DivergenceError
 
 @dataclass(frozen=True)
@@ -71,20 +72,20 @@ def double_integrator_pair(scenario=None) -> ModelPair:
             )
 
     def fom_field(x, u):
-        x = np.asarray(x, dtype=float)
-        x_dot = np.empty_like(x)
-        x_dot[..., :2] = x[..., 2:4]
-        x_dot[..., 2:] = u
-        return x_dot
+        arrays = not isinstance(x, tuple)
+        if arrays:
+            x, u = split(x), split(u)
+        x_dot = x[2:4] + u
+        return join(x_dot) if arrays else x_dot
 
     def rom_field(z, v):
-        return np.asarray(v, dtype=float)
+        return v if isinstance(v, tuple) else np.asarray(v, dtype=float)
 
     def project_state(x):
-        return np.asarray(x, dtype=float)[..., :2]
+        return x[:2] if isinstance(x, tuple) else np.asarray(x, dtype=float)[..., :2]
 
     def project_input(x):
-        return np.asarray(x, dtype=float)[..., 2:4]
+        return x[2:4] if isinstance(x, tuple) else np.asarray(x, dtype=float)[..., 2:4]
 
     return ModelPair(
         n_full=4,
@@ -170,16 +171,11 @@ class Trajectory(_Samples):
         can carry its own provenance.
         """
         data = np.hstack([getattr(self, name).reshape(self.n_samples, -1) for name in _CSV_STEMS])
-        # np.savetxt leaves its writer, which holds buf, in a reference cycle
-        # that lives until the cyclic collector runs; closing buf frees the
-        # text now, so repeated writes do not pile up dead copies
-        with io.StringIO() as buf:
-            for line in preamble:
-                buf.write(f"# {line}\n")
-            buf.write(self.csv_header() + "\n")
-            np.savetxt(buf, data, fmt="%.17g", delimiter=",")
-            text = buf.getvalue()
-        atomic_write_text(path, text)
+        # np.savetxt's format, one '%' over the whole table
+        row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+        lines = [f"# {line}\n" for line in preamble] + [self.csv_header() + "\n"]
+        lines.append((row * data.shape[0]) % tuple(data.ravel().tolist()))
+        atomic_write_text(path, "".join(lines))
 
 
 @dataclass(frozen=True)
@@ -203,58 +199,79 @@ class BatchRollout(_Samples):
 
 
 def rk4_step(f, t, x, dt):
-    """One classical Runge-Kutta step of x_dot = f(t, x)."""
+    """One classical Runge-Kutta step of x_dot = f(t, x), for x and f(t, x)
+    both tuples of state components or both arrays (..., n)."""
+    if not isinstance(x, tuple):  # an array: step its trailing-axis components
+        shape, f_arrays = np.shape(x), f
+
+        def f(t, xs):
+            return split(np.reshape(f_arrays(t, join(xs).reshape(shape)), shape or (1,)))
+
+        return join(rk4_step(f, t, split(np.reshape(x, shape or (1,))), dt)).reshape(shape)
     k1 = f(t, x)
-    k2 = f(t + 0.5 * dt, x + (0.5 * dt) * k1)
-    k3 = f(t + 0.5 * dt, x + (0.5 * dt) * k2)
-    k4 = f(t + dt, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + 0.5 * dt, tuple([xi + (0.5 * dt) * ki for xi, ki in zip(x, k1)]))
+    k3 = f(t + 0.5 * dt, tuple([xi + (0.5 * dt) * ki for xi, ki in zip(x, k2)]))
+    k4 = f(t + dt, tuple([xi + dt * ki for xi, ki in zip(x, k3)]))
+    return tuple([
+        xi + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ])
 
 
-def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig, rcbf):
-    """The closed-loop stepping kernel: yield every field but e at each sample.
+def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
+    """The closed-loop stepping kernel: yield (t, x, u, inter) at each sample.
 
-    Rows of x0s roll out independently. Each RK4 stage evaluates the law
-    once; the stage-1 evaluation at the sample state is the one yielded, and
-    one extra evaluation covers the last sample. ``d_sig(t)``, unless None,
-    is added to the law's input at every stage time. With ``rcbf`` None, v is
-    ||e_dot|| and h_V is NaN; otherwise h_V is built from the stage's barrier
-    value. Non-finite states propagate: run under np.errstate and check x.
+    x holds the K rows of x0s as floats when K == 1, else as columns; inter
+    is the law's stage-1 evaluation at x and u its input plus ``d_sig(t)``,
+    unless None, added at every stage. Non-finite states propagate.
     """
-    ts = np.arange(n_steps + 1) * dt
+    n_runs = x0s.shape[0]
+
+    def per_run(a):
+        # an input as components: (m,) shared by every run, or one row per run
+        return split(np.ravel(a) if n_runs == 1 else a)
+
+    x = split(x0s[0] if n_runs == 1 else x0s)
     stages = []
 
     def f_cl(t, x):
         inter = law.evaluate(x)
-        u = inter.u if d_sig is None else inter.u + d_sig(t)
+        u = inter.u
+        if not isinstance(u, tuple):  # a law written on arrays
+            u = per_run(u)
+        if d_sig is not None:
+            u = tuple([ui + di for ui, di in zip(u, per_run(d_sig(t)))])
         stages.append((inter, u))
         return pair.fom_field(x, u)
 
-    x = x0s.copy()
-    for k in range(n_steps + 1):
-        t = float(ts[k])
+    for k, t in enumerate((np.arange(n_steps + 1) * dt).tolist()):
         if k < n_steps:
             x_next = rk4_step(f_cl, t, x, dt)
         else:
             f_cl(t, x)
         inter, u = stages[0]
         stages.clear()
-        z = pair.project_state(x)
-        z_dot = pair.rom_field(z, pair.project_input(x))
-        z_s_dot = np.broadcast_to(np.asarray(inter.z_dot_s, dtype=float), z.shape)
-        e_dot = z_dot - z_s_dot
-        if rcbf is not None:
-            v = rcbf.rtf.value(z, e_dot)
-            h_v = rcbf.combine(v, inter.h)
-        else:
-            v = vnorm(e_dot)
-            h_v = np.full(x.shape[0], np.nan)
-        yield {
-            "t": t, "x": x, "z": z, "z_dot": z_dot, "z_s_dot": z_s_dot, "e_dot": e_dot,
-            "u": u, "h": inter.h, "grad_h": inter.grad_h, "v": v, "h_v": h_v,
-        }
+        yield t, x, u, inter
         if k < n_steps:
             x = x_next
+
+
+def _per_sample(vals, n_runs: int) -> np.ndarray:
+    """Per-sample vectors (tuples of components, or arrays) as (T, K, d)."""
+    a = np.array(vals, dtype=float)
+    if n_runs > 1 and isinstance(vals[0], tuple):
+        a = np.ascontiguousarray(a.transpose(0, 2, 1))
+    return a.reshape(len(vals), n_runs, -1)
+
+
+def _derived(pair: ModelPair, rcbf, x, z_s_dot, h):
+    """z, z_dot, e_dot, v and h_V (NaN without ``rcbf``) from x, z_dot_s, h."""
+    z = pair.project_state(x)
+    z_dot = pair.rom_field(z, pair.project_input(x))
+    e_dot = z_dot - z_s_dot
+    if rcbf is None:
+        return z, z_dot, e_dot, vnorm(e_dot), np.full(np.shape(h), np.nan)
+    v = rcbf.rtf.value(z, e_dot)
+    return z, z_dot, e_dot, v, rcbf.combine(v, h)
 
 
 def integrate_batch(
@@ -271,6 +288,7 @@ def integrate_batch(
     channel: x_dot = F(x, u(x) + d(t)), with d evaluated at each substage time.
     ``disturbance.signal(t)`` returns one input (m,) shared by every run, or
     one row per run, shape (K, m).
+    z, z_dot, e_dot, e, v and h_V are derived after the rollout, elementwise.
     h_V reuses the law's barrier passes, so ``rcbf`` must be built on the
     law's barrier. Raises DivergenceError at the first non-finite sample.
     """
@@ -279,30 +297,32 @@ def integrate_batch(
         raise ConfigurationError(f"initial states must have shape (K, {pair.n_full})")
     if rcbf is not None and rcbf.barrier is not law.barrier:
         raise ConfigurationError("the recurrent barrier must be built on the law's barrier")
-    n_steps = cfg.n_steps
+    n_runs = x0s.shape[0]
     dt = cfg.dt
     d_sig = disturbance.signal if disturbance is not None else None
 
-    rec = {}
+    samples = []
     with np.errstate(all="ignore"):
-        for k, sample in enumerate(_rollout(pair, law, x0s, dt, n_steps, d_sig, rcbf)):
-            x = sample["x"]
-            if not np.all(np.isfinite(x)):
-                bad = int(np.flatnonzero(~np.isfinite(x).all(axis=-1))[0])
+        for k, (t, x, u, inter) in enumerate(_rollout(pair, law, x0s, dt, cfg.n_steps, d_sig)):
+            # 0 * c is 0 exactly when c is finite
+            finite = vsum([0.0 * c for c in x]) == 0.0
+            if not (finite if n_runs == 1 else finite.all()):
                 raise DivergenceError(
-                    f"non-finite state at step {k} (t={sample['t']:.6g}), run {bad}"
+                    f"non-finite state at step {k} (t={t:.6g}), run {int(np.argmin(finite))}"
                 )
-            for name, val in sample.items():
-                if k == 0:
-                    rec[name] = np.empty((n_steps + 1,) + np.shape(val))
-                rec[name][k] = val
+            samples.append((x, u, (inter.h,), inter.grad_h, inter.z_dot_s))
 
+    x, u, h, grad_h, z_s_dot = (_per_sample(vals, n_runs) for vals in zip(*samples))
+    h = h[..., 0]  # recorded as 1-tuples
+    z, z_dot, e_dot, v, h_v = _derived(pair, rcbf, x, z_s_dot, h)
     # e(t) = integral of e_dot, trapezoid rule; the reference starts on the run
-    edots = rec["e_dot"]
-    es = np.empty_like(edots)
-    es[0] = 0.0
-    np.cumsum((edots[:-1] + edots[1:]) * (dt / 2.0), axis=0, out=es[1:])
-    return BatchRollout(dt=dt, e=es, **rec)
+    e = np.empty_like(e_dot)
+    e[0] = 0.0
+    np.cumsum((e_dot[:-1] + e_dot[1:]) * (dt / 2.0), axis=0, out=e[1:])
+    return BatchRollout(
+        dt=dt, t=np.arange(len(samples)) * dt, x=x, z=z, z_dot=z_dot, z_s_dot=z_s_dot, e=e,
+        e_dot=e_dot, u=u, h=h, grad_h=grad_h, v=v, h_v=h_v,
+    )
 
 
 def integrate(

@@ -11,13 +11,12 @@ the same code paths the nominal checks use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from ._vec import vnorm
-from .dynamics import IntegratorConfig, ModelPair, Trajectory, integrate_batch
+from .dynamics import IntegratorConfig, ModelPair, Trajectory, integrate
 from .errors import ConfigurationError
 from .recurrence import (
     RecurrenceVerdict,
@@ -229,8 +228,8 @@ def estimate_mu_gain(
     """Empirical linear gain c so that mu(r) = c r bounds the error offset.
 
     Runs quiet starts (at the goal, zero velocity) under constant and
-    sinusoidal disturbances (frequency 0 means constant), the whole schedule
-    as one batch, and takes the worst transient-inclusive ratio
+    sinusoidal disturbances (frequency 0 means constant), one run per
+    schedule entry, and takes the worst transient-inclusive ratio
     max_t ||e_dot(t)|| / amplitude. The error loop is linear while the filter
     is inactive, so the ratio is amplitude-free; the frequency sweep matters
     because the loop's peak gain sits at a nonzero frequency.
@@ -243,23 +242,17 @@ def estimate_mu_gain(
     freqs = [float(f) for f in frequencies]
     if not freqs or any(f < 0 for f in freqs):
         raise ConfigurationError("frequencies must be >= 0")
-    schedule = []
+    # each entry rolls out alone from a quiet start, on the single-run path
+    x0 = np.concatenate([np.asarray(law.goal, dtype=float), np.zeros(pair.n_reduced)])
+    c = 0.0
     for amp in amps:
         for freq in freqs:
             if freq == 0.0:
                 d = make_disturbance("constant", amplitude=amp, dim=pair.m_full)
             else:
                 d = make_disturbance("sine", amplitude=amp, frequency=freq, dim=pair.m_full)
-            schedule.append((amp, d))
-    # the whole schedule rolls out as one batch: a quiet start and a
-    # disturbance row per run (integrate_batch reads only .signal); rows are
-    # independent, so each run is bit for bit the run it would be alone
-    rows = SimpleNamespace(signal=lambda t: np.stack([d.signal(t) for _amp, d in schedule]))
-    x0 = np.concatenate([np.asarray(law.goal, dtype=float), np.zeros(pair.n_reduced)])
-    batch = integrate_batch(pair, law, np.tile(x0, (len(schedule), 1)), cfg, disturbance=rows)
-    c = 0.0
-    for k, (amp, _d) in enumerate(schedule):
-        c = max(c, float(np.max(vnorm(batch.e_dot[:, k]))) / amp)
+            traj = integrate(pair, law, x0, cfg, disturbance=d)
+            c = max(c, float(np.max(vnorm(traj.e_dot))) / amp)
     if not c > 0:
         raise ConfigurationError("calibration produced a zero gain; disturbance has no effect")
     return c

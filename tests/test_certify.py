@@ -102,6 +102,11 @@ def test_certify_is_chunk_and_worker_invariant(two_disks):
         assert np.array_equal(ra.point, rb.point)
         assert ra.verdict == rb.verdict
         assert ra.min_h == rb.min_h or (math.isnan(ra.min_h) and math.isnan(rb.min_h))
+    # chunk 1 rolls every point alone, on Python floats: the same records,
+    # floats compared by their round-trip repr
+    short = scn.with_horizon(0.2)
+    one, many = (ls.certify_initial_set(short, grid, chunk=c) for c in (1, 2048))
+    assert repr(one) == repr(many)
 
 
 def test_certify_full_state_grid(two_disks):

@@ -68,6 +68,9 @@ def test_simulate_failing_expectation(tmp_path, capsys):
 def test_missing_scenario_file(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "nope.scn")]) == 2
     assert "no such scenario" in capsys.readouterr().err
+    # a bare name that is no bundled scenario either
+    assert main(["simulate", "no_such_bundle"]) == 2
+    assert "no such scenario file" in capsys.readouterr().err
 
 
 def test_certify_bad_grid(tmp_path, capsys):

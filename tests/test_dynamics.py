@@ -1,5 +1,6 @@
 """Model pair, RK4 integration, trajectory recording, and batch rollouts."""
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -165,3 +166,163 @@ def test_constant_disturbance_equals_shifted_input(linear):
                      "grad_h", "v", "h_v"):
             assert np.array_equal(getattr(alone, name), getattr(row, name), equal_nan=True), name
 
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_RECORDED = ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h", "grad_h", "v", "h_v")
+
+
+def _crafted_world():
+    """Two mirror-image disks, so states on x = 0 tie exactly, and a goal
+    on the right disk's boundary line x = 1.5."""
+    pair = ls.double_integrator_pair()
+    b = ls.min_distance_barrier(ls.ObstacleField(centers=[[-1.0, 0.0], [1.0, 0.0]], radii=[0.5, 0.5]))
+    law = ls.assemble_closed_loop(pair, b, ls.Gains(k_p=1.8, k_d=8.0, alpha=0.5), [1.5, 2.0])
+    return pair, law, ls.build_rcbf(ls.norm_rtf(), b, alpha=0.5, m=3.24)
+
+
+_CRAFTED_STARTS = [
+    [0.0, 0.7, 0.3, -0.2],  # both disks at exactly the same distance
+    [-0.0, 1.0, -0.0, 0.0],  # the same tie, with signed-zero position and velocity
+    # on the right disk's boundary (h = 0) with z_dot_d = (-0.0, ...)
+    # perpendicular to grad h = (1, 0): the correction is max(-0.0, 0.0)
+    [1.5, 0.0, 0.0, -0.0],
+    [1.5, 0.0, -0.0, 0.4],
+    [1.5, 2.0, 0.0, 0.0],  # at the goal: z_dot_d = (-0.0, -0.0)
+    [0.2, -1.3, -0.0, 0.0],
+]
+_DIVERGING_STARTS = [
+    [1.0, 0.0, 0.0, 0.0],  # at a disk center: the gradient is 0/0
+    [0.0, 3.0, 1e308, -1e308],  # the velocity overflows
+]
+
+
+def test_float_path_matches_column_path(td):
+    # one run rolls on Python floats and several on contiguous columns; the
+    # two must agree in every recorded field, bit for bit, NaN payloads included
+    rng = np.random.default_rng(11)
+    scn = td["scn"]
+    lo, hi = scn.certify_lower, scn.certify_upper
+    random_starts = np.concatenate(
+        [lo + (hi - lo) * rng.uniform(size=(6, 2)), rng.normal(0.0, 2.0, (6, 2))], axis=1
+    )
+    cfg = ls.IntegratorConfig(dt=0.001, horizon=0.3)
+    sine = ls.make_disturbance("sine", amplitude=0.3, frequency=2.0)
+    worlds = [
+        (td["pair"], td["law"], td["rcbf"], random_starts, None),
+        (td["pair"], td["law"], None, random_starts[:3], sine),
+        (*_crafted_world(), np.array(_CRAFTED_STARTS), None),
+    ]
+    for pair, law, rcbf, x0s, dist in worlds:
+        seen = []
+
+        def evaluate(x, law=law, seen=seen):
+            seen.append(x[0])
+            return law.evaluate(x)
+
+        spy = dataclasses.replace(law, evaluate=evaluate)
+        batch = ls.integrate_batch(pair, spy, x0s, cfg, rcbf=rcbf, disturbance=dist)
+        assert isinstance(seen[0], np.ndarray) and seen[0].flags.c_contiguous
+        for k, x0 in enumerate(x0s):
+            seen.clear()
+            alone = ls.integrate(pair, spy, x0, cfg, rcbf=rcbf, disturbance=dist)
+            assert type(seen[0]) is float
+            row = batch.trajectory(k)
+            for name in _RECORDED:
+                assert _same_bits(getattr(alone, name), getattr(row, name)), (k, name)
+
+    # a diverging start raises at the same step and time on either path
+    pair, law, rcbf = _crafted_world()
+    for x0 in _DIVERGING_STARTS:
+        with pytest.raises(ls.DivergenceError) as alone:
+            ls.integrate(pair, law, np.array(x0), cfg, rcbf=rcbf)
+        with pytest.raises(ls.DivergenceError) as batch:
+            ls.integrate_batch(pair, law, np.array([x0, _CRAFTED_STARTS[0]]), cfg, rcbf=rcbf)
+        assert str(alone.value) == str(batch.value)
+        assert "run 0" in str(alone.value)
+
+
+def test_array_entry_points_match_batch_rows():
+    # a single state (2,) or (4,) runs on floats, a batch (K, .) on columns
+    pair, law, _rcbf = _crafted_world()
+    b, gains, dt = law.barrier, law.gains, 0.001
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([
+        np.array(_CRAFTED_STARTS + _DIVERGING_STARTS),
+        [[np.nan, 0.0, 0.1, 0.2], [0.3, np.inf, -0.0, 1.0], [0.5, 0.5, np.nan, 0.0]],
+        rng.normal(0.0, 2.0, (8, 4)),
+    ])
+    zs, vs = xs[:, :2], xs[:, 2:]
+
+    def f(t, x):
+        return pair.fom_field(x, law.evaluate(x).u)
+
+    with np.errstate(all="ignore"):
+        batch = {
+            "value": b.value(zs),
+            "vg": b.value_and_gradient(zs),
+            "desired": ls.desired_velocity(law.goal, gains.k_p, zs),
+            "safe": ls.safe_velocity(b, gains.alpha, zs, vs),
+            "tracking": ls.tracking_control(gains.k_d, vs, zs),
+            "law": law.evaluate(xs),
+            "fom": pair.fom_field(xs, vs),
+            "rk4": ls.rk4_step(f, 0.0, xs, dt),
+        }
+        for k, (x, z, v) in enumerate(zip(xs, zs, vs)):
+            single = {
+                "value": b.value(z),
+                "vg": b.value_and_gradient(z),
+                "desired": ls.desired_velocity(law.goal, gains.k_p, z),
+                "safe": ls.safe_velocity(b, gains.alpha, z, v),
+                "tracking": ls.tracking_control(gains.k_d, v, z),
+                "law": law.evaluate(x),
+                "fom": pair.fom_field(x, v),
+                "rk4": ls.rk4_step(f, 0.0, x, dt),
+            }
+            for name, got in single.items():
+                want = batch[name]
+                if name == "safe":
+                    got = (*got, got.h, got.grad_h)
+                    want = (*want, want.h, want.grad_h)
+                elif name == "law":
+                    got = [getattr(got, fld.name) for fld in dataclasses.fields(got)]
+                    want = [getattr(want, fld.name) for fld in dataclasses.fields(want)]
+                elif name not in ("vg",):
+                    got, want = [got], [want]
+                for g, w in zip(got, want):
+                    assert _same_bits(g, np.asarray(w)[k]), (k, name)
+            if np.all(np.isfinite(z)) and not np.all(np.isfinite(single["vg"][1])):
+                with pytest.raises(ls.SingularGradientError):
+                    b.gradient(z)
+            else:
+                assert _same_bits(b.gradient(z), np.asarray(batch["vg"][1])[k]), k
+
+
+def test_csv_matches_savetxt(tmp_path, td):
+    # the one-'%' writer gives np.savetxt's text byte for byte, NaN,
+    # infinities, -0.0 and subnormals included
+    traj = ls.integrate(
+        td["pair"], td["law"], ls.initial_state(td["scn"], td["law"]),
+        ls.IntegratorConfig(dt=0.001, horizon=1.0), rcbf=td["rcbf"],
+    )
+    rng = np.random.default_rng(4)
+    special = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.5e300]
+    fields = {}
+    for name in ("x", "e_dot", "u", "h", "h_v"):
+        a = np.array(getattr(traj, name)) * 10.0 ** rng.integers(-30, 30, getattr(traj, name).shape)
+        a.flat[rng.choice(a.size, len(special), replace=False)] = special
+        fields[name] = a
+    crafted = dataclasses.replace(traj, **fields)
+    path = tmp_path / "run.csv"
+    crafted.to_csv(path, preamble=["alpha = 0.5", "label: x"])
+    columns = ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h", "v", "h_v")
+    data = np.hstack([getattr(crafted, name).reshape(traj.n_samples, -1) for name in columns])
+    assert data.shape == (1001, len(crafted.csv_header().split(",")))
+    ref = io.StringIO()
+    ref.write("# alpha = 0.5\n# label: x\n" + crafted.csv_header() + "\n")
+    np.savetxt(ref, data, fmt="%.17g", delimiter=",")
+    assert path.read_text() == ref.getvalue()

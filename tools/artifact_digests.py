@@ -1,0 +1,78 @@
+"""Print sha256 digests of every artifact and stdout of six CLI runs.
+
+Runs, through ``layersafe.cli.main`` and in a fresh temporary directory with
+relative ``--out`` paths (so the printed paths do not depend on where it
+runs):
+
+    simulate two_disks
+    case-study two_disks --alphas 0.5,1,5
+    recurrence-demo two_disks
+    iss open_field
+    certify two_disks
+    certify two_disks --velocity safe --grid pos:30x30 --horizon 6
+
+and prints one sorted ``<sha256>  <name>`` line per artifact and per
+command's stdout. Two builds write byte-identical artifacts exactly when
+their outputs match, e.g.
+
+    PYTHONPATH=src python tools/artifact_digests.py > after.txt
+    PYTHONPATH=/path/to/other/checkout/src python tools/artifact_digests.py > before.txt
+    diff before.txt after.txt
+
+The imported layersafe module's path goes to stderr. Takes about half a
+minute on one core.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import layersafe
+from layersafe.cli import main
+
+RUNS = (
+    ("simulate", ["simulate", "two_disks"]),
+    ("case_study", ["case-study", "two_disks", "--alphas", "0.5,1,5"]),
+    ("recurrence_demo", ["recurrence-demo", "two_disks"]),
+    ("iss", ["iss", "open_field"]),
+    ("certify", ["certify", "two_disks"]),
+    (
+        "certify_safe",
+        ["certify", "two_disks", "--velocity", "safe", "--grid", "pos:30x30", "--horizon", "6"],
+    ),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests() -> list:
+    """(digest, name) for every artifact and stdout, sorted by name."""
+    out = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for label, argv in RUNS:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main([*argv, "--out", label])
+                out.append((_sha(buf.getvalue().encode()), f"{label}.stdout (exit {code})"))
+                for path in sorted(Path(label).rglob("*")):
+                    if path.is_file():
+                        out.append((_sha(path.read_bytes()), path.as_posix()))
+        finally:
+            os.chdir(cwd)
+    return sorted(out, key=lambda item: item[1])
+
+
+if __name__ == "__main__":
+    print(f"layersafe from {Path(layersafe.__file__).parent}", file=sys.stderr)
+    for digest, name in digests():
+        print(f"{digest}  {name}")
