@@ -75,6 +75,14 @@ def vdot(a, b) -> np.ndarray:
     return vsum([p[..., i] for i in range(p.shape[-1])])
 
 
-def vnorm(v) -> np.ndarray:
-    """Euclidean norm over the trailing axis."""
+def vnorm(v):
+    """Euclidean norm of a tuple of components, or over an array's trailing axis."""
+    if isinstance(v, tuple):
+        return sqrt(vsum([c * c for c in v]))
     return np.sqrt(vdot(v, v))
+
+
+def finite(x):
+    """Whether each run's components are all finite: a bool for floats, else an
+    array. 0 * c is 0 exactly when c is finite."""
+    return vsum([0.0 * c for c in x]) == 0.0

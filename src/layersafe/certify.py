@@ -12,20 +12,19 @@ trajectories. Verdicts:
   indeterminate    the rollout lost finiteness before any violation
 
 Points are elementwise-independent throughout (states never mix across grid
-rows), so verdicts do not depend on chunking, worker count, or which other
-points share the grid. The module also houses the fine-step containment
-oracle used to validate coarse containment times.
+rows), so verdicts do not depend on chunking or on which other points share
+the grid. The module also houses the fine-step containment oracle used to
+validate coarse containment times.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from ._io import atomic_write_text
-from ._vec import join
+from ._vec import finite, split
 from .dynamics import IntegratorConfig, _derived, _rollout, integrate
 from .errors import ConfigurationError
 from .recurrence import containment_times
@@ -189,12 +188,41 @@ class CertificateReport:
         atomic_write_text(path, "\n".join(out) + "\n")
 
 
+def _scan_chunk(pair, law, rcbf, x0s, dt, n_steps, d_sig, tau_steps, beta):
+    """Min h, min h_V, first violation time, RTF margin and the time finiteness
+    was lost (NaN if never) for each row of x0s, streamed through one rollout
+    under the caller's np.errstate. Minima are NaN-aware, so a row that goes
+    non-finite keeps the ones it had."""
+    n = x0s.shape[0]
+    min_h = np.full(n, np.inf)
+    min_hv = np.full(n, np.inf)
+    viol = np.full(n, np.nan)
+    scaled = np.full(n, np.inf)
+    div = np.full(n, np.nan)
+    for k, (t, x, _u, inter) in enumerate(_rollout(pair, law, x0s, dt, n_steps, d_sig)):
+        h = inter.h
+        v, h_v = _derived(pair, rcbf, x, inter.z_dot_s, h)[3:]
+        # at K = 1 finite gives a Python bool, whose ~ is an int
+        dead_now = np.logical_not(finite(x)) & np.isnan(div)
+        if np.any(dead_now):
+            div[dead_now] = t
+        min_h = np.fmin(min_h, h)
+        min_hv = np.fmin(min_hv, h_v)
+        viol_now = (h < -_H_TOL) & np.isnan(viol)
+        if np.any(viol_now):
+            viol[viol_now] = t
+        if k == 0:
+            v0 = v
+        elif k <= tau_steps:
+            scaled = np.fmin(scaled, np.exp(beta * t) * v)
+    return min_h, min_hv, viol, v0 - scaled, div
+
+
 def certify_initial_set(
     scn: Scenario,
     grid: Grid,
     horizon: float | None = None,
     velocity_mode: str = "desired",
-    workers: int = 1,
     chunk: int = 2048,
 ) -> CertificateReport:
     """Classify every grid point per the module verdicts.
@@ -207,8 +235,8 @@ def certify_initial_set(
     """
     if grid.ndim not in (2, 4):
         raise ConfigurationError("grid must sample positions (2 axes) or full states (4 axes)")
-    if workers < 1 or chunk < 1:
-        raise ConfigurationError("workers and chunk must be positive")
+    if chunk < 1:
+        raise ConfigurationError("chunk must be positive")
     pair = build_pair(scn)
     b = build_barrier(scn)
     law = build_law(scn, b)
@@ -229,65 +257,24 @@ def certify_initial_set(
     tau_steps = min(n_steps, int(round(scn.rtf_constants.tau / dt)))
     beta = scn.rtf_constants.beta
 
-    # initial diagnostics for every point, including the skipped ones
-    inter0 = law.evaluate(x0s)
-    h0 = np.asarray(inter0.h, dtype=float)
-    hv0_all = np.asarray(_derived(pair, rcbf, x0s, inter0.z_dot_s, h0)[4], dtype=float)
+    with np.errstate(all="ignore"):
+        # initial diagnostics for every point, including the skipped ones
+        x0 = split(x0s)
+        inter0 = law.evaluate(x0)
+        h0 = inter0.h
+        hv0_all = _derived(pair, rcbf, x0, inter0.z_dot_s, h0)[4]
 
-    roll_idx = np.flatnonzero(h0 >= 0.0)
-    min_h = h0.copy()
-    min_hv = hv0_all.copy()
-    first_viol = np.full(n_pts, np.nan)
-    first_viol[h0 < -_H_TOL] = 0.0
-    rtf_margin = np.full(n_pts, np.nan)
-    diverged_t = np.full(n_pts, np.nan)
-
-    slices = [roll_idx[i : i + chunk] for i in range(0, roll_idx.size, chunk)]
-
-    def work(idx):
-        # streaming reducers over one chunk: rows that lose finiteness keep
-        # their minima frozen (NaN-aware reductions) and record the time; no
-        # exception crosses rows
-        c_min_h = np.full(idx.size, np.inf)
-        c_min_hv = np.full(idx.size, np.inf)
-        c_viol = np.full(idx.size, np.nan)
-        c_scaled = np.full(idx.size, np.inf)
-        c_div = np.full(idx.size, np.nan)
-        alive = np.ones(idx.size, dtype=bool)
-        with np.errstate(all="ignore"):
-            for k, (t, x, _u, inter) in enumerate(_rollout(pair, law, x0s[idx], dt, n_steps, d_sig)):
-                x, z_s_dot = join(x).reshape(idx.size, -1), join(inter.z_dot_s).reshape(idx.size, -1)
-                h = np.reshape(inter.h, idx.size)
-                v, h_v = _derived(pair, rcbf, x, z_s_dot, h)[3:]
-                finite = np.isfinite(x).all(axis=-1)
-                newly_dead = alive & ~finite
-                if np.any(newly_dead):
-                    c_div[newly_dead] = t
-                    alive = alive & finite
-                c_min_h = np.fmin(c_min_h, h)
-                c_min_hv = np.fmin(c_min_hv, h_v)
-                viol_now = (h < -_H_TOL) & np.isnan(c_viol)
-                if np.any(viol_now):
-                    c_viol[viol_now] = t
-                if k == 0:
-                    c_v0 = v.copy()
-                elif k <= tau_steps:
-                    c_scaled = np.fmin(c_scaled, np.exp(beta * t) * v)
-            c_margin = c_v0 - c_scaled
-        return c_min_h, c_min_hv, c_viol, c_margin, c_div
-
-    if slices:
-        if workers == 1 or len(slices) == 1:
-            results = [work(idx) for idx in slices]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(work, slices))
-        for idx, (c_min_h, c_min_hv, c_viol, c_margin, c_div) in zip(slices, results):
-            min_h[idx] = c_min_h
-            min_hv[idx] = c_min_hv
-            first_viol[idx] = c_viol
-            rtf_margin[idx] = c_margin
-            diverged_t[idx] = c_div
+        roll_idx = np.flatnonzero(h0 >= 0.0)
+        min_h = h0.copy()
+        min_hv = hv0_all.copy()
+        first_viol = np.full(n_pts, np.nan)
+        first_viol[h0 < -_H_TOL] = 0.0
+        rtf_margin = np.full(n_pts, np.nan)
+        diverged_t = np.full(n_pts, np.nan)
+        for i in range(0, roll_idx.size, chunk):
+            idx = roll_idx[i : i + chunk]
+            reduced = _scan_chunk(pair, law, rcbf, x0s[idx], dt, n_steps, d_sig, tau_steps, beta)
+            min_h[idx], min_hv[idx], first_viol[idx], rtf_margin[idx], diverged_t[idx] = reduced
 
     records = []
     counts = {v: 0 for v in VERDICTS}

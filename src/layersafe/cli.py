@@ -3,7 +3,7 @@
     layersafe simulate SCENARIO [--out DIR] [--seed N]
     layersafe case-study SCENARIO [--alphas 0.5,1,5] [--out DIR]
     layersafe certify SCENARIO [--grid pos:40x40] [--alpha A] [--velocity MODE]
-                      [--horizon T] [--workers N] [--chunk K] [--out DIR]
+                      [--horizon T] [--chunk K] [--out DIR]
     layersafe recurrence-demo SCENARIO [--out DIR]
     layersafe iss SCENARIO [--disturbance kind=sine,amplitude=0.1] [--seed N]
                   [--mu-gain C] [--out DIR]
@@ -127,7 +127,6 @@ def _cmd_certify(args) -> int:
         grid,
         horizon=args.horizon,
         velocity_mode=args.velocity,
-        workers=args.workers,
         chunk=args.chunk,
     )
     report_path = out / "certify_report.txt"
@@ -225,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="initial-velocity mode for grid points",
     )
     p.add_argument("--horizon", type=float, default=None, help="rollout horizon (default: sim.horizon)")
-    p.add_argument("--workers", type=int, default=1, help="thread count for grid chunks")
+    # inert since certify runs serially; still parsed because bench/workloads.py passes it
+    p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--chunk", type=int, default=2048, help="grid points per batch")
     p.set_defaults(func=_cmd_certify)
 

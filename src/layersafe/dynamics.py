@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ._io import atomic_write_text
-from ._vec import join, split, vnorm, vsum
+from ._vec import finite, join, split, vnorm
 from .errors import ConfigurationError, DivergenceError
 
 @dataclass(frozen=True)
@@ -264,10 +264,11 @@ def _per_sample(vals, n_runs: int) -> np.ndarray:
 
 
 def _derived(pair: ModelPair, rcbf, x, z_s_dot, h):
-    """z, z_dot, e_dot, v and h_V (NaN without ``rcbf``) from x, z_dot_s, h."""
+    """z, z_dot, e_dot, v and h_V (NaN without ``rcbf``) from x, z_dot_s and h,
+    with vectors as tuples of components (see _vec)."""
     z = pair.project_state(x)
     z_dot = pair.rom_field(z, pair.project_input(x))
-    e_dot = z_dot - z_s_dot
+    e_dot = tuple([a - b for a, b in zip(z_dot, z_s_dot)])
     if rcbf is None:
         return z, z_dot, e_dot, vnorm(e_dot), np.full(np.shape(h), np.nan)
     v = rcbf.rtf.value(z, e_dot)
@@ -304,17 +305,17 @@ def integrate_batch(
     samples = []
     with np.errstate(all="ignore"):
         for k, (t, x, u, inter) in enumerate(_rollout(pair, law, x0s, dt, cfg.n_steps, d_sig)):
-            # 0 * c is 0 exactly when c is finite
-            finite = vsum([0.0 * c for c in x]) == 0.0
-            if not (finite if n_runs == 1 else finite.all()):
+            ok = finite(x)
+            if not (ok if n_runs == 1 else ok.all()):
                 raise DivergenceError(
-                    f"non-finite state at step {k} (t={t:.6g}), run {int(np.argmin(finite))}"
+                    f"non-finite state at step {k} (t={t:.6g}), run {int(np.argmin(ok))}"
                 )
             samples.append((x, u, (inter.h,), inter.grad_h, inter.z_dot_s))
 
     x, u, h, grad_h, z_s_dot = (_per_sample(vals, n_runs) for vals in zip(*samples))
     h = h[..., 0]  # recorded as 1-tuples
-    z, z_dot, e_dot, v, h_v = _derived(pair, rcbf, x, z_s_dot, h)
+    z, z_dot, e_dot, v, h_v = _derived(pair, rcbf, split(x), split(z_s_dot), h)
+    z, z_dot, e_dot = join(z), join(z_dot), join(e_dot)
     # e(t) = integral of e_dot, trapezoid rule; the reference starts on the run
     e = np.empty_like(e_dot)
     e[0] = 0.0

@@ -29,9 +29,9 @@ from .errors import ConfigurationError, HypothesisViolationError
 class Rtf:
     """A tracking certificate with its sandwich constants and recurrence window.
 
-    value(z, e_dot) accepts single states or batches. The declared constants
-    promise a1 ||e_dot|| <= V <= a2 ||e_dot||; beta is the recurrence rate and
-    tau the window length.
+    value(z, e_dot) takes arrays or tuples of components (see _vec), for single
+    states or batches. The declared constants promise a1 ||e_dot|| <= V <=
+    a2 ||e_dot||; beta is the recurrence rate and tau the window length.
     """
 
     value: Callable

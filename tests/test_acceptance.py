@@ -356,12 +356,8 @@ def test_criterion_10_deterministic_artifacts(two_disks, tmp_path):
 
     s_mid = two_disks.with_alpha(1.0)
     grid = ls.Grid(lower=s_mid.certify_lower, upper=s_mid.certify_upper, counts=(12, 12))
-    rep1 = ls.certify_initial_set(
-        s_mid, grid, horizon=1.5, velocity_mode="desired", workers=1, chunk=17
-    )
-    rep3 = ls.certify_initial_set(
-        s_mid, grid, horizon=1.5, velocity_mode="desired", workers=3, chunk=64
-    )
+    rep1 = ls.certify_initial_set(s_mid, grid, horizon=1.5, velocity_mode="desired", chunk=17)
+    rep3 = ls.certify_initial_set(s_mid, grid, horizon=1.5, velocity_mode="desired", chunk=64)
     assert rep1.to_text() == rep3.to_text()
     rep1.point_cloud_csv(tmp_path / "w1.csv")
     rep3.point_cloud_csv(tmp_path / "w3.csv")
@@ -369,5 +365,5 @@ def test_criterion_10_deterministic_artifacts(two_disks, tmp_path):
     print(
         f"PASS criterion 10: repeated alpha sweeps byte-identical "
         f"({n_bytes} CSV bytes x 3 runs), grid verdicts identical across "
-        f"worker counts 1 and 3"
+        f"chunk sizes 17 and 64"
     )

@@ -133,7 +133,7 @@ def test_batch_matches_scalar_bitwise():
 
 
 def test_vec_sums_match_numpy_bitwise():
-    """vnorm and vdot sum a short trailing axis exactly as np.sum does."""
+    """vnorm and vdot sum a short trailing axis, or components, exactly as np.sum does."""
     rng = np.random.default_rng(7)
     for n in range(1, 5):
         for shape in [(n,), (1, n), (9, n), (3, 4, n)]:
@@ -146,6 +146,10 @@ def test_vec_sums_match_numpy_bitwise():
             with np.errstate(all="ignore"):
                 assert _same_bits(ls._vec.vdot(a, c), np.sum(a * c, axis=-1))
                 assert _same_bits(ls._vec.vnorm(a), np.sqrt(np.sum(a * a, axis=-1)))
+                # as components: floats for a vector, columns otherwise
+                parts = ls._vec.split(a)
+                assert isinstance(parts[0], float) == (a.ndim == 1)
+                assert _same_bits(ls._vec.vnorm(parts), np.sqrt(np.sum(a * a, axis=-1)))
             # an all -0.0 sum is +0.0, as numpy's reduction gives
             neg = np.full(shape, -0.0)
             assert _same_bits(ls._vec.vdot(neg, np.ones(shape)), np.sum(neg, axis=-1))

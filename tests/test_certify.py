@@ -92,11 +92,11 @@ def test_certify_report_rendering(small_report, tmp_path):
         report.records("bogus")
 
 
-def test_certify_is_chunk_and_worker_invariant(two_disks):
+def test_certify_is_chunk_invariant(two_disks):
     scn = two_disks.with_horizon(1.0)
     grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=(5, 5))
-    a = ls.certify_initial_set(scn, grid, workers=1, chunk=7)
-    b = ls.certify_initial_set(scn, grid, workers=3, chunk=5)
+    a = ls.certify_initial_set(scn, grid, chunk=7)
+    b = ls.certify_initial_set(scn, grid, chunk=5)
     assert a.to_text() == b.to_text()
     for ra, rb in zip(a.per_point, b.per_point):
         assert np.array_equal(ra.point, rb.point)
@@ -124,14 +124,27 @@ def test_certify_full_state_grid(two_disks):
     assert report.summary == {v: got.get(v, 0) for v in ls.VERDICTS}
 
 
+def test_certify_overflowing_starts_are_indeterminate(two_disks):
+    # velocities near the float limit overflow V in the initial diagnostics,
+    # so h_V(0) = -inf, and under -W error a leaked numpy warning would raise.
+    # Every start is rolled; those at vx = 1e307 lose finiteness in the first
+    # step, on the float path (chunk 1) and the column path alike
+    scn = two_disks.with_horizon(0.05)
+    grid = ls.Grid(lower=[-1, 1, 1e306, -1], upper=[1, 2, 1e307, 1], counts=(2, 2, 2, 2))
+    reports = [ls.certify_initial_set(scn, grid, chunk=c) for c in (1, 3, 2048)]
+    got = Counter(r.verdict for r in reports[0].per_point)
+    assert got == {"indeterminate": 8, "outside_S_V": 8}
+    for r in reports[0].records("indeterminate"):
+        assert "lost finiteness" in r.note
+    assert reports[0].to_text() == reports[1].to_text() == reports[2].to_text()
+
+
 def test_certify_argument_validation(two_disks):
     good = ls.Grid(lower=[-1, -1], upper=[1, 1], counts=(3, 3))
     with pytest.raises(ls.ConfigurationError, match="2 axes.*4 axes"):
         ls.certify_initial_set(
             two_disks, ls.Grid(lower=[0, 0, 0], upper=[1, 1, 1], counts=(2, 2, 2))
         )
-    with pytest.raises(ls.ConfigurationError):
-        ls.certify_initial_set(two_disks, good, workers=0)
     with pytest.raises(ls.ConfigurationError):
         ls.certify_initial_set(two_disks, good, chunk=0)
 

@@ -143,6 +143,16 @@ def test_certify_bundled_name(tmp_path, capsys):
     assert (out / "unsafe_points.csv").is_file()
 
 
+def test_certify_workers_flag_is_inert(tmp_path, capsys):
+    argv = ["certify", "two_disks", "--grid", "pos:5x5", "--horizon", "0.2"]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*argv, "--workers", "2", "--out", str(tmp_path / "workers")]) == 0
+    capsys.readouterr()
+    for name in ("certify_report.txt", "certify_points.csv", "unsafe_points.csv"):
+        plain = (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "workers" / name).read_bytes() == plain, name
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "layersafe", "--help"],

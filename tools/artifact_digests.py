@@ -1,4 +1,4 @@
-"""Print sha256 digests of every artifact and stdout of six CLI runs.
+"""Print sha256 digests of every artifact and stdout of seven CLI runs.
 
 Runs, through ``layersafe.cli.main`` and in a fresh temporary directory with
 relative ``--out`` paths (so the printed paths do not depend on where it
@@ -10,6 +10,7 @@ runs):
     iss open_field
     certify two_disks
     certify two_disks --velocity safe --grid pos:30x30 --horizon 6
+    certify two_disks --grid pos:6x6 --horizon 0.5 --chunk 1
 
 and prints one sorted ``<sha256>  <name>`` line per artifact and per
 command's stdout. Two builds write byte-identical artifacts exactly when
@@ -44,6 +45,10 @@ RUNS = (
     (
         "certify_safe",
         ["certify", "two_disks", "--velocity", "safe", "--grid", "pos:30x30", "--horizon", "6"],
+    ),
+    (  # every start rolled alone, on Python floats
+        "certify_chunk1",
+        ["certify", "two_disks", "--grid", "pos:6x6", "--horizon", "0.5", "--chunk", "1"],
     ),
 )
 
