@@ -2,11 +2,13 @@
 
 Each layer's arithmetic is written once, on a tuple of state components:
 Python floats for one run (K = 1), contiguous 1-D float columns for several.
-The only type-specific code is the primitives sqrt, select, clamp0 and
-divide, whose float versions reproduce numpy's bits. Array callers go
-through split and join. Sums run 0.0 + p0 + p1 + ... left to right, the
-order np.sum(..., axis=-1) uses for a trailing axis shorter than 8, so the
-two agree bit for bit there, signed zeros included.
+Inside the stack the only type-specific code is the primitives sqrt,
+select, clamp0 and divide, whose float versions reproduce numpy's bits.
+Arrays enter at two places, ClosedLoopLaw.evaluate and BarrierFn, which
+convert with split and join; the rollout kernel splits its initial states.
+Sums run 0.0 + p0 + p1 + ... left to right, the order np.sum(..., axis=-1)
+uses for a trailing axis shorter than 8, so the two agree bit for bit there,
+signed zeros included.
 """
 from __future__ import annotations
 

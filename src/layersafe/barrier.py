@@ -7,7 +7,9 @@ is exactly 1. One kernel serves a single state and a batch alike: it walks
 the obstacles in order, elementwise over all states, and takes an obstacle
 only when its margin is strictly smaller, so ties between equally near
 obstacles resolve to the lowest obstacle index. It runs on the state's
-components (see _vec): floats for one state, columns for a batch.
+components (see _vec): floats for one state, columns for a batch. Array
+callers go through BarrierFn, which splits a state array into components and
+joins the results.
 """
 from __future__ import annotations
 
@@ -61,40 +63,52 @@ class ObstacleField:
 
 @dataclass(frozen=True)
 class BarrierFn:
-    """A scalar safety function with its gradient map and gradient bound.
+    """A scalar safety function with its gradient bound: one of the two places
+    where arrays enter the control stack (the other is ClosedLoopLaw.evaluate).
 
-    ``value`` and ``gradient`` accept a single state (2,) or a batch (..., 2);
-    the control stack passes a tuple of components (see _vec).
+    ``vg_fn`` maps a state's components (zx, zy) to (h, (gx, gy)), on floats
+    or on columns (see _vec). ``value``, ``gradient`` and ``value_and_gradient``
+    pass components straight to it, and also accept a single state (2,) or a
+    batch (..., 2), which they split and whose results they join into arrays.
     ``grad_bound`` is the constant that turns tracking-error size into a bound
     on the barrier's rate of change.
     """
 
-    value_fn: Callable
-    gradient_fn: Callable
+    vg_fn: Callable
     grad_bound: float
     field: ObstacleField | None = None
-    vg_fn: Callable | None = None
+
+    def _vg(self, z):
+        if isinstance(z, tuple):
+            return self.vg_fn(z)
+        z = np.asarray(z, dtype=float)
+        if z.shape[-1:] != (2,):
+            raise ConfigurationError(f"states must have shape (..., 2), got {z.shape}")
+        h, grad = self.vg_fn(split(z))
+        return join(h), join(grad)
 
     def value(self, z):
-        return self.value_fn(z)
+        return self._vg(z)[0]
 
     def gradient(self, z):
-        return self.gradient_fn(z)
+        """The gradient; a finite single state whose gradient is not finite
+        (an obstacle center) raises SingularGradientError, a batch row does not."""
+        grad = self._vg(z)[1]
+        if np.ndim(z) == 1 and np.all(np.isfinite(z)) and not np.all(np.isfinite(grad)):
+            raise SingularGradientError(
+                f"gradient undefined at {np.asarray(z, dtype=float)}, an obstacle center"
+            )
+        return grad
 
     def value_and_gradient(self, z):
-        """Single-pass (value, gradient); falls back to the two separate maps."""
-        if self.vg_fn is not None:
-            return self.vg_fn(z)
-        return self.value_fn(z), self.gradient_fn(z)
+        return self._vg(z)
 
 
 def min_distance_barrier(field: ObstacleField) -> BarrierFn:
     """Barrier h(z) = min over obstacles of (||z - center|| - radius).
 
     The gradient is the unit vector from the nearest center toward z, hence
-    grad_bound = 1 exactly. In batch mode a state exactly at a center yields
-    non-finite gradient entries for that row; the scalar path raises
-    SingularGradientError instead.
+    grad_bound = 1 exactly. At a center the gradient is 0/0, non-finite.
     """
     obstacles = [
         (float(cx), float(cy), float(r)) for (cx, cy), r in zip(field.centers, field.radii)
@@ -103,12 +117,6 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
     def value_and_gradient(z):
         # the nearest obstacle's margin and unit offset, on the components
         # (zx, zy); strict < keeps the lowest index on ties, as argmin does
-        arrays = not isinstance(z, tuple)
-        if arrays:
-            z = np.asarray(z, dtype=float)
-            if z.shape[-1:] != (2,):
-                raise ConfigurationError(f"states must have shape (..., 2), got {z.shape}")
-            z = split(z)
         zx, zy = z
         for i, (cx, cy, r) in enumerate(obstacles):
             dx_i = zx - cx
@@ -125,25 +133,6 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
                 dx = select(nearer, dx_i, dx)
                 dy = select(nearer, dy_i, dy)
         # offset / distance; non-finite where the distance is 0 or non-finite
-        grad = (divide(dx, dist), divide(dy, dist))
-        return (join(h), join(grad)) if arrays else (h, grad)
+        return h, (divide(dx, dist), divide(dy, dist))
 
-    def value(z):
-        return value_and_gradient(z)[0]
-
-    def gradient(z):
-        grad = value_and_gradient(z)[1]
-        # a finite single state has a non-finite gradient only at a center
-        if np.ndim(z) == 1 and np.all(np.isfinite(z)) and not np.all(np.isfinite(grad)):
-            center = field.centers[int(field.nearest(np.asarray(z, dtype=float)))]
-            raise SingularGradientError(f"gradient undefined at obstacle center {center}")
-        return grad
-
-    return BarrierFn(
-        value_fn=value,
-        gradient_fn=gradient,
-        grad_bound=1.0,
-        field=field,
-        vg_fn=value_and_gradient,
-    )
-
+    return BarrierFn(vg_fn=value_and_gradient, grad_bound=1.0, field=field)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .certify import Grid, certify_initial_set
-from .errors import ConfigurationError, DivergenceError, NoCertificateError, ScenarioError
+from .errors import ConfigurationError, DivergenceError, ScenarioError
 from .harness import (
     default_out_dir,
     run_case_study,
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, NoCertificateError, ValueError, OSError) as exc:
+    except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,9 @@ RK4 stage, wherever the stage state lands. Stage 1 sits at the sample state,
 so its evaluation is also the recorded sample, and one extra evaluation
 records the last sample: 4 n_steps + 1 law evaluations per rollout.
 The kernel's state is a tuple of components (see _vec): floats for one run,
-contiguous columns for several; the pair's maps and rk4_step take arrays too.
+contiguous columns for several. The pair's maps and rk4_step take tuples of
+components only: the kernel splits the initial states, and integrate_batch
+stacks the recorded samples into arrays.
 """
 from __future__ import annotations
 
@@ -33,6 +35,10 @@ class IntegratorConfig:
     horizon: float = 10.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.dt) and np.isfinite(self.horizon)):
+            raise ConfigurationError(
+                f"dt and horizon must be finite, got dt={self.dt!r}, horizon={self.horizon!r}"
+            )
         if not self.dt > 0:
             raise ConfigurationError("dt must be positive")
         if self.horizon < self.dt:
@@ -45,7 +51,10 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class ModelPair:
-    """A full-order model, a reduced-order model, and the projections linking them."""
+    """A full-order model, a reduced-order model, and the projections linking them.
+
+    Each map takes and returns tuples of state components (see _vec).
+    """
 
     n_full: int
     n_reduced: int
@@ -71,30 +80,14 @@ def double_integrator_pair(scenario=None) -> ModelPair:
                 "the double-integrator pair needs a planar scenario: start and goal in R^2"
             )
 
-    def fom_field(x, u):
-        arrays = not isinstance(x, tuple)
-        if arrays:
-            x, u = split(x), split(u)
-        x_dot = x[2:4] + u
-        return join(x_dot) if arrays else x_dot
-
-    def rom_field(z, v):
-        return v if isinstance(v, tuple) else np.asarray(v, dtype=float)
-
-    def project_state(x):
-        return x[:2] if isinstance(x, tuple) else np.asarray(x, dtype=float)[..., :2]
-
-    def project_input(x):
-        return x[2:4] if isinstance(x, tuple) else np.asarray(x, dtype=float)[..., 2:4]
-
     return ModelPair(
         n_full=4,
         n_reduced=2,
         m_full=2,
-        fom_field=fom_field,
-        rom_field=rom_field,
-        project_state=project_state,
-        project_input=project_input,
+        fom_field=lambda x, u: x[2:4] + u,  # (velocity, u), concatenated
+        rom_field=lambda z, v: v,
+        project_state=lambda x: x[:2],
+        project_input=lambda x: x[2:4],
     )
 
 
@@ -200,14 +193,7 @@ class BatchRollout(_Samples):
 
 def rk4_step(f, t, x, dt):
     """One classical Runge-Kutta step of x_dot = f(t, x), for x and f(t, x)
-    both tuples of state components or both arrays (..., n)."""
-    if not isinstance(x, tuple):  # an array: step its trailing-axis components
-        shape, f_arrays = np.shape(x), f
-
-        def f(t, xs):
-            return split(np.reshape(f_arrays(t, join(xs).reshape(shape)), shape or (1,)))
-
-        return join(rk4_step(f, t, split(np.reshape(x, shape or (1,))), dt)).reshape(shape)
+    tuples of state components."""
     k1 = f(t, x)
     k2 = f(t + 0.5 * dt, tuple([xi + (0.5 * dt) * ki for xi, ki in zip(x, k1)]))
     k3 = f(t + 0.5 * dt, tuple([xi + (0.5 * dt) * ki for xi, ki in zip(x, k2)]))
@@ -236,8 +222,6 @@ def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
     def f_cl(t, x):
         inter = law.evaluate(x)
         u = inter.u
-        if not isinstance(u, tuple):  # a law written on arrays
-            u = per_run(u)
         if d_sig is not None:
             u = tuple([ui + di for ui, di in zip(u, per_run(d_sig(t)))])
         stages.append((inter, u))
@@ -256,9 +240,9 @@ def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
 
 
 def _per_sample(vals, n_runs: int) -> np.ndarray:
-    """Per-sample vectors (tuples of components, or arrays) as (T, K, d)."""
+    """Per-sample tuples of components as (T, K, d)."""
     a = np.array(vals, dtype=float)
-    if n_runs > 1 and isinstance(vals[0], tuple):
+    if n_runs > 1:
         a = np.ascontiguousarray(a.transpose(0, 2, 1))
     return a.reshape(len(vals), n_runs, -1)
 

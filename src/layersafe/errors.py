@@ -25,7 +25,3 @@ class SingularGradientError(ValueError):
 
 class HypothesisViolationError(ValueError):
     """A construction's standing hypothesis does not hold for these parameters."""
-
-
-class NoCertificateError(ValueError):
-    """No decay certificate exists for the requested gains."""

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._vec import join, split
 from .barrier import BarrierFn, ObstacleField, min_distance_barrier
 from .controller import ClosedLoopLaw, Gains, assemble_closed_loop, desired_velocity
 from .dynamics import IntegratorConfig, ModelPair, double_integrator_pair
@@ -434,7 +435,7 @@ def initial_states(scn: Scenario, law: ClosedLoopLaw, z0s, mode: str | None = No
     if mode == "zero":
         vel = np.zeros_like(z0s)
     elif mode == "desired":
-        vel = desired_velocity(law.goal, law.gains.k_p, z0s)
+        vel = join(desired_velocity(split(law.goal), law.gains.k_p, split(z0s)))
     elif mode == "safe":
         vel = law.evaluate(np.concatenate([z0s, np.zeros_like(z0s)], axis=1)).z_dot_s
     else:

@@ -19,11 +19,7 @@ M_OVERSHOOT = 3.24
 
 def _flat_barrier(grad_bound):
     """Constant-value barrier carrying an arbitrary declared gradient bound."""
-    return ls.BarrierFn(
-        value_fn=lambda z: np.full(np.shape(z)[:-1], 10.0),
-        gradient_fn=lambda z: np.broadcast_to([1.0, 0.0], np.shape(z)).copy(),
-        grad_bound=float(grad_bound),
-    )
+    return ls.BarrierFn(vg_fn=lambda z: (10.0, (1.0, 0.0)), grad_bound=float(grad_bound))
 
 
 def test_criterion_01_tracking_envelope_bound(linear):
@@ -331,7 +327,9 @@ def test_criterion_09_velocity_filter_projection(td):
         hi = lo + 2500
         a = float(alphas[lo])
         v_oracle = oracle_block(z[lo:hi], zd[lo:hi], h[lo:hi], n[lo:hi], a)
-        v_closed, active = ls.safe_velocity(b, a, z[lo:hi], zd[lo:hi])
+        comps = [tuple(np.ascontiguousarray(v[lo:hi].T)) for v in (z, zd)]
+        v_closed, active, _h, _n = ls.safe_velocity(b, a, *comps)
+        v_closed = np.stack(v_closed, axis=-1)
         worst = max(worst, float(np.max(np.linalg.norm(v_closed - v_oracle, axis=1))))
         n_active += int(active.sum())
     assert worst <= 1e-6

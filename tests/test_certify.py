@@ -1,5 +1,4 @@
 """Grid certification verdicts, invariances, and the fine-step oracle."""
-import dataclasses
 import math
 from collections import Counter
 
@@ -174,19 +173,21 @@ def test_certify_minima_match_single_rollouts(name, mode, counts, request):
         assert (rec.min_h, rec.min_h_v) == (float(np.min(traj.h)), float(np.min(traj.h_v))), i
 
 
-def counting_barrier(field):
-    """A min-distance barrier that counts its value and value_and_gradient passes."""
-    base = ls.min_distance_barrier(field)
+def counting_barrier(field, monkeypatch):
+    """A min-distance barrier whose value and value_and_gradient passes are counted."""
+    b = ls.min_distance_barrier(field)
     calls = Counter()
 
-    def counted(name, fn):
-        def call(z):
-            calls[name] += 1
-            return fn(z)
+    def counted(name, method):
+        def call(self, z):
+            if self is b:
+                calls[name] += 1
+            return method(self, z)
         return call
 
-    b = dataclasses.replace(
-        base, value_fn=counted("value", base.value_fn), vg_fn=counted("vg", base.vg_fn)
+    monkeypatch.setattr(ls.BarrierFn, "value", counted("value", ls.BarrierFn.value))
+    monkeypatch.setattr(
+        ls.BarrierFn, "value_and_gradient", counted("vg", ls.BarrierFn.value_and_gradient)
     )
     return b, calls
 
@@ -197,7 +198,7 @@ def test_one_barrier_pass_per_rk4_stage(two_disks, monkeypatch):
     # and h_V taken from those passes
     scn = two_disks.with_horizon(0.05)
     n_steps = scn.integrator.n_steps
-    b, calls = counting_barrier(scn.field)
+    b, calls = counting_barrier(scn.field, monkeypatch)
     law = ls.build_law(scn, b)
     rcbf = ls.build_scenario_rcbf(scn, b)
     x0 = ls.initial_state(scn, law)

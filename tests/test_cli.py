@@ -83,6 +83,16 @@ def test_certify_bad_grid(tmp_path, capsys):
     assert "pos:<nx>x<ny>" in err
 
 
+def test_certify_non_finite_horizon(tmp_path, capsys):
+    # refused with a usage error before any rollout or artifact
+    out = tmp_path / "out"
+    for value in ("inf", "nan"):
+        argv = ["certify", "two_disks", "--grid", "pos:3x3", "--horizon", value, "--out", str(out)]
+        assert main(argv) == 2
+        assert "dt and horizon must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_bad_alphas(tmp_path, capsys):
     scn = _write(tmp_path, GOOD)
     out = str(tmp_path / "out")

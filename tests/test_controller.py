@@ -6,6 +6,17 @@ import layersafe as ls
 from conftest import error_starts
 
 
+def comps(a):
+    """A state array as the layers take it: floats for one state, columns for a batch."""
+    a = np.asarray(a, dtype=float)
+    return tuple(a.tolist()) if a.ndim == 1 else tuple(np.ascontiguousarray(a.T))
+
+
+def stacked(v):
+    """A tuple of components back on a trailing axis."""
+    return np.stack(v, axis=-1)
+
+
 def single_disk():
     return ls.min_distance_barrier(
         ls.ObstacleField(centers=[[-0.1, 0.3]], radii=[0.5])
@@ -24,10 +35,10 @@ def test_gains_validation():
 def test_desired_velocity_formula():
     goal = np.array([2.0, 0.0])
     z = np.array([0.9, 0.3])
-    zd = ls.desired_velocity(goal, 1.8, z)
+    zd = stacked(ls.desired_velocity(comps(goal), 1.8, comps(z)))
     assert np.allclose(zd, [1.98, -0.54], atol=1e-15)
     zs = np.array([[0.9, 0.3], [2.0, 0.0]])
-    zds = ls.desired_velocity(goal, 1.8, zs)
+    zds = stacked(ls.desired_velocity(comps(goal), 1.8, comps(zs)))
     assert np.allclose(zds, [[1.98, -0.54], [0.0, 0.0]], atol=1e-15)
 
 
@@ -37,8 +48,8 @@ def test_safe_velocity_known_correction():
     b = single_disk()
     z = np.array([0.9, 0.3])
     z_dot_d = np.array([-1.0, 0.0])
-    z_s, active = ls.safe_velocity(b, 0.5, z, z_dot_d)
-    assert np.allclose(z_s, [-0.25, 0.0], atol=1e-14)
+    z_s, active, _h, _n = ls.safe_velocity(b, 0.5, comps(z), comps(z_dot_d))
+    assert np.allclose(stacked(z_s), [-0.25, 0.0], atol=1e-14)
     assert bool(active)
 
 
@@ -48,7 +59,8 @@ def test_safe_velocity_inactive_is_identity():
     z = rng.uniform(-3, 3, size=(2000, 2))
     z = z[b.field.center_distances(z)[:, 0] > 0.05]
     zd = rng.uniform(-4, 4, size=(z.shape[0], 2))
-    zs, active = ls.safe_velocity(b, 0.5, z, zd)
+    zs, active, _h, _n = ls.safe_velocity(b, 0.5, comps(z), comps(zd))
+    zs = stacked(zs)
     h = b.value(z)
     n = b.gradient(z)
     feasible = np.einsum("ij,ij->i", n, zd) + 0.5 * h >= 0
@@ -64,7 +76,7 @@ def test_safe_velocity_residual_nonnegative():
     z = z[b.field.center_distances(z)[:, 0] > 0.05]
     zd = rng.uniform(-4, 4, size=(z.shape[0], 2))
     for alpha in (0.5, 1.0, 5.0):
-        zs, _active = ls.safe_velocity(b, alpha, z, zd)
+        zs = stacked(ls.safe_velocity(b, alpha, comps(z), comps(zd))[0])
         res = np.einsum("ij,ij->i", b.gradient(z), zs) + alpha * b.value(z)
         assert float(np.min(res)) >= -1e-9
 
@@ -77,7 +89,8 @@ def test_safe_velocity_is_minimal_change():
     z = rng.uniform(-3, 3, size=(500, 2))
     z = z[b.field.center_distances(z)[:, 0] > 0.05]
     zd = rng.uniform(-4, 4, size=(z.shape[0], 2))
-    zs, active = ls.safe_velocity(b, 0.7, z, zd)
+    zs, active, _h, _n = ls.safe_velocity(b, 0.7, comps(z), comps(zd))
+    zs = stacked(zs)
     n = b.gradient(z)
     tang = np.stack([-n[:, 1], n[:, 0]], axis=1)
     assert np.allclose(
@@ -89,7 +102,7 @@ def test_safe_velocity_is_minimal_change():
 
 
 def test_tracking_control_formula():
-    u = ls.tracking_control(8.0, np.array([1.0, 2.0]), np.array([0.5, -1.0]))
+    u = stacked(ls.tracking_control(8.0, (1.0, 2.0), (0.5, -1.0)))
     assert np.allclose(u, [-4.0, -24.0], atol=1e-15)
 
 
@@ -102,31 +115,16 @@ def test_assembled_law_consistency():
     keep = np.min(b.field.center_distances(x[:, :2]), axis=-1) > 0.05
     x = x[keep]
     inter = law.evaluate(x)
-    zd_direct = ls.desired_velocity(law.goal, law.gains.k_p, x[:, :2])
-    assert np.array_equal(np.asarray(inter.z_dot_d), zd_direct)
-    zs_direct, act_direct = ls.safe_velocity(b, law.gains.alpha, x[:, :2], zd_direct)
-    assert np.array_equal(np.asarray(inter.z_dot_s), zs_direct)
+    zd_direct = ls.desired_velocity(comps(law.goal), law.gains.k_p, comps(x[:, :2]))
+    assert np.array_equal(np.asarray(inter.z_dot_d), stacked(zd_direct))
+    zs_direct, act_direct, _h, _n = ls.safe_velocity(b, law.gains.alpha, comps(x[:, :2]), zd_direct)
+    assert np.array_equal(np.asarray(inter.z_dot_s), stacked(zs_direct))
     assert np.array_equal(np.asarray(inter.active), np.asarray(act_direct))
     h_direct, grad_direct = b.value_and_gradient(x[:, :2])
     assert np.array_equal(inter.h, h_direct)
     assert np.array_equal(inter.grad_h, grad_direct)
-    u_direct = ls.tracking_control(law.gains.k_d, x[:, 2:4], zs_direct)
-    assert np.array_equal(np.asarray(inter.u), u_direct)
-
-
-def test_certified_envelope_constants():
-    env = ls.linear_tracking_constants(1.8, 8.0)
-    assert env.beta == pytest.approx(2.735088935932648, rel=1e-13)
-    assert env.m_overshoot == pytest.approx(1.00001, rel=1e-9)
-    # position feedback off: the error loop decays at exactly k_d
-    env0 = ls.linear_tracking_constants(0.0, 8.0)
-    assert env0.beta == pytest.approx(8.0, rel=1e-12)
-    assert env0.m_overshoot == pytest.approx(1.00001, rel=1e-9)
-
-
-def test_envelope_requires_decay():
-    with pytest.raises(ls.NoCertificateError):
-        ls.linear_tracking_constants(1.8, -1.0)
+    u_direct = ls.tracking_control(law.gains.k_d, comps(x[:, 2:4]), zs_direct)
+    assert np.array_equal(np.asarray(inter.u), stacked(u_direct))
 
 
 def test_certified_envelope_holds_on_rollout(linear):
@@ -136,9 +134,7 @@ def test_certified_envelope_holds_on_rollout(linear):
     mags = rng.uniform(0.1, 2.0, size=16)
     e0 = np.stack([mags * np.cos(angles), mags * np.sin(angles)], axis=1)
     batch = ls.integrate_batch(pair, law, error_starts(law, e0), scn.integrator)
-    env = ls.linear_tracking_constants(1.8, 8.0)
     for k in range(batch.n_runs):
         traj = batch.trajectory(k)
-        assert ls.check_exponential_envelope(traj, env.beta, env.m_overshoot).holds
-        # the broader pair used by the bundled scenario is also an envelope
+        # the pair declared by the bundled scenario is an envelope
         assert ls.check_exponential_envelope(traj, 2.45, 3.24).holds

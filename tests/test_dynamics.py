@@ -13,6 +13,11 @@ def test_integrator_config_validation():
         ls.IntegratorConfig(dt=0.0, horizon=1.0)
     with pytest.raises(ls.ConfigurationError):
         ls.IntegratorConfig(dt=0.1, horizon=0.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ls.ConfigurationError, match="must be finite"):
+            ls.IntegratorConfig(dt=0.1, horizon=bad)
+        with pytest.raises(ls.ConfigurationError, match="must be finite"):
+            ls.IntegratorConfig(dt=bad, horizon=1.0)
     with pytest.raises(TypeError):
         ls.IntegratorConfig(dt=0.1, horizon=1.0, method="euler")
     cfg = ls.IntegratorConfig(dt=0.1, horizon=1.0)
@@ -21,22 +26,22 @@ def test_integrator_config_validation():
 
 def test_double_integrator_structure():
     pair = ls.double_integrator_pair()
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    u = np.array([5.0, 6.0])
-    assert np.array_equal(pair.fom_field(x, u), [3.0, 4.0, 5.0, 6.0])
-    assert np.array_equal(pair.project_state(x), [1.0, 2.0])
-    assert np.array_equal(pair.project_input(x), [3.0, 4.0])
+    x = tuple(np.array([1.0, 2.0, 3.0, 4.0]).tolist())
+    u = tuple(np.array([5.0, 6.0]).tolist())
+    assert np.array_equal(np.stack(pair.fom_field(x, u), axis=-1), [3.0, 4.0, 5.0, 6.0])
+    assert np.array_equal(np.stack(pair.project_state(x), axis=-1), [1.0, 2.0])
+    assert np.array_equal(np.stack(pair.project_input(x), axis=-1), [3.0, 4.0])
     # reduced model is a single integrator: z_dot equals the input
-    assert np.array_equal(pair.rom_field(x[:2], u), u)
+    assert np.array_equal(np.stack(pair.rom_field(x[:2], u), axis=-1), u)
 
 
 def test_rk4_is_fourth_order():
     # global error on x_dot = -x over [0, 1] shrinks ~16x when dt halves
     def f(t, x):
-        return -x
+        return tuple([-xi for xi in x])
 
     def roll(dt):
-        x = np.array([1.0])
+        x = (1.0,)
         n = int(round(1.0 / dt))
         for k in range(n):
             x = ls.rk4_step(f, k * dt, x, dt)
@@ -111,12 +116,12 @@ def test_divergence_reports_step_and_run():
     pair = ls.double_integrator_pair()
 
     def evaluate(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        zeros = np.zeros((x.shape[0], 2))
+        # one run: x is a tuple of floats
+        zeros = (0.0, 0.0)
         return ls.LawIntermediates(
-            z_dot_d=zeros, z_dot_s=zeros, active=np.zeros(x.shape[0], dtype=bool),
-            h=np.full(x.shape[0], np.nan), grad_h=np.full((x.shape[0], 2), np.nan),
-            u=1e4 * x[..., 2:4],
+            z_dot_d=zeros, z_dot_s=zeros, active=False,
+            h=np.nan, grad_h=(np.nan, np.nan),
+            u=tuple([1e4 * v for v in x[2:4]]),
         )
 
     law = ls.ClosedLoopLaw(goal=None, gains=None, barrier=None, evaluate=evaluate)
@@ -138,7 +143,7 @@ def test_constant_disturbance_equals_shifted_input(linear):
 
     def shifted_evaluate(x):
         inter = law.evaluate(x)
-        return dataclasses.replace(inter, u=inter.u + d0)
+        return dataclasses.replace(inter, u=tuple([ui + di for ui, di in zip(inter.u, d0.tolist())]))
 
     shifted = dataclasses.replace(law, evaluate=shifted_evaluate)
     cfg = ls.IntegratorConfig(dt=0.001, horizon=0.5)
@@ -247,9 +252,12 @@ def test_float_path_matches_column_path(td):
 
 
 def test_array_entry_points_match_batch_rows():
-    # a single state (2,) or (4,) runs on floats, a batch (K, .) on columns
+    # the two array entry points, BarrierFn and ClosedLoopLaw.evaluate, run a
+    # single state (2,) or (4,) on floats and a batch (K, .) on columns; every
+    # layer behind them takes float tuples or columns, and the two agree
     pair, law, _rcbf = _crafted_world()
     b, gains, dt = law.barrier, law.gains, 0.001
+    goal = tuple(law.goal.tolist())
     rng = np.random.default_rng(3)
     xs = np.concatenate([
         np.array(_CRAFTED_STARTS + _DIVERGING_STARTS),
@@ -261,40 +269,44 @@ def test_array_entry_points_match_batch_rows():
     def f(t, x):
         return pair.fom_field(x, law.evaluate(x).u)
 
+    def cols(a):
+        return tuple(np.ascontiguousarray(a.T))
+
+    def stacked(v):
+        return np.stack(v, axis=-1) if isinstance(v, tuple) else np.asarray(v)
+
     with np.errstate(all="ignore"):
         batch = {
             "value": b.value(zs),
             "vg": b.value_and_gradient(zs),
-            "desired": ls.desired_velocity(law.goal, gains.k_p, zs),
-            "safe": ls.safe_velocity(b, gains.alpha, zs, vs),
-            "tracking": ls.tracking_control(gains.k_d, vs, zs),
+            "desired": ls.desired_velocity(goal, gains.k_p, cols(zs)),
+            "safe": ls.safe_velocity(b, gains.alpha, cols(zs), cols(vs)),
+            "tracking": ls.tracking_control(gains.k_d, cols(vs), cols(zs)),
             "law": law.evaluate(xs),
-            "fom": pair.fom_field(xs, vs),
-            "rk4": ls.rk4_step(f, 0.0, xs, dt),
+            "fom": pair.fom_field(cols(xs), cols(vs)),
+            "rk4": ls.rk4_step(f, 0.0, cols(xs), dt),
         }
         for k, (x, z, v) in enumerate(zip(xs, zs, vs)):
+            xc, zc, vc = tuple(x.tolist()), tuple(z.tolist()), tuple(v.tolist())
             single = {
                 "value": b.value(z),
                 "vg": b.value_and_gradient(z),
-                "desired": ls.desired_velocity(law.goal, gains.k_p, z),
-                "safe": ls.safe_velocity(b, gains.alpha, z, v),
-                "tracking": ls.tracking_control(gains.k_d, v, z),
+                "desired": ls.desired_velocity(goal, gains.k_p, zc),
+                "safe": ls.safe_velocity(b, gains.alpha, zc, vc),
+                "tracking": ls.tracking_control(gains.k_d, vc, zc),
                 "law": law.evaluate(x),
-                "fom": pair.fom_field(x, v),
-                "rk4": ls.rk4_step(f, 0.0, x, dt),
+                "fom": pair.fom_field(xc, vc),
+                "rk4": ls.rk4_step(f, 0.0, xc, dt),
             }
             for name, got in single.items():
                 want = batch[name]
-                if name == "safe":
-                    got = (*got, got.h, got.grad_h)
-                    want = (*want, want.h, want.grad_h)
-                elif name == "law":
+                if name == "law":
                     got = [getattr(got, fld.name) for fld in dataclasses.fields(got)]
                     want = [getattr(want, fld.name) for fld in dataclasses.fields(want)]
-                elif name not in ("vg",):
+                elif name not in ("vg", "safe"):
                     got, want = [got], [want]
                 for g, w in zip(got, want):
-                    assert _same_bits(g, np.asarray(w)[k]), (k, name)
+                    assert _same_bits(stacked(g), stacked(w)[k]), (k, name)
             if np.all(np.isfinite(z)) and not np.all(np.isfinite(single["vg"][1])):
                 with pytest.raises(ls.SingularGradientError):
                     b.gradient(z)

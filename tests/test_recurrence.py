@@ -6,14 +6,9 @@ import layersafe as ls
 from conftest import synthetic_trajectory
 
 
-def far_barrier(grad_bound=1.0):
-    b = ls.min_distance_barrier(
+def far_barrier():
+    return ls.min_distance_barrier(
         ls.ObstacleField(centers=[[50.0, 50.0]], radii=[0.5])
-    )
-    if grad_bound == 1.0:
-        return b
-    return ls.BarrierFn(
-        value_fn=b.value_fn, gradient_fn=b.gradient_fn, grad_bound=grad_bound
     )
 
 

@@ -1,4 +1,4 @@
-"""Print sha256 digests of every artifact and stdout of seven CLI runs.
+"""Print sha256 digests of every artifact and stdout of eight CLI runs.
 
 Runs, through ``layersafe.cli.main`` and in a fresh temporary directory with
 relative ``--out`` paths (so the printed paths do not depend on where it
@@ -11,6 +11,7 @@ runs):
     certify two_disks
     certify two_disks --velocity safe --grid pos:30x30 --horizon 6
     certify two_disks --grid pos:6x6 --horizon 0.5 --chunk 1
+    certify open_field --grid pos:6x6 --horizon 0.5
 
 and prints one sorted ``<sha256>  <name>`` line per artifact and per
 command's stdout. Two builds write byte-identical artifacts exactly when
@@ -49,6 +50,10 @@ RUNS = (
     (  # every start rolled alone, on Python floats
         "certify_chunk1",
         ["certify", "two_disks", "--grid", "pos:6x6", "--horizon", "0.5", "--chunk", "1"],
+    ),
+    (  # a batch of starts under a disturbance
+        "certify_open_field",
+        ["certify", "open_field", "--grid", "pos:6x6", "--horizon", "0.5"],
     ),
 )
 
