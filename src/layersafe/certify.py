@@ -102,7 +102,7 @@ class PointRecord:
 
     in_s_v records initial membership in the certified region (h_V(0) >= 0)
     regardless of the verdict; rtf_margin is the observed one-shot recurrence
-    margin over (0, tau], recorded as data and never used to classify.
+    margin over (0, min(tau, horizon)], recorded and never used to classify.
     """
 
     point: np.ndarray

@@ -97,8 +97,8 @@ class _Samples:
 
     e is the integral of e_dot from zero (the tracked reference starts on the
     trajectory), so e = z - z_s holds by construction with z_s := z - e.
-    v is the tracking certificate value and h_v the recurrent barrier value;
-    h_v is NaN when no recurrent barrier was supplied to the integrator.
+    v is the tracking certificate ||e_dot||, which every post-hoc check reads,
+    and h_v the recurrent barrier value, NaN without a recurrent barrier.
     Arrays are read-only after construction.
     """
 
@@ -248,15 +248,14 @@ def _per_sample(vals, n_runs: int) -> np.ndarray:
 
 
 def _derived(pair: ModelPair, rcbf, x, z_s_dot, h):
-    """z, z_dot, e_dot, v and h_V (NaN without ``rcbf``) from x, z_dot_s and h,
-    with vectors as tuples of components (see _vec)."""
+    """z, z_dot, e_dot, v = ||e_dot|| and h_V (NaN without ``rcbf``) from x,
+    z_dot_s and h, with vectors as tuples of components (see _vec)."""
     z = pair.project_state(x)
     z_dot = pair.rom_field(z, pair.project_input(x))
     e_dot = tuple([a - b for a, b in zip(z_dot, z_s_dot)])
-    if rcbf is None:
-        return z, z_dot, e_dot, vnorm(e_dot), np.full(np.shape(h), np.nan)
-    v = rcbf.rtf.value(z, e_dot)
-    return z, z_dot, e_dot, v, rcbf.combine(v, h)
+    v = vnorm(e_dot)
+    h_v = np.full(np.shape(h), np.nan) if rcbf is None else rcbf.combine(v, h)
+    return z, z_dot, e_dot, v, h_v
 
 
 def integrate_batch(

@@ -88,7 +88,7 @@ def _run_summary(traj: Trajectory, law: ClosedLoopLaw, rtf: Rtf, rcbf):
     summary = {
         "min_h": float(np.min(traj.h)),
         "min_h_v": float(np.min(traj.h_v)),
-        "max_edot": float(np.max(vnorm(traj.e_dot))),
+        "max_edot": float(np.max(traj.v)),
         "final_goal_distance": float(vnorm(traj.z[-1] - law.goal)),
         "rtf_margin": rtf_v.margin if rtf_v is not None else float("nan"),
         "chain_min_slack": float("nan"),
@@ -160,7 +160,7 @@ def _build_run(scn: Scenario):
     return pair, law, rtf, rcbf, dist
 
 
-def run_simulate(scn: Scenario, out_dir=None, label: str = "simulate") -> RunArtifacts:
+def run_simulate(scn: Scenario, out_dir=None) -> RunArtifacts:
     """One rollout from the scenario start; CSV, report, declared expectations."""
     pair, law, rtf, rcbf, dist = _build_run(scn)
     x0 = initial_state(scn, law)
@@ -171,7 +171,7 @@ def run_simulate(scn: Scenario, out_dir=None, label: str = "simulate") -> RunArt
         checks.append(
             "no certified region for this alpha: the recurrence rate does not exceed it"
         )
-    return _emit(scn, label, traj, summary, checks, out_dir)
+    return _emit(scn, "simulate", traj, summary, checks, out_dir)
 
 
 def run_case_study(scn: Scenario, alphas, out_dir=None):
@@ -208,7 +208,7 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
         summary, rtf_v = _run_summary(traj, law, rtf, rcbf)
         # the exponential envelope constrains error-only starts; a quiet start
         # (zero initial tracking error) has no meaningful ratio to report
-        e0 = float(np.hypot(traj.e_dot[0, 0], traj.e_dot[0, 1]))
+        e0 = float(traj.v[0])
         env_v = (
             check_exponential_envelope(traj, rtf.beta, scn_a.rtf_constants.m_overshoot)
             if e0 > 0
@@ -350,8 +350,10 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
     """Disturbed rollout with the ISS envelope, shifted recurrence, and set margin.
 
     The class-K offset is linear, mu(r) = c r; c is calibrated from constant-
-    disturbance quiet-start runs unless supplied.
+    disturbance quiet-start runs unless supplied; a supplied c must be finite and > 0.
     """
+    if mu_gain is not None and not (np.isfinite(mu_gain) and mu_gain > 0):
+        raise ConfigurationError(f"mu gain must be finite and positive, got {mu_gain!r}")
     pair, law, rtf, rcbf, dist = _build_run(scn)
     if rcbf is None:
         raise HypothesisViolationError(

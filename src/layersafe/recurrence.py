@@ -1,9 +1,10 @@
 """Tracking certificates, containment times, the recurrent barrier, and trajectory checks.
 
-A tracking certificate V(z, e_dot) is sandwiched between a1 ||e_dot|| and
-a2 ||e_dot||. Its recurrence property over windows of length tau asks for
-some contained time t in (0, tau] with e^{beta t} V(t) <= V(0): V need not
-decay monotonically, it must merely keep returning below an exponentially
+The tracking certificate V = ||e_dot|| is recorded by every rollout as
+Trajectory.v, and the checks here read it (and the recorded h) from there.
+Its recurrence property over windows of length tau asks for some contained
+time t in (0, tau] with e^{beta t} V(t) <= V(0): V need not decay
+monotonically, it must merely keep returning below an exponentially
 shrinking level.
 
 The recurrent barrier combines the certificate with a state barrier h:
@@ -15,7 +16,6 @@ h_V itself dips below zero, provided beta > alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,14 +27,13 @@ from .errors import ConfigurationError, HypothesisViolationError
 
 @dataclass(frozen=True)
 class Rtf:
-    """A tracking certificate with its sandwich constants and recurrence window.
+    """The constants of the tracking certificate V = ||e_dot||.
 
-    value(z, e_dot) takes arrays or tuples of components (see _vec), for single
-    states or batches. The declared constants promise a1 ||e_dot|| <= V <=
-    a2 ||e_dot||; beta is the recurrence rate and tau the window length.
+    V itself is recorded by every rollout as Trajectory.v. The declared
+    constants promise a1 ||e_dot|| <= V <= a2 ||e_dot||; beta is the
+    recurrence rate and tau the window length.
     """
 
-    value: Callable
     a1: float
     a2: float
     beta: float
@@ -42,18 +41,14 @@ class Rtf:
 
 
 def norm_rtf(a1: float = 1.0, a2: float = 1.0, beta: float = 2.45, tau: float = 1.0) -> Rtf:
-    """The Euclidean certificate V(z, e_dot) = ||e_dot||; a1 = a2 = 1 is canonical."""
+    """Constants of the Euclidean certificate V = ||e_dot||; a1 = a2 = 1 is canonical."""
     if not (0 < a1 <= a2):
         raise ConfigurationError(f"need 0 < a1 <= a2, got a1={a1!r}, a2={a2!r}")
     if not beta > 0:
         raise ConfigurationError("beta must be positive")
     if not tau > 0:
         raise ConfigurationError("tau must be positive")
-
-    def value(z, e_dot):
-        return vnorm(e_dot)
-
-    return Rtf(value=value, a1=float(a1), a2=float(a2), beta=float(beta), tau=float(tau))
+    return Rtf(a1=float(a1), a2=float(a2), beta=float(beta), tau=float(tau))
 
 
 def _predicate_mask(traj: Trajectory, predicate) -> np.ndarray:
@@ -102,7 +97,7 @@ def check_rtf_recurrence(
     """Recurrence of the certificate along a rollout.
 
     Evaluates min over contained sample times t in (0, tau] of
-    e^{beta t} (V(t) - shift) and compares it to V(0) - shift; margin is the
+    e^{beta t} (V(t) - shift), V as recorded, against V(0) - shift; margin is the
     difference (nonnegative means satisfied, up to 1e-12 relative slack).
     An empty containment set is reported as not satisfied (conservative).
     ``s_predicate``, when given, restricts the containment times to samples
@@ -112,16 +107,14 @@ def check_rtf_recurrence(
         raise ConfigurationError(
             f"trajectory horizon {traj.horizon:g} is shorter than the window {rtf.tau:g}"
         )
-    v0 = float(rtf.value(traj.z[0], traj.e_dot[0])) - shift
+    v0 = float(traj.v[0]) - shift
     sel = _window_selector(traj, 0.0, rtf.tau)
     if s_predicate is not None:
         sel = sel & _predicate_mask(traj, s_predicate)
     if not np.any(sel):
         return RecurrenceVerdict(satisfied=False, witness_t=None, margin=float("-inf"))
     tsel = traj.t[sel]
-    vals = np.exp(rtf.beta * tsel) * (
-        np.asarray(rtf.value(traj.z[sel], traj.e_dot[sel]), dtype=float) - shift
-    )
+    vals = np.exp(rtf.beta * tsel) * (traj.v[sel] - shift)
     i = int(np.argmin(vals))
     margin = v0 - float(vals[i])
     satisfied = margin >= -1e-12 * max(1.0, abs(v0))
@@ -135,12 +128,12 @@ class EnvelopeVerdict:
 
 
 def check_exponential_envelope(traj: Trajectory, beta: float, m: float) -> EnvelopeVerdict:
-    """Pointwise ||e_dot(t)|| <= m e^{-beta t} ||e_dot(0)||, 1e-9 relative tolerance.
+    """Pointwise V(t) <= m e^{-beta t} V(0), 1e-9 relative tolerance, V = ||e_dot|| as recorded.
 
     A zero initial error is degenerate: the verdict is true only if the error
     stays identically zero.
     """
-    en = vnorm(traj.e_dot)
+    en = traj.v
     e0 = float(en[0])
     if e0 == 0.0:
         if np.all(en == 0.0):
@@ -162,7 +155,8 @@ class RecurrentCbf:
     m_overshoot: float
 
     def value(self, z, e_dot):
-        return self.combine(self.rtf.value(z, e_dot), self.barrier.value(z))
+        """h_V at sampled states; a rollout records it through combine."""
+        return self.combine(vnorm(e_dot), self.barrier.value(z))
 
     def combine(self, v, h):
         """h_V from a certificate value V and a barrier value h already at hand."""
@@ -253,14 +247,15 @@ class ChainReport:
 
 
 def check_safety_chain(traj: Trajectory, rcbf: RecurrentCbf) -> ChainReport:
-    """Audit h(t) >= e^{-alpha t} h(0) - C_h int_0^t e^{-alpha (t-s)} ||e_dot(s)|| ds."""
+    """Audit h(t) >= e^{-alpha t} h(0) - C_h int_0^t e^{-alpha (t-s)} V(s) ds, h and V
+    as recorded."""
     alpha = rcbf.alpha
     c_h = rcbf.barrier.grad_bound
     rtf = rcbf.rtf
     t = traj.t
     dt = traj.dt
-    h = np.asarray(rcbf.barrier.value(traj.z), dtype=float)
-    en = vnorm(traj.e_dot)
+    h = traj.h
+    en = traj.v
 
     # I_k = e^{-alpha t_k} * trapezoid of e^{alpha s} ||e_dot(s)||; O(T) via cumsum
     c = np.exp(alpha * t) * en
@@ -272,7 +267,7 @@ def check_safety_chain(traj: Trajectory, rcbf: RecurrentCbf) -> ChainReport:
     slack = h - lower
     i = int(np.argmin(slack))
 
-    v0 = float(rtf.value(traj.z[0], traj.e_dot[0]))
+    v0 = float(en[0])
     endpoint = (
         np.exp(-alpha * t)
         * v0

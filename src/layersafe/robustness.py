@@ -6,7 +6,7 @@ with a class-K offset mu. The recurrence condition picks up a floor
 iota = a2 e^{beta tau} mu(||d||_inf) / M, and the certified region shrinks by
 gamma = iota / alpha_e. Every check here reduces bit-for-bit to its nominal
 counterpart when d is identically zero: the zero-offset branches delegate to
-the same code paths the nominal checks use.
+the same code paths the nominal checks use, on the recorded V = Trajectory.v.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .recurrence import (
     Rtf,
     check_exponential_envelope,
     check_rtf_recurrence,
-    in_recurrent_set,
 )
 
 _RANDOM_TABLE = 1 << 16  # piecewise-constant pattern repeats after this many segments
@@ -186,7 +185,7 @@ def check_iss_envelope(traj: Trajectory, env: IssEnvelope) -> IssVerdict:
     envelope holds with room). With a zero offset the verdict delegates to
     the nominal exponential-envelope check so the reduction is exact.
     """
-    en = vnorm(traj.e_dot)
+    en = traj.v
     e0 = float(en[0])
     bound = env.m_overshoot * e0 * np.exp(-env.beta * traj.t) + env.mu_at_d
     worst = float(np.max(en - bound))
@@ -212,9 +211,7 @@ def check_practical_rtf(
 
 
 def in_robust_set(rcbf: RecurrentCbf, env: IssEnvelope, z, e_dot):
-    """Membership in the shrunken region {h_V - gamma_margin >= 0}."""
-    if env.gamma_margin == 0.0:
-        return in_recurrent_set(rcbf, z, e_dot)
+    """Membership in {h_V - gamma_margin >= 0}; a zero margin gives in_recurrent_set."""
     return rcbf.value(z, e_dot) - env.gamma_margin >= 0.0
 
 
@@ -252,7 +249,7 @@ def estimate_mu_gain(
             else:
                 d = make_disturbance("sine", amplitude=amp, frequency=freq, dim=pair.m_full)
             traj = integrate(pair, law, x0, cfg, disturbance=d)
-            c = max(c, float(np.max(vnorm(traj.e_dot))) / amp)
+            c = max(c, float(np.max(traj.v)) / amp)
     if not c > 0:
         raise ConfigurationError("calibration produced a zero gain; disturbance has no effect")
     return c

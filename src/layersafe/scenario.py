@@ -72,7 +72,7 @@ class DisturbanceSpec:
 
 @dataclass(frozen=True)
 class RtfConstants:
-    """Certificate constants: sandwich a1 <= a2, rate beta, window tau, overshoot M."""
+    """Certificate constants: sandwich a1 <= 1 <= a2, rate beta, window tau, overshoot M."""
 
     a1: float = 1.0
     a2: float = 1.0
@@ -138,8 +138,10 @@ class Scenario:
                 f"sim.initial_velocity must be one of {_VELOCITY_MODES}, got {self.velocity_mode!r}"
             )
         rc = self.rtf_constants
-        if not (0 < rc.a1 <= rc.a2):
-            raise ConfigurationError("rtf constants need 0 < a1 <= a2")
+        if not (0 < rc.a1 <= 1.0 <= rc.a2):  # the sandwich must hold for V = ||e_dot||
+            raise ConfigurationError(
+                f"rtf constants need 0 < a1 <= 1 <= a2, got a1={rc.a1!r}, a2={rc.a2!r}"
+            )
         if not (rc.beta > 0 and rc.tau > 0 and rc.m_overshoot > 0):
             raise ConfigurationError("rtf.beta, rtf.tau, rtf.M must be positive")
 

@@ -124,6 +124,17 @@ def test_bad_disturbance(tmp_path, capsys):
     assert "bad value for disturbance" in err
 
 
+def test_iss_rejects_invalid_mu_gain(tmp_path, capsys):
+    # a class-K offset is strictly increasing: refused before any rollout
+    out = tmp_path / "out"
+    for value in ("-1", "0", "nan", "inf"):
+        argv = ["iss", "open_field", "--disturbance", "kind=none", "--mu-gain", value,
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert f"mu gain must be finite and positive, got {float(value)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_recurrence_demo_without_certified_region(tmp_path, capsys):
     text = GOOD.replace("gains.alpha = 0.5", "gains.alpha = 5.0")
     scn = _write(tmp_path, text)

@@ -178,6 +178,20 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _same_bits_but_nan_sign(a, b):
+    """_same_bits, except that NaNs need only sit at the same positions.
+
+    CPython's float multiply may give a product of two NaNs of opposite sign
+    either sign: its specialized and generic paths keep different operands,
+    and a trace function (sys.settrace) switches between them.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind != "f" or a.shape != b.shape:
+        return _same_bits(a, b)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and _same_bits(a[~nan], b[~nan])
+
+
 _RECORDED = ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h", "grad_h", "v", "h_v")
 
 
@@ -306,12 +320,12 @@ def test_array_entry_points_match_batch_rows():
                 elif name not in ("vg", "safe"):
                     got, want = [got], [want]
                 for g, w in zip(got, want):
-                    assert _same_bits(stacked(g), stacked(w)[k]), (k, name)
+                    assert _same_bits_but_nan_sign(stacked(g), stacked(w)[k]), (k, name)
             if np.all(np.isfinite(z)) and not np.all(np.isfinite(single["vg"][1])):
                 with pytest.raises(ls.SingularGradientError):
                     b.gradient(z)
             else:
-                assert _same_bits(b.gradient(z), np.asarray(batch["vg"][1])[k]), k
+                assert _same_bits_but_nan_sign(b.gradient(z), np.asarray(batch["vg"][1])[k]), k
 
 
 def test_csv_matches_savetxt(tmp_path, td):

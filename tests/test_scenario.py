@@ -130,6 +130,15 @@ def test_missing_pieces():
         ls.parse_scenario(MINIMAL + "disturbance.kind = gusts\n")
 
 
+def test_sandwich_constants_must_bracket_one():
+    # V = ||e_dot|| satisfies a1 ||e_dot|| <= V <= a2 ||e_dot|| only for a1 <= 1 <= a2
+    for a1, a2 in (("2.0", "2.0"), ("0.5", "0.8")):
+        with pytest.raises(ls.ScenarioError, match=f"0 < a1 <= 1 <= a2, got a1={a1}, a2={a2}"):
+            ls.parse_scenario(MINIMAL + f"rtf.a1 = {a1}\nrtf.a2 = {a2}\n")
+    rc = ls.parse_scenario(MINIMAL + "rtf.a1 = 0.5\nrtf.a2 = 2.0\n").rtf_constants
+    assert (rc.a1, rc.a2) == (0.5, 2.0)
+
+
 def test_obstacle_indices_sort_numerically():
     text = MINIMAL + (
         "obstacle.10.center = 5, 5\nobstacle.10.radius = 0.3\n"

@@ -1,4 +1,4 @@
-"""Print sha256 digests of every artifact and stdout of eight CLI runs.
+"""Print sha256 digests of every artifact and stdout of ten CLI runs.
 
 Runs, through ``layersafe.cli.main`` and in a fresh temporary directory with
 relative ``--out`` paths (so the printed paths do not depend on where it
@@ -6,23 +6,26 @@ runs):
 
     simulate two_disks
     case-study two_disks --alphas 0.5,1,5
+    case-study two_disks_desired.scn --alphas 0.5,1,5
     recurrence-demo two_disks
     iss open_field
+    iss open_field --disturbance kind=none
     certify two_disks
     certify two_disks --velocity safe --grid pos:30x30 --horizon 6
     certify two_disks --grid pos:6x6 --horizon 0.5 --chunk 1
     certify open_field --grid pos:6x6 --horizon 0.5
 
-and prints one sorted ``<sha256>  <name>`` line per artifact and per
-command's stdout. Two builds write byte-identical artifacts exactly when
-their outputs match, e.g.
+where two_disks_desired.scn is two_disks with sim.initial_velocity = desired,
+written into the temporary directory. It prints one sorted
+``<sha256>  <name>`` line per artifact and per command's stdout. Two builds
+write byte-identical artifacts exactly when their outputs match, e.g.
 
     PYTHONPATH=src python tools/artifact_digests.py > after.txt
     PYTHONPATH=/path/to/other/checkout/src python tools/artifact_digests.py > before.txt
     diff before.txt after.txt
 
-The imported layersafe module's path goes to stderr. Takes about half a
-minute on one core.
+The imported layersafe module's path goes to stderr. Takes under a minute
+on one core.
 """
 from __future__ import annotations
 
@@ -37,11 +40,21 @@ from pathlib import Path
 import layersafe
 from layersafe.cli import main
 
+DESIRED_SCENARIO = "two_disks_desired.scn"
+
 RUNS = (
     ("simulate", ["simulate", "two_disks"]),
     ("case_study", ["case-study", "two_disks", "--alphas", "0.5,1,5"]),
+    (  # nonzero initial tracking error, so the exponential envelope is checked
+        "case_study_desired",
+        ["case-study", DESIRED_SCENARIO, "--alphas", "0.5,1,5"],
+    ),
     ("recurrence_demo", ["recurrence-demo", "two_disks"]),
     ("iss", ["iss", "open_field"]),
+    (  # the zero-offset branches of the ISS checks
+        "iss_no_disturbance",
+        ["iss", "open_field", "--disturbance", "kind=none"],
+    ),
     ("certify", ["certify", "two_disks"]),
     (
         "certify_safe",
@@ -62,6 +75,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _desired_scenario_text() -> str:
+    text = layersafe.bundled_scenario_path("two_disks.scn").read_text()
+    safe = "sim.initial_velocity = safe\n"
+    if text.count(safe) != 1:
+        raise SystemExit(f"two_disks.scn no longer declares {safe.strip()!r}")
+    return text.replace(safe, "sim.initial_velocity = desired\n")
+
+
 def digests() -> list:
     """(digest, name) for every artifact and stdout, sorted by name."""
     out = []
@@ -69,6 +90,7 @@ def digests() -> list:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            Path(DESIRED_SCENARIO).write_text(_desired_scenario_text())
             for label, argv in RUNS:
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf):
