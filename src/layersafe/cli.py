@@ -18,7 +18,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .certify import Grid, certify_initial_set
+from .certify import VERDICTS, Grid, certify_initial_set
 from .errors import ConfigurationError, DivergenceError, ScenarioError
 from .harness import (
     default_out_dir,
@@ -28,7 +28,7 @@ from .harness import (
     run_simulate,
     write_plot_script,
 )
-from .scenario import DisturbanceSpec, Scenario, bundled_scenario_path, load_scenario
+from .scenario import DisturbanceSpec, Scenario, bundled_scenario_path, load_scenario, parse_value
 
 
 def _resolve_scenario_path(name: str) -> Path:
@@ -138,7 +138,7 @@ def _cmd_certify(args) -> int:
     print(f"wrote {report_path}")
     print(f"wrote {points_path}")
     print(f"wrote {unsafe_path}")
-    for verdict in ("certified_safe", "unsafe_witness", "outside_S_V", "indeterminate"):
+    for verdict in VERDICTS:
         print(f"  {verdict}: {report.summary.get(verdict, 0)}")
     return 0
 
@@ -163,19 +163,12 @@ def _parse_disturbance(text: str, base: DisturbanceSpec) -> DisturbanceSpec:
                 f"--disturbance items must be key=value, got {item!r}"
             )
         key = key.strip()
-        val = val.strip()
-        if key == "kind":
-            fields[key] = val
-        elif key in ("amplitude", "frequency", "segment", "seed"):
-            conv = int if key == "seed" else float
-            try:
-                fields[key] = conv(val)
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad value for disturbance {key}: {val!r}"
-                ) from None
-        else:
-            raise ConfigurationError(f"unknown disturbance field {key!r}")
+        try:
+            fields[key] = parse_value(f"disturbance.{key}", val.strip())
+        except KeyError:
+            raise ConfigurationError(f"unknown disturbance field {key!r}") from None
+        except ValueError as exc:
+            raise ConfigurationError(f"bad value for disturbance {key}: {exc}") from None
     return dataclasses.replace(base, **fields)
 
 

@@ -60,7 +60,6 @@ class RunArtifacts:
     report_path: Path
     summary: dict
     expectation_results: tuple
-    digest: str
 
     @property
     def failed_expectations(self) -> list:
@@ -143,7 +142,6 @@ def _emit(scn, label, traj, summary, checks, out_dir) -> RunArtifacts:
         report_path=report_path,
         summary=summary,
         expectation_results=exp_results,
-        digest=scn.digest(),
     )
 
 

@@ -14,6 +14,10 @@ expectations on run metrics. Example:
     gains.alpha = 0.5
     expect.min_h >= 0.0
 
+One table, ``_KEYS``, declares the format: each key's type and the record
+field it fills. Parsing, the echo and the CLI's ``--disturbance`` read it;
+defaults live on the records, and a key whose field has none is required.
+
 Every loaded scenario can echo itself as a canonical resolved-key listing
 (defaults filled in, floats at full precision) whose SHA-256 digest stamps
 all emitted artifacts; re-parsing the echoed listing reproduces the scenario
@@ -24,8 +28,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +64,14 @@ EXPECT_METRICS = (
 _VELOCITY_MODES = ("safe", "desired", "zero")
 _OBSTACLE_KEY = re.compile(r"^obstacle\.(\d+)\.(center|radius)$")
 
+# the valid disturbance kinds and the fields each uses, in echo order
+_DISTURBANCE_FIELDS = {
+    "none": (),
+    "constant": ("amplitude",),
+    "sine": ("amplitude", "frequency"),
+    "random": ("amplitude", "seed", "segment"),
+}
+
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
@@ -69,6 +83,15 @@ class DisturbanceSpec:
     seed: int = 0
     segment: float = 0.1
 
+    def __post_init__(self):
+        if self.kind not in _DISTURBANCE_FIELDS:
+            *head, last = _DISTURBANCE_FIELDS
+            raise ConfigurationError(
+                f"disturbance.kind must be {', '.join(head)}, or {last}; got {self.kind!r}"
+            )
+        if self.seed < 0:  # numpy's generator takes no negative seed
+            raise ConfigurationError(f"disturbance.seed must be >= 0, got {self.seed!r}")
+
 
 @dataclass(frozen=True)
 class RtfConstants:
@@ -79,6 +102,14 @@ class RtfConstants:
     beta: float = 2.45
     tau: float = 1.0
     m_overshoot: float = 3.24
+
+    def __post_init__(self):
+        if not (0 < self.a1 <= 1.0 <= self.a2):  # the sandwich must hold for V = ||e_dot||
+            raise ConfigurationError(
+                f"rtf constants need 0 < a1 <= 1 <= a2, got a1={self.a1!r}, a2={self.a2!r}"
+            )
+        if not (self.beta > 0 and self.tau > 0 and self.m_overshoot > 0):
+            raise ConfigurationError("rtf.beta, rtf.tau, rtf.M must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,12 +133,13 @@ def _pair_text(v: np.ndarray) -> str:
     return f"{float(v[0])!r}, {float(v[1])!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """A fully validated navigation problem.
 
-    beta > gains.alpha is not required to load; constructions that need the
-    recurrent barrier raise HypothesisViolationError when it fails, and
+    Left out, the certify box hulls start, goal and the obstacles padded by
+    0.5. beta > gains.alpha is not required to load; constructions that need
+    the recurrent barrier raise HypothesisViolationError when it fails, and
     rcbf_hypothesis_ok exposes the gate.
     """
 
@@ -118,15 +150,18 @@ class Scenario:
     rtf_constants: RtfConstants
     integrator: IntegratorConfig
     disturbance: DisturbanceSpec
-    velocity_mode: str
+    velocity_mode: str = "safe"
     expectations: tuple
-    certify_lower: np.ndarray
-    certify_upper: np.ndarray
+    certify_lower: np.ndarray | None = None
+    certify_upper: np.ndarray | None = None
     name: str = "<scenario>"
 
     def __post_init__(self):
         for attr in ("start", "goal", "certify_lower", "certify_upper"):
-            arr = np.array(getattr(self, attr), dtype=float)
+            value = getattr(self, attr)
+            if value is None and attr.startswith("certify"):  # start and goal are checked by now
+                value = _default_certify_box(self.field, self.start, self.goal)[attr]
+            arr = np.array(value, dtype=float)
             if arr.shape != (2,) or not np.all(np.isfinite(arr)):
                 raise ConfigurationError(f"{attr} must be a finite point in R^2")
             arr.flags.writeable = False
@@ -137,61 +172,33 @@ class Scenario:
             raise ConfigurationError(
                 f"sim.initial_velocity must be one of {_VELOCITY_MODES}, got {self.velocity_mode!r}"
             )
-        rc = self.rtf_constants
-        if not (0 < rc.a1 <= 1.0 <= rc.a2):  # the sandwich must hold for V = ||e_dot||
-            raise ConfigurationError(
-                f"rtf constants need 0 < a1 <= 1 <= a2, got a1={rc.a1!r}, a2={rc.a2!r}"
-            )
-        if not (rc.beta > 0 and rc.tau > 0 and rc.m_overshoot > 0):
-            raise ConfigurationError("rtf.beta, rtf.tau, rtf.M must be positive")
 
     @property
     def rcbf_hypothesis_ok(self) -> bool:
         return self.rtf_constants.beta > self.gains.alpha
 
     def resolved_lines(self) -> list[str]:
-        """Canonical key=value echo of the full configuration, defaults included."""
-        lines = [
-            f"start = {_pair_text(self.start)}",
-            f"goal = {_pair_text(self.goal)}",
-        ]
-        for i in range(self.field.count):
-            lines.append(f"obstacle.{i + 1}.center = {_pair_text(self.field.centers[i])}")
-            lines.append(f"obstacle.{i + 1}.radius = {float(self.field.radii[i])!r}")
-        g, rc, sim, d = self.gains, self.rtf_constants, self.integrator, self.disturbance
-        lines += [
-            f"gains.kp = {g.k_p!r}",
-            f"gains.kd = {g.k_d!r}",
-            f"gains.alpha = {g.alpha!r}",
-            f"rtf.a1 = {rc.a1!r}",
-            f"rtf.a2 = {rc.a2!r}",
-            f"rtf.beta = {rc.beta!r}",
-            f"rtf.tau = {rc.tau!r}",
-            f"rtf.M = {rc.m_overshoot!r}",
-            f"sim.dt = {sim.dt!r}",
-            f"sim.horizon = {sim.horizon!r}",
-            f"sim.initial_velocity = {self.velocity_mode}",
-            f"disturbance.kind = {d.kind}",
-        ]
-        if d.kind != "none":
-            lines.append(f"disturbance.amplitude = {d.amplitude!r}")
-            if d.kind == "sine":
-                lines.append(f"disturbance.frequency = {d.frequency!r}")
-            if d.kind == "random":
-                lines.append(f"disturbance.seed = {d.seed!r}")
-                lines.append(f"disturbance.segment = {d.segment!r}")
-        lines.append(f"certify.lower = {_pair_text(self.certify_lower)}")
-        lines.append(f"certify.upper = {_pair_text(self.certify_upper)}")
-        lines += [e.render() for e in self.expectations]
-        return lines
+        """Canonical key=value echo of the full configuration, defaults included:
+        table order, obstacles after goal, expectations last."""
+        used = _DISTURBANCE_FIELDS[self.disturbance.kind]
+        lines = []
+        for key, (record, attr, vtype) in _KEYS.items():
+            if record == "disturbance" and attr != "kind" and attr not in used:
+                continue
+            owner = self if record is None else getattr(self, record)
+            lines.append(f"{key} = {vtype.render(getattr(owner, attr))}")
+            if key == "goal":
+                for i in range(self.field.count):
+                    lines.append(f"obstacle.{i + 1}.center = {_pair_text(self.field.centers[i])}")
+                    lines.append(f"obstacle.{i + 1}.radius = {float(self.field.radii[i])!r}")
+        return lines + [e.render() for e in self.expectations]
 
     def digest(self) -> str:
         text = "\n".join(self.resolved_lines()) + "\n"
         return hashlib.sha256(text.encode()).hexdigest()
 
     def with_alpha(self, alpha: float) -> "Scenario":
-        g = self.gains
-        return dataclasses.replace(self, gains=Gains(k_p=g.k_p, k_d=g.k_d, alpha=float(alpha)))
+        return dataclasses.replace(self, gains=dataclasses.replace(self.gains, alpha=float(alpha)))
 
     def with_disturbance(self, spec: DisturbanceSpec) -> "Scenario":
         return dataclasses.replace(self, disturbance=spec)
@@ -200,50 +207,102 @@ class Scenario:
         return dataclasses.replace(self, velocity_mode=mode)
 
     def with_horizon(self, horizon: float) -> "Scenario":
-        sim = self.integrator
-        return dataclasses.replace(
-            self, integrator=IntegratorConfig(dt=sim.dt, horizon=float(horizon))
-        )
+        sim = dataclasses.replace(self.integrator, horizon=float(horizon))
+        return dataclasses.replace(self, integrator=sim)
 
 
-def _parse_float(val: str, key: str, ln: int) -> float:
+def _default_certify_box(field: ObstacleField, start, goal) -> dict:
+    pad = field.radii[:, None] + 0.5
+    pts = np.vstack([start, goal, field.centers - pad, field.centers + pad])
+    return {"certify_lower": np.min(pts, axis=0), "certify_upper": np.max(pts, axis=0)}
+
+
+# value parsers name the fault but not the key; parse_scenario adds key and line
+def _parse_float(text: str) -> float:
     try:
-        out = float(val)
+        out = float(text)
     except ValueError:
-        raise ScenarioError(f"{key}: expected a number, got {val!r}", line=ln) from None
+        raise ValueError(f"expected a number, got {text!r}") from None
     if not np.isfinite(out):
-        raise ScenarioError(f"{key}: value must be finite, got {val!r}", line=ln)
+        raise ValueError(f"value must be finite, got {text!r}")
     return out
 
 
-def _parse_int(val: str, key: str, ln: int) -> int:
+def _parse_int(text: str) -> int:
     try:
-        return int(val)
+        return int(text)
     except ValueError:
-        raise ScenarioError(f"{key}: expected an integer, got {val!r}", line=ln) from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_pair(val: str, key: str, ln: int) -> tuple[float, float]:
-    parts = val.strip("()[] \t").split(",")
+def _parse_pair(text: str) -> tuple[float, float]:
+    parts = text.strip("()[] \t").split(",")
     if len(parts) != 2:
-        raise ScenarioError(f"{key}: expected two comma-separated numbers, got {val!r}", line=ln)
-    return (_parse_float(parts[0], key, ln), _parse_float(parts[1], key, ln))
+        raise ValueError(f"expected two comma-separated numbers, got {text!r}")
+    return (_parse_float(parts[0]), _parse_float(parts[1]))
 
 
-_SCALAR_KEYS = {
-    "gains.kp", "gains.kd", "gains.alpha",
-    "rtf.a1", "rtf.a2", "rtf.beta", "rtf.tau", "rtf.M",
-    "sim.dt", "sim.horizon",
-    "disturbance.amplitude", "disturbance.frequency", "disturbance.segment",
+class _Type(NamedTuple):  # how a value is read, and how the echo writes it back
+    parse: Callable[[str], object]
+    render: Callable[[object], str]
+
+
+_PAIR = _Type(_parse_pair, _pair_text)
+_FLOAT = _Type(_parse_float, repr)
+_INT = _Type(_parse_int, repr)
+_WORD = _Type(str, str)
+
+# Every key but the obstacles and the expectations: the record it fills (None
+# for Scenario itself), that record's field, and the value's type. Table
+# order is the echo order.
+_KEYS = {
+    "start": (None, "start", _PAIR),
+    "goal": (None, "goal", _PAIR),
+    "gains.kp": ("gains", "k_p", _FLOAT),
+    "gains.kd": ("gains", "k_d", _FLOAT),
+    "gains.alpha": ("gains", "alpha", _FLOAT),
+    "rtf.a1": ("rtf_constants", "a1", _FLOAT),
+    "rtf.a2": ("rtf_constants", "a2", _FLOAT),
+    "rtf.beta": ("rtf_constants", "beta", _FLOAT),
+    "rtf.tau": ("rtf_constants", "tau", _FLOAT),
+    "rtf.M": ("rtf_constants", "m_overshoot", _FLOAT),
+    "sim.dt": ("integrator", "dt", _FLOAT),
+    "sim.horizon": ("integrator", "horizon", _FLOAT),
+    "sim.initial_velocity": (None, "velocity_mode", _WORD),
+    "disturbance.kind": ("disturbance", "kind", _WORD),
+    "disturbance.amplitude": ("disturbance", "amplitude", _FLOAT),
+    "disturbance.frequency": ("disturbance", "frequency", _FLOAT),
+    "disturbance.seed": ("disturbance", "seed", _INT),
+    "disturbance.segment": ("disturbance", "segment", _FLOAT),
+    "certify.lower": (None, "certify_lower", _PAIR),
+    "certify.upper": (None, "certify_upper", _PAIR),
 }
-_PAIR_KEYS = {"start", "goal", "certify.lower", "certify.upper"}
-_STR_KEYS = {"sim.initial_velocity", "disturbance.kind"}
-_INT_KEYS = {"disturbance.seed"}
+
+_RECORDS = {
+    None: Scenario,
+    "gains": Gains,
+    "rtf_constants": RtfConstants,
+    "integrator": IntegratorConfig,
+    "disturbance": DisturbanceSpec,
+}
+
+
+def parse_value(key: str, text: str):
+    """The value of one scenario key from its text: KeyError for a key the
+    table does not declare, ValueError naming the fault for a malformed value."""
+    return _KEYS[key][2].parse(text)
+
+
+def _parsed(parse, key: str, text: str, ln: int):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ScenarioError(f"{key}: {exc}", line=ln) from None
 
 
 def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     """Parse scenario text; raises ScenarioError with the offending line number."""
-    values: dict[str, object] = {}
+    fields: dict = {record: {} for record in _RECORDS}
     obstacles: dict[int, dict[str, object]] = {}
     expectations: list[Expectation] = []
 
@@ -267,9 +326,8 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                 raise ScenarioError(
                     f"unknown comparison {parts[1]!r}; known: {', '.join(_OPS)}", line=ln
                 )
-            expectations.append(
-                Expectation(metric=metric, op=parts[1], value=_parse_float(parts[2], parts[0], ln))
-            )
+            value = _parsed(_parse_float, parts[0], parts[2], ln)
+            expectations.append(Expectation(metric=metric, op=parts[1], value=value))
             continue
         if "=" not in line:
             raise ScenarioError(f"expected 'key = value', got {line!r}", line=ln)
@@ -284,24 +342,19 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
             slot = obstacles.setdefault(idx, {})
             if part in slot:
                 raise ScenarioError(f"duplicate key {key!r}", line=ln)
-            slot[part] = _parse_pair(val, key, ln) if part == "center" else _parse_float(val, key, ln)
+            slot[part] = _parsed(_parse_pair if part == "center" else _parse_float, key, val, ln)
             continue
-        if key in values:
-            raise ScenarioError(f"duplicate key {key!r}", line=ln)
-        if key in _PAIR_KEYS:
-            values[key] = _parse_pair(val, key, ln)
-        elif key in _SCALAR_KEYS:
-            values[key] = _parse_float(val, key, ln)
-        elif key in _INT_KEYS:
-            values[key] = _parse_int(val, key, ln)
-        elif key in _STR_KEYS:
-            values[key] = val
-        else:
+        if key not in _KEYS:
             raise ScenarioError(f"unknown key {key!r}", line=ln)
+        record, attr, vtype = _KEYS[key]
+        if attr in fields[record]:
+            raise ScenarioError(f"duplicate key {key!r}", line=ln)
+        fields[record][attr] = _parsed(vtype.parse, key, val, ln)
 
-    for req in ("start", "goal", "gains.kp", "gains.kd", "gains.alpha"):
-        if req not in values:
-            raise ScenarioError(f"missing required key {req!r}")
+    for key, (record, attr, _) in _KEYS.items():
+        default = _RECORDS[record].__dataclass_fields__[attr].default
+        if attr not in fields[record] and default is dataclasses.MISSING:
+            raise ScenarioError(f"missing required key {key!r}")
     if not obstacles:
         raise ScenarioError("at least one obstacle.N.center/radius pair is required")
     for idx in sorted(obstacles):
@@ -315,57 +368,12 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
 
     try:
         field = ObstacleField(centers=centers, radii=radii)
-        gains = Gains(
-            k_p=values["gains.kp"], k_d=values["gains.kd"], alpha=values["gains.alpha"]
-        )
-        rtf_constants = RtfConstants(
-            a1=values.get("rtf.a1", 1.0),
-            a2=values.get("rtf.a2", 1.0),
-            beta=values.get("rtf.beta", 2.45),
-            tau=values.get("rtf.tau", 1.0),
-            m_overshoot=values.get("rtf.M", 3.24),
-        )
-        integrator = IntegratorConfig(
-            dt=values.get("sim.dt", 1e-3), horizon=values.get("sim.horizon", 10.0)
-        )
-        disturbance = DisturbanceSpec(
-            kind=values.get("disturbance.kind", "none"),
-            amplitude=values.get("disturbance.amplitude", 0.0),
-            frequency=values.get("disturbance.frequency", 1.0),
-            seed=values.get("disturbance.seed", 0),
-            segment=values.get("disturbance.segment", 0.1),
-        )
-        if disturbance.kind not in ("none", "constant", "sine", "random"):
-            raise ConfigurationError(
-                f"disturbance.kind must be none, constant, sine, or random; got {disturbance.kind!r}"
-            )
-        start = np.array(values["start"], dtype=float)
-        goal = np.array(values["goal"], dtype=float)
-        lo_default, hi_default = _default_certify_box(field, start, goal)
+        records = {r: cls(**fields[r]) for r, cls in _RECORDS.items() if r is not None}
         return Scenario(
-            field=field,
-            start=start,
-            goal=goal,
-            gains=gains,
-            rtf_constants=rtf_constants,
-            integrator=integrator,
-            disturbance=disturbance,
-            velocity_mode=values.get("sim.initial_velocity", "safe"),
-            expectations=tuple(expectations),
-            certify_lower=np.array(values.get("certify.lower", lo_default), dtype=float),
-            certify_upper=np.array(values.get("certify.upper", hi_default), dtype=float),
-            name=name,
+            field=field, expectations=tuple(expectations), name=name, **records, **fields[None]
         )
-    except ScenarioError:
-        raise
     except ConfigurationError as exc:
         raise ScenarioError(str(exc)) from exc
-
-
-def _default_certify_box(field: ObstacleField, start, goal):
-    pad = field.radii[:, None] + 0.5
-    pts = np.vstack([start, goal, field.centers - pad, field.centers + pad])
-    return np.min(pts, axis=0), np.max(pts, axis=0)
 
 
 def load_scenario(path) -> Scenario:
@@ -412,15 +420,7 @@ def build_scenario_rcbf(scn: Scenario, b: BarrierFn | None = None) -> RecurrentC
 
 
 def build_disturbance(scn: Scenario) -> Disturbance:
-    d = scn.disturbance
-    return make_disturbance(
-        d.kind,
-        amplitude=d.amplitude,
-        frequency=d.frequency,
-        seed=d.seed,
-        segment=d.segment,
-        dim=2,
-    )
+    return make_disturbance(**dataclasses.asdict(scn.disturbance), dim=2)
 
 
 def initial_states(scn: Scenario, law: ClosedLoopLaw, z0s, mode: str | None = None) -> np.ndarray:

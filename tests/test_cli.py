@@ -124,6 +124,28 @@ def test_bad_disturbance(tmp_path, capsys):
     assert "bad value for disturbance" in err
 
 
+def test_iss_rejects_non_finite_disturbance(tmp_path, capsys):
+    # an override the scenario format could not re-read is refused before any run
+    out = tmp_path / "out"
+    for field, spec in (
+        ("segment", "kind=random,amplitude=0.1,segment=inf"),
+        ("frequency", "kind=sine,amplitude=0.1,frequency=inf"),
+    ):
+        assert main(["iss", "open_field", "--disturbance", spec, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for disturbance {field}: value must be finite, got 'inf'" in err
+        assert not out.exists()
+
+
+def test_iss_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["iss", "open_field", "--seed", "-5", "--disturbance", "kind=random,amplitude=0.1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "disturbance.seed must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_iss_rejects_invalid_mu_gain(tmp_path, capsys):
     # a class-K offset is strictly increasing: refused before any rollout
     out = tmp_path / "out"

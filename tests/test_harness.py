@@ -55,7 +55,6 @@ def test_evaluate_expectations():
 def test_run_simulate_artifacts(tmp_path):
     scn = ls.parse_scenario(QUIET_WORLD, name="quiet")
     art = ls.run_simulate(scn, out_dir=tmp_path)
-    assert art.digest == scn.digest()
     assert art.trajectory_csv == tmp_path / "simulate.csv"
     assert art.report_path == tmp_path / "simulate_report.txt"
 

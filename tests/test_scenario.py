@@ -54,12 +54,21 @@ def test_digest_ignores_formatting_but_not_values():
 
 
 def test_resolved_lines_round_trip():
-    text = MINIMAL + "disturbance.kind = sine\ndisturbance.amplitude = 0.05\n"
-    scn = ls.parse_scenario(text)
-    echoed = "\n".join(scn.resolved_lines()) + "\n"
-    again = ls.parse_scenario(echoed)
-    assert again.digest() == scn.digest()
-    assert again.resolved_lines() == scn.resolved_lines()
+    # each kind echoes the fields it uses; a zero amplitude keeps its kind
+    for disturbance in (
+        "kind = sine\namplitude = 0.05",
+        "kind = none",
+        "kind = constant\namplitude = 0.05",
+        "kind = random\namplitude = 0.05\nseed = 7\nsegment = 0.25",
+        "kind = sine\namplitude = 0.0",
+    ):
+        text = MINIMAL + "".join(f"disturbance.{ln}\n" for ln in disturbance.splitlines())
+        scn = ls.parse_scenario(text)
+        echoed = "\n".join(scn.resolved_lines()) + "\n"
+        again = ls.parse_scenario(echoed)
+        assert again.digest() == scn.digest()
+        assert again.resolved_lines() == scn.resolved_lines()
+        assert again.disturbance == scn.disturbance
 
 
 def test_bundled_scenarios_are_pinned(two_disks, open_field):
@@ -137,6 +146,15 @@ def test_sandwich_constants_must_bracket_one():
             ls.parse_scenario(MINIMAL + f"rtf.a1 = {a1}\nrtf.a2 = {a2}\n")
     rc = ls.parse_scenario(MINIMAL + "rtf.a1 = 0.5\nrtf.a2 = 2.0\n").rtf_constants
     assert (rc.a1, rc.a2) == (0.5, 2.0)
+
+
+def test_negative_disturbance_seed():
+    # refused at load, naming the key, not when the run seeds its generator
+    text = MINIMAL + "disturbance.kind = random\ndisturbance.amplitude = 0.1\n"
+    with pytest.raises(ls.ScenarioError, match="disturbance.seed must be >= 0, got -1"):
+        ls.parse_scenario(text + "disturbance.seed = -1\n")
+    with pytest.raises(ls.ConfigurationError, match="disturbance.seed must be >= 0"):
+        ls.DisturbanceSpec(kind="constant", seed=-1)
 
 
 def test_obstacle_indices_sort_numerically():

@@ -1,4 +1,4 @@
-"""Print sha256 digests of every artifact and stdout of ten CLI runs.
+"""Print sha256 digests of every artifact and stdout of twelve CLI runs.
 
 Runs, through ``layersafe.cli.main`` and in a fresh temporary directory with
 relative ``--out`` paths (so the printed paths do not depend on where it
@@ -10,6 +10,8 @@ runs):
     recurrence-demo two_disks
     iss open_field
     iss open_field --disturbance kind=none
+    iss open_field --disturbance kind=random,amplitude=0.1,seed=7
+    iss open_field --disturbance kind=constant,amplitude=0.1
     certify two_disks
     certify two_disks --velocity safe --grid pos:30x30 --horizon 6
     certify two_disks --grid pos:6x6 --horizon 0.5 --chunk 1
@@ -54,6 +56,14 @@ RUNS = (
     (  # the zero-offset branches of the ISS checks
         "iss_no_disturbance",
         ["iss", "open_field", "--disturbance", "kind=none"],
+    ),
+    (  # echoes disturbance.seed and disturbance.segment
+        "iss_random",
+        ["iss", "open_field", "--disturbance", "kind=random,amplitude=0.1,seed=7"],
+    ),
+    (  # echoes a constant kind: amplitude, no frequency
+        "iss_constant",
+        ["iss", "open_field", "--disturbance", "kind=constant,amplitude=0.1"],
     ),
     ("certify", ["certify", "two_disks"]),
     (
