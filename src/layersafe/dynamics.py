@@ -11,6 +11,9 @@ closed-loop rollout. The law is state feedback, so it is evaluated once per
 RK4 stage, wherever the stage state lands. Stage 1 sits at the sample state,
 so its evaluation is also the recorded sample, and one extra evaluation
 records the last sample: 4 n_steps + 1 law evaluations per rollout.
+A disturbance depends on time only, so it is evaluated once per rollout,
+on three stage-time grids (t, t + dt/2 and t + dt over every step), each
+entry the same float rk4_step forms as that stage's time.
 The kernel's state is a tuple of components (see _vec): floats for one run,
 contiguous columns for several. The pair's maps and rk4_step take tuples of
 components only: the kernel splits the initial states, and integrate_batch
@@ -203,31 +206,43 @@ def rk4_step(f, t, x, dt):
     ])
 
 
+def _stage_table(d, n_runs: int) -> tuple:
+    """A signal's values on one stage-time grid as components, each indexed
+    by step: float lists when shared by every run, (T, K) columns when not."""
+    d = np.asarray(d, dtype=float)
+    if d.ndim == 2 or n_runs == 1:
+        return tuple(c.tolist() for c in d.reshape(d.shape[0], -1).T)
+    return split(d)
+
+
 def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
     """The closed-loop stepping kernel: yield (t, x, u, inter) at each sample.
 
     x holds the K rows of x0s as floats when K == 1, else as columns; inter
-    is the law's stage-1 evaluation at x and u its input plus ``d_sig(t)``,
-    unless None, added at every stage. Non-finite states propagate.
+    is the law's stage-1 evaluation at x and u its input plus the disturbance,
+    unless ``d_sig`` is None, added at every stage. The disturbance depends on
+    time only, so ``d_sig`` is called once per stage-time grid, on the times
+    rk4_step forms: t for stage 1, t + dt/2 for stages 2 and 3, t + dt for
+    stage 4. Non-finite states propagate.
     """
     n_runs = x0s.shape[0]
-
-    def per_run(a):
-        # an input as components: (m,) shared by every run, or one row per run
-        return split(np.ravel(a) if n_runs == 1 else a)
-
     x = split(x0s[0] if n_runs == 1 else x0s)
+    times = np.arange(n_steps + 1) * dt
+    if d_sig is not None:
+        stage_times = (times, times + 0.5 * dt, times + dt)
+        d1, d_half, d4 = (_stage_table(d_sig(s), n_runs) for s in stage_times)
+        d_tables = (d1, d_half, d_half, d4)  # by RK4 stage
     stages = []
 
     def f_cl(t, x):
         inter = law.evaluate(x)
         u = inter.u
-        if d_sig is not None:
-            u = tuple([ui + di for ui, di in zip(u, per_run(d_sig(t)))])
+        if d_sig is not None:  # k is the step the loop below is on
+            u = tuple([ui + di[k] for ui, di in zip(u, d_tables[len(stages)])])
         stages.append((inter, u))
         return pair.fom_field(x, u)
 
-    for k, t in enumerate((np.arange(n_steps + 1) * dt).tolist()):
+    for k, t in enumerate(times.tolist()):
         if k < n_steps:
             x_next = rk4_step(f_cl, t, x, dt)
         else:
@@ -269,9 +284,10 @@ def integrate_batch(
     """Roll the closed loop from each row of x0s and record every derived field.
 
     The disturbance, when given, enters additively on the full-model input
-    channel: x_dot = F(x, u(x) + d(t)), with d evaluated at each substage time.
-    ``disturbance.signal(t)`` returns one input (m,) shared by every run, or
-    one row per run, shape (K, m).
+    channel: x_dot = F(x, u(x) + d(t)), with d at each RK4 stage time.
+    ``disturbance.signal`` is called three times per rollout, each time on a
+    1-D array of T = n_steps + 1 stage times, and returns (T, m), one input
+    per time shared by every run, or (T, K, m), one row per run.
     z, z_dot, e_dot, e, v and h_V are derived after the rollout, elementwise.
     h_V reuses the law's barrier passes, so ``rcbf`` must be built on the
     law's barrier. Raises DivergenceError at the first non-finite sample.

@@ -28,6 +28,14 @@ from .recurrence import (
 
 _RANDOM_TABLE = 1 << 16  # piecewise-constant pattern repeats after this many segments
 
+# the stock disturbance kinds and the make_disturbance parameters each one reads
+DISTURBANCE_FIELDS = {
+    "none": (),
+    "constant": ("amplitude",),
+    "sine": ("amplitude", "frequency"),
+    "random": ("amplitude", "seed", "segment"),
+}
+
 
 @dataclass(frozen=True)
 class Disturbance:
@@ -35,7 +43,10 @@ class Disturbance:
 
     signal(t) accepts a scalar or an array of times and returns values of
     shape t.shape + (dim,), with dim as given to make_disturbance;
-    ||signal(t)|| <= sup_norm everywhere.
+    ||signal(t)|| <= sup_norm everywhere. A rollout calls it three times,
+    each on a 1-D array of its stage times (see dynamics.integrate_batch),
+    so a signal must give at each array entry the value it gives at that
+    time alone.
     """
 
     kind: str
@@ -60,7 +71,7 @@ def make_disturbance(
     "sine" (rotating, ||d(t)|| = amplitude exactly), "random" (seeded
     piecewise-constant on segments, values in the closed amplitude ball).
     """
-    if kind not in ("none", "constant", "sine", "random"):
+    if kind not in DISTURBANCE_FIELDS:
         raise ConfigurationError(f"unknown disturbance kind {kind!r}")
     if kind != "none" and not (np.isfinite(amplitude) and amplitude >= 0):
         raise ConfigurationError("disturbance amplitude must be finite and >= 0")

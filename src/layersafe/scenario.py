@@ -41,7 +41,7 @@ from .controller import ClosedLoopLaw, Gains, assemble_closed_loop, desired_velo
 from .dynamics import IntegratorConfig, ModelPair, double_integrator_pair
 from .errors import ConfigurationError, ScenarioError
 from .recurrence import RecurrentCbf, Rtf, build_rcbf, norm_rtf
-from .robustness import Disturbance, make_disturbance
+from .robustness import DISTURBANCE_FIELDS, Disturbance, make_disturbance
 
 _OPS = {
     ">=": lambda a, b: a >= b,
@@ -64,14 +64,6 @@ EXPECT_METRICS = (
 _VELOCITY_MODES = ("safe", "desired", "zero")
 _OBSTACLE_KEY = re.compile(r"^obstacle\.(\d+)\.(center|radius)$")
 
-# the valid disturbance kinds and the fields each uses, in echo order
-_DISTURBANCE_FIELDS = {
-    "none": (),
-    "constant": ("amplitude",),
-    "sine": ("amplitude", "frequency"),
-    "random": ("amplitude", "seed", "segment"),
-}
-
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
@@ -84,11 +76,23 @@ class DisturbanceSpec:
     segment: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in _DISTURBANCE_FIELDS:
-            *head, last = _DISTURBANCE_FIELDS
+        if self.kind not in DISTURBANCE_FIELDS:
+            *head, last = DISTURBANCE_FIELDS
             raise ConfigurationError(
                 f"disturbance.kind must be {', '.join(head)}, or {last}; got {self.kind!r}"
             )
+        # every field is range-checked whatever the kind: an out-of-range value
+        # is a fault in the file even where the kind ignores it
+        for name, ok, bound in (
+            ("amplitude", self.amplitude >= 0, ">= 0"),
+            ("frequency", self.frequency > 0, "> 0"),
+            ("segment", self.segment > 0, "> 0"),
+        ):
+            value = getattr(self, name)
+            if not (ok and np.isfinite(value)):
+                raise ConfigurationError(
+                    f"disturbance.{name} must be finite and {bound}, got {value!r}"
+                )
         if self.seed < 0:  # numpy's generator takes no negative seed
             raise ConfigurationError(f"disturbance.seed must be >= 0, got {self.seed!r}")
 
@@ -180,7 +184,7 @@ class Scenario:
     def resolved_lines(self) -> list[str]:
         """Canonical key=value echo of the full configuration, defaults included:
         table order, obstacles after goal, expectations last."""
-        used = _DISTURBANCE_FIELDS[self.disturbance.kind]
+        used = DISTURBANCE_FIELDS[self.disturbance.kind]
         lines = []
         for key, (record, attr, vtype) in _KEYS.items():
             if record == "disturbance" and attr != "kind" and attr not in used:
@@ -303,6 +307,7 @@ def _parsed(parse, key: str, text: str, ln: int):
 def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     """Parse scenario text; raises ScenarioError with the offending line number."""
     fields: dict = {record: {} for record in _RECORDS}
+    lines: dict[str, int] = {}  # the line of each table key
     obstacles: dict[int, dict[str, object]] = {}
     expectations: list[Expectation] = []
 
@@ -350,6 +355,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
         if attr in fields[record]:
             raise ScenarioError(f"duplicate key {key!r}", line=ln)
         fields[record][attr] = _parsed(vtype.parse, key, val, ln)
+        lines[key] = ln
 
     for key, (record, attr, _) in _KEYS.items():
         default = _RECORDS[record].__dataclass_fields__[attr].default
@@ -373,7 +379,10 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
             field=field, expectations=tuple(expectations), name=name, **records, **fields[None]
         )
     except ConfigurationError as exc:
-        raise ScenarioError(str(exc)) from exc
+        # a record's check that names a key in its message's first word gets that key's line
+        msg = str(exc)
+        line = next((ln for key, ln in lines.items() if msg.startswith(f"{key} ")), None)
+        raise ScenarioError(msg, line=line) from exc
 
 
 def load_scenario(path) -> Scenario:

@@ -137,6 +137,16 @@ def test_iss_rejects_non_finite_disturbance(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_iss_rejects_out_of_range_disturbance(tmp_path, capsys):
+    # an override outside a field's range is refused before any run, naming the key
+    out = tmp_path / "out"
+    argv = ["iss", "open_field", "--disturbance", "kind=random,amplitude=0.1,segment=-1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "disturbance.segment must be finite and > 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_iss_rejects_negative_seed(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["iss", "open_field", "--seed", "-5", "--disturbance", "kind=random,amplitude=0.1",

@@ -153,7 +153,7 @@ def test_constant_disturbance_equals_shifted_input(linear):
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.e_dot, b.e_dot)
 
-    # a signal with one row per run, shape (K, m): each batch row is bit for
+    # a signal with one row per run, shape (T, K, m): each batch row is bit for
     # bit the K=1 run driven by that row's own signal
     rcbf = linear["rcbf"]
     own = [
@@ -161,7 +161,7 @@ def test_constant_disturbance_equals_shifted_input(linear):
         ls.make_disturbance("sine", amplitude=0.4, frequency=1.5),
         ls.make_disturbance("random", amplitude=0.5, seed=3, segment=0.05),
     ]
-    rows = dataclasses.replace(d, signal=lambda t: np.stack([di.signal(t) for di in own]))
+    rows = dataclasses.replace(d, signal=lambda t: np.stack([di.signal(t) for di in own], axis=-2))
     x0s = np.stack([x0, -x0, np.array([0.0, 0.0, -0.5, 0.2])])
     batch = ls.integrate_batch(pair, law, x0s, cfg, rcbf=rcbf, disturbance=rows)
     for k, dk in enumerate(own):
@@ -171,6 +171,61 @@ def test_constant_disturbance_equals_shifted_input(linear):
                      "grad_h", "v", "h_v"):
             assert np.array_equal(getattr(alone, name), getattr(row, name), equal_nan=True), name
 
+
+def _reference_states(pair, law, x0, cfg, signal):
+    """rk4_step on f(t, x) = F(x, u(x) + signal(t)), the signal read at each
+    scalar stage time rk4_step forms, on Python floats."""
+
+    def f(t, x):
+        d = np.asarray(signal(t), dtype=float).tolist()
+        return pair.fom_field(x, tuple([ui + di for ui, di in zip(law.evaluate(x).u, d)]))
+
+    x = tuple(np.asarray(x0, dtype=float).tolist())
+    states = [x]
+    for t in (np.arange(cfg.n_steps) * cfg.dt).tolist():
+        x = ls.rk4_step(f, t, x, cfg.dt)
+        states.append(x)
+    return np.array(states)
+
+
+def test_stage_time_grids_match_scalar_stage_times(of):
+    # the kernel reads the disturbance off three stage-time grids built once
+    # per rollout; each entry must be the signal at rk4_step's scalar stage
+    # time, bit for bit. At segment 0.0125 = 12.5 dt, t + dt/2 lands on
+    # segment boundaries, where floor_divide on an array must round as on a scalar.
+    pair, law = of["pair"], of["law"]
+    cfg = ls.IntegratorConfig(dt=0.001, horizon=0.3)
+    x0s = np.array([[2.0, 0.0, 0.0, 0.0], [1.5, -0.4, 0.3, -0.2], [-0.7, 0.9, -0.5, 0.6]])
+    for dist in (
+        ls.make_disturbance("sine", amplitude=0.1, frequency=7.3),
+        ls.make_disturbance("random", amplitude=0.1, seed=7, segment=0.0125),
+    ):
+        batch = ls.integrate_batch(pair, law, x0s, cfg, disturbance=dist)
+        for k, x0 in enumerate(x0s):
+            want = _reference_states(pair, law, x0, cfg, dist.signal)
+            alone = ls.integrate(pair, law, x0, cfg, disturbance=dist)
+            assert _same_bits(alone.x, want), (dist.kind, k)
+            assert _same_bits(np.ascontiguousarray(batch.x[:, k]), want), (dist.kind, k)
+
+
+def test_disturbance_evaluated_three_times_per_rollout(of):
+    # once per stage-time grid, whatever the horizon and the number of runs
+    pair, law = of["pair"], of["law"]
+    sine = ls.make_disturbance("sine", amplitude=0.1, frequency=0.37)
+    calls = []
+
+    def signal(t):
+        calls.append(np.shape(t))
+        return sine.signal(t)
+
+    spy = dataclasses.replace(sine, signal=signal)
+    x0 = np.array([2.0, 0.0, 0.1, -0.1])
+    for horizon in (0.1, 2.0):
+        cfg = ls.IntegratorConfig(dt=0.001, horizon=horizon)
+        for x0s in (x0[None, :], np.stack([x0, -x0, 0.5 * x0])):
+            calls.clear()
+            ls.integrate_batch(pair, law, x0s, cfg, disturbance=spy)
+            assert calls == [(cfg.n_steps + 1,)] * 3, (horizon, len(x0s))
 
 
 def _same_bits(a, b):

@@ -157,6 +157,31 @@ def test_negative_disturbance_seed():
         ls.DisturbanceSpec(kind="constant", seed=-1)
 
 
+def test_disturbance_ranges_checked_at_load():
+    # refused at load with the key and its line, not when the run builds the signal
+    text = MINIMAL + "disturbance.kind = random\ndisturbance.amplitude = 0.1\n"
+    for line, expected in (
+        ("disturbance.segment = -1", "disturbance.segment must be finite and > 0, got -1.0"),
+        ("disturbance.segment = 0", "disturbance.segment must be finite and > 0, got 0.0"),
+        ("disturbance.frequency = 0", "disturbance.frequency must be finite and > 0, got 0.0"),
+    ):
+        with pytest.raises(ls.ScenarioError, match=f"line 10: {expected}") as ei:
+            ls.parse_scenario(text + line + "\n")
+        assert ei.value.line == 10
+    constant = MINIMAL + "disturbance.kind = constant\ndisturbance.amplitude = -0.1\n"
+    with pytest.raises(ls.ScenarioError, match="line 9: disturbance.amplitude must be finite"):
+        ls.parse_scenario(constant)
+    # a spec built in code must echo lines that parse again
+    for bad in (
+        dict(kind="random", amplitude=0.1, segment=float("inf")),
+        dict(kind="sine", amplitude=0.1, frequency=float("nan")),
+        dict(kind="constant", amplitude=float("inf")),
+    ):
+        name = next(k for k in ("segment", "frequency", "amplitude") if k in bad)
+        with pytest.raises(ls.ConfigurationError, match=f"disturbance.{name} must be finite"):
+            ls.DisturbanceSpec(**bad)
+
+
 def test_obstacle_indices_sort_numerically():
     text = MINIMAL + (
         "obstacle.10.center = 5, 5\nobstacle.10.radius = 0.3\n"

@@ -1,4 +1,4 @@
-"""Print sha256 digests of every artifact and stdout of twelve CLI runs.
+"""Print sha256 digests of every artifact and stdout of fourteen CLI runs.
 
 Runs, through ``layersafe.cli.main`` and in a fresh temporary directory with
 relative ``--out`` paths (so the printed paths do not depend on where it
@@ -12,6 +12,8 @@ runs):
     iss open_field --disturbance kind=none
     iss open_field --disturbance kind=random,amplitude=0.1,seed=7
     iss open_field --disturbance kind=constant,amplitude=0.1
+    iss open_field --disturbance kind=sine,amplitude=0.1,frequency=0.37
+    iss open_field --disturbance kind=random,amplitude=0.1,seed=7,segment=0.0125
     certify two_disks
     certify two_disks --velocity safe --grid pos:30x30 --horizon 6
     certify two_disks --grid pos:6x6 --horizon 0.5 --chunk 1
@@ -64,6 +66,14 @@ RUNS = (
     (  # echoes a constant kind: amplitude, no frequency
         "iss_constant",
         ["iss", "open_field", "--disturbance", "kind=constant,amplitude=0.1"],
+    ),
+    (  # a sine whose period is no multiple of the step
+        "iss_sine",
+        ["iss", "open_field", "--disturbance", "kind=sine,amplitude=0.1,frequency=0.37"],
+    ),
+    (  # t + dt/2 lands on segment boundaries: floor_divide on the stage-time grids
+        "iss_random_boundary",
+        ["iss", "open_field", "--disturbance", "kind=random,amplitude=0.1,seed=7,segment=0.0125"],
     ),
     ("certify", ["certify", "two_disks"]),
     (
