@@ -4,6 +4,10 @@ Each layer's arithmetic is written once, on a tuple of state components:
 Python floats for one run (K = 1), contiguous 1-D float columns for several.
 Inside the stack the only type-specific code is the primitives sqrt,
 select, clamp0 and divide, whose float versions reproduce numpy's bits.
+select and divide also take tuples of components, so a vector (or several
+quantities chosen by one condition) goes through one call: select keeps
+every component of a or of b together, and divide enters np.errstate once
+for all of a's components.
 Arrays enter at two places, ClosedLoopLaw.evaluate and BarrierFn, which
 convert with split and join; the rollout kernel splits its initial states.
 Sums run 0.0 + p0 + p1 + ... left to right, the order np.sum(..., axis=-1)
@@ -42,9 +46,12 @@ def sqrt(x):
 
 
 def select(cond, a, b):
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
+    """np.where(cond, a, b); for tuples a and b, componentwise."""
+    if not isinstance(cond, np.ndarray):
+        return a if cond else b
+    if isinstance(a, tuple):
+        return tuple([np.where(cond, ai, bi) for ai, bi in zip(a, b)])
+    return np.where(cond, a, b)
 
 
 def clamp0(x):
@@ -55,12 +62,15 @@ def clamp0(x):
 
 
 def divide(a, b):
-    """a / b, with numpy's result and no warning where b is zero."""
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or b == 0.0):
-        return a / b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.divide(a, b)
-    return out if isinstance(out, np.ndarray) else float(out)
+    """a / b, with numpy's result and no warning where b is zero; for a tuple
+    a, each component divided by b."""
+    if not isinstance(a, tuple):
+        return divide((a,), b)[0]
+    if isinstance(b, np.ndarray) or b == 0.0 or np.ndarray in map(type, a):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = [np.divide(p, b) for p in a]
+        return tuple([o if isinstance(o, np.ndarray) else float(o) for o in out])
+    return tuple([p / b for p in a])
 
 
 def vsum(parts):

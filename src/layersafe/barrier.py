@@ -101,6 +101,8 @@ class BarrierFn:
         return grad
 
     def value_and_gradient(self, z):
+        if isinstance(z, tuple):  # components, as the law passes them
+            return self.vg_fn(z)
         return self._vg(z)
 
 
@@ -119,20 +121,14 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
         # (zx, zy); strict < keeps the lowest index on ties, as argmin does
         zx, zy = z
         for i, (cx, cy, r) in enumerate(obstacles):
-            dx_i = zx - cx
-            dy_i = zy - cy
+            dx = zx - cx
+            dy = zy - cy
             # vnorm's sum of squares; its leading 0.0 + never changes a square
-            dist_i = sqrt(dx_i * dx_i + dy_i * dy_i)
-            h_i = dist_i - r
-            if i == 0:
-                h, dist, dx, dy = h_i, dist_i, dx_i, dy_i
-            else:
-                nearer = h_i < h
-                h = select(nearer, h_i, h)
-                dist = select(nearer, dist_i, dist)
-                dx = select(nearer, dx_i, dx)
-                dy = select(nearer, dy_i, dy)
+            dist = sqrt(dx * dx + dy * dy)
+            cand = (dist - r, dist, dx, dy)
+            near = cand if i == 0 else select(cand[0] < near[0], cand, near)
+        h, dist, dx, dy = near
         # offset / distance; non-finite where the distance is 0 or non-finite
-        return h, (divide(dx, dist), divide(dy, dist))
+        return h, divide((dx, dy), dist)
 
     return BarrierFn(vg_fn=value_and_gradient, grad_bound=1.0, field=field)

@@ -9,12 +9,14 @@ is z_dot_d plus max(-n . z_dot_d - alpha h, 0) along n. The tracking layer is
 plain velocity-error feedback u = -k_d (z_dot - z_dot_s). Each layer takes
 and returns tuples of components only (see _vec): floats for one state,
 columns for a batch. Arrays enter the stack at two places: the law's
-``evaluate`` and the barrier (BarrierFn).
+``evaluate`` and the barrier (BarrierFn). One evaluation returns a
+LawIntermediates, a NamedTuple: it is indexable and iterable in field order,
+and ``_replace`` gives a copy with some fields changed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,8 +40,7 @@ class Gains:
                 raise ConfigurationError(f"gains.{name} must be strictly positive, got {val!r}")
 
 
-@dataclass(frozen=True)
-class LawIntermediates:
+class LawIntermediates(NamedTuple):
     """One evaluation of the layered law at a state: every layer's output.
 
     h and grad_h are the barrier value and gradient the filter used; u is the
@@ -105,14 +106,12 @@ def assemble_closed_loop(pair, b: BarrierFn, gains: Gains, goal) -> ClosedLoopLa
     k_p, k_d, alpha = float(gains.k_p), float(gains.k_d), float(gains.alpha)
 
     def evaluate(x):
-        arrays = not isinstance(x, tuple)
-        if arrays:
-            x = split(x)
+        if not isinstance(x, tuple):
+            return LawIntermediates._make(map(join, evaluate(split(x))))
         z = pair.project_state(x)
         z_dot_d = desired_velocity(goal_c, k_p, z)
         z_dot_s, active, h, grad_h = safe_velocity(b, alpha, z, z_dot_d)
         u = tracking_control(k_d, pair.project_input(x), z_dot_s)
-        out = (z_dot_d, z_dot_s, active, h, grad_h, u)
-        return LawIntermediates(*(map(join, out) if arrays else out))
+        return LawIntermediates(z_dot_d, z_dot_s, active, h, grad_h, u)
 
     return ClosedLoopLaw(goal=goal, gains=gains, barrier=b, evaluate=evaluate)

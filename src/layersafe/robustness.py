@@ -27,6 +27,7 @@ from .recurrence import (
 )
 
 _RANDOM_TABLE = 1 << 16  # piecewise-constant pattern repeats after this many segments
+_MAX_SEGMENTS = 2.0**53  # floor(t / segment) counts whole segments exactly below this
 
 # the stock disturbance kinds and the make_disturbance parameters each one reads
 DISTURBANCE_FIELDS = {
@@ -70,6 +71,8 @@ def make_disturbance(
     kinds: "none" (zero), "constant" (amplitude along the first axis),
     "sine" (rotating, ||d(t)|| = amplitude exactly), "random" (seeded
     piecewise-constant on segments, values in the closed amplitude ball).
+    A random signal raises ConfigurationError at a time t with
+    t / segment >= 2**53, where floats no longer count whole segments.
     """
     if kind not in DISTURBANCE_FIELDS:
         raise ConfigurationError(f"unknown disturbance kind {kind!r}")
@@ -128,8 +131,14 @@ def make_disturbance(
 
     def signal(t):
         t = np.asarray(t, dtype=float)
-        idx = np.floor_divide(t, seg).astype(np.int64) % _RANDOM_TABLE
-        return table[idx]
+        n = np.floor_divide(t, seg)
+        if np.any(np.abs(n) >= _MAX_SEGMENTS):
+            t_max = float(np.max(np.abs(t)))
+            raise ConfigurationError(
+                f"disturbance.segment = {seg!r} is too short for t = {t_max!r}: "
+                "t / segment must stay below 2**53 to count whole segments"
+            )
+        return table[n.astype(np.int64) % _RANDOM_TABLE]
 
     sup = float(np.max(vnorm(table)))
     return Disturbance(kind=kind, signal=signal, sup_norm=sup)

@@ -1,4 +1,6 @@
 """Obstacle field and min-distance barrier behavior."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,45 @@ def test_vec_sums_match_numpy_bitwise():
             # an all -0.0 sum is +0.0, as numpy's reduction gives
             neg = np.full(shape, -0.0)
             assert _same_bits(ls._vec.vdot(neg, np.ones(shape)), np.sum(neg, axis=-1))
+
+
+def test_vec_tuple_select_and_divide_match_per_component():
+    """select and divide on tuples of components equal one call per component,
+    bit for bit and type for type, on floats and on columns. Divisors include
+    0.0, -0.0, NaN and +-inf, conditions come from NaN comparisons too, and
+    no warning escapes."""
+    values = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.25, 0.1, -7.0]
+    grid = np.array([(p, q) for p in values for q in values])
+    p, q = grid[:, 0], grid[:, 1]
+    a, b = (p, -q), (q, 0.5 * p)  # components; q is also the divisor
+    select, divide = ls._vec.select, ls._vec.divide
+
+    def check(got, want, numpy_want):
+        assert isinstance(got, tuple) and len(got) == len(want) == len(numpy_want)
+        for g, w, n in zip(got, want, numpy_want):
+            assert type(g) is type(w) and _same_bits(g, w) and _same_bits(g, n)
+
+    def ref_divide(parts, d):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return [np.divide(x, d) for x in parts]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # columns
+        for cond in (p < q, p >= q, np.isnan(p)):
+            want = [select(cond, ai, bi) for ai, bi in zip(a, b)]
+            check(select(cond, a, b), want, [np.where(cond, ai, bi) for ai, bi in zip(a, b)])
+        for d in (q, 0.0, -0.0, np.nan, np.inf, -np.inf):
+            check(divide(a, d), [divide(ai, d) for ai in a], ref_divide(a, d))
+        # floats, one run per grid row
+        rows = zip(zip(*[c.tolist() for c in a]), zip(*[c.tolist() for c in b]), q.tolist())
+        for fa, fb, d in rows:
+            for cond in (fa[0] < d, fa[0] >= d, fa[0] != fa[0]):
+                want = [select(cond, x, y) for x, y in zip(fa, fb)]
+                check(select(cond, fa, fb), want, [np.where(cond, x, y) for x, y in zip(fa, fb)])
+            got = divide(fa, d)
+            check(got, [divide(x, d) for x in fa], ref_divide(fa, d))
+            assert all(type(g) is float for g in got)
 
 
 def test_gradient_is_unit_norm():

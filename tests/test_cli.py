@@ -137,6 +137,16 @@ def test_iss_rejects_non_finite_disturbance(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_iss_rejects_segment_too_short_to_count(tmp_path, capsys):
+    # t / segment past 2**63 used to read one table row at every time: the run
+    # exited 0 and reported kind=random for what was a constant input
+    out = tmp_path / "out"
+    spec = "kind=random,amplitude=0.1,seed=7,segment=1e-300"
+    assert main(["iss", "open_field", "--disturbance", spec, "--out", str(out)]) == 2
+    assert "error: disturbance.segment = 1e-300 is too short" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_iss_rejects_out_of_range_disturbance(tmp_path, capsys):
     # an override outside a field's range is refused before any run, naming the key
     out = tmp_path / "out"

@@ -143,7 +143,7 @@ def test_constant_disturbance_equals_shifted_input(linear):
 
     def shifted_evaluate(x):
         inter = law.evaluate(x)
-        return dataclasses.replace(inter, u=tuple([ui + di for ui, di in zip(inter.u, d0.tolist())]))
+        return inter._replace(u=tuple([ui + di for ui, di in zip(inter.u, d0.tolist())]))
 
     shifted = dataclasses.replace(law, evaluate=shifted_evaluate)
     cfg = ls.IntegratorConfig(dt=0.001, horizon=0.5)
@@ -320,6 +320,42 @@ def test_float_path_matches_column_path(td):
         assert "run 0" in str(alone.value)
 
 
+def _python_scalars(v) -> bool:
+    """Whether v is a Python float or bool, or a tuple of them."""
+    if isinstance(v, tuple):
+        return all(_python_scalars(c) for c in v)
+    return type(v) in (float, bool)
+
+
+@pytest.mark.parametrize("world", ["td", "of"])
+def test_one_run_stays_on_python_scalars(world, request):
+    # a numpy scalar that leaks into the K=1 path keeps every bit but costs a
+    # numpy dispatch per operation from then on: every field of the law and
+    # every component of rk4_step's output stays a Python float or bool
+    w = request.getfixturevalue(world)
+    pair, law, field = w["pair"], w["law"], w["barrier"].field
+    zs = [tuple(c) for c in field.centers.tolist()]  # 0/0 in the gradient
+    if field.count == 2:
+        # equidistant from both disks: the two margins tie exactly
+        tie = (0.39, -0.49)
+        margins = field.center_distances(np.array(tie)) - field.radii
+        assert margins[0] == margins[1]
+        zs.append(tie)
+    xs = [tuple(ls.initial_state(w["scn"], law).tolist())]
+    xs += [z + v for z in zs for v in [(0.0, 0.0), (0.3, -0.2)]]
+
+    def f(t, x):
+        return pair.fom_field(x, law.evaluate(x).u)
+
+    for x in xs:
+        inter = law.evaluate(x)
+        for name in inter._fields:
+            assert _python_scalars(getattr(inter, name)), (x, name)
+        assert _python_scalars(ls.rk4_step(f, 0.0, x, 0.001)), x
+    at_center = law.evaluate(zs[0] + (0.0, 0.0))
+    assert not all(np.isfinite(at_center.grad_h))
+
+
 def test_array_entry_points_match_batch_rows():
     # the two array entry points, BarrierFn and ClosedLoopLaw.evaluate, run a
     # single state (2,) or (4,) on floats and a batch (K, .) on columns; every
@@ -370,8 +406,8 @@ def test_array_entry_points_match_batch_rows():
             for name, got in single.items():
                 want = batch[name]
                 if name == "law":
-                    got = [getattr(got, fld.name) for fld in dataclasses.fields(got)]
-                    want = [getattr(want, fld.name) for fld in dataclasses.fields(want)]
+                    got = [getattr(got, name) for name in got._fields]
+                    want = [getattr(want, name) for name in want._fields]
                 elif name not in ("vg", "safe"):
                     got, want = [got], [want]
                 for g, w in zip(got, want):

@@ -69,6 +69,22 @@ def test_disturbance_random_periodicity_and_seeding():
         ls.make_disturbance("random", amplitude=0.2, segment=0.0)
 
 
+def test_disturbance_random_refuses_segment_too_short_to_count():
+    # t / segment at or past 2**53 no longer counts whole segments, and past
+    # 2**63 its int64 cast read table row 0 at every time: the signal was a
+    # silent constant. Such times are refused, naming the scenario key.
+    d = ls.make_disturbance("random", amplitude=0.1, seed=7, segment=1e-300)
+    with pytest.raises(ls.ConfigurationError, match="disturbance.segment = 1e-300 is too short"):
+        d.signal(np.arange(2001) * 1e-3)
+    assert d.signal(0.0).shape == (2,)
+    # with a unit segment the count is t itself: 2**53 - 1 is taken, 2**53 is not
+    d = ls.make_disturbance("random", amplitude=0.1, seed=7, segment=1.0)
+    last = 2.0**53 - 1.0
+    assert np.array_equal(d.signal(last), d.signal(last % 65536))
+    with pytest.raises(ls.ConfigurationError, match="for t = 9007199254740992.0"):
+        d.signal(np.array([0.0, last, 2.0**53]))
+
+
 def test_disturbance_random_one_dimensional():
     d = ls.make_disturbance("random", amplitude=0.5, dim=1, seed=1)
     out = d(np.arange(300) * 0.1)
