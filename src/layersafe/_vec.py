@@ -63,10 +63,12 @@ def clamp0(x):
 
 def divide(a, b):
     """a / b, with numpy's result and no warning where b is zero; for a tuple
-    a, each component divided by b."""
+    a, each component divided by b. The divisor alone picks the path: numpy
+    for an array, zero or non-finite b (where a column's 0/0, x/0 or inf/inf
+    would warn), plain division for any other float."""
     if not isinstance(a, tuple):
         return divide((a,), b)[0]
-    if isinstance(b, np.ndarray) or b == 0.0 or np.ndarray in map(type, a):
+    if isinstance(b, np.ndarray) or b == 0.0 or not math.isfinite(b):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = [np.divide(p, b) for p in a]
         return tuple([o if isinstance(o, np.ndarray) else float(o) for o in out])

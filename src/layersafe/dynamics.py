@@ -13,7 +13,8 @@ so its evaluation is also the recorded sample, and one extra evaluation
 records the last sample: 4 n_steps + 1 law evaluations per rollout.
 A disturbance depends on time only, so it is evaluated once per rollout,
 on three stage-time grids (t, t + dt/2 and t + dt over every step), each
-entry the same float rk4_step forms as that stage's time.
+entry the same float rk4_step forms as that stage's time. Its one shape is
+(T, 2): a planar input per time, shared by every run.
 The kernel's state is a tuple of components (see _vec): floats for one run,
 contiguous columns for several. The pair's maps and rk4_step take tuples of
 components only: the kernel splits the initial states, and integrate_batch
@@ -61,7 +62,6 @@ class ModelPair:
 
     n_full: int
     n_reduced: int
-    m_full: int
     fom_field: Callable
     rom_field: Callable
     project_state: Callable
@@ -86,7 +86,6 @@ def double_integrator_pair(scenario=None) -> ModelPair:
     return ModelPair(
         n_full=4,
         n_reduced=2,
-        m_full=2,
         fom_field=lambda x, u: x[2:4] + u,  # (velocity, u), concatenated
         rom_field=lambda z, v: v,
         project_state=lambda x: x[:2],
@@ -206,13 +205,16 @@ def rk4_step(f, t, x, dt):
     ])
 
 
-def _stage_table(d, n_runs: int) -> tuple:
-    """A signal's values on one stage-time grid as components, each indexed
-    by step: float lists when shared by every run, (T, K) columns when not."""
+def _stage_table(d, n_times: int) -> tuple:
+    """A planar signal's values on one stage-time grid, (T, 2), as two float
+    lists indexed by step and shared by every run."""
     d = np.asarray(d, dtype=float)
-    if d.ndim == 2 or n_runs == 1:
-        return tuple(c.tolist() for c in d.reshape(d.shape[0], -1).T)
-    return split(d)
+    if d.shape != (n_times, 2):
+        raise ConfigurationError(
+            f"a disturbance signal must return shape ({n_times}, 2) on {n_times} "
+            f"stage times, got {d.shape}"
+        )
+    return tuple(d.T.tolist())
 
 
 def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
@@ -230,7 +232,7 @@ def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
     times = np.arange(n_steps + 1) * dt
     if d_sig is not None:
         stage_times = (times, times + 0.5 * dt, times + dt)
-        d1, d_half, d4 = (_stage_table(d_sig(s), n_runs) for s in stage_times)
+        d1, d_half, d4 = (_stage_table(d_sig(s), n_steps + 1) for s in stage_times)
         d_tables = (d1, d_half, d_half, d4)  # by RK4 stage
     stages = []
 
@@ -286,8 +288,9 @@ def integrate_batch(
     The disturbance, when given, enters additively on the full-model input
     channel: x_dot = F(x, u(x) + d(t)), with d at each RK4 stage time.
     ``disturbance.signal`` is called three times per rollout, each time on a
-    1-D array of T = n_steps + 1 stage times, and returns (T, m), one input
-    per time shared by every run, or (T, K, m), one row per run.
+    1-D array of T = n_steps + 1 stage times, and must return (T, 2), one
+    planar input per time shared by every run; any other shape is a
+    ConfigurationError.
     z, z_dot, e_dot, e, v and h_V are derived after the rollout, elementwise.
     h_V reuses the law's barrier passes, so ``rcbf`` must be built on the
     law's barrier. Raises DivergenceError at the first non-finite sample.

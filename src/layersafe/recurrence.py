@@ -204,14 +204,20 @@ def check_rcbf_recurrence(
     """Earliest contained t in (0, tau] with e^{gamma_rate t} h_V(t) >= h_V(0).
 
     The time-scaled comparison lets h_V dip below its initial value as long
-    as it recovers within the window at the prescribed rate.
+    as it recovers within the window at the prescribed rate. h_V is read from
+    Trajectory.h_v, which the rollout recorded with ``rcbf``; a trajectory
+    rolled without a recurrent barrier (h_v all NaN) is refused.
     """
     tau = rcbf.rtf.tau
     if traj.horizon + traj.dt / 2 < tau:
         raise ConfigurationError(
             f"trajectory horizon {traj.horizon:g} is shorter than the window {tau:g}"
         )
-    hv = np.asarray(rcbf.value(traj.z, traj.e_dot), dtype=float)
+    hv = traj.h_v
+    if np.all(np.isnan(hv)):
+        raise ConfigurationError(
+            "the trajectory records no h_V (h_v is all NaN): roll it out with a recurrent barrier"
+        )
     hv0 = float(hv[0])
     sel = _window_selector(traj, 0.0, tau)
     if s_predicate is not None:

@@ -10,6 +10,7 @@ the same code paths the nominal checks use, on the recorded V = Trajectory.v.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,7 +30,7 @@ from .recurrence import (
 _RANDOM_TABLE = 1 << 16  # piecewise-constant pattern repeats after this many segments
 _MAX_SEGMENTS = 2.0**53  # floor(t / segment) counts whole segments exactly below this
 
-# the stock disturbance kinds and the make_disturbance parameters each one reads
+# the stock disturbance kinds and the DisturbanceSpec fields each one reads
 DISTURBANCE_FIELDS = {
     "none": (),
     "constant": ("amplitude",),
@@ -39,23 +40,60 @@ DISTURBANCE_FIELDS = {
 
 
 @dataclass(frozen=True)
+class DisturbanceSpec:
+    """One stock disturbance as a scenario file declares it, range-checked.
+
+    Every field is checked whatever the kind: an out-of-range value is a
+    fault in the file even where the kind ignores it. Each message starts
+    with the scenario key it names.
+    """
+
+    kind: str = "none"
+    amplitude: float = 0.0
+    frequency: float = 1.0
+    seed: int = 0
+    segment: float = 0.1
+
+    def __post_init__(self):
+        if self.kind not in DISTURBANCE_FIELDS:
+            *head, last = DISTURBANCE_FIELDS
+            raise ConfigurationError(
+                f"disturbance.kind must be {', '.join(head)}, or {last}; got {self.kind!r}"
+            )
+        for name, ok, bound in (
+            ("amplitude", self.amplitude >= 0, ">= 0"),
+            ("frequency", self.frequency > 0, "> 0"),
+            ("segment", self.segment > 0, "> 0"),
+        ):
+            value = getattr(self, name)
+            if not (ok and np.isfinite(value)):
+                raise ConfigurationError(
+                    f"disturbance.{name} must be finite and {bound}, got {value!r}"
+                )
+        if not math.isfinite(2.0 * math.pi * float(self.frequency)):  # the sine's rate
+            raise ConfigurationError(
+                f"disturbance.frequency = {self.frequency!r} is too large: "
+                "2*pi*frequency must be finite"
+            )
+        if self.seed < 0:  # numpy's generator takes no negative seed
+            raise ConfigurationError(f"disturbance.seed must be >= 0, got {self.seed!r}")
+
+
+@dataclass(frozen=True)
 class Disturbance:
-    """A deterministic input-channel signal with a declared sup norm.
+    """A deterministic planar input-channel signal with a declared sup norm.
 
     signal(t) accepts a scalar or an array of times and returns values of
-    shape t.shape + (dim,), with dim as given to make_disturbance;
+    shape t.shape + (2,), one input per time, shared by every run;
     ||signal(t)|| <= sup_norm everywhere. A rollout calls it three times,
-    each on a 1-D array of its stage times (see dynamics.integrate_batch),
-    so a signal must give at each array entry the value it gives at that
-    time alone.
+    each on a 1-D array of its T stage times (see dynamics.integrate_batch),
+    and needs (T, 2) back, so a signal must give at each array entry the
+    value it gives at that time alone.
     """
 
     kind: str
     signal: Callable
     sup_norm: float
-
-    def __call__(self, t):
-        return self.signal(t)
 
 
 def make_disturbance(
@@ -64,69 +102,45 @@ def make_disturbance(
     frequency: float = 1.0,
     seed: int = 0,
     segment: float = 0.1,
-    dim: int = 2,
 ) -> Disturbance:
-    """Build one of the stock disturbance signals.
+    """Build one of the stock disturbance signals; DisturbanceSpec checks the fields.
 
     kinds: "none" (zero), "constant" (amplitude along the first axis),
     "sine" (rotating, ||d(t)|| = amplitude exactly), "random" (seeded
-    piecewise-constant on segments, values in the closed amplitude ball).
+    piecewise-constant on segments, values in the closed amplitude disk).
     A random signal raises ConfigurationError at a time t with
     t / segment >= 2**53, where floats no longer count whole segments.
     """
-    if kind not in DISTURBANCE_FIELDS:
-        raise ConfigurationError(f"unknown disturbance kind {kind!r}")
-    if kind != "none" and not (np.isfinite(amplitude) and amplitude >= 0):
-        raise ConfigurationError("disturbance amplitude must be finite and >= 0")
-    if dim < 1:
-        raise ConfigurationError("disturbance dimension must be >= 1")
+    DisturbanceSpec(kind=kind, amplitude=amplitude, frequency=frequency, seed=seed, segment=segment)
     amp = float(amplitude)
-
     if kind == "none" or amp == 0.0:
-        def signal(t):
-            t = np.asarray(t, dtype=float)
-            return np.zeros(t.shape + (dim,))
+        kind, amp = "none", 0.0
 
-        return Disturbance(kind="none", signal=signal, sup_norm=0.0)
-
-    if kind == "constant":
-        vec = np.zeros(dim)
-        vec[0] = amp
+    if kind in ("none", "constant"):
+        vec = np.array([amp, 0.0])
 
         def signal(t):
             t = np.asarray(t, dtype=float)
-            return np.broadcast_to(vec, t.shape + (dim,)).copy()
+            return np.broadcast_to(vec, t.shape + (2,)).copy()
 
         return Disturbance(kind=kind, signal=signal, sup_norm=amp)
 
     if kind == "sine":
-        if dim < 2:
-            raise ConfigurationError("sine disturbance needs dimension >= 2")
-        if not (np.isfinite(frequency) and frequency > 0):
-            raise ConfigurationError("sine frequency must be positive")
         w = 2.0 * np.pi * float(frequency)
 
         def signal(t):
-            t = np.asarray(t, dtype=float)
-            out = np.zeros(t.shape + (dim,))
-            out[..., 0] = amp * np.sin(w * t)
-            out[..., 1] = amp * np.cos(w * t)
-            return out
+            wt = w * np.asarray(t, dtype=float)
+            return np.stack([amp * np.sin(wt), amp * np.cos(wt)], axis=-1)
 
         return Disturbance(kind=kind, signal=signal, sup_norm=amp)
 
-    # random: values drawn once per segment from the closed ball of radius amp
-    if not segment > 0:
-        raise ConfigurationError("random disturbance segment length must be positive")
+    # random: values drawn once per segment from the closed disk of radius amp
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=_RANDOM_TABLE)
     radius = amp * np.sqrt(rng.uniform(0.0, 1.0, size=_RANDOM_TABLE))
-    table = np.zeros((_RANDOM_TABLE, dim))
+    table = np.empty((_RANDOM_TABLE, 2))  # filled in place: no stacked temporaries
     table[:, 0] = radius * np.cos(theta)
-    if dim >= 2:
-        table[:, 1] = radius * np.sin(theta)
-    else:
-        table[:, 0] = radius * np.where(np.cos(theta) >= 0, 1.0, -1.0)
+    table[:, 1] = radius * np.sin(theta)
     seg = float(segment)
 
     def signal(t):
@@ -265,9 +279,9 @@ def estimate_mu_gain(
     for amp in amps:
         for freq in freqs:
             if freq == 0.0:
-                d = make_disturbance("constant", amplitude=amp, dim=pair.m_full)
+                d = make_disturbance("constant", amplitude=amp)
             else:
-                d = make_disturbance("sine", amplitude=amp, frequency=freq, dim=pair.m_full)
+                d = make_disturbance("sine", amplitude=amp, frequency=freq)
             traj = integrate(pair, law, x0, cfg, disturbance=d)
             c = max(c, float(np.max(traj.v)) / amp)
     if not c > 0:

@@ -41,7 +41,7 @@ from .controller import ClosedLoopLaw, Gains, assemble_closed_loop, desired_velo
 from .dynamics import IntegratorConfig, ModelPair, double_integrator_pair
 from .errors import ConfigurationError, ScenarioError
 from .recurrence import RecurrentCbf, Rtf, build_rcbf, norm_rtf
-from .robustness import DISTURBANCE_FIELDS, Disturbance, make_disturbance
+from .robustness import DISTURBANCE_FIELDS, Disturbance, DisturbanceSpec, make_disturbance
 
 _OPS = {
     ">=": lambda a, b: a >= b,
@@ -63,38 +63,6 @@ EXPECT_METRICS = (
 
 _VELOCITY_MODES = ("safe", "desired", "zero")
 _OBSTACLE_KEY = re.compile(r"^obstacle\.(\d+)\.(center|radius)$")
-
-
-@dataclass(frozen=True)
-class DisturbanceSpec:
-    """Declarative disturbance parameters as they appear in a scenario file."""
-
-    kind: str = "none"
-    amplitude: float = 0.0
-    frequency: float = 1.0
-    seed: int = 0
-    segment: float = 0.1
-
-    def __post_init__(self):
-        if self.kind not in DISTURBANCE_FIELDS:
-            *head, last = DISTURBANCE_FIELDS
-            raise ConfigurationError(
-                f"disturbance.kind must be {', '.join(head)}, or {last}; got {self.kind!r}"
-            )
-        # every field is range-checked whatever the kind: an out-of-range value
-        # is a fault in the file even where the kind ignores it
-        for name, ok, bound in (
-            ("amplitude", self.amplitude >= 0, ">= 0"),
-            ("frequency", self.frequency > 0, "> 0"),
-            ("segment", self.segment > 0, "> 0"),
-        ):
-            value = getattr(self, name)
-            if not (ok and np.isfinite(value)):
-                raise ConfigurationError(
-                    f"disturbance.{name} must be finite and {bound}, got {value!r}"
-                )
-        if self.seed < 0:  # numpy's generator takes no negative seed
-            raise ConfigurationError(f"disturbance.seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -429,7 +397,7 @@ def build_scenario_rcbf(scn: Scenario, b: BarrierFn | None = None) -> RecurrentC
 
 
 def build_disturbance(scn: Scenario) -> Disturbance:
-    return make_disturbance(**dataclasses.asdict(scn.disturbance), dim=2)
+    return make_disturbance(**dataclasses.asdict(scn.disturbance))
 
 
 def initial_states(scn: Scenario, law: ClosedLoopLaw, z0s, mode: str | None = None) -> np.ndarray:

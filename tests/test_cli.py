@@ -147,6 +147,17 @@ def test_iss_rejects_segment_too_short_to_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_iss_rejects_frequency_whose_rate_overflows(tmp_path, capsys):
+    # 2*pi*1e308 is inf: the sine used to be NaN from the first step and the
+    # run exited 1 on a non-finite state; the value is refused before the run
+    out = tmp_path / "out"
+    argv = ["iss", "open_field", "--disturbance", "kind=sine,amplitude=0.1,frequency=1e308",
+            "--mu-gain", "0.14", "--out", str(out)]
+    assert main(argv) == 2
+    assert "disturbance.frequency = 1e+308 is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_iss_rejects_out_of_range_disturbance(tmp_path, capsys):
     # an override outside a field's range is refused before any run, naming the key
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Model pair, RK4 integration, trajectory recording, and batch rollouts."""
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -153,23 +154,24 @@ def test_constant_disturbance_equals_shifted_input(linear):
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.e_dot, b.e_dot)
 
-    # a signal with one row per run, shape (T, K, m): each batch row is bit for
-    # bit the K=1 run driven by that row's own signal
-    rcbf = linear["rcbf"]
-    own = [
-        d,
-        ls.make_disturbance("sine", amplitude=0.4, frequency=1.5),
-        ls.make_disturbance("random", amplitude=0.5, seed=3, segment=0.05),
-    ]
-    rows = dataclasses.replace(d, signal=lambda t: np.stack([di.signal(t) for di in own], axis=-2))
-    x0s = np.stack([x0, -x0, np.array([0.0, 0.0, -0.5, 0.2])])
-    batch = ls.integrate_batch(pair, law, x0s, cfg, rcbf=rcbf, disturbance=rows)
-    for k, dk in enumerate(own):
-        alone = ls.integrate(pair, law, x0s[k], cfg, rcbf=rcbf, disturbance=dk)
-        row = batch.trajectory(k)
-        for name in ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h",
-                     "grad_h", "v", "h_v"):
-            assert np.array_equal(getattr(alone, name), getattr(row, name), equal_nan=True), name
+
+def test_disturbance_signal_of_another_shape_is_refused(linear):
+    # the kernel takes one planar input per stage time, (T, 2), shared by
+    # every run; a signal of any other shape is refused by name, not broadcast
+    pair, law = linear["pair"], linear["law"]
+    cfg = ls.IntegratorConfig(dt=0.001, horizon=0.01)
+    x0 = np.array([0.1, -0.2, 0.3, 0.4])
+    sine = ls.make_disturbance("sine", amplitude=0.4, frequency=1.5)
+    for shape_of, got in (
+        (lambda t: np.stack([sine.signal(t)] * 3, axis=-2), "(11, 3, 2)"),  # one row per run
+        (lambda t: sine.signal(t)[:, :1], "(11, 1)"),
+        (lambda t: np.zeros(3), "(3,)"),
+    ):
+        d = dataclasses.replace(sine, signal=shape_of)
+        for x0s in (x0[None, :], np.stack([x0, -x0, 0.5 * x0])):
+            want = f"must return shape (11, 2) on 11 stage times, got {got}"
+            with pytest.raises(ls.ConfigurationError, match=re.escape(want)):
+                ls.integrate_batch(pair, law, x0s, cfg, disturbance=d)
 
 
 def _reference_states(pair, law, x0, cfg, signal):

@@ -171,7 +171,9 @@ def test_rcbf_recurrence_finds_return_time():
     base = rcbf.alpha_e * h0
     # start on the boundary, dip h_V below the start, recover at t ~ 0.9
     vmag = np.where(t < 0.9, 0.5 * np.sin(np.pi * t / 0.9), 0.0)
-    traj = synthetic_trajectory(t, np.maximum(vmag, 0.0), h=np.full(t.size, h0))
+    h = np.full(t.size, h0)
+    v = np.maximum(vmag, 0.0)
+    traj = synthetic_trajectory(t, v, h=h, h_v=rcbf.combine(v, h))
     assert float(traj.e_dot[0, 0]) == 0.0
     verdict = ls.check_rcbf_recurrence(rcbf, traj, gamma_rate=0.0)
     assert verdict.satisfied
@@ -183,9 +185,33 @@ def test_rcbf_recurrence_finds_return_time():
     # an error that jumps and never settles: h_V stays below its start
     vjump = np.full(t.size, 0.5)
     vjump[0] = 0.0
-    never = synthetic_trajectory(t, vjump)
+    never = synthetic_trajectory(t, vjump, h_v=rcbf.combine(vjump, h))
     assert not ls.check_rcbf_recurrence(rcbf, never, gamma_rate=0.0).satisfied
     assert base > 0  # the construction above started strictly inside the set
+
+
+def test_rcbf_recurrence_reads_the_recorded_h_v():
+    # the check reads Trajectory.h_v as recorded, and refuses a trajectory
+    # rolled without a recurrent barrier instead of recomputing h_V
+    rtf = ls.norm_rtf(beta=2.45, tau=1.0)
+    rcbf = ls.build_rcbf(rtf, far_barrier(), alpha=0.5, m=3.24)
+    t = np.arange(0, 1001) * 0.001
+    v = np.exp(-3.0 * t)
+    # h_V dips and recovers at t = 0.5 in the record, whatever z and e_dot say
+    h_v = np.where((t > 0.0) & (t < 0.5), -1.0, 0.0)
+    verdict = ls.check_rcbf_recurrence(rcbf, synthetic_trajectory(t, v, h_v=h_v), 0.0)
+    assert verdict == ls.RcbfVerdict(satisfied=True, return_time=0.5)
+    unrecorded = synthetic_trajectory(t, v, h_v=np.full(t.size, np.nan))
+    with pytest.raises(ls.ConfigurationError, match="h_v is all NaN"):
+        ls.check_rcbf_recurrence(rcbf, unrecorded, 0.0)
+    # the same refusal for a real rollout made without ``rcbf``
+    pair = ls.double_integrator_pair()
+    gains = ls.Gains(k_p=1.0, k_d=8.0, alpha=0.5)
+    law = ls.assemble_closed_loop(pair, rcbf.barrier, gains, [0.0, 0.0])
+    cfg = ls.IntegratorConfig(dt=0.01, horizon=1.0)
+    traj = ls.integrate(pair, law, np.array([1.0, 0.0, 0.0, 0.0]), cfg)
+    with pytest.raises(ls.ConfigurationError, match="h_v is all NaN"):
+        ls.check_rcbf_recurrence(rcbf, traj, 0.0)
 
 
 def test_safety_chain_matches_analytic_integral():

@@ -18,30 +18,28 @@ def test_disturbance_none_and_zero_amplitude():
     for d in (ls.make_disturbance("none"), ls.make_disturbance("sine", 0.0)):
         assert d.kind == "none"
         assert d.sup_norm == 0.0
-        out = d(np.linspace(0, 5, 7))
+        out = d.signal(np.linspace(0, 5, 7))
         assert out.shape == (7, 2)
         assert np.all(out == 0.0)
-    assert ls.make_disturbance("none")(3.0).shape == (2,)
+    assert ls.make_disturbance("none").signal(3.0).shape == (2,)
 
 
 def test_disturbance_constant():
-    d = ls.make_disturbance("constant", amplitude=0.3, dim=3)
-    out = d(np.zeros(4))
-    assert out.shape == (4, 3)
-    assert np.all(out == [0.3, 0.0, 0.0])
+    d = ls.make_disturbance("constant", amplitude=0.3)
+    out = d.signal(np.zeros(4))
+    assert out.shape == (4, 2)
+    assert np.all(out == [0.3, 0.0])
     assert d.sup_norm == 0.3
     out[0, 0] = 99.0  # caller mutation must not leak into later calls
-    assert d(0.0)[0] == 0.3
+    assert d.signal(0.0)[0] == 0.3
 
 
 def test_disturbance_sine_norm_is_exact():
     d = ls.make_disturbance("sine", amplitude=0.25, frequency=0.7)
     t = np.linspace(0.0, 9.0, 1201)
-    norms = np.sqrt(np.sum(d(t) ** 2, axis=-1))
+    norms = np.sqrt(np.sum(d.signal(t) ** 2, axis=-1))
     assert np.max(np.abs(norms - 0.25)) < 1e-14 * 0.25
     assert d.sup_norm == 0.25
-    with pytest.raises(ls.ConfigurationError):
-        ls.make_disturbance("sine", amplitude=0.1, dim=1)
     with pytest.raises(ls.ConfigurationError):
         ls.make_disturbance("sine", amplitude=0.1, frequency=0.0)
 
@@ -50,7 +48,7 @@ def test_disturbance_random_ball_and_declared_sup():
     amp = 0.4
     d = ls.make_disturbance("random", amplitude=amp, seed=7, segment=0.1)
     t = np.arange(20000) * 0.05 + 0.013  # spans 10000 segments
-    norms = np.sqrt(np.sum(d(t) ** 2, axis=-1))
+    norms = np.sqrt(np.sum(d.signal(t) ** 2, axis=-1))
     assert np.max(norms) <= d.sup_norm
     assert d.sup_norm <= amp * (1 + 1e-12)
     assert d.sup_norm > 0.9 * amp  # the ball is actually filled out
@@ -60,11 +58,11 @@ def test_disturbance_random_periodicity_and_seeding():
     seg = 0.1
     d = ls.make_disturbance("random", amplitude=0.2, seed=3, segment=seg)
     t = np.arange(50) * seg + 0.05  # mid-segment, away from boundaries
-    assert np.array_equal(d(t + seg * 65536), d(t))
+    assert np.array_equal(d.signal(t + seg * 65536), d.signal(t))
     d_same = ls.make_disturbance("random", amplitude=0.2, seed=3, segment=seg)
-    assert np.array_equal(d_same(t), d(t))
+    assert np.array_equal(d_same.signal(t), d.signal(t))
     d_other = ls.make_disturbance("random", amplitude=0.2, seed=4, segment=seg)
-    assert not np.array_equal(d_other(t), d(t))
+    assert not np.array_equal(d_other.signal(t), d.signal(t))
     with pytest.raises(ls.ConfigurationError):
         ls.make_disturbance("random", amplitude=0.2, segment=0.0)
 
@@ -85,14 +83,6 @@ def test_disturbance_random_refuses_segment_too_short_to_count():
         d.signal(np.array([0.0, last, 2.0**53]))
 
 
-def test_disturbance_random_one_dimensional():
-    d = ls.make_disturbance("random", amplitude=0.5, dim=1, seed=1)
-    out = d(np.arange(300) * 0.1)
-    assert out.shape == (300, 1)
-    assert np.max(np.abs(out)) <= 0.5 * (1 + 1e-12)
-    assert np.min(out) < 0 < np.max(out)
-
-
 def test_disturbance_validation():
     with pytest.raises(ls.ConfigurationError):
         ls.make_disturbance("gusts")
@@ -100,8 +90,27 @@ def test_disturbance_validation():
         ls.make_disturbance("constant", amplitude=-0.1)
     with pytest.raises(ls.ConfigurationError):
         ls.make_disturbance("constant", amplitude=float("nan"))
-    with pytest.raises(ls.ConfigurationError):
-        ls.make_disturbance("constant", amplitude=0.1, dim=0)
+
+
+def test_spec_and_make_disturbance_refuse_the_same_values():
+    # make_disturbance checks its fields by building a DisturbanceSpec, so a
+    # value one refuses the other refuses too, naming the same key
+    for bad, key in (
+        (dict(kind="random", amplitude=0.1, segment=float("inf")), "segment"),
+        (dict(kind="random", amplitude=0.1, seed=-1), "seed"),
+        (dict(kind="none", amplitude=-1.0), "amplitude"),
+        (dict(kind="sine", amplitude=0.1, frequency=1e308), "frequency"),
+    ):
+        with pytest.raises(ls.ConfigurationError, match=f"disturbance.{key} ") as spec:
+            ls.DisturbanceSpec(**bad)
+        with pytest.raises(ls.ConfigurationError) as made:
+            ls.make_disturbance(**bad)
+        assert str(made.value) == str(spec.value), bad
+    with pytest.raises(ls.ConfigurationError, match="2\\*pi\\*frequency must be finite"):
+        ls.DisturbanceSpec(kind="sine", amplitude=0.1, frequency=1e308)
+    # the largest frequency whose rate is finite still builds a signal
+    top = np.nextafter(np.finfo(float).max / (2.0 * np.pi), 0.0)
+    assert ls.make_disturbance("sine", amplitude=0.1, frequency=float(top)).sup_norm == 0.1
 
 
 def test_iss_envelope_constants(far_rcbf):
