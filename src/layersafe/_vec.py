@@ -13,6 +13,9 @@ convert with split and join; the rollout kernel splits its initial states.
 Sums run 0.0 + p0 + p1 + ... left to right, the order np.sum(..., axis=-1)
 uses for a trailing axis shorter than 8, so the two agree bit for bit there,
 signed zeros included.
+The planner, filter and tracking layers are planar: they are written on the
+two components (x, y) directly, with no sum helper, and the filter's inner
+product spells out vsum's order for two parts, (p0 + 0.0) + p1.
 """
 from __future__ import annotations
 

@@ -112,7 +112,7 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
     The gradient is the unit vector from the nearest center toward z, hence
     grad_bound = 1 exactly. At a center the gradient is 0/0, non-finite.
     """
-    obstacles = [
+    (cx0, cy0, r0), *rest = [
         (float(cx), float(cy), float(r)) for (cx, cy), r in zip(field.centers, field.radii)
     ]
 
@@ -120,14 +120,17 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
         # the nearest obstacle's margin and unit offset, on the components
         # (zx, zy); strict < keeps the lowest index on ties, as argmin does
         zx, zy = z
-        for i, (cx, cy, r) in enumerate(obstacles):
-            dx = zx - cx
-            dy = zy - cy
-            # vnorm's sum of squares; its leading 0.0 + never changes a square
-            dist = sqrt(dx * dx + dy * dy)
-            cand = (dist - r, dist, dx, dy)
-            near = cand if i == 0 else select(cand[0] < near[0], cand, near)
-        h, dist, dx, dy = near
+        dx = zx - cx0
+        dy = zy - cy0
+        # vnorm's sum of squares; its leading 0.0 + never changes a square
+        dist = sqrt(dx * dx + dy * dy)
+        h = dist - r0
+        for cx, cy, r in rest:
+            ex = zx - cx
+            ey = zy - cy
+            d = sqrt(ex * ex + ey * ey)
+            m = d - r
+            h, dist, dx, dy = select(m < h, (m, d, ex, ey), (h, dist, dx, dy))
         # offset / distance; non-finite where the distance is 0 or non-finite
         return h, divide((dx, dy), dist)
 

@@ -8,7 +8,10 @@ against the nearest obstacle only (n the barrier gradient at z): the optimum
 is z_dot_d plus max(-n . z_dot_d - alpha h, 0) along n. The tracking layer is
 plain velocity-error feedback u = -k_d (z_dot - z_dot_s). Each layer takes
 and returns tuples of components only (see _vec): floats for one state,
-columns for a batch. Arrays enter the stack at two places: the law's
+columns for a batch. The layers are planar: each is written on the two
+components (x, y), one expression per component, and the filter's inner
+product n . z_dot_d keeps vsum's order, (p0 + 0.0) + p1, so its signed
+zeros are those of np.sum. Arrays enter the stack at two places: the law's
 ``evaluate`` and the barrier (BarrierFn). One evaluation returns a
 LawIntermediates, a NamedTuple: it is indexable and iterable in field order,
 and ``_replace`` gives a copy with some fields changed.
@@ -20,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._vec import clamp0, join, split, vsum
+from ._vec import clamp0, join, split
 from .barrier import BarrierFn
 from .errors import ConfigurationError
 
@@ -73,7 +76,8 @@ class ClosedLoopLaw:
 
 def desired_velocity(goal, k_p: float, z):
     """Proportional pull toward the goal: -k_p (z - goal)."""
-    return tuple([-k_p * (zi - gi) for zi, gi in zip(z, goal)])
+    (zx, zy), (gx, gy) = z, goal
+    return (-k_p * (zx - gx), -k_p * (zy - gy))
 
 
 def safe_velocity(b: BarrierFn, alpha: float, z, z_dot_d):
@@ -87,18 +91,25 @@ def safe_velocity(b: BarrierFn, alpha: float, z, z_dot_d):
     second barrier pass.
     """
     h, n = b.value_and_gradient(z)
-    corr = clamp0(-vsum([ni * vi for ni, vi in zip(n, z_dot_d)]) - alpha * h)
-    z_dot_s = tuple([vi + corr * ni for vi, ni in zip(z_dot_d, n)])
-    return z_dot_s, corr > 0.0, h, n
+    (nx, ny), (vx, vy) = n, z_dot_d
+    # n . z_dot_d in vsum's order: (p0 + 0.0) + p1, which keeps its signed zeros
+    corr = clamp0(-((nx * vx + 0.0) + ny * vy) - alpha * h)
+    return (vx + corr * nx, vy + corr * ny), corr > 0.0, h, n
 
 
 def tracking_control(k_d: float, z_dot, z_dot_s):
     """Velocity-error feedback: -k_d (z_dot - z_dot_s)."""
-    return tuple([-k_d * (vi - si) for vi, si in zip(z_dot, z_dot_s)])
+    (vx, vy), (sx, sy) = z_dot, z_dot_s
+    return (-k_d * (vx - sx), -k_d * (vy - sy))
 
 
 def assemble_closed_loop(pair, b: BarrierFn, gains: Gains, goal) -> ClosedLoopLaw:
     """Compose projection, reference, filter, and tracking into state feedback."""
+    if pair.n_reduced != 2:
+        raise ConfigurationError(
+            "the control layers are planar: the reduced model must have 2 states, "
+            f"got n_reduced = {pair.n_reduced!r}"
+        )
     goal = np.asarray(goal, dtype=float)
     if goal.shape != (pair.n_reduced,):
         raise ConfigurationError(f"goal must have shape ({pair.n_reduced},)")

@@ -196,12 +196,13 @@ class BatchRollout(_Samples):
 def rk4_step(f, t, x, dt):
     """One classical Runge-Kutta step of x_dot = f(t, x), for x and f(t, x)
     tuples of state components."""
+    half, t_half, sixth = 0.5 * dt, t + 0.5 * dt, dt / 6.0
     k1 = f(t, x)
-    k2 = f(t + 0.5 * dt, tuple([xi + (0.5 * dt) * ki for xi, ki in zip(x, k1)]))
-    k3 = f(t + 0.5 * dt, tuple([xi + (0.5 * dt) * ki for xi, ki in zip(x, k2)]))
+    k2 = f(t_half, tuple([xi + half * ki for xi, ki in zip(x, k1)]))
+    k3 = f(t_half, tuple([xi + half * ki for xi, ki in zip(x, k2)]))
     k4 = f(t + dt, tuple([xi + dt * ki for xi, ki in zip(x, k3)]))
     return tuple([
-        xi + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+        xi + sixth * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
     ])
 
 
@@ -240,7 +241,8 @@ def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
         inter = law.evaluate(x)
         u = inter.u
         if d_sig is not None:  # k is the step the loop below is on
-            u = tuple([ui + di[k] for ui, di in zip(u, d_tables[len(stages)])])
+            (ux, uy), (dx, dy) = u, d_tables[len(stages)]
+            u = (ux + dx[k], uy + dy[k])
         stages.append((inter, u))
         return pair.fom_field(x, u)
 

@@ -75,6 +75,9 @@ class DisturbanceSpec:
                 f"disturbance.frequency = {self.frequency!r} is too large: "
                 "2*pi*frequency must be finite"
             )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ConfigurationError(f"disturbance.seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # echoed as a plain integer
         if self.seed < 0:  # numpy's generator takes no negative seed
             raise ConfigurationError(f"disturbance.seed must be >= 0, got {self.seed!r}")
 
@@ -109,7 +112,8 @@ def make_disturbance(
     "sine" (rotating, ||d(t)|| = amplitude exactly), "random" (seeded
     piecewise-constant on segments, values in the closed amplitude disk).
     A random signal raises ConfigurationError at a time t with
-    t / segment >= 2**53, where floats no longer count whole segments.
+    t / segment >= 2**53, where floats no longer count whole segments, and a
+    sine at a time t where 2*pi*frequency*t is not finite.
     """
     DisturbanceSpec(kind=kind, amplitude=amplitude, frequency=frequency, seed=seed, segment=segment)
     amp = float(amplitude)
@@ -129,7 +133,16 @@ def make_disturbance(
         w = 2.0 * np.pi * float(frequency)
 
         def signal(t):
-            wt = w * np.asarray(t, dtype=float)
+            t = np.asarray(t, dtype=float)
+            with np.errstate(over="ignore"):
+                wt = w * t
+            bad = ~np.isfinite(wt)
+            if bad.any():
+                t_bad = float(np.min(np.abs(t[bad])))  # the first time it fails at
+                raise ConfigurationError(
+                    f"disturbance.frequency = {float(frequency)!r} is too large for "
+                    f"t = {t_bad!r}: 2*pi*frequency*t must be finite"
+                )
             return np.stack([amp * np.sin(wt), amp * np.cos(wt)], axis=-1)
 
         return Disturbance(kind=kind, signal=signal, sup_norm=amp)

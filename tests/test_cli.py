@@ -158,6 +158,19 @@ def test_iss_rejects_frequency_whose_rate_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_iss_rejects_frequency_whose_phase_overflows_in_the_horizon(tmp_path, capsys):
+    # 2*pi*1e307 is finite, but 2*pi*1e307*t is inf past t ~ 2.86 s: the run
+    # used to exit 1 on a non-finite state at step 2862; the signal refuses it
+    out = tmp_path / "out"
+    argv = ["iss", "open_field", "--disturbance", "kind=sine,amplitude=0.1,frequency=1e307",
+            "--mu-gain", "0.14", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: disturbance.frequency = 1e+307 is too large for t = 2.862" in err
+    assert "non-finite state" not in err
+    assert not out.exists()
+
+
 def test_iss_rejects_out_of_range_disturbance(tmp_path, capsys):
     # an override outside a field's range is refused before any run, naming the key
     out = tmp_path / "out"

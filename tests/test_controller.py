@@ -1,9 +1,12 @@
 """Layered velocity pipeline: goal pull, safety filter, tracking feedback."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import layersafe as ls
 from conftest import error_starts
+from test_dynamics import _CRAFTED_STARTS, _crafted_world
 
 
 def comps(a):
@@ -104,6 +107,64 @@ def test_safe_velocity_is_minimal_change():
 def test_tracking_control_formula():
     u = stacked(ls.tracking_control(8.0, (1.0, 2.0), (0.5, -1.0)))
     assert np.allclose(u, [-4.0, -24.0], atol=1e-15)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_layers_match_numpy_reference_bitwise():
+    # each layer against an independent numpy formula, bit for bit with
+    # signed zeros, on floats (one state at a time) and on columns: the
+    # float-vs-column rollout test cannot see a slip both paths share.
+    # The filter is fed both the planner's output and an arbitrary velocity.
+    _pair, law = _crafted_world()[:2]
+    b, goal = law.barrier, law.goal
+    k_p, k_d, alpha = law.gains.k_p, law.gains.k_d, law.gains.alpha
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-3.0, 3.0, size=(400, 4))
+    zeros = rng.random(x.shape) < 0.25
+    x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    x[:20, :2] = goal  # z - goal = 0: the planner gives -0.0
+    x = np.concatenate([np.array(_CRAFTED_STARTS), x])
+    z, z_dot = x[:, :2], x[:, 2:4]
+
+    zd_ref = -k_p * (z - goal)
+    h, n = b.value_and_gradient(z)
+    refs = []
+    for v in (zd_ref, z_dot):
+        corr = np.maximum(-np.sum(n * v, axis=-1) - alpha * h, 0.0)
+        zs_ref = v + corr[:, None] * n
+        refs.append((v, zs_ref, corr > 0.0, -k_d * (z_dot - zs_ref)))
+    assert np.any(refs[0][2]) and not np.all(refs[0][2])  # both filter branches are hit
+
+    def check(rows, as_comps):
+        zd = ls.desired_velocity(comps(goal), k_p, as_comps(z[rows]))
+        assert _bits(stacked(zd)) == _bits(zd_ref[rows])
+        for v, zs_ref, active_ref, u_ref in refs:
+            zs, active, h_out, n_out = ls.safe_velocity(b, alpha, as_comps(z[rows]), as_comps(v[rows]))
+            assert _bits(stacked(zs)) == _bits(zs_ref[rows])
+            assert np.array_equal(active, active_ref[rows])
+            assert _bits(h_out) == _bits(h[rows]) and _bits(stacked(n_out)) == _bits(n[rows])
+            u = ls.tracking_control(k_d, as_comps(z_dot[rows]), zs)
+            assert _bits(stacked(u)) == _bits(u_ref[rows])
+
+    check(slice(None), comps)  # columns
+    for k in range(x.shape[0]):  # floats
+        check(k, lambda a: tuple(float(c) for c in a))
+
+
+def test_law_refuses_non_planar_reduced_model():
+    # the layers are written on the two planar components
+    pair = ls.double_integrator_pair()
+    b = ls.min_distance_barrier(ls.ObstacleField(centers=[[5.0, 5.0]], radii=[0.5]))
+    gains = ls.Gains(k_p=1.8, k_d=8.0, alpha=0.5)
+    for n_reduced in (1, 3):
+        odd = dataclasses.replace(pair, n_reduced=n_reduced)
+        with pytest.raises(ls.ConfigurationError, match="the control layers are planar"):
+            ls.assemble_closed_loop(odd, b, gains, np.zeros(n_reduced))
+    assert ls.assemble_closed_loop(pair, b, gains, [1.0, 0.0]).barrier is b
 
 
 def test_assembled_law_consistency():

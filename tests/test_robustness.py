@@ -83,6 +83,45 @@ def test_disturbance_random_refuses_segment_too_short_to_count():
         d.signal(np.array([0.0, last, 2.0**53]))
 
 
+def test_disturbance_sine_refuses_times_past_its_rate():
+    # 2*pi*1e307 is finite, but 2*pi*1e307*t overflows past t ~ 2.86: sin(inf)
+    # is NaN, and the run used to die on a non-finite state; such times are
+    # refused, naming the scenario key and the first time that fails
+    d = ls.make_disturbance("sine", amplitude=0.1, frequency=1e307)
+    w = 2.0 * np.pi * 1e307
+    last = float(np.nextafter(np.finfo(float).max / w, 0.0))
+    assert np.isfinite(d.signal(np.array([0.0, 1.0, last]))).all()
+    t = np.array([0.0, 1.0, 2.0 * last, 3.0 * last])
+    with pytest.raises(
+        ls.ConfigurationError,
+        match=f"disturbance.frequency = 1e\\+307 is too large for t = {2.0 * last!r}",
+    ):
+        d.signal(t)
+    with pytest.raises(ls.ConfigurationError, match="2\\*pi\\*frequency\\*t must be finite"):
+        d.signal(-3.0)
+    assert d.signal(1.0).shape == (2,)
+
+
+def test_spec_seed_must_be_an_integer():
+    # a float or bool seed used to load and echo a line the parser refuses,
+    # and make_disturbance raised a bare numpy TypeError on it
+    for bad in (1.5, 2.0, True, np.float64(3.0), "3", None):
+        with pytest.raises(ls.ConfigurationError, match="disturbance.seed must be an integer, got"):
+            ls.DisturbanceSpec(kind="random", amplitude=0.1, seed=bad)
+        with pytest.raises(ls.ConfigurationError, match="disturbance.seed must be an integer"):
+            ls.make_disturbance("random", amplitude=0.1, seed=bad)
+    # a numpy integer is taken, held as a plain int, and echoes a line that re-parses
+    spec = ls.DisturbanceSpec(kind="random", amplitude=0.1, seed=np.int64(7))
+    assert type(spec.seed) is int and spec == ls.DisturbanceSpec(kind="random", amplitude=0.1, seed=7)
+    scn = ls.load_scenario(ls.bundled_scenario_path("open_field.scn")).with_disturbance(spec)
+    again = ls.parse_scenario("\n".join(scn.resolved_lines()) + "\n")
+    assert again.disturbance == spec and again.digest() == scn.digest()
+    assert np.array_equal(
+        ls.make_disturbance("random", amplitude=0.1, seed=np.int64(7)).signal(np.arange(5.0)),
+        ls.make_disturbance("random", amplitude=0.1, seed=7).signal(np.arange(5.0)),
+    )
+
+
 def test_disturbance_validation():
     with pytest.raises(ls.ConfigurationError):
         ls.make_disturbance("gusts")
