@@ -9,8 +9,9 @@ Rollouts are deterministic: fixed step, no adaptive logic, no threading, so a
 repeated run reproduces every float bit for bit. One kernel steps every
 closed-loop rollout. The law is state feedback, so it is evaluated once per
 RK4 stage, wherever the stage state lands. Stage 1 sits at the sample state,
-so its evaluation is also the recorded sample, and one extra evaluation
-records the last sample: 4 n_steps + 1 law evaluations per rollout.
+so its evaluation is also the recorded sample (h, z_dot_s and the filter's
+active flag), and one extra evaluation records the last sample:
+4 n_steps + 1 law evaluations per rollout, and none after it.
 A disturbance depends on time only, so it is evaluated once per rollout,
 on three stage-time grids (t, t + dt/2 and t + dt over every step), each
 entry the same float rk4_step forms as that stage's time. Its one shape is
@@ -100,8 +101,9 @@ class _Samples:
     e is the integral of e_dot from zero (the tracked reference starts on the
     trajectory), so e = z - z_s holds by construction with z_s := z - e.
     v is the tracking certificate ||e_dot||, which every post-hoc check reads,
-    and h_v the recurrent barrier value, NaN without a recurrent barrier.
-    Arrays are read-only after construction.
+    h_v the recurrent barrier value, NaN without a recurrent barrier, and
+    active the filter's flag, one bool per sample, true where it corrected
+    the desired velocity. Arrays are read-only after construction.
     """
 
     dt: float
@@ -114,7 +116,7 @@ class _Samples:
     e_dot: np.ndarray
     u: np.ndarray
     h: np.ndarray
-    grad_h: np.ndarray
+    active: np.ndarray
     v: np.ndarray
     h_v: np.ndarray
 
@@ -130,8 +132,8 @@ class _Samples:
 _FIELDS = tuple(f.name for f in fields(_Samples) if f.name != "dt")
 
 _CSV_RENAMES = {"z_dot": "zdot", "z_s_dot": "zsdot", "e_dot": "edot", "v": "V", "h_v": "hV"}
-# CSV column stem of each written field; grad_h is not written
-_CSV_STEMS = {name: _CSV_RENAMES.get(name, name) for name in _FIELDS if name != "grad_h"}
+# CSV column stem of each written field; active is not written
+_CSV_STEMS = {name: _CSV_RENAMES.get(name, name) for name in _FIELDS if name != "active"}
 
 
 @dataclass(frozen=True)
@@ -314,10 +316,12 @@ def integrate_batch(
                 raise DivergenceError(
                     f"non-finite state at step {k} (t={t:.6g}), run {int(np.argmin(ok))}"
                 )
-            samples.append((x, u, (inter.h,), inter.grad_h, inter.z_dot_s))
+            samples.append((x, u, (inter.h,), inter.z_dot_s, inter.active))
 
-    x, u, h, grad_h, z_s_dot = (_per_sample(vals, n_runs) for vals in zip(*samples))
+    *floats, active = zip(*samples)
+    x, u, h, z_s_dot = (_per_sample(vals, n_runs) for vals in floats)
     h = h[..., 0]  # recorded as 1-tuples
+    active = np.array(active, dtype=bool).reshape(h.shape)
     z, z_dot, e_dot, v, h_v = _derived(pair, rcbf, split(x), split(z_s_dot), h)
     z, z_dot, e_dot = join(z), join(z_dot), join(e_dot)
     # e(t) = integral of e_dot, trapezoid rule; the reference starts on the run
@@ -326,7 +330,7 @@ def integrate_batch(
     np.cumsum((e_dot[:-1] + e_dot[1:]) * (dt / 2.0), axis=0, out=e[1:])
     return BatchRollout(
         dt=dt, t=np.arange(len(samples)) * dt, x=x, z=z, z_dot=z_dot, z_s_dot=z_s_dot, e=e,
-        e_dot=e_dot, u=u, h=h, grad_h=grad_h, v=v, h_v=h_v,
+        e_dot=e_dot, u=u, h=h, active=active, v=v, h_v=h_v,
     )
 
 

@@ -21,6 +21,7 @@ from .dynamics import IntegratorConfig, Trajectory, integrate
 from .errors import ConfigurationError, HypothesisViolationError
 from .recurrence import (
     Rtf,
+    _covers_window,
     check_exponential_envelope,
     check_rtf_recurrence,
     check_safety_chain,
@@ -73,11 +74,6 @@ def evaluate_expectations(summary: dict, expectations) -> tuple:
         actual = float(summary.get(e.metric, float("nan")))
         out.append((e, actual, e.check(actual)))
     return tuple(out)
-
-
-def _covers_window(traj: Trajectory, rtf: Rtf) -> bool:
-    """Whether the rollout spans the certificate's recurrence window."""
-    return traj.horizon + traj.dt / 2 >= rtf.tau
 
 
 def _run_summary(traj: Trajectory, law: ClosedLoopLaw, rtf: Rtf, rcbf):
@@ -325,15 +321,15 @@ def effective_disturbance_bound(traj: Trajectory, law: ClosedLoopLaw) -> float:
     """Max ||d2/dt2 of the filtered velocity|| while the filter stays active.
 
     Central differences of the recorded filtered velocity, restricted to
-    interior samples whose neighbors are also filter-active with the same
-    nearest obstacle (the filtered field is smooth there; switching samples
-    would differentiate across a kink).
+    interior samples whose neighbors are also filter-active, as recorded,
+    with the same nearest obstacle (the filtered field is smooth there;
+    switching samples would differentiate across a kink).
     """
     if traj.n_samples < 3:
         return 0.0
     dt = traj.dt
     acc = (traj.z_s_dot[2:] - traj.z_s_dot[:-2]) / (2.0 * dt)
-    active = np.asarray(law.evaluate(traj.x).active, dtype=bool)
+    active = traj.active
     ok = active[:-2] & active[1:-1] & active[2:]
     field = getattr(law.barrier, "field", None)
     if field is not None:

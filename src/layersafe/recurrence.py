@@ -2,7 +2,7 @@
 
 The tracking certificate V = ||e_dot|| is recorded by every rollout as
 Trajectory.v, and the checks here read it (and the recorded h) from there.
-Its recurrence property over windows of length tau asks for some contained
+Its recurrence property over windows of length tau asks for some sample
 time t in (0, tau] with e^{beta t} V(t) <= V(0): V need not decay
 monotonically, it must merely keep returning below an exponentially
 shrinking level.
@@ -11,7 +11,9 @@ The recurrent barrier combines the certificate with a state barrier h:
 h_V(z, e_dot) = -V(z, e_dot) + alpha_e h(z), with
 alpha_e = a1^2 (beta - alpha) / (a2 C_h M). Its zero-superlevel set is the
 certified region: trajectories started there keep h nonnegative even while
-h_V itself dips below zero, provided beta > alpha.
+h_V itself dips below zero, provided beta > alpha. The recurrence of h_V is
+what that result concludes from the certificate's recurrence, so a run
+checks the certificate's recurrence and h >= 0, not h_V's recurrence.
 """
 from __future__ import annotations
 
@@ -42,6 +44,9 @@ class Rtf:
 
 def norm_rtf(a1: float = 1.0, a2: float = 1.0, beta: float = 2.45, tau: float = 1.0) -> Rtf:
     """Constants of the Euclidean certificate V = ||e_dot||; a1 = a2 = 1 is canonical."""
+    for name, val in (("a1", a1), ("a2", a2), ("beta", beta), ("tau", tau)):
+        if not np.isfinite(val):
+            raise ConfigurationError(f"{name} must be finite, got {val!r}")
     if not (0 < a1 <= a2):
         raise ConfigurationError(f"need 0 < a1 <= a2, got a1={a1!r}, a2={a2!r}")
     if not beta > 0:
@@ -56,6 +61,11 @@ def _predicate_mask(traj: Trajectory, predicate) -> np.ndarray:
     if mask.shape != traj.t.shape:
         raise ConfigurationError("predicate must produce one boolean per sample")
     return mask
+
+
+def _covers_window(traj: Trajectory, rtf: Rtf) -> bool:
+    """Whether the rollout spans the certificate's recurrence window, to half a step."""
+    return traj.horizon + traj.dt / 2 >= rtf.tau
 
 
 def _window_selector(traj: Trajectory, a: float, b_end: float) -> np.ndarray:
@@ -88,29 +98,21 @@ class RecurrenceVerdict:
     margin: float
 
 
-def check_rtf_recurrence(
-    rtf: Rtf,
-    traj: Trajectory,
-    s_predicate=None,
-    shift: float = 0.0,
-) -> RecurrenceVerdict:
+def check_rtf_recurrence(rtf: Rtf, traj: Trajectory, shift: float = 0.0) -> RecurrenceVerdict:
     """Recurrence of the certificate along a rollout.
 
-    Evaluates min over contained sample times t in (0, tau] of
+    Evaluates min over sample times t in (0, tau] of
     e^{beta t} (V(t) - shift), V as recorded, against V(0) - shift; margin is the
     difference (nonnegative means satisfied, up to 1e-12 relative slack).
-    An empty containment set is reported as not satisfied (conservative).
-    ``s_predicate``, when given, restricts the containment times to samples
-    where its mask holds; ``shift`` is used by the disturbed variant.
+    An empty window is reported as not satisfied (conservative).
+    ``shift`` is used by the disturbed variant.
     """
-    if traj.horizon + traj.dt / 2 < rtf.tau:
+    if not _covers_window(traj, rtf):
         raise ConfigurationError(
             f"trajectory horizon {traj.horizon:g} is shorter than the window {rtf.tau:g}"
         )
     v0 = float(traj.v[0]) - shift
     sel = _window_selector(traj, 0.0, rtf.tau)
-    if s_predicate is not None:
-        sel = sel & _predicate_mask(traj, s_predicate)
     if not np.any(sel):
         return RecurrenceVerdict(satisfied=False, witness_t=None, margin=float("-inf"))
     tsel = traj.t[sel]
@@ -190,66 +192,18 @@ def in_recurrent_set(rcbf: RecurrentCbf, z, e_dot):
 
 
 @dataclass(frozen=True)
-class RcbfVerdict:
-    satisfied: bool
-    return_time: float | None
-
-
-def check_rcbf_recurrence(
-    rcbf: RecurrentCbf,
-    traj: Trajectory,
-    gamma_rate: float,
-    s_predicate=None,
-) -> RcbfVerdict:
-    """Earliest contained t in (0, tau] with e^{gamma_rate t} h_V(t) >= h_V(0).
-
-    The time-scaled comparison lets h_V dip below its initial value as long
-    as it recovers within the window at the prescribed rate. h_V is read from
-    Trajectory.h_v, which the rollout recorded with ``rcbf``; a trajectory
-    rolled without a recurrent barrier (h_v all NaN) is refused.
-    """
-    tau = rcbf.rtf.tau
-    if traj.horizon + traj.dt / 2 < tau:
-        raise ConfigurationError(
-            f"trajectory horizon {traj.horizon:g} is shorter than the window {tau:g}"
-        )
-    hv = traj.h_v
-    if np.all(np.isnan(hv)):
-        raise ConfigurationError(
-            "the trajectory records no h_V (h_v is all NaN): roll it out with a recurrent barrier"
-        )
-    hv0 = float(hv[0])
-    sel = _window_selector(traj, 0.0, tau)
-    if s_predicate is not None:
-        sel = sel & _predicate_mask(traj, s_predicate)
-    idx = np.flatnonzero(sel)
-    if idx.size == 0:
-        return RcbfVerdict(satisfied=False, return_time=None)
-    ok = np.exp(gamma_rate * traj.t[idx]) * hv[idx] >= hv0
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
-        return RcbfVerdict(satisfied=False, return_time=None)
-    return RcbfVerdict(satisfied=True, return_time=float(traj.t[idx[hits[0]]]))
-
-
-@dataclass(frozen=True)
 class ChainReport:
     """Pointwise audit of the barrier lower bound along a rollout.
 
     slack(t) = h(t) - [e^{-alpha t} h(0) - C_h * I(t)] with I the
     exponentially weighted integral of ||e_dot||, evaluated by trapezoid
-    quadrature. closed_form_slack audits the fully resolved endpoint bound
-    e^{-alpha t} V(0) (C_h M / (a1 (beta - alpha))) (a2/a1 - 1), which
-    degenerates to h >= 0 for a1 = a2.
+    quadrature.
     """
 
     t: np.ndarray
     slack: np.ndarray
     min_slack: float
     min_slack_t: float
-    closed_form_slack: np.ndarray
-    min_closed_form_slack: float
-    quadrature: str = "trapezoid"
 
 
 def check_safety_chain(traj: Trajectory, rcbf: RecurrentCbf) -> ChainReport:
@@ -257,7 +211,6 @@ def check_safety_chain(traj: Trajectory, rcbf: RecurrentCbf) -> ChainReport:
     as recorded."""
     alpha = rcbf.alpha
     c_h = rcbf.barrier.grad_bound
-    rtf = rcbf.rtf
     t = traj.t
     dt = traj.dt
     h = traj.h
@@ -272,20 +225,4 @@ def check_safety_chain(traj: Trajectory, rcbf: RecurrentCbf) -> ChainReport:
     lower = np.exp(-alpha * t) * h[0] - c_h * integral
     slack = h - lower
     i = int(np.argmin(slack))
-
-    v0 = float(en[0])
-    endpoint = (
-        np.exp(-alpha * t)
-        * v0
-        * (c_h * rcbf.m_overshoot / (rtf.a1 * (rtf.beta - alpha)))
-        * (rtf.a2 / rtf.a1 - 1.0)
-    )
-    cf_slack = h - endpoint
-    return ChainReport(
-        t=t,
-        slack=slack,
-        min_slack=float(slack[i]),
-        min_slack_t=float(t[i]),
-        closed_form_slack=cf_slack,
-        min_closed_form_slack=float(np.min(cf_slack)),
-    )
+    return ChainReport(t=t, slack=slack, min_slack=float(slack[i]), min_slack_t=float(t[i]))

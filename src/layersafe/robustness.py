@@ -7,6 +7,8 @@ iota = a2 e^{beta tau} mu(||d||_inf) / M, and the certified region shrinks by
 gamma = iota / alpha_e. Every check here reduces bit-for-bit to its nominal
 counterpart when d is identically zero: the zero-offset branches delegate to
 the same code paths the nominal checks use, on the recorded V = Trajectory.v.
+The shifted recurrence, like the nominal one, takes every sample in
+(0, tau] as a witness candidate.
 """
 from __future__ import annotations
 
@@ -243,18 +245,13 @@ def check_iss_envelope(traj: Trajectory, env: IssEnvelope) -> IssVerdict:
     return IssVerdict(holds=bool(holds), worst_excess=worst)
 
 
-def check_practical_rtf(
-    rtf: Rtf,
-    traj: Trajectory,
-    env: IssEnvelope,
-    s_predicate=None,
-) -> RecurrenceVerdict:
+def check_practical_rtf(rtf: Rtf, traj: Trajectory, env: IssEnvelope) -> RecurrenceVerdict:
     """Disturbance-shifted recurrence: min e^{beta t}(V(t) - iota) <= V(0) - iota.
 
     Shares the nominal check's code path with shift = iota, so iota = 0 gives
-    an identical verdict. An empty containment set is not satisfied.
+    an identical verdict. An empty window is not satisfied.
     """
-    return check_rtf_recurrence(rtf, traj, s_predicate=s_predicate, shift=env.iota)
+    return check_rtf_recurrence(rtf, traj, shift=env.iota)
 
 
 def in_robust_set(rcbf: RecurrentCbf, env: IssEnvelope, z, e_dot):

@@ -76,6 +76,15 @@ class RtfConstants:
     m_overshoot: float = 3.24
 
     def __post_init__(self):
+        for key, val in (
+            ("rtf.a1", self.a1),
+            ("rtf.a2", self.a2),
+            ("rtf.beta", self.beta),
+            ("rtf.tau", self.tau),
+            ("rtf.M", self.m_overshoot),
+        ):
+            if not np.isfinite(val):  # the echo could not write it back
+                raise ConfigurationError(f"{key} must be finite, got {val!r}")
         if not (0 < self.a1 <= 1.0 <= self.a2):  # the sandwich must hold for V = ||e_dot||
             raise ConfigurationError(
                 f"rtf constants need 0 < a1 <= 1 <= a2, got a1={self.a1!r}, a2={self.a2!r}"
@@ -98,7 +107,7 @@ class Expectation:
         return bool(_OPS[self.op](actual, self.value))
 
     def render(self) -> str:
-        return f"expect.{self.metric} {self.op} {self.value!r}"
+        return f"expect.{self.metric} {self.op} {float(self.value)!r}"
 
 
 def _pair_text(v: np.ndarray) -> str:
@@ -220,8 +229,9 @@ class _Type(NamedTuple):  # how a value is read, and how the echo writes it back
 
 
 _PAIR = _Type(_parse_pair, _pair_text)
-_FLOAT = _Type(_parse_float, repr)
-_INT = _Type(_parse_int, repr)
+# numpy scalars echo as the plain numbers they hold, e.g. 0.1, not np.float64(0.1)
+_FLOAT = _Type(_parse_float, lambda v: repr(float(v)))
+_INT = _Type(_parse_int, lambda v: repr(int(v)))
 _WORD = _Type(str, str)
 
 # Every key but the obstacles and the expectations: the record it fills (None

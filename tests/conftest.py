@@ -1,4 +1,7 @@
-"""Shared fixtures: bundled scenarios, built worlds, and cached rollouts."""
+"""Shared fixtures and helpers: bundled scenarios, built worlds, cached rollouts,
+synthetic trajectories and a barrier that counts its passes."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -51,11 +54,11 @@ def error_starts(law, e_dot0):
     )
 
 
-def synthetic_trajectory(t, v_norms, h=None, h_v=None):
+def synthetic_trajectory(t, v_norms, h=None):
     """A minimal trajectory whose error-norm series equals v_norms.
 
     Positions sit at the origin; only the fields the certificate checks read
-    (t, z, e_dot, h, h_v) carry signal.
+    (t, e_dot, v, h) carry signal.
     """
     t = np.asarray(t, dtype=float)
     n = t.size
@@ -64,7 +67,6 @@ def synthetic_trajectory(t, v_norms, h=None, h_v=None):
     e_dot[:, 0] = v_norms
     zeros2 = np.zeros((n, 2))
     h = np.zeros(n) if h is None else np.asarray(h, dtype=float)
-    h_v = np.zeros(n) if h_v is None else np.asarray(h_v, dtype=float)
     return ls.Trajectory(
         dt=float(t[1] - t[0]),
         t=t,
@@ -76,10 +78,29 @@ def synthetic_trajectory(t, v_norms, h=None, h_v=None):
         e_dot=e_dot,
         u=zeros2.copy(),
         h=h,
-        grad_h=zeros2.copy(),
+        active=np.zeros(n, dtype=bool),
         v=np.abs(v_norms).astype(float),
-        h_v=h_v,
+        h_v=np.zeros(n),
     )
+
+
+def counting_barrier(field, monkeypatch):
+    """A min-distance barrier whose value and value_and_gradient passes are counted."""
+    b = ls.min_distance_barrier(field)
+    calls = Counter()
+
+    def counted(name, method):
+        def call(self, z):
+            if self is b:
+                calls[name] += 1
+            return method(self, z)
+        return call
+
+    monkeypatch.setattr(ls.BarrierFn, "value", counted("value", ls.BarrierFn.value))
+    monkeypatch.setattr(
+        ls.BarrierFn, "value_and_gradient", counted("vg", ls.BarrierFn.value_and_gradient)
+    )
+    return b, calls
 
 
 @pytest.fixture(scope="session")

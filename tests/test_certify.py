@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import layersafe as ls
+from conftest import counting_barrier
 
 
 def test_grid_validation_and_points():
@@ -171,25 +172,6 @@ def test_certify_minima_match_single_rollouts(name, mode, counts, request):
         )
         rec = report.per_point[i]
         assert (rec.min_h, rec.min_h_v) == (float(np.min(traj.h)), float(np.min(traj.h_v))), i
-
-
-def counting_barrier(field, monkeypatch):
-    """A min-distance barrier whose value and value_and_gradient passes are counted."""
-    b = ls.min_distance_barrier(field)
-    calls = Counter()
-
-    def counted(name, method):
-        def call(self, z):
-            if self is b:
-                calls[name] += 1
-            return method(self, z)
-        return call
-
-    monkeypatch.setattr(ls.BarrierFn, "value", counted("value", ls.BarrierFn.value))
-    monkeypatch.setattr(
-        ls.BarrierFn, "value_and_gradient", counted("vg", ls.BarrierFn.value_and_gradient)
-    )
-    return b, calls
 
 
 def test_one_barrier_pass_per_rk4_stage(two_disks, monkeypatch):

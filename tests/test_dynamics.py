@@ -61,7 +61,7 @@ def test_single_run_matches_batch_row(td):
     batch = ls.integrate_batch(pair, law, np.stack([x0, x1]), cfg, rcbf=rcbf)
     other = batch.trajectory(0)
     for name in ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h",
-                 "grad_h", "v", "h_v"):
+                 "active", "v", "h_v"):
         assert np.array_equal(getattr(single, name), getattr(other, name)), name
     # row independence: the same start alone gives bit-identical results
     alone = ls.integrate_batch(pair, law, x1[None, :], cfg, rcbf=rcbf)
@@ -93,6 +93,26 @@ def test_trajectory_recording_semantics(td):
     hv = np.asarray(rcbf.value(traj.z, traj.e_dot))
     assert np.array_equal(traj.h_v, hv)
     assert traj.min_h() == float(np.min(traj.h))
+
+
+def test_recorded_active_is_the_filter_flag(td):
+    # the rollout records the stage-1 filter flag, so evaluating the law at
+    # the recorded states gives the same flag at every sample, one run or
+    # several, with or without a disturbance
+    scn, pair, law = td["scn"], td["pair"], td["law"]
+    cfg = ls.IntegratorConfig(dt=0.001, horizon=2.0)
+    z0s = np.array([scn.start, [-1.0, -0.5], [0.5, 1.2]])
+    x0s = ls.initial_states(scn, law, z0s, mode="desired")
+    sine = ls.make_disturbance("sine", amplitude=0.3, frequency=2.0)
+    for dist in (None, sine):
+        alone = ls.integrate(pair, law, x0s[0], cfg, disturbance=dist)
+        batch = ls.integrate_batch(pair, law, x0s, cfg, disturbance=dist)
+        assert batch.active.shape == (cfg.n_steps + 1, 3)
+        for rec in (alone, batch):
+            assert rec.active.dtype == bool and rec.active.shape == rec.h.shape
+            assert np.array_equal(rec.active, law.evaluate(rec.x).active)
+        # the transit both engages and releases the filter
+        assert alone.active.any() and not alone.active.all()
 
 
 def test_trajectory_csv_round_trip(tmp_path, td):
@@ -249,7 +269,7 @@ def _same_bits_but_nan_sign(a, b):
     return np.array_equal(nan, np.isnan(b)) and _same_bits(a[~nan], b[~nan])
 
 
-_RECORDED = ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h", "grad_h", "v", "h_v")
+_RECORDED = ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h", "active", "v", "h_v")
 
 
 def _crafted_world():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import layersafe as ls
-from conftest import MU_GAIN
+from conftest import MU_GAIN, counting_barrier
 
 QUIET_WORLD = """\
 start = 0.4, 0.0
@@ -170,10 +170,36 @@ def test_run_iss_needs_hypothesis(two_disks, tmp_path):
         ls.run_iss(two_disks.with_alpha(5.0), out_dir=tmp_path)
 
 
+def _reevaluated_disturbance_bound(traj, law):
+    """effective_disturbance_bound as it was before the rollout recorded the
+    filter flag: the law evaluated again at every recorded state."""
+    acc = (traj.z_s_dot[2:] - traj.z_s_dot[:-2]) / (2.0 * traj.dt)
+    active = np.asarray(law.evaluate(traj.x).active, dtype=bool)
+    ok = active[:-2] & active[1:-1] & active[2:]
+    near = law.barrier.field.nearest(traj.z)
+    ok = ok & (near[:-2] == near[1:-1]) & (near[1:-1] == near[2:])
+    if not np.any(ok):
+        return 0.0
+    return float(np.max(np.sqrt(np.sum(acc[ok] * acc[ok], axis=-1))))
+
+
 def test_effective_disturbance_bound(of, of_run, td, td_transit):
     assert ls.effective_disturbance_bound(of_run, of["law"]) == 0.0
+    # the recorded flag gives the re-evaluated bound bit for bit
     val = ls.effective_disturbance_bound(td_transit, td["law"])
-    assert np.isfinite(val) and val >= 0.0
+    assert val > 0.0
+    assert val == _reevaluated_disturbance_bound(td_transit, td["law"])
+
+
+def test_run_iss_makes_one_barrier_pass_per_rk4_stage(open_field, monkeypatch, tmp_path):
+    # the rollout's 4 n_steps + 1 passes are all: the report reads the
+    # recorded filter flag instead of evaluating the law again; the one
+    # value call is the initial state's robust-set membership
+    scn = open_field.with_horizon(0.05).with_velocity_mode("zero")
+    b, calls = counting_barrier(scn.field, monkeypatch)
+    monkeypatch.setattr(ls.harness, "build_barrier", lambda _scn: b)
+    ls.run_iss(scn, out_dir=tmp_path, mu_gain=MU_GAIN)
+    assert (calls["vg"], calls["value"]) == (4 * scn.integrator.n_steps + 1, 1)
 
 
 def test_write_plot_script(tmp_path):

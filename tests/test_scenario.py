@@ -1,4 +1,6 @@
 """Scenario parsing, canonical echoes and digests, and initial-state modes."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,44 @@ def test_resolved_lines_round_trip():
         assert again.digest() == scn.digest()
         assert again.resolved_lines() == scn.resolved_lines()
         assert again.disturbance == scn.disturbance
+
+
+def test_numpy_scalars_echo_as_plain_numbers(open_field):
+    # a value built in code as a numpy scalar echoes, digests and re-parses
+    # as the plain number it holds, for every number-valued key
+    random = ls.DisturbanceSpec(kind="random", amplitude=0.1, seed=7, segment=0.25)
+    numeric = {ls.scenario._FLOAT: np.float64, ls.scenario._INT: np.int64}
+    checked = []
+    for key, (record, attr, vtype) in ls.scenario._KEYS.items():
+        if vtype not in numeric:
+            continue
+        scn = open_field  # its sine disturbance echoes amplitude and frequency
+        if record == "disturbance" and attr in ("seed", "segment"):
+            scn = scn.with_disturbance(random)
+        owner = getattr(scn, record)
+        value = numeric[vtype](getattr(owner, attr))
+        held = dataclasses.replace(scn, **{record: dataclasses.replace(owner, **{attr: value})})
+        assert held.digest() == scn.digest(), key
+        again = ls.parse_scenario("\n".join(held.resolved_lines()) + "\n")
+        assert again.digest() == scn.digest(), key
+        checked.append(key)
+    assert len(checked) == 14
+    # an expectation's threshold too
+    held = dataclasses.replace(open_field, expectations=tuple(
+        dataclasses.replace(e, value=np.float64(e.value)) for e in open_field.expectations
+    ))
+    assert held.digest() == open_field.digest()
+
+
+def test_certificate_constants_must_be_finite():
+    # a non-finite constant would echo a line that parse_scenario refuses
+    for attr, key in (
+        ("a1", "rtf.a1"), ("a2", "rtf.a2"), ("beta", "rtf.beta"), ("tau", "rtf.tau"),
+        ("m_overshoot", "rtf.M"),
+    ):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ls.ConfigurationError, match=f"^{key} must be finite, got"):
+                ls.RtfConstants(**{attr: bad})
 
 
 def test_bundled_scenarios_are_pinned(two_disks, open_field):
