@@ -21,6 +21,7 @@ from pathlib import Path
 from .certify import VERDICTS, Grid, certify_initial_set
 from .errors import ConfigurationError, DivergenceError, ScenarioError
 from .harness import (
+    _result_lines,
     default_out_dir,
     run_case_study,
     run_iss,
@@ -45,16 +46,17 @@ def _resolve_scenario_path(name: str) -> Path:
     raise ConfigurationError(f"no such scenario file: {name}")
 
 
-def _print_artifacts(art) -> int:
-    print(f"wrote {art.trajectory_csv}")
-    print(f"wrote {art.report_path}")
-    for k in sorted(art.summary):
-        print(f"  {k} = {art.summary[k]!r}")
-    failed = 0
-    for e, actual, ok in art.expectation_results:
-        print(f"  {'PASS' if ok else 'FAIL'} {e.render()}  (actual = {actual!r})")
-        failed += 0 if ok else 1
-    return failed
+def _print_artifacts(art) -> None:
+    summary_lines, verdicts = _result_lines(art.summary, art.expectation_results)
+    print(f"wrote {art.trajectory_csv}", f"wrote {art.report_path}", sep="\n")
+    print(*summary_lines, *verdicts, sep="\n")
+
+
+def _finish(art, out: Path) -> int:
+    """Print one run's artifacts and drop the plot helper; 1 if an expectation failed."""
+    write_plot_script(out)
+    _print_artifacts(art)
+    return 1 if art.failed_expectations else 0
 
 
 def _load(args) -> Scenario:
@@ -73,9 +75,7 @@ def _out(args) -> Path:
 def _cmd_simulate(args) -> int:
     scn = _load(args)
     out = _out(args)
-    art = run_simulate(scn, out_dir=out)
-    write_plot_script(out)
-    return 1 if _print_artifacts(art) else 0
+    return _finish(run_simulate(scn, out_dir=out), out)
 
 
 def _parse_alphas(text: str) -> list:
@@ -92,13 +92,12 @@ def _cmd_case_study(args) -> int:
     scn = _load(args)
     out = _out(args)
     artifacts, summary_path = run_case_study(scn, _parse_alphas(args.alphas), out_dir=out)
-    failed = 0
     for art in artifacts:
         print(f"[{art.label}]")
-        failed += _print_artifacts(art)
+        _print_artifacts(art)
     print(f"wrote {summary_path}")
     write_plot_script(out)
-    return 1 if failed else 0
+    return 1 if any(art.failed_expectations for art in artifacts) else 0
 
 
 def _parse_grid(text: str, scn: Scenario) -> Grid:
@@ -146,9 +145,7 @@ def _cmd_certify(args) -> int:
 def _cmd_recurrence_demo(args) -> int:
     scn = _load(args)
     out = _out(args)
-    art = run_recurrence_demo(scn, out_dir=out)
-    write_plot_script(out)
-    return 1 if _print_artifacts(art) else 0
+    return _finish(run_recurrence_demo(scn, out_dir=out), out)
 
 
 def _parse_disturbance(text: str, base: DisturbanceSpec) -> DisturbanceSpec:
@@ -177,9 +174,7 @@ def _cmd_iss(args) -> int:
     if args.disturbance:
         scn = scn.with_disturbance(_parse_disturbance(args.disturbance, scn.disturbance))
     out = _out(args)
-    art = run_iss(scn, out_dir=out, mu_gain=args.mu_gain)
-    write_plot_script(out)
-    return 1 if _print_artifacts(art) else 0
+    return _finish(run_iss(scn, out_dir=out, mu_gain=args.mu_gain), out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -69,21 +69,13 @@ class ModelPair:
     project_input: Callable
 
 
-def double_integrator_pair(scenario=None) -> ModelPair:
+def double_integrator_pair() -> ModelPair:
     """Planar double integrator over a single-integrator reduced model.
 
     Full state x = (position, velocity) in R^4 with x_dot = (velocity, u);
     reduced state z = position with z_dot = v. The input projection reads the
     velocity, which is exactly the quantity the reduced model commands.
     """
-    if scenario is not None:
-        start = np.asarray(scenario.start, dtype=float)
-        goal = np.asarray(scenario.goal, dtype=float)
-        if start.shape != (2,) or goal.shape != (2,):
-            raise ConfigurationError(
-                "the double-integrator pair needs a planar scenario: start and goal in R^2"
-            )
-
     return ModelPair(
         n_full=4,
         n_reduced=2,

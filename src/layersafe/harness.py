@@ -11,15 +11,18 @@ import dataclasses
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ._io import atomic_write_text
 from ._vec import vnorm
 from .controller import ClosedLoopLaw
-from .dynamics import IntegratorConfig, Trajectory, integrate
+from .dynamics import IntegratorConfig, ModelPair, Trajectory, integrate
 from .errors import ConfigurationError, HypothesisViolationError
 from .recurrence import (
+    RecurrenceVerdict,
+    RecurrentCbf,
     Rtf,
     _covers_window,
     check_exponential_envelope,
@@ -27,11 +30,11 @@ from .recurrence import (
     check_safety_chain,
 )
 from .robustness import (
+    Disturbance,
     build_iss_envelope,
     check_iss_envelope,
     check_practical_rtf,
     estimate_mu_gain,
-    in_robust_set,
 )
 from .scenario import (
     Scenario,
@@ -76,23 +79,6 @@ def evaluate_expectations(summary: dict, expectations) -> tuple:
     return tuple(out)
 
 
-def _run_summary(traj: Trajectory, law: ClosedLoopLaw, rtf: Rtf, rcbf):
-    """Summary metrics shared by every run, and the certificate's recurrence
-    verdict (None when the rollout is shorter than the window)."""
-    rtf_v = check_rtf_recurrence(rtf, traj) if _covers_window(traj, rtf) else None
-    summary = {
-        "min_h": float(np.min(traj.h)),
-        "min_h_v": float(np.min(traj.h_v)),
-        "max_edot": float(np.max(traj.v)),
-        "final_goal_distance": float(vnorm(traj.z[-1] - law.goal)),
-        "rtf_margin": rtf_v.margin if rtf_v is not None else float("nan"),
-        "chain_min_slack": float("nan"),
-    }
-    if rcbf is not None:
-        summary["chain_min_slack"] = check_safety_chain(traj, rcbf).min_slack
-    return summary, rtf_v
-
-
 def _preamble(scn: Scenario, label: str) -> list:
     return [
         f"scenario digest: {scn.digest()}",
@@ -102,7 +88,16 @@ def _preamble(scn: Scenario, label: str) -> list:
     ]
 
 
+def _result_lines(summary: dict, results) -> tuple[list, list]:
+    """Summary lines and expectation verdict lines, as reports and the CLI print them."""
+    return (
+        [f"  {k} = {summary[k]!r}" for k in sorted(summary)],
+        [f"  {'PASS' if ok else 'FAIL'} {e.render()}  (actual = {a!r})" for e, a, ok in results],
+    )
+
+
 def _report_text(scn: Scenario, label: str, summary: dict, checks: list, exp_results) -> str:
+    summary_lines, verdicts = _result_lines(summary, exp_results)
     lines = [
         f"run report: {label}",
         f"scenario digest: {scn.digest()}",
@@ -111,17 +106,11 @@ def _report_text(scn: Scenario, label: str, summary: dict, checks: list, exp_res
         *(f"  {ln}" for ln in scn.resolved_lines()),
         "",
         "summary:",
-        *(f"  {k} = {summary[k]!r}" for k in sorted(summary)),
+        *summary_lines,
     ]
     if checks:
-        lines += ["", "checks:"]
-        lines += [f"  {c}" for c in checks]
-    lines += ["", "expectations:"]
-    if not exp_results:
-        lines.append("  (none declared)")
-    for e, actual, ok in exp_results:
-        lines.append(f"  {'PASS' if ok else 'FAIL'} {e.render()}  (actual = {actual!r})")
-    lines.append("")
+        lines += ["", "checks:", *(f"  {c}" for c in checks)]
+    lines += ["", "expectations:", *(verdicts or ["  (none declared)"]), ""]
     return "\n".join(lines)
 
 
@@ -141,31 +130,62 @@ def _emit(scn, label, traj, summary, checks, out_dir) -> RunArtifacts:
     )
 
 
-def _build_run(scn: Scenario):
+class _Run(NamedTuple):
+    """A scenario rolled out from its start: the built parts, the record, the
+    summary and check lines every run reports, and the certificate's
+    recurrence verdict (None when the rollout is shorter than the window)."""
+
+    pair: ModelPair
+    law: ClosedLoopLaw
+    rtf: Rtf
+    rcbf: RecurrentCbf | None
+    dist: Disturbance
+    traj: Trajectory
+    summary: dict
+    rtf_v: RecurrenceVerdict | None
+    checks: list
+
+
+def _roll(scn: Scenario, needs_region: str = "") -> _Run:
+    """Build the layers and roll out from the scenario start.
+
+    A certified region exists exactly when the recurrence rate exceeds alpha.
+    Without one, a run named by ``needs_region`` is refused before it rolls;
+    any other run rolls with no recurrent barrier (h_V is NaN) and says so.
+    """
     pair = build_pair(scn)
     b = build_barrier(scn)
     law = build_law(scn, b)
     rtf = build_rtf(scn)
-    try:
-        rcbf = build_scenario_rcbf(scn, b)
-    except HypothesisViolationError:
-        rcbf = None
+    rcbf = build_scenario_rcbf(scn, b) if scn.rcbf_hypothesis_ok else None
     dist = build_disturbance(scn)
-    return pair, law, rtf, rcbf, dist
+    checks = []
+    if rcbf is None:
+        if needs_region:
+            raise HypothesisViolationError(
+                f"{needs_region} needs a certified region: the recurrence rate must exceed alpha"
+            )
+        checks.append("no certified region for this alpha: the recurrence rate does not exceed it")
+    x0 = initial_state(scn, law)
+    traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
+    rtf_v = check_rtf_recurrence(rtf, traj) if _covers_window(traj, rtf) else None
+    summary = {
+        "min_h": float(np.min(traj.h)),
+        "min_h_v": float(np.min(traj.h_v)),
+        "max_edot": float(np.max(traj.v)),
+        "final_goal_distance": float(vnorm(traj.z[-1] - law.goal)),
+        "rtf_margin": rtf_v.margin if rtf_v is not None else float("nan"),
+        "chain_min_slack": (
+            check_safety_chain(traj, rcbf).min_slack if rcbf is not None else float("nan")
+        ),
+    }
+    return _Run(pair, law, rtf, rcbf, dist, traj, summary, rtf_v, checks)
 
 
 def run_simulate(scn: Scenario, out_dir=None) -> RunArtifacts:
     """One rollout from the scenario start; CSV, report, declared expectations."""
-    pair, law, rtf, rcbf, dist = _build_run(scn)
-    x0 = initial_state(scn, law)
-    traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
-    summary, _rtf_v = _run_summary(traj, law, rtf, rcbf)
-    checks = []
-    if rcbf is None:
-        checks.append(
-            "no certified region for this alpha: the recurrence rate does not exceed it"
-        )
-    return _emit(scn, "simulate", traj, summary, checks, out_dir)
+    run = _roll(scn)
+    return _emit(scn, "simulate", run.traj, run.summary, run.checks, out_dir)
 
 
 def run_case_study(scn: Scenario, alphas, out_dir=None):
@@ -196,15 +216,13 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
     artifacts = []
     rows = []
     for tag, scn_a in runs.items():
-        pair, law, rtf, rcbf, dist = _build_run(scn_a)
-        x0 = initial_state(scn_a, law)
-        traj = integrate(pair, law, x0, scn_a.integrator, rcbf=rcbf, disturbance=dist)
-        summary, rtf_v = _run_summary(traj, law, rtf, rcbf)
+        run = _roll(scn_a)
+        traj, summary, rtf_v = run.traj, run.summary, run.rtf_v
         # the exponential envelope constrains error-only starts; a quiet start
         # (zero initial tracking error) has no meaningful ratio to report
         e0 = float(traj.v[0])
         env_v = (
-            check_exponential_envelope(traj, rtf.beta, scn_a.rtf_constants.m_overshoot)
+            check_exponential_envelope(traj, run.rtf.beta, scn_a.rtf_constants.m_overshoot)
             if e0 > 0
             else None
         )
@@ -224,10 +242,7 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
             )
         else:
             checks.append("exponential envelope: not applicable (zero initial error)")
-        if rcbf is None:
-            checks.append(
-                "no certified region for this alpha: the recurrence rate does not exceed it"
-            )
+        checks += run.checks
         label = f"case_study_alpha_{tag}"
         art = _emit(scn_a, label, traj, summary, checks, out_dir)
         artifacts.append(art)
@@ -274,14 +289,8 @@ def run_recurrence_demo(scn: Scenario, out_dir=None) -> RunArtifacts:
     Records every interval where h_V < 0, its duration, and the return time;
     requires the recurrence rate to exceed alpha.
     """
-    pair, law, rtf, rcbf, dist = _build_run(scn)
-    if rcbf is None:
-        raise HypothesisViolationError(
-            "the demo needs a certified region: the recurrence rate must exceed alpha"
-        )
-    x0 = initial_state(scn, law)
-    traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
-    summary, _rtf_v = _run_summary(traj, law, rtf, rcbf)
+    run = _roll(scn, needs_region="the demo")
+    traj, summary = run.traj, run.summary
 
     dips = negative_intervals(traj.h_v)
     durations = []
@@ -307,7 +316,7 @@ def run_recurrence_demo(scn: Scenario, out_dir=None) -> RunArtifacts:
             f"[{traj.t[i0]:.6g}, {traj.t[i1]:.6g}]" for i0, i1 in dips
         )
         checks.append(f"h_V dip intervals: {spans}")
-        checks.append(f"max dip duration = {summary['max_dip_duration']!r} (window tau = {rtf.tau!r})")
+        checks.append(f"max dip duration = {summary['max_dip_duration']!r} (window tau = {run.rtf.tau!r})")
     else:
         checks.append("no h_V dip occurred for this scenario")
     checks.append(
@@ -348,23 +357,14 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
     """
     if mu_gain is not None and not (np.isfinite(mu_gain) and mu_gain > 0):
         raise ConfigurationError(f"mu gain must be finite and positive, got {mu_gain!r}")
-    pair, law, rtf, rcbf, dist = _build_run(scn)
-    if rcbf is None:
-        raise HypothesisViolationError(
-            "the ISS run needs a certified region: the recurrence rate must exceed alpha"
-        )
+    pair, law, rtf, rcbf, dist, traj, summary, rtf_v, _ = _roll(scn, needs_region="the ISS run")
     if mu_gain is None:
         cal_cfg = IntegratorConfig(dt=scn.integrator.dt, horizon=6.0)
         mu_gain = estimate_mu_gain(pair, law, cal_cfg)
     env = build_iss_envelope(rcbf, lambda r: mu_gain * r, dist.sup_norm)
-
-    x0 = initial_state(scn, law)
-    traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
-    summary, _rtf_v = _run_summary(traj, law, rtf, rcbf)
-
     iss_v = check_iss_envelope(traj, env)
-    in0 = bool(in_robust_set(rcbf, env, traj.z[0], traj.e_dot[0]))
-    prtf = check_practical_rtf(rtf, traj, env) if _covers_window(traj, rtf) else None
+    in0 = bool(traj.h_v[0] - env.gamma_margin >= 0.0)  # h_V(0) as the rollout recorded it
+    prtf = check_practical_rtf(rtf, traj, env) if rtf_v is not None else None
     summary["iss_holds"] = 1.0 if iss_v.holds else 0.0
     summary["iss_worst_excess"] = iss_v.worst_excess
     summary["practical_rtf_margin"] = prtf.margin if prtf is not None else float("nan")

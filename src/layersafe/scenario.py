@@ -95,16 +95,29 @@ class RtfConstants:
 
 @dataclass(frozen=True)
 class Expectation:
-    """One declared check: <metric> <op> <value>. NaN metrics never pass."""
+    """One declared check: <metric> <op> <value>. NaN metrics never pass.
+
+    A known metric, a known comparison and a finite value, so the echo
+    re-parses; each message starts with the expect.<metric> key it names.
+    """
 
     metric: str
     op: str
     value: float
 
+    def __post_init__(self):
+        key = f"expect.{self.metric}"
+        for what, got, known in (
+            ("expectation metric", self.metric, EXPECT_METRICS),
+            ("comparison", self.op, _OPS),
+        ):
+            if got not in known:
+                raise ConfigurationError(f"{key}: unknown {what} {got!r}; known: {', '.join(known)}")
+        if not np.isfinite(self.value):
+            raise ConfigurationError(f"{key}: value must be finite, got {self.value!r}")
+
     def check(self, actual: float) -> bool:
-        if not np.isfinite(actual) and np.isnan(actual):
-            return False
-        return bool(_OPS[self.op](actual, self.value))
+        return bool(_OPS[self.op](actual, self.value))  # every comparison with NaN is False
 
     def render(self) -> str:
         return f"expect.{self.metric} {self.op} {float(self.value)!r}"
@@ -299,18 +312,11 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                 raise ScenarioError(
                     "expectation must read 'expect.<metric> <op> <value>'", line=ln
                 )
-            metric = parts[0][len("expect."):]
-            if metric not in EXPECT_METRICS:
-                raise ScenarioError(
-                    f"unknown expectation metric {metric!r}; known: {', '.join(EXPECT_METRICS)}",
-                    line=ln,
-                )
-            if parts[1] not in _OPS:
-                raise ScenarioError(
-                    f"unknown comparison {parts[1]!r}; known: {', '.join(_OPS)}", line=ln
-                )
             value = _parsed(_parse_float, parts[0], parts[2], ln)
-            expectations.append(Expectation(metric=metric, op=parts[1], value=value))
+            try:
+                expectations.append(Expectation(parts[0][len("expect."):], parts[1], value))
+            except ConfigurationError as exc:
+                raise ScenarioError(str(exc), line=ln) from None
             continue
         if "=" not in line:
             raise ScenarioError(f"expected 'key = value', got {line!r}", line=ln)
@@ -382,7 +388,8 @@ def bundled_scenario_path(name: str = "two_disks.scn") -> Path:
 # -- builders ---------------------------------------------------------------
 
 def build_pair(scn: Scenario) -> ModelPair:
-    return double_integrator_pair(scn)
+    # one pair serves every scenario: Scenario already holds start and goal planar
+    return double_integrator_pair()
 
 
 def build_barrier(scn: Scenario) -> BarrierFn:

@@ -1,7 +1,8 @@
-"""The benchmark's workloads still build on the package's current API.
+"""The benchmark's workloads and tracer still build on the package's current API.
 
-bench/workloads.py is loaded by path, as bench/run.py loads it, so an API
-change the benchmark relies on fails here rather than in a benchmark run.
+bench/workloads.py and bench/tracing.py are loaded by path from the checkout,
+so an API change the benchmark relies on fails here rather than in a
+benchmark run.
 """
 import importlib.util
 import sys
@@ -9,12 +10,11 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+def _load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     try:
@@ -22,6 +22,16 @@ def workloads():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _load_by_path("bench_workloads", BENCH / "workloads.py")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    yield from _load_by_path("bench_tracing", BENCH / "tracing.py")
 
 
 @pytest.mark.parametrize("name", ["certify_grid", "single_rollout", "iss_calibrate"])
@@ -32,3 +42,15 @@ def test_workload_builds_prepares_and_runs(workloads, tmp_path, name):
     inputs = workload.prepare(0)
     # one op and its check, about a second for all three
     assert workload.check(0, workload.run(inputs)) == []
+
+
+def test_tracer_finds_every_name_it_wraps(tracing):
+    # certify.rk4_step is a stale wrap the benchmark still lists (certify no
+    # longer imports rk4_step); any other miss means a refactor dropped a
+    # name the benchmark's per-layer metrics read
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == ["layersafe.certify.rk4_step"]

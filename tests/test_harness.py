@@ -137,11 +137,6 @@ def test_recurrence_demo_dips(two_disks, tmp_path):
     assert "(safety held)" in report
 
 
-def test_recurrence_demo_needs_hypothesis(two_disks, tmp_path):
-    with pytest.raises(ls.HypothesisViolationError, match="must exceed alpha"):
-        ls.run_recurrence_demo(two_disks.with_alpha(5.0), out_dir=tmp_path)
-
-
 def test_run_iss_summary(open_field, tmp_path):
     scn = open_field.with_horizon(2.0)
     art = ls.run_iss(scn, out_dir=tmp_path, mu_gain=MU_GAIN)
@@ -165,9 +160,29 @@ def test_run_iss_summary(open_field, tmp_path):
     assert "shifted recurrence: satisfied" in report
 
 
-def test_run_iss_needs_hypothesis(two_disks, tmp_path):
-    with pytest.raises(ls.HypothesisViolationError, match="must exceed alpha"):
-        ls.run_iss(two_disks.with_alpha(5.0), out_dir=tmp_path)
+def test_presets_without_certified_region(two_disks, tmp_path):
+    # beta = 2.45 <= alpha = 5: simulate and case-study roll with no recurrent
+    # barrier and say so; the demo and the ISS run are refused and write nothing
+    scn = two_disks.with_alpha(5.0).with_horizon(0.05)
+    arts = [
+        ls.run_simulate(scn, out_dir=tmp_path / "simulate"),
+        *ls.run_case_study(scn, alphas=(5.0,), out_dir=tmp_path / "case_study")[0],
+    ]
+    line = "  no certified region for this alpha: the recurrence rate does not exceed it\n"
+    for art in arts:
+        assert art.report_path.read_text().count(line) == 1
+        rows = [r for r in art.trajectory_csv.read_text().splitlines() if not r.startswith("#")]
+        col = rows[0].split(",").index("hV")
+        assert len(rows) == scn.integrator.n_steps + 2
+        assert all(math.isnan(float(r.split(",")[col])) for r in rows[1:])
+    for run, name in ((ls.run_recurrence_demo, "the demo"), (ls.run_iss, "the ISS run")):
+        out = tmp_path / name
+        with pytest.raises(
+            ls.HypothesisViolationError,
+            match=f"^{name} needs a certified region: the recurrence rate must exceed alpha$",
+        ):
+            run(scn, out_dir=out)
+        assert not out.exists()
 
 
 def _reevaluated_disturbance_bound(traj, law):
@@ -193,13 +208,13 @@ def test_effective_disturbance_bound(of, of_run, td, td_transit):
 
 def test_run_iss_makes_one_barrier_pass_per_rk4_stage(open_field, monkeypatch, tmp_path):
     # the rollout's 4 n_steps + 1 passes are all: the report reads the
-    # recorded filter flag instead of evaluating the law again; the one
-    # value call is the initial state's robust-set membership
+    # recorded filter flag and the recorded h_V(0) instead of evaluating
+    # the law or the barrier again
     scn = open_field.with_horizon(0.05).with_velocity_mode("zero")
     b, calls = counting_barrier(scn.field, monkeypatch)
     monkeypatch.setattr(ls.harness, "build_barrier", lambda _scn: b)
     ls.run_iss(scn, out_dir=tmp_path, mu_gain=MU_GAIN)
-    assert (calls["vg"], calls["value"]) == (4 * scn.integrator.n_steps + 1, 1)
+    assert (calls["vg"], calls["value"]) == (4 * scn.integrator.n_steps + 1, 0)
 
 
 def test_write_plot_script(tmp_path):

@@ -73,6 +73,31 @@ def test_resolved_lines_round_trip():
         assert again.disturbance == scn.disturbance
 
 
+def test_expectation_checks_itself(open_field):
+    # built in code, an expectation refuses what parse_scenario refuses,
+    # naming its key, so check() never meets an unknown comparison
+    for args, match in (
+        (("bogus", ">=", 1.0), r"^expect\.bogus: unknown expectation metric 'bogus'; known: min_h,"),
+        (("min_h", "~", 1.0), r"^expect\.min_h: unknown comparison '~'; known: >=,"),
+        (("min_h", ">=", float("inf")), r"^expect\.min_h: value must be finite, got inf$"),
+        (("max_edot", "<", float("nan")), r"^expect\.max_edot: value must be finite, got nan$"),
+    ):
+        with pytest.raises(ls.ConfigurationError, match=match):
+            ls.Expectation(*args)
+    # so a scenario built in code either was refused at construction ...
+    with pytest.raises(ls.ConfigurationError, match="expect.min_h"):
+        dataclasses.replace(open_field, expectations=(
+            ls.Expectation("min_h", ">=", float("inf")), ls.Expectation("bogus", "~", 1.0),
+        ))
+    # ... or its echo re-parses to the same scenario
+    held = dataclasses.replace(open_field, expectations=(
+        ls.Expectation("min_h", ">", np.float64(-1e300)), ls.Expectation("rtf_margin", "==", 0.0),
+    ))
+    again = ls.parse_scenario("\n".join(held.resolved_lines()) + "\n")
+    assert again.digest() == held.digest()
+    assert again.expectations == held.expectations
+
+
 def test_numpy_scalars_echo_as_plain_numbers(open_field):
     # a value built in code as a numpy scalar echoes, digests and re-parses
     # as the plain number it holds, for every number-valued key
@@ -151,8 +176,12 @@ def test_expectation_parse_errors():
     with pytest.raises(ls.ScenarioError, match="unknown expectation metric") as ei:
         ls.parse_scenario(MINIMAL + "expect.bogus >= 1\n")
     assert ei.value.line == 8
-    with pytest.raises(ls.ScenarioError, match="unknown comparison"):
+    with pytest.raises(ls.ScenarioError, match="unknown comparison") as ei:
         ls.parse_scenario(MINIMAL + "expect.min_h ~ 1\n")
+    assert ei.value.line == 8
+    with pytest.raises(ls.ScenarioError, match="expect.min_h: value must be finite") as ei:
+        ls.parse_scenario(MINIMAL + "expect.min_h >= 0\nexpect.min_h >= inf\n")
+    assert ei.value.line == 9
     with pytest.raises(ls.ScenarioError, match="expect.<metric> <op> <value>"):
         ls.parse_scenario(MINIMAL + "expect.min_h >=\n")
     scn = ls.parse_scenario(MINIMAL + "expect.min_h >= 0.25\nexpect.max_edot < 2\n")
