@@ -137,6 +137,17 @@ def test_recurrence_demo_dips(two_disks, tmp_path):
     assert "(safety held)" in report
 
 
+def test_recurrence_demo_needs_hypothesis(two_disks, tmp_path):
+    # beta = 2.45 <= alpha = 5: refused, and nothing is written
+    out = tmp_path / "demo"
+    with pytest.raises(
+        ls.HypothesisViolationError,
+        match="^the demo needs a certified region: the recurrence rate must exceed alpha$",
+    ):
+        ls.run_recurrence_demo(two_disks.with_alpha(5.0).with_horizon(0.05), out_dir=out)
+    assert not out.exists()
+
+
 def test_run_iss_summary(open_field, tmp_path):
     scn = open_field.with_horizon(2.0)
     art = ls.run_iss(scn, out_dir=tmp_path, mu_gain=MU_GAIN)
@@ -160,9 +171,20 @@ def test_run_iss_summary(open_field, tmp_path):
     assert "shifted recurrence: satisfied" in report
 
 
+def test_run_iss_needs_hypothesis(two_disks, tmp_path):
+    # beta = 2.45 <= alpha = 5: refused, and nothing is written
+    out = tmp_path / "iss"
+    with pytest.raises(
+        ls.HypothesisViolationError,
+        match="^the ISS run needs a certified region: the recurrence rate must exceed alpha$",
+    ):
+        ls.run_iss(two_disks.with_alpha(5.0).with_horizon(0.05), out_dir=out)
+    assert not out.exists()
+
+
 def test_presets_without_certified_region(two_disks, tmp_path):
     # beta = 2.45 <= alpha = 5: simulate and case-study roll with no recurrent
-    # barrier and say so; the demo and the ISS run are refused and write nothing
+    # barrier and say so
     scn = two_disks.with_alpha(5.0).with_horizon(0.05)
     arts = [
         ls.run_simulate(scn, out_dir=tmp_path / "simulate"),
@@ -175,14 +197,6 @@ def test_presets_without_certified_region(two_disks, tmp_path):
         col = rows[0].split(",").index("hV")
         assert len(rows) == scn.integrator.n_steps + 2
         assert all(math.isnan(float(r.split(",")[col])) for r in rows[1:])
-    for run, name in ((ls.run_recurrence_demo, "the demo"), (ls.run_iss, "the ISS run")):
-        out = tmp_path / name
-        with pytest.raises(
-            ls.HypothesisViolationError,
-            match=f"^{name} needs a certified region: the recurrence rate must exceed alpha$",
-        ):
-            run(scn, out_dir=out)
-        assert not out.exists()
 
 
 def _reevaluated_disturbance_bound(traj, law):
