@@ -7,7 +7,9 @@ select, clamp0 and divide, whose float versions reproduce numpy's bits.
 select and divide also take tuples of components, so a vector (or several
 quantities chosen by one condition) goes through one call: select keeps
 every component of a or of b together, and divide enters np.errstate once
-for all of a's components.
+for all of a's components. divide's float path, taken for a finite nonzero
+float divisor, divides a planar (ax, ay) as (ax / b, ay / b) directly.
+finite reads the four components of a state.
 Arrays enter at two places, ClosedLoopLaw.evaluate and BarrierFn, which
 convert with split and join; the rollout kernel splits its initial states.
 Sums run 0.0 + p0 + p1 + ... left to right, the order np.sum(..., axis=-1)
@@ -65,17 +67,20 @@ def clamp0(x):
 
 
 def divide(a, b):
-    """a / b, with numpy's result and no warning where b is zero; for a tuple
-    a, each component divided by b. The divisor alone picks the path: numpy
-    for an array, zero or non-finite b (where a column's 0/0, x/0 or inf/inf
-    would warn), plain division for any other float."""
+    """a / b, with numpy's result and no warning where b is zero; for a planar
+    a = (ax, ay), each component divided by b. The divisor alone picks the
+    path: numpy for an array, zero or non-finite b (where a column's 0/0, x/0
+    or inf/inf would warn), plain division for a finite nonzero float."""
+    if type(b) is float and 0.0 < abs(b) < math.inf:
+        if type(a) is tuple:
+            ax, ay = a
+            return (ax / b, ay / b)
+        return a / b
     if not isinstance(a, tuple):
         return divide((a,), b)[0]
-    if isinstance(b, np.ndarray) or b == 0.0 or not math.isfinite(b):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = [np.divide(p, b) for p in a]
-        return tuple([o if isinstance(o, np.ndarray) else float(o) for o in out])
-    return tuple([p / b for p in a])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = [np.divide(p, b) for p in a]
+    return tuple([o if isinstance(o, np.ndarray) else float(o) for o in out])
 
 
 def vsum(parts):
@@ -100,6 +105,7 @@ def vnorm(v):
 
 
 def finite(x):
-    """Whether each run's components are all finite: a bool for floats, else an
-    array. 0 * c is 0 exactly when c is finite."""
-    return vsum([0.0 * c for c in x]) == 0.0
+    """Whether each run's four state components are all finite: a bool for
+    floats, else an array. 0 * c is 0 exactly when c is finite."""
+    x0, x1, x2, x3 = x
+    return 0.0 * x0 + 0.0 * x1 + 0.0 * x2 + 0.0 * x3 == 0.0

@@ -12,7 +12,10 @@ columns for a batch. The layers are planar: each is written on the two
 components (x, y), one expression per component, and the filter's inner
 product n . z_dot_d keeps vsum's order, (p0 + 0.0) + p1, so its signed
 zeros are those of np.sum. Arrays enter the stack at two places: the law's
-``evaluate`` and the barrier (BarrierFn). One evaluation returns a
+``evaluate`` and the barrier (BarrierFn). ``evaluate`` unpacks the state's
+four components (zx, zy, vx, vy) itself, so assemble_closed_loop checks
+once that the pair's state is laid out that way: position x[:2], velocity
+x[2:4]. One evaluation returns a
 LawIntermediates, a NamedTuple: it is indexable and iterable in field order,
 and ``_replace`` gives a copy with some fields changed.
 """
@@ -25,7 +28,7 @@ import numpy as np
 
 from ._vec import clamp0, join, split
 from .barrier import BarrierFn
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_number
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,7 @@ class Gains:
     def __post_init__(self):
         for name in ("k_p", "k_d", "alpha"):
             val = getattr(self, name)
+            require_number(f"gains.{name}", val)
             if not (np.isfinite(val) and val > 0):
                 raise ConfigurationError(f"gains.{name} must be strictly positive, got {val!r}")
 
@@ -104,25 +108,41 @@ def tracking_control(k_d: float, z_dot, z_dot_s):
 
 
 def assemble_closed_loop(pair, b: BarrierFn, gains: Gains, goal) -> ClosedLoopLaw:
-    """Compose projection, reference, filter, and tracking into state feedback."""
+    """Compose projection, reference, filter, and tracking into state feedback.
+
+    The law reads the state as (position, velocity) over four components, so
+    the pair must project x to x[:2] and x[2:4]; any other pair is refused
+    here, once, and evaluate unpacks the components directly.
+    """
     if pair.n_reduced != 2:
         raise ConfigurationError(
             "the control layers are planar: the reduced model must have 2 states, "
             f"got n_reduced = {pair.n_reduced!r}"
+        )
+    probe = (1.0, 2.0, 3.0, 4.0)
+    if not (
+        pair.n_full == 4
+        and tuple(pair.project_state(probe)) == probe[:2]
+        and tuple(pair.project_input(probe)) == probe[2:]
+    ):
+        raise ConfigurationError(
+            "the law reads the state as (position, velocity) over 4 components: the "
+            "model pair must have n_full = 4 and project x to x[:2] and x[2:4]"
         )
     goal = np.asarray(goal, dtype=float)
     if goal.shape != (pair.n_reduced,):
         raise ConfigurationError(f"goal must have shape ({pair.n_reduced},)")
     goal_c = split(goal)
     k_p, k_d, alpha = float(gains.k_p), float(gains.k_d), float(gains.alpha)
+    new = tuple.__new__  # a LawIntermediates without NamedTuple.__new__'s argument handling
 
     def evaluate(x):
         if not isinstance(x, tuple):
             return LawIntermediates._make(map(join, evaluate(split(x))))
-        z = pair.project_state(x)
-        z_dot_d = desired_velocity(goal_c, k_p, z)
-        z_dot_s, active, h, grad_h = safe_velocity(b, alpha, z, z_dot_d)
-        u = tracking_control(k_d, pair.project_input(x), z_dot_s)
-        return LawIntermediates(z_dot_d, z_dot_s, active, h, grad_h, u)
+        zx, zy, vx, vy = x
+        z_dot_d = desired_velocity(goal_c, k_p, (zx, zy))
+        z_dot_s, active, h, grad_h = safe_velocity(b, alpha, (zx, zy), z_dot_d)
+        u = tracking_control(k_d, (vx, vy), z_dot_s)
+        return new(LawIntermediates, (z_dot_d, z_dot_s, active, h, grad_h, u))
 
     return ClosedLoopLaw(goal=goal, gains=gains, barrier=b, evaluate=evaluate)

@@ -16,10 +16,12 @@ A disturbance depends on time only, so it is evaluated once per rollout,
 on three stage-time grids (t, t + dt/2 and t + dt over every step), each
 entry the same float rk4_step forms as that stage's time. Its one shape is
 (T, 2): a planar input per time, shared by every run.
-The kernel's state is a tuple of components (see _vec): floats for one run,
-contiguous columns for several. The pair's maps and rk4_step take tuples of
-components only: the kernel splits the initial states, and integrate_batch
-stacks the recorded samples into arrays.
+The kernel's state is a tuple of four components, position then velocity
+(zx, zy, vx, vy; see _vec): floats for one run, contiguous columns for
+several. The pair's maps take tuples of components only, and rk4_step
+unpacks the four components of the state and of each stage slope. The
+kernel splits the initial states, and integrate_batch stacks the recorded
+samples into arrays.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from ._io import atomic_write_text
 from ._vec import finite, join, split, vnorm
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, require_number
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -40,6 +42,8 @@ class IntegratorConfig:
     horizon: float = 10.0
 
     def __post_init__(self):
+        require_number("dt", self.dt)
+        require_number("horizon", self.horizon)
         if not (np.isfinite(self.dt) and np.isfinite(self.horizon)):
             raise ConfigurationError(
                 f"dt and horizon must be finite, got dt={self.dt!r}, horizon={self.horizon!r}"
@@ -189,15 +193,19 @@ class BatchRollout(_Samples):
 
 def rk4_step(f, t, x, dt):
     """One classical Runge-Kutta step of x_dot = f(t, x), for x and f(t, x)
-    tuples of state components."""
+    the four state components (x0, x1, x2, x3): floats or columns."""
     half, t_half, sixth = 0.5 * dt, t + 0.5 * dt, dt / 6.0
-    k1 = f(t, x)
-    k2 = f(t_half, tuple([xi + half * ki for xi, ki in zip(x, k1)]))
-    k3 = f(t_half, tuple([xi + half * ki for xi, ki in zip(x, k2)]))
-    k4 = f(t + dt, tuple([xi + dt * ki for xi, ki in zip(x, k3)]))
-    return tuple([
-        xi + sixth * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    ])
+    x0, x1, x2, x3 = x
+    a0, a1, a2, a3 = f(t, x)
+    b0, b1, b2, b3 = f(t_half, (x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3))
+    c0, c1, c2, c3 = f(t_half, (x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3))
+    d0, d1, d2, d3 = f(t + dt, (x0 + dt * c0, x1 + dt * c1, x2 + dt * c2, x3 + dt * c3))
+    return (
+        x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+        x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+        x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+        x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+    )
 
 
 def _stage_table(d, n_times: int) -> tuple:
@@ -230,15 +238,16 @@ def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
         d1, d_half, d4 = (_stage_table(d_sig(s), n_steps + 1) for s in stage_times)
         d_tables = (d1, d_half, d_half, d4)  # by RK4 stage
     stages = []
+    evaluate, fom_field = law.evaluate, pair.fom_field
 
     def f_cl(t, x):
-        inter = law.evaluate(x)
+        inter = evaluate(x)
         u = inter.u
         if d_sig is not None:  # k is the step the loop below is on
             (ux, uy), (dx, dy) = u, d_tables[len(stages)]
             u = (ux + dx[k], uy + dy[k])
         stages.append((inter, u))
-        return pair.fom_field(x, u)
+        return fom_field(x, u)
 
     for k, t in enumerate(times.tolist()):
         if k < n_steps:

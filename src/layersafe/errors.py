@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of a numeric field."""
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -25,3 +26,11 @@ class SingularGradientError(ValueError):
 
 class HypothesisViolationError(ValueError):
     """A construction's standing hypothesis does not hold for these parameters."""
+
+
+def require_number(key: str, val) -> None:
+    """Refuse a value that is not a real number, such as a string built in
+    code, with a ConfigurationError naming ``key``, before a range check
+    would fail on it with a bare TypeError."""
+    if not isinstance(val, numbers.Real):
+        raise ConfigurationError(f"{key} must be a number, got {val!r}")

@@ -352,8 +352,10 @@ def effective_disturbance_bound(traj: Trajectory, law: ClosedLoopLaw) -> float:
 def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArtifacts:
     """Disturbed rollout with the ISS envelope, shifted recurrence, and set margin.
 
-    The class-K offset is linear, mu(r) = c r; c is calibrated from constant-
-    disturbance quiet-start runs unless supplied; a supplied c must be finite and > 0.
+    The class-K offset is linear, mu(r) = c r; unless supplied, c is calibrated
+    by estimate_mu_gain from quiet-start runs under a constant disturbance and
+    sines at 0.5 and 1 Hz (amplitude 0.1, 6 s each); a supplied c must be
+    finite and > 0.
     """
     if mu_gain is not None and not (np.isfinite(mu_gain) and mu_gain > 0):
         raise ConfigurationError(f"mu gain must be finite and positive, got {mu_gain!r}")

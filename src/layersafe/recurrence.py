@@ -24,7 +24,7 @@ import numpy as np
 from ._vec import vnorm
 from .barrier import BarrierFn
 from .dynamics import Trajectory
-from .errors import ConfigurationError, HypothesisViolationError
+from .errors import ConfigurationError, HypothesisViolationError, require_number
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ class Rtf:
 def norm_rtf(a1: float = 1.0, a2: float = 1.0, beta: float = 2.45, tau: float = 1.0) -> Rtf:
     """Constants of the Euclidean certificate V = ||e_dot||; a1 = a2 = 1 is canonical."""
     for name, val in (("a1", a1), ("a2", a2), ("beta", beta), ("tau", tau)):
+        require_number(name, val)
         if not np.isfinite(val):
             raise ConfigurationError(f"{name} must be finite, got {val!r}")
     if not (0 < a1 <= a2):

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._vec import vnorm
 from .dynamics import IntegratorConfig, ModelPair, Trajectory, integrate
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_number
 from .recurrence import (
     RecurrenceVerdict,
     RecurrentCbf,
@@ -62,6 +62,8 @@ class DisturbanceSpec:
             raise ConfigurationError(
                 f"disturbance.kind must be {', '.join(head)}, or {last}; got {self.kind!r}"
             )
+        for name in ("amplitude", "frequency", "segment"):
+            require_number(f"disturbance.{name}", getattr(self, name))
         for name, ok, bound in (
             ("amplitude", self.amplitude >= 0, ">= 0"),
             ("frequency", self.frequency > 0, "> 0"),

@@ -39,7 +39,7 @@ from ._vec import join, split
 from .barrier import BarrierFn, ObstacleField, min_distance_barrier
 from .controller import ClosedLoopLaw, Gains, assemble_closed_loop, desired_velocity
 from .dynamics import IntegratorConfig, ModelPair, double_integrator_pair
-from .errors import ConfigurationError, ScenarioError
+from .errors import ConfigurationError, ScenarioError, require_number
 from .recurrence import RecurrentCbf, Rtf, build_rcbf, norm_rtf
 from .robustness import DISTURBANCE_FIELDS, Disturbance, DisturbanceSpec, make_disturbance
 
@@ -83,6 +83,7 @@ class RtfConstants:
             ("rtf.tau", self.tau),
             ("rtf.M", self.m_overshoot),
         ):
+            require_number(key, val)
             if not np.isfinite(val):  # the echo could not write it back
                 raise ConfigurationError(f"{key} must be finite, got {val!r}")
         if not (0 < self.a1 <= 1.0 <= self.a2):  # the sandwich must hold for V = ||e_dot||
@@ -113,6 +114,7 @@ class Expectation:
         ):
             if got not in known:
                 raise ConfigurationError(f"{key}: unknown {what} {got!r}; known: {', '.join(known)}")
+        require_number(f"{key}: value", self.value)
         if not np.isfinite(self.value):
             raise ConfigurationError(f"{key}: value must be finite, got {self.value!r}")
 

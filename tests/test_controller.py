@@ -167,6 +167,37 @@ def test_law_refuses_non_planar_reduced_model():
     assert ls.assemble_closed_loop(pair, b, gains, [1.0, 0.0]).barrier is b
 
 
+def test_law_refuses_pair_with_other_state_layout():
+    # evaluate unpacks x as (zx, zy, vx, vy), so assembly refuses any pair whose
+    # projections are not x[:2] and x[2:4]
+    pair = ls.double_integrator_pair()
+    b = ls.min_distance_barrier(ls.ObstacleField(centers=[[5.0, 5.0]], radii=[0.5]))
+    gains = ls.Gains(k_p=1.8, k_d=8.0, alpha=0.5)
+    for odd in (
+        dataclasses.replace(pair, project_state=lambda x: x[2:4], project_input=lambda x: x[:2]),
+        dataclasses.replace(pair, project_state=lambda x: (x[1], x[0])),
+        dataclasses.replace(pair, project_input=lambda x: x[3:1:-1]),
+        dataclasses.replace(pair, n_full=5),
+    ):
+        with pytest.raises(ls.ConfigurationError, match=r"project x to x\[:2\] and x\[2:4\]"):
+            ls.assemble_closed_loop(odd, b, gains, [1.0, 0.0])
+
+
+def test_law_evaluate_returns_law_intermediates():
+    # evaluate on components builds its result without NamedTuple.__new__;
+    # it is still that NamedTuple, with its fields, attributes and _replace
+    scn = ls.load_scenario(ls.bundled_scenario_path("two_disks.scn"))
+    law = ls.build_law(scn, ls.build_barrier(scn))
+    inter = law.evaluate(tuple(ls.initial_state(scn, law).tolist()))
+    assert type(inter) is ls.LawIntermediates
+    assert inter._fields == ("z_dot_d", "z_dot_s", "active", "h", "grad_h", "u")
+    assert list(inter) == [getattr(inter, name) for name in inter._fields]
+    assert ls.LawIntermediates(*inter) == inter
+    changed = inter._replace(h=-1.0)
+    assert type(changed) is ls.LawIntermediates and changed.h == -1.0
+    assert changed._replace(h=inter.h) == inter
+
+
 def test_assembled_law_consistency():
     scn = ls.load_scenario(ls.bundled_scenario_path("two_disks.scn"))
     b = ls.build_barrier(scn)

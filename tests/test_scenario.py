@@ -125,6 +125,29 @@ def test_numpy_scalars_echo_as_plain_numbers(open_field):
     assert held.digest() == open_field.digest()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ls.RtfConstants(beta="2"), "rtf.beta must be a number, got '2'"),
+        (lambda: ls.Expectation("min_h", ">=", "1"), "expect.min_h: value must be a number, got '1'"),
+        (
+            lambda: ls.DisturbanceSpec(kind="sine", amplitude="0.1"),
+            "disturbance.amplitude must be a number, got '0.1'",
+        ),
+        (lambda: ls.Gains(k_p="1", k_d=8.0, alpha=0.5), "gains.k_p must be a number, got '1'"),
+        (lambda: ls.IntegratorConfig(dt="0.001"), "dt must be a number, got '0.001'"),
+        (lambda: ls.norm_rtf(beta="2"), "beta must be a number, got '2'"),
+    ],
+    ids=["rtf", "expectation", "disturbance", "gains", "integrator", "norm_rtf"],
+)
+def test_string_values_built_in_code_are_refused_by_key(build, message):
+    # the file parser never passes a string, but a record built in code can:
+    # it is refused by name, not by a TypeError from a numeric check
+    with pytest.raises(ls.ConfigurationError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_certificate_constants_must_be_finite():
     # a non-finite constant would echo a line that parse_scenario refuses
     for attr, key in (
