@@ -1,4 +1,5 @@
 """Grid certification verdicts, invariances, and the fine-step oracle."""
+import dataclasses
 import math
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 
 import layersafe as ls
 from conftest import counting_barrier
+from layersafe import harness
 
 
 def test_grid_validation_and_points():
@@ -172,6 +174,32 @@ def test_certify_minima_match_single_rollouts(name, mode, counts, request):
         )
         rec = report.per_point[i]
         assert (rec.min_h, rec.min_h_v) == (float(np.min(traj.h)), float(np.min(traj.h_v))), i
+
+
+def _single_run_mismatches(scn, report):
+    """Rolled points whose (min_h, min_h_v, rtf_margin) differ in any bit from
+    the summary of a K=1 run of the run commands from the same start."""
+    bad = []
+    for r in report.per_point:
+        if "not rolled" in r.note:
+            continue
+        start = dataclasses.replace(scn, start=r.point, velocity_mode=report.velocity_mode)
+        s = harness._roll(start).summary
+        want = (s["min_h"], s["min_h_v"], s["rtf_margin"])
+        if (r.min_h, r.min_h_v, r.rtf_margin) != want:
+            bad.append((tuple(r.point.tolist()), (r.min_h, r.min_h_v, r.rtf_margin), want))
+    return bad
+
+
+@pytest.mark.parametrize("mode", ["safe", "desired"])
+def test_certify_verdict_quantities_match_run_summaries(two_disks, mode):
+    # certify and the run commands report the same minima and RTF margin from
+    # every rolled start; a 1.6 s horizon covers the 1.5 s window
+    scn = two_disks.with_horizon(1.6)
+    grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=(10, 10))
+    report = ls.certify_initial_set(scn, grid, velocity_mode=mode)
+    assert sum("not rolled" not in r.note for r in report.per_point) >= 80
+    assert _single_run_mismatches(scn, report) == []
 
 
 def test_one_barrier_pass_per_rk4_stage(two_disks, monkeypatch):
