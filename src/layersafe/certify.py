@@ -3,7 +3,8 @@
 certify_initial_set classifies every lattice point of an initial-condition
 grid by rolling out the closed loop through the shared rollout kernel and
 scanning running minima of h and h_V, without materializing whole
-trajectories. Verdicts:
+trajectories, by the recurrence module's folds: each point reports what a
+run command reports from the same start. Verdicts:
 
   certified_safe   started inside the certified region, min h >= -1e-6
   unsafe_witness   a sample with h < -1e-6 was observed (before any blowup)
@@ -19,6 +20,7 @@ validate coarse containment times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import prod
 
 import numpy as np
@@ -27,7 +29,7 @@ from ._io import atomic_write_text
 from ._vec import finite, split
 from .dynamics import IntegratorConfig, _derived, _rollout, integrate
 from .errors import ConfigurationError
-from .recurrence import containment_times
+from .recurrence import containment_times, fold_first, fold_min, fold_window
 from .scenario import (
     Scenario,
     build_barrier,
@@ -39,6 +41,9 @@ from .scenario import (
 )
 
 _H_TOL = 1e-6  # a sample counts as a violation only below -_H_TOL
+# samples folded at once: each buffered sample holds its h, V, h_V and
+# finiteness columns, so memory grows with the block at large K
+_BLOCK = 16
 
 VERDICTS = ("certified_safe", "unsafe_witness", "outside_S_V", "indeterminate")
 
@@ -102,7 +107,8 @@ class PointRecord:
 
     in_s_v records initial membership in the certified region (h_V(0) >= 0)
     regardless of the verdict; rtf_margin is the observed one-shot recurrence
-    margin over (0, min(tau, horizon)], recorded and never used to classify.
+    margin over the window (0, tau] to half a step, clipped to the horizon,
+    recorded and never used to classify.
     """
 
     point: np.ndarray
@@ -188,33 +194,23 @@ class CertificateReport:
         atomic_write_text(path, "\n".join(out) + "\n")
 
 
-def _scan_chunk(pair, law, rcbf, x0s, dt, n_steps, d_sig, tau_steps, beta):
+def _scan_chunk(pair, law, rcbf, x0s, dt, n_steps, d_sig):
     """Min h, min h_V, first violation time, RTF margin and the time finiteness
-    was lost (NaN if never) for each row of x0s, streamed through one rollout
-    under the caller's np.errstate. Minima are NaN-aware, so a row that goes
-    non-finite keeps the ones it had."""
-    n = x0s.shape[0]
-    min_h = np.full(n, np.inf)
-    min_hv = np.full(n, np.inf)
-    viol = np.full(n, np.nan)
-    scaled = np.full(n, np.inf)
-    div = np.full(n, np.nan)
-    for k, (t, x, _u, inter) in enumerate(_rollout(pair, law, x0s, dt, n_steps, d_sig)):
-        h = inter.h
-        v, h_v = _derived(pair, rcbf, x, inter.z_dot_s, h)[3:]
-        # at K = 1 finite gives a Python bool, whose ~ is an int
-        dead_now = np.logical_not(finite(x)) & np.isnan(div)
-        if np.any(dead_now):
-            div[dead_now] = t
-        min_h = np.fmin(min_h, h)
-        min_hv = np.fmin(min_hv, h_v)
-        viol_now = (h < -_H_TOL) & np.isnan(viol)
-        if np.any(viol_now):
-            viol[viol_now] = t
-        if k == 0:
-            v0 = v
-        elif k <= tau_steps:
-            scaled = np.fmin(scaled, np.exp(beta * t) * v)
+    was lost (NaN if never) for each row of x0s: the recurrence folds over
+    blocks of the rollout's samples, under the caller's np.errstate."""
+    samples = (
+        (t, inter.h, *_derived(pair, rcbf, x, inter.z_dot_s, inter.h)[3:], finite(x))
+        for t, x, _u, inter in _rollout(pair, law, x0s, dt, n_steps, d_sig)
+    )
+    min_h = min_hv = viol = div = scaled = None
+    while block := list(islice(samples, _BLOCK)):
+        t, h, v, h_v, ok = map(np.array, zip(*block))
+        if min_h is None:
+            v0 = v[0]
+        min_h, min_hv = fold_min(h, min_h), fold_min(h_v, min_hv)
+        viol = fold_first(t, h < -_H_TOL, viol)
+        div = fold_first(t, ~ok, div)
+        scaled = fold_window(t, v, rcbf.rtf.beta, rcbf.rtf.tau, dt, scaled)
     return min_h, min_hv, viol, v0 - scaled, div
 
 
@@ -245,59 +241,47 @@ def certify_initial_set(
     d_sig = dist.signal if dist.kind != "none" else None
 
     pts = grid.points
-    if grid.ndim == 2:
-        x0s = initial_states(scn, law, pts, mode=velocity_mode)
-    else:
-        x0s = pts.copy()
+    x0s = initial_states(scn, law, pts, mode=velocity_mode) if grid.ndim == 2 else pts.copy()
     n_pts = x0s.shape[0]
 
     dt = scn.integrator.dt
     horizon = scn.integrator.horizon if horizon is None else float(horizon)
     n_steps = IntegratorConfig(dt=dt, horizon=horizon).n_steps
-    tau_steps = min(n_steps, int(round(scn.rtf_constants.tau / dt)))
-    beta = scn.rtf_constants.beta
 
     with np.errstate(all="ignore"):
         # initial diagnostics for every point, including the skipped ones
         x0 = split(x0s)
         inter0 = law.evaluate(x0)
         h0 = inter0.h
-        hv0_all = _derived(pair, rcbf, x0, inter0.z_dot_s, h0)[4]
-
-        roll_idx = np.flatnonzero(h0 >= 0.0)
-        min_h = h0.copy()
-        min_hv = hv0_all.copy()
-        first_viol = np.full(n_pts, np.nan)
-        first_viol[h0 < -_H_TOL] = 0.0
+        h_v0 = _derived(pair, rcbf, x0, inter0.z_dot_s, h0)[4]
+        in_s_v, rolled = h_v0 >= 0.0, h0 >= 0.0
+        roll_idx = np.flatnonzero(rolled)
+        # the t = 0 block stands for the points that are not rolled
+        min_h, min_hv = fold_min(h0[None]), fold_min(h_v0[None])
+        first_viol = fold_first(np.zeros(1), h0[None] < -_H_TOL)
         rtf_margin = np.full(n_pts, np.nan)
         diverged_t = np.full(n_pts, np.nan)
         for i in range(0, roll_idx.size, chunk):
             idx = roll_idx[i : i + chunk]
-            reduced = _scan_chunk(pair, law, rcbf, x0s[idx], dt, n_steps, d_sig, tau_steps, beta)
+            reduced = _scan_chunk(pair, law, rcbf, x0s[idx], dt, n_steps, d_sig)
             min_h[idx], min_hv[idx], first_viol[idx], rtf_margin[idx], diverged_t[idx] = reduced
 
     records = []
-    counts = {v: 0 for v in VERDICTS}
-    rolled = np.zeros(n_pts, dtype=bool)
-    rolled[roll_idx] = True
     for i in range(n_pts):
         viol_t = None if np.isnan(first_viol[i]) else float(first_viol[i])
         note = ""
         if not rolled[i]:
             verdict = "outside_S_V"
             note = "initial position violates h >= 0; not rolled out"
-        elif viol_t is not None and (
-            np.isnan(diverged_t[i]) or viol_t <= diverged_t[i]
-        ):
+        elif viol_t is not None and not viol_t > diverged_t[i]:  # NaN: finiteness never lost
             verdict = "unsafe_witness"
         elif not np.isnan(diverged_t[i]):
             verdict = "indeterminate"
             note = f"rollout lost finiteness at t={diverged_t[i]:.6g}"
-        elif hv0_all[i] >= 0.0:
+        elif in_s_v[i]:
             verdict = "certified_safe"
         else:
             verdict = "outside_S_V"
-        counts[verdict] += 1
         records.append(
             PointRecord(
                 point=pts[i].copy(),
@@ -305,8 +289,8 @@ def certify_initial_set(
                 min_h=float(min_h[i]),
                 min_h_v=float(min_hv[i]),
                 first_violation_t=viol_t,
-                rtf_margin=float(rtf_margin[i]) if not np.isnan(rtf_margin[i]) else float("nan"),
-                in_s_v=bool(hv0_all[i] >= 0.0),
+                rtf_margin=float(rtf_margin[i]),
+                in_s_v=bool(in_s_v[i]),
                 note=note,
             )
         )
@@ -318,7 +302,7 @@ def certify_initial_set(
         horizon=horizon,
         grid=grid,
         per_point=tuple(records),
-        summary=counts,
+        summary={v: sum(r.verdict == v for r in records) for v in VERDICTS},
         config_lines=tuple(scn.resolved_lines()),
     )
 

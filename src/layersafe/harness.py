@@ -28,6 +28,7 @@ from .recurrence import (
     check_exponential_envelope,
     check_rtf_recurrence,
     check_safety_chain,
+    fold_min,
 )
 from .robustness import (
     Disturbance,
@@ -170,8 +171,8 @@ def _roll(scn: Scenario, needs_region: str = "") -> _Run:
     traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
     rtf_v = check_rtf_recurrence(rtf, traj) if _covers_window(traj, rtf) else None
     summary = {
-        "min_h": float(np.min(traj.h)),
-        "min_h_v": float(np.min(traj.h_v)),
+        "min_h": float(fold_min(traj.h)),
+        "min_h_v": float(fold_min(traj.h_v)),
         "max_edot": float(np.max(traj.v)),
         "final_goal_distance": float(vnorm(traj.z[-1] - law.goal)),
         "rtf_margin": rtf_v.margin if rtf_v is not None else float("nan"),

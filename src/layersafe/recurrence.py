@@ -14,6 +14,13 @@ certified region: trajectories started there keep h nonnegative even while
 h_V itself dips below zero, provided beta > alpha. The recurrence of h_V is
 what that result concludes from the certificate's recurrence, so a run
 checks the certificate's recurrence and h >= 0, not h_V's recurrence.
+
+Every verdict quantity comes from one of three folds over samples with time
+on axis 0, (B,) for one run or (B, K) for K runs: fold_min, fold_window (of
+e^{beta t} V over 0 < t <= tau + dt/2) and fold_first. certify folds blocks
+of samples, the run commands the whole record. The minima skip NaN, so a run
+that goes NaN keeps the minima it had; an all-NaN series stays NaN in
+fold_min and leaves fold_window's window empty, which folds to inf.
 """
 from __future__ import annotations
 
@@ -69,10 +76,31 @@ def _covers_window(traj: Trajectory, rtf: Rtf) -> bool:
     return traj.horizon + traj.dt / 2 >= rtf.tau
 
 
-def _window_selector(traj: Trajectory, a: float, b_end: float) -> np.ndarray:
+def _window_selector(t, dt: float, a: float, b_end: float) -> np.ndarray:
     # (a, b] resolved at sample resolution: strictly after a, within half a
     # step of b so the endpoint sample always counts
-    return (traj.t > a) & (traj.t <= b_end + traj.dt / 2)
+    return (t > a) & (t <= b_end + dt / 2)
+
+
+def fold_min(x, prev=None):
+    """NaN-skipping minimum of the samples x, folded into ``prev``."""
+    m = np.fmin.reduce(x, axis=0)
+    return m if prev is None else np.fmin(prev, m)
+
+
+def fold_window(t, v, beta: float, tau: float, dt: float, prev=None):
+    """NaN-skipping minimum of e^{beta t} v over the samples in (0, tau] to
+    half a step, folded into ``prev``; inf while the window holds none."""
+    sel = _window_selector(t, dt, 0.0, tau)
+    m = np.fmin.reduce((np.exp(beta * t[sel]) * v[sel].T).T, axis=0, initial=np.inf)
+    return m if prev is None else np.fmin(prev, m)
+
+
+def fold_first(t, hit, prev=None):
+    """The first time t at which ``hit`` holds (NaN if none), unless ``prev``
+    already holds an earlier one."""
+    first = np.where(np.any(hit, axis=0), t[np.argmax(hit, axis=0)], np.nan)
+    return first if prev is None else np.where(np.isnan(prev), first, prev)
 
 
 def containment_times(traj: Trajectory, predicate, window) -> np.ndarray:
@@ -87,41 +115,29 @@ def containment_times(traj: Trajectory, predicate, window) -> np.ndarray:
         raise ConfigurationError(
             f"window end {b_end:g} exceeds the trajectory horizon {traj.horizon:g}"
         )
-    return traj.t[_window_selector(traj, a, b_end) & _predicate_mask(traj, predicate)]
+    return traj.t[_window_selector(traj.t, traj.dt, a, b_end) & _predicate_mask(traj, predicate)]
 
 
 @dataclass(frozen=True)
 class RecurrenceVerdict:
-    """Outcome of a recurrence check: the witness time attains the minimum."""
+    """Outcome of a recurrence check: the margin V(0) - min e^{beta t} V(t)
+    over the window, shifted alike, and whether it is nonnegative up to
+    1e-12 relative slack; an empty window gives margin -inf, not satisfied."""
 
     satisfied: bool
-    witness_t: float | None
     margin: float
 
 
 def check_rtf_recurrence(rtf: Rtf, traj: Trajectory, shift: float = 0.0) -> RecurrenceVerdict:
-    """Recurrence of the certificate along a rollout.
-
-    Evaluates min over sample times t in (0, tau] of
-    e^{beta t} (V(t) - shift), V as recorded, against V(0) - shift; margin is the
-    difference (nonnegative means satisfied, up to 1e-12 relative slack).
-    An empty window is reported as not satisfied (conservative).
-    ``shift`` is used by the disturbed variant.
-    """
+    """Recurrence of the certificate V as recorded, by fold_window (see
+    RecurrenceVerdict); the disturbed variant subtracts ``shift`` from V."""
     if not _covers_window(traj, rtf):
         raise ConfigurationError(
             f"trajectory horizon {traj.horizon:g} is shorter than the window {rtf.tau:g}"
         )
     v0 = float(traj.v[0]) - shift
-    sel = _window_selector(traj, 0.0, rtf.tau)
-    if not np.any(sel):
-        return RecurrenceVerdict(satisfied=False, witness_t=None, margin=float("-inf"))
-    tsel = traj.t[sel]
-    vals = np.exp(rtf.beta * tsel) * (traj.v[sel] - shift)
-    i = int(np.argmin(vals))
-    margin = v0 - float(vals[i])
-    satisfied = margin >= -1e-12 * max(1.0, abs(v0))
-    return RecurrenceVerdict(satisfied=bool(satisfied), witness_t=float(tsel[i]), margin=float(margin))
+    margin = v0 - float(fold_window(traj.t, traj.v - shift, rtf.beta, rtf.tau, traj.dt))
+    return RecurrenceVerdict(satisfied=margin >= -1e-12 * max(1.0, abs(v0)), margin=margin)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,7 @@ iota = a2 e^{beta tau} mu(||d||_inf) / M, and the certified region shrinks by
 gamma = iota / alpha_e. Every check here reduces bit-for-bit to its nominal
 counterpart when d is identically zero: the zero-offset branches delegate to
 the same code paths the nominal checks use, on the recorded V = Trajectory.v.
-The shifted recurrence, like the nominal one, takes every sample in
-(0, tau] as a witness candidate.
+The shifted recurrence takes its margin from the nominal one's window fold.
 """
 from __future__ import annotations
 
@@ -251,7 +250,7 @@ def check_practical_rtf(rtf: Rtf, traj: Trajectory, env: IssEnvelope) -> Recurre
     """Disturbance-shifted recurrence: min e^{beta t}(V(t) - iota) <= V(0) - iota.
 
     Shares the nominal check's code path with shift = iota, so iota = 0 gives
-    an identical verdict. An empty window is not satisfied.
+    an identical verdict.
     """
     return check_rtf_recurrence(rtf, traj, shift=env.iota)
 

@@ -202,6 +202,20 @@ def test_certify_verdict_quantities_match_run_summaries(two_disks, mode):
     assert _single_run_mismatches(scn, report) == []
 
 
+def test_certify_window_ends_half_a_step_past_tau(two_disks):
+    # tau / dt = 2.5: the window (0, tau] to half a step holds the samples at
+    # t = 0.02, 0.04 and 0.06 in certify as in the run commands
+    scn = dataclasses.replace(
+        two_disks,
+        integrator=ls.IntegratorConfig(dt=0.02, horizon=2.0),
+        rtf_constants=dataclasses.replace(two_disks.rtf_constants, tau=0.05),
+    )
+    grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=(3, 3))
+    report = ls.certify_initial_set(scn, grid, velocity_mode="desired")
+    assert sum("not rolled" not in r.note for r in report.per_point) >= 7
+    assert _single_run_mismatches(scn, report) == []
+
+
 def test_one_barrier_pass_per_rk4_stage(two_disks, monkeypatch):
     # the law runs once per RK4 stage, stage 1 doubles as the recorded sample
     # and one more pass records the last: 4 n_steps + 1 per rollout, with h

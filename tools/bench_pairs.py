@@ -14,12 +14,15 @@ Per metric it writes, for both sides, the median and quartiles
 (``statistics.quantiles(n=4)``, exclusive method) and how many pairs each
 side won, ties counting for neither; "better" comes from BENCHMARK.json.
 ``--out`` may already hold other workloads: their entries are kept and this
-workload's entry is replaced, so one file can cover every workload. Uses the
+workload's entry is replaced, so one file can cover every workload. Each
+side's revision is its ``git describe``, or for a checkout outside git (say
+a ``git archive`` copy) ``tree:`` and a digest of its ``src/``. Uses the
 standard library only.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -44,11 +47,22 @@ def _parse(argv):
     return args
 
 
-def _revision(root: Path) -> str | None:
+def _revision(root: Path) -> str:
+    """``git describe`` of a checkout; outside a git work tree (an exported
+    copy), ``tree:`` and the SHA-256 over the sorted relative paths and bytes
+    of its ``src/`` files, ``__pycache__`` left out."""
     proc = subprocess.run(
         ["git", "-C", str(root), "describe", "--always", "--dirty"], capture_output=True, text=True
     )
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    if proc.returncode == 0:
+        return proc.stdout.strip()
+    src = root / "src"
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            data = path.read_bytes()
+            digest.update(f"{path.relative_to(src).as_posix()}\0{len(data)}\0".encode() + data)
+    return f"tree:{digest.hexdigest()}"
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
