@@ -59,9 +59,10 @@ def _revision(root: Path) -> str:
     src = root / "src"
     digest = hashlib.sha256()
     for path in sorted(src.rglob("*")):
-        if path.is_file() and "__pycache__" not in path.parts:
+        rel = path.relative_to(src)
+        if path.is_file() and "__pycache__" not in rel.parts:
             data = path.read_bytes()
-            digest.update(f"{path.relative_to(src).as_posix()}\0{len(data)}\0".encode() + data)
+            digest.update(f"{rel.as_posix()}\0{len(data)}\0".encode() + data)
     return f"tree:{digest.hexdigest()}"
 
 
