@@ -2,8 +2,13 @@
 
 Each layer's arithmetic is written once, on a tuple of state components:
 Python floats for one run (K = 1), contiguous 1-D float columns for several.
-Inside the stack the only type-specific code is the primitives sqrt,
-select, clamp0 and divide, whose float versions reproduce numpy's bits.
+Inside the stack the type-specific code is the primitives sqrt, select,
+clamp0 and divide, whose float versions reproduce numpy's bits. The barrier
+kernel and the filter also write those float versions out inline, under one
+representation check per call: each primitive checks its argument's type on
+every call, and on one run's floats those checks cost more than the
+arithmetic (about 70% of a two-obstacle barrier pass). Their columns, and
+any other input, still go through the primitives.
 select and divide also take tuples of components, so a vector (or several
 quantities chosen by one condition) goes through one call: select keeps
 every component of a or of b together, and divide enters np.errstate once

@@ -7,12 +7,15 @@ is exactly 1. One kernel serves a single state and a batch alike: it walks
 the obstacles in order, elementwise over all states, and takes an obstacle
 only when its margin is strictly smaller, so ties between equally near
 obstacles resolve to the lowest obstacle index. It runs on the state's
-components (see _vec): floats for one state, columns for a batch. Array
-callers go through BarrierFn, which splits a state array into components and
-joins the results.
+components (see _vec): floats for one state, columns for a batch. It checks
+the representation once per pass: two Python floats take straight-line float
+code, every other input the _vec primitives sqrt, select and divide, with
+the same bits either way. Array callers go through BarrierFn, which splits a
+state array into components and joins the results.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,6 +114,12 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
 
     The gradient is the unit vector from the nearest center toward z, hence
     grad_bound = 1 exactly. At a center the gradient is 0/0, non-finite.
+    A state of two Python floats (one run) is scanned in plain float
+    arithmetic: a K = 1 rollout makes four passes per step, and one _vec
+    call per primitive would cost more than the arithmetic. It divides
+    directly where the distance is finite and nonzero and otherwise falls
+    back to _vec.divide, which gives numpy's inf and NaN. Columns go
+    through the _vec primitives.
     """
     (cx0, cy0, r0), *rest = [
         (float(cx), float(cy), float(r)) for (cx, cy), r in zip(field.centers, field.radii)
@@ -120,6 +129,24 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
         # the nearest obstacle's margin and unit offset, on the components
         # (zx, zy); strict < keeps the lowest index on ties, as argmin does
         zx, zy = z
+        if type(zx) is float and type(zy) is float:
+            # one state: _vec's float rules written out, with no per-call
+            # dispatch; a sum of squares is never negative, so math.sqrt
+            # gives _vec.sqrt's bits
+            dx = zx - cx0
+            dy = zy - cy0
+            dist = math.sqrt(dx * dx + dy * dy)
+            h = dist - r0
+            for cx, cy, r in rest:
+                ex = zx - cx
+                ey = zy - cy
+                d = math.sqrt(ex * ex + ey * ey)
+                m = d - r
+                if m < h:
+                    h, dist, dx, dy = m, d, ex, ey
+            if 0.0 < dist < math.inf:
+                return h, (dx / dist, dy / dist)
+            return h, divide((dx, dy), dist)  # numpy's inf and NaN signs
         dx = zx - cx0
         dy = zy - cy0
         # vnorm's sum of squares; its leading 0.0 + never changes a square

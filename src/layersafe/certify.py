@@ -20,7 +20,6 @@ validate coarse containment times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import prod
 
 import numpy as np
@@ -42,7 +41,7 @@ from .scenario import (
 
 _H_TOL = 1e-6  # a sample counts as a violation only below -_H_TOL
 # samples folded at once: each buffered sample holds its h, V, h_V and
-# finiteness columns, so memory grows with the block at large K
+# finiteness columns, so the buffers grow with the block at large K
 _BLOCK = 16
 
 VERDICTS = ("certified_safe", "unsafe_witness", "outside_S_V", "indeterminate")
@@ -197,20 +196,25 @@ class CertificateReport:
 def _scan_chunk(pair, law, rcbf, x0s, dt, n_steps, d_sig):
     """Min h, min h_V, first violation time, RTF margin and the time finiteness
     was lost (NaN if never) for each row of x0s: the recurrence folds over
-    blocks of the rollout's samples, under the caller's np.errstate."""
-    samples = (
-        (t, inter.h, *_derived(pair, rcbf, x, inter.z_dot_s, inter.h)[3:], finite(x))
-        for t, x, _u, inter in _rollout(pair, law, x0s, dt, n_steps, d_sig)
-    )
+    blocks of the rollout's samples, under the caller's np.errstate. Each
+    sample's t, h, V, h_V and finiteness go into rows of buffers allocated
+    once per chunk, (_BLOCK,) and (_BLOCK, K), and each fold reads views of
+    the filled rows; one run's floats (K = 1) fill rows of one column."""
+    rows = (_BLOCK, x0s.shape[0])
+    t, (h, v, h_v), ok = np.empty(_BLOCK), (np.empty(rows) for _ in range(3)), np.empty(rows, bool)
     min_h = min_hv = viol = div = scaled = None
-    while block := list(islice(samples, _BLOCK)):
-        t, h, v, h_v, ok = map(np.array, zip(*block))
-        if min_h is None:
-            v0 = v[0]
-        min_h, min_hv = fold_min(h, min_h), fold_min(h_v, min_hv)
-        viol = fold_first(t, h < -_H_TOL, viol)
-        div = fold_first(t, ~ok, div)
-        scaled = fold_window(t, v, rcbf.rtf.beta, rcbf.rtf.tau, dt, scaled)
+    for i, (t_i, x, _u, inter) in enumerate(_rollout(pair, law, x0s, dt, n_steps, d_sig)):
+        j = i % _BLOCK
+        t[j], h[j], ok[j] = t_i, inter.h, finite(x)
+        v[j], h_v[j] = _derived(pair, rcbf, x, inter.z_dot_s, inter.h)[3:]
+        if i == 0:
+            v0 = v[0].copy()
+        if j == _BLOCK - 1 or i == n_steps:  # a full block, or the last sample
+            b = slice(j + 1)
+            min_h, min_hv = fold_min(h[b], min_h), fold_min(h_v[b], min_hv)
+            viol = fold_first(t[b], h[b] < -_H_TOL, viol)
+            div = fold_first(t[b], ~ok[b], div)
+            scaled = fold_window(t[b], v[b], rcbf.rtf.beta, rcbf.rtf.tau, dt, scaled)
     return min_h, min_hv, viol, v0 - scaled, div
 
 

@@ -92,12 +92,18 @@ def safe_velocity(b: BarrierFn, alpha: float, z, z_dot_d):
     distance to the half-space boundary, applied along the barrier gradient,
     which is the closest feasible point to z_dot_d. h and grad_h are the
     barrier value and gradient it was computed from, so a caller needs no
-    second barrier pass.
+    second barrier pass. The correction max(c, 0) is clamp0 on columns; on
+    one run's float it applies clamp0's float rule inline, so a K = 1 step
+    pays no dispatch for it. Both keep NaN and turn -0.0 into 0.0.
     """
     h, n = b.value_and_gradient(z)
     (nx, ny), (vx, vy) = n, z_dot_d
     # n . z_dot_d in vsum's order: (p0 + 0.0) + p1, which keeps its signed zeros
-    corr = clamp0(-((nx * vx + 0.0) + ny * vy) - alpha * h)
+    corr = -((nx * vx + 0.0) + ny * vy) - alpha * h
+    if type(corr) is float:  # clamp0's float rule, without its dispatch
+        corr = corr if corr > 0.0 or corr != corr else 0.0
+    else:
+        corr = clamp0(corr)
     return (vx + corr * nx, vy + corr * ny), corr > 0.0, h, n
 
 

@@ -26,6 +26,7 @@ samples into arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -145,7 +146,9 @@ class Trajectory(_Samples):
         return float(self.t[-1])
 
     def min_h(self) -> float:
-        return float(np.min(self.h))
+        """The least h, skipping NaN samples (NaN if every sample is NaN),
+        the rule of recurrence.fold_min."""
+        return float(np.fmin.reduce(self.h))
 
     def csv_header(self) -> str:
         names = []
@@ -262,11 +265,14 @@ def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
 
 
 def _per_sample(vals, n_runs: int) -> np.ndarray:
-    """Per-sample tuples of components as (T, K, d)."""
+    """Per-sample tuples of components as (T, K, d): for one run, tuples of
+    floats read in one flat pass, which costs less than np.array's walk over
+    nested tuples."""
+    if n_runs == 1:
+        flat = np.fromiter(chain.from_iterable(vals), dtype=float, count=len(vals) * len(vals[0]))
+        return flat.reshape(len(vals), 1, -1)
     a = np.array(vals, dtype=float)
-    if n_runs > 1:
-        a = np.ascontiguousarray(a.transpose(0, 2, 1))
-    return a.reshape(len(vals), n_runs, -1)
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 
 def _derived(pair: ModelPair, rcbf, x, z_s_dot, h):

@@ -111,6 +111,20 @@ def test_certify_is_chunk_invariant(two_disks):
     assert repr(one) == repr(many)
 
 
+def test_certify_is_block_invariant(two_disks, monkeypatch):
+    # the folds read the filled rows of buffers reused from block to block:
+    # any block size, with the last block full or partial, gives the same
+    # records, for a chunk of one point (floats) and of several (columns)
+    scn = two_disks.with_horizon(0.05)  # 51 samples
+    grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=(3, 3))
+    seen = set()
+    for block in (1, 7, 17, 51, 64):
+        monkeypatch.setattr(ls.certify, "_BLOCK", block)
+        for chunk in (1, 4):
+            seen.add(repr(ls.certify_initial_set(scn, grid, chunk=chunk).per_point))
+    assert len(seen) == 1
+
+
 def test_certify_full_state_grid(two_disks):
     scn = two_disks.with_horizon(1.0)
     grid = ls.Grid(

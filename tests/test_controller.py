@@ -154,6 +154,23 @@ def test_layers_match_numpy_reference_bitwise():
     for k in range(x.shape[0]):  # floats
         check(k, lambda a: tuple(float(c) for c in a))
 
+    # corrections of exactly -0.0, 0.0 and NaN (inf - inf in n . z_dot_d),
+    # against one disk at the origin: on its boundary at (0.5, 0) h = 0 and
+    # n = (1, 0), so a velocity with a zero x-component gives -0.0 - 0.0
+    disk = ls.min_distance_barrier(ls.ObstacleField(centers=[[0.0, 0.0]], radii=[0.5]))
+    z = np.array([[0.5, 0.0], [1.5, 0.0], [0.6, 0.8]])
+    v = np.array([[0.0, 0.7], [-0.5, 0.3], [np.inf, -np.inf]])
+    h, n = disk.value_and_gradient(z)
+    with np.errstate(invalid="ignore"):
+        corr = -np.sum(n * v, axis=-1) - alpha * h
+        assert _bits(corr[:2]) == _bits(np.array([-0.0, 0.0])) and np.isnan(corr[2])
+        corr = np.maximum(corr, 0.0)
+        zs_ref = v + corr[:, None] * n
+        for rows, as_comps in [(slice(None), comps), (0, comps), (1, comps), (2, comps)]:
+            zs, active, _h, _n = ls.safe_velocity(disk, alpha, as_comps(z[rows]), as_comps(v[rows]))
+            assert _bits(stacked(zs)) == _bits(zs_ref[rows]), rows
+            assert np.array_equal(active, corr[rows] > 0.0)
+
 
 def test_law_refuses_non_planar_reduced_model():
     # the layers are written on the two planar components

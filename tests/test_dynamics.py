@@ -2,11 +2,13 @@
 import dataclasses
 import io
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import layersafe as ls
+from conftest import synthetic_trajectory
 
 
 def test_integrator_config_validation():
@@ -378,6 +380,37 @@ def test_one_run_stays_on_python_scalars(world, request):
         assert _python_scalars(ls.rk4_step(f, 0.0, x, 0.001)), x
     at_center = law.evaluate(zs[0] + (0.0, 0.0))
     assert not all(np.isfinite(at_center.grad_h))
+
+
+def test_one_run_makes_no_primitive_calls(td, monkeypatch):
+    # a K = 1 rollout runs the barrier kernel and the filter's clamp as plain
+    # float code, with no _vec dispatch per pass; columns still go through
+    # the primitives, the same calls per pass as before
+    pair, law, rcbf, scn = td["pair"], td["law"], td["rcbf"], td["scn"]
+    cfg = ls.IntegratorConfig(dt=scn.integrator.dt, horizon=0.05)
+    x0 = ls.initial_state(scn, law)
+    calls = Counter()
+    for module, name in [
+        (ls.barrier, "sqrt"), (ls.barrier, "select"), (ls.barrier, "divide"),
+        (ls.controller, "clamp0"),
+    ]:
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    ls.integrate(pair, law, x0, cfg, rcbf=rcbf)
+    assert calls == {}
+    ls.integrate_batch(pair, law, np.stack([x0, x0 + [0.1, -0.2, 0.0, 0.0]]), cfg, rcbf=rcbf)
+    passes = 4 * cfg.n_steps + 1
+    assert calls == {"sqrt": 2 * passes, "select": passes, "divide": passes, "clamp0": passes}
+
+
+def test_min_h_skips_nan_samples():
+    # fold_min's rule: NaN samples are skipped, an all-NaN series stays NaN
+    t, v = [0.0, 0.1, 0.2], [0.0, 0.0, 0.0]
+    assert synthetic_trajectory(t, v, h=[0.3, np.nan, -0.1]).min_h() == -0.1
+    assert np.isnan(synthetic_trajectory(t, v, h=[np.nan] * 3).min_h())
 
 
 def test_array_entry_points_match_batch_rows():
