@@ -166,8 +166,8 @@ def test_layers_match_numpy_reference_bitwise():
         assert _bits(corr[:2]) == _bits(np.array([-0.0, 0.0])) and np.isnan(corr[2])
         corr = np.maximum(corr, 0.0)
         zs_ref = v + corr[:, None] * n
-        for rows, as_comps in [(slice(None), comps), (0, comps), (1, comps), (2, comps)]:
-            zs, active, _h, _n = ls.safe_velocity(disk, alpha, as_comps(z[rows]), as_comps(v[rows]))
+        for rows in (slice(None), 0, 1, 2):  # columns, then floats
+            zs, active, _h, _n = ls.safe_velocity(disk, alpha, comps(z[rows]), comps(v[rows]))
             assert _bits(stacked(zs)) == _bits(zs_ref[rows]), rows
             assert np.array_equal(active, corr[rows] > 0.0)
 
