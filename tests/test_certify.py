@@ -288,3 +288,103 @@ def test_containment_gap_edge_cases():
     assert gap == pytest.approx(0.05, abs=1e-15)
     assert ls.containment_gap([0.5], [0.5]) == 0.0
 
+
+
+def _reference_text(report):
+    """CertificateReport.to_text as per-line f-strings, the reference the
+    one-table writer must reproduce byte for byte."""
+    lines = [
+        "initial-set certification report",
+        f"scenario digest: {report.scenario_hash}",
+        f"alpha = {report.alpha!r}",
+        f"velocity mode = {report.velocity_mode}",
+        f"horizon = {report.horizon!r}",
+        f"grid = {report.grid.describe()}",
+        "",
+        "configuration:",
+    ]
+    lines += [f"  {ln}" for ln in report.config_lines]
+    lines += ["", "points:"]
+    for r in report.per_point:
+        pt = ", ".join(f"{float(v):.10g}" for v in r.point)
+        viol = "none" if r.first_violation_t is None else f"{r.first_violation_t:.10g}"
+        extra = f"  # {r.note}" if r.note else ""
+        lines.append(
+            f"  ({pt})  {r.verdict}  min_h={r.min_h:.10g}  min_h_v={r.min_h_v:.10g}"
+            f"  first_violation_t={viol}  rtf_margin={r.rtf_margin:.10g}"
+            f"  in_s_v={int(r.in_s_v)}{extra}"
+        )
+    lines += ["", "summary:"]
+    total = 0
+    for v in ls.VERDICTS:
+        n = report.summary.get(v, 0)
+        total += n
+        lines.append(f"  {v}: {n}")
+    lines += [f"  total: {total}", ""]
+    return "\n".join(lines)
+
+
+def _reference_csv(report, verdict=None):
+    """CertificateReport.point_cloud_csv's file as per-line f-strings."""
+    header = ",".join([f"x{i + 1}" for i in range(report.grid.ndim)] + [
+        "verdict", "min_h", "min_h_v", "first_violation_t", "in_s_v"])
+    out = [f"# scenario digest: {report.scenario_hash}", header]
+    for r in report.records(verdict):
+        coords = ",".join(f"{float(v):.17g}" for v in r.point)
+        viol = "" if r.first_violation_t is None else f"{r.first_violation_t:.17g}"
+        out.append(
+            f"{coords},{r.verdict},{r.min_h:.17g},{r.min_h_v:.17g},{viol},{int(r.in_s_v)}"
+        )
+    return "\n".join(out) + "\n"
+
+
+def _crafted_report(grid, rows):
+    """A report over ``grid`` whose records take their fields from ``rows``,
+    one per grid point in order."""
+    records = tuple(
+        ls.PointRecord(
+            point=p, verdict=verdict, min_h=min_h, min_h_v=min_h_v,
+            first_violation_t=viol, rtf_margin=margin, in_s_v=in_s_v, note=note,
+        )
+        for p, (verdict, min_h, min_h_v, viol, margin, in_s_v, note) in zip(grid.points, rows)
+    )
+    got = Counter(r.verdict for r in records)
+    return ls.CertificateReport(
+        scenario_hash="0" * 64, alpha=0.5, velocity_mode="desired", horizon=2.0, grid=grid,
+        per_point=records, summary={v: got.get(v, 0) for v in ls.VERDICTS},
+        config_lines=("gains.alpha = 0.5", "sim.dt = 0.001"),
+    )
+
+
+def test_report_writers_match_per_line_reference(small_report, tmp_path):
+    # the report and point cloud writers format their tables in one pass;
+    # every byte equals the per-line f-string writers above, for all four
+    # verdicts and both notes, NaN, +-inf and -0.0, no violation time, 2-
+    # and 4-axis grids and a selection that holds no point
+    inf, nan = float("inf"), float("nan")
+    lost = "rollout lost finiteness at t=0.123"
+    not_rolled = "initial position violates h >= 0; not rolled out"
+    two_axis = _crafted_report(ls.Grid(lower=[-1.0, -0.5], upper=[1.0, 2.0], counts=(2, 3)), [
+        ("certified_safe", 0.5, -0.0, None, 0.12345678901234567, True, ""),
+        ("unsafe_witness", -inf, nan, 1.25, inf, True, ""),
+        ("outside_S_V", -0.25, -1e-300, 0.0, nan, False, not_rolled),
+        ("indeterminate", nan, -inf, None, -inf, False, lost),
+        ("outside_S_V", 1 / 3, -2.5e17, None, -0.0, False, ""),
+        ("unsafe_witness", -1e-5, 0.0, 0.001, 123456789.123, True, ""),
+    ])
+    four_axis = _crafted_report(
+        ls.Grid(lower=[-1.0, -1.0, -3.0, -3.0], upper=[1.0, 1.0, 3.0, 3.0], counts=(2, 2, 2, 2)),
+        [
+            (("certified_safe", "outside_S_V", "indeterminate")[i % 3], 0.1 * i - 0.5,
+             (-0.0, nan, inf, -inf)[i % 4], None, 2.0 ** -i, i % 2 == 0,
+             lost if i % 3 == 2 else "")
+            for i in range(16)
+        ],
+    )
+    assert four_axis.summary["unsafe_witness"] == 0
+    for report in (two_axis, four_axis, small_report[1]):
+        assert report.to_text() == _reference_text(report)
+        for verdict in (None, *ls.VERDICTS):
+            path = tmp_path / "cloud.csv"
+            report.point_cloud_csv(path, verdict=verdict)
+            assert path.read_text() == _reference_csv(report, verdict), verdict
