@@ -7,8 +7,10 @@ clamp0 and divide, whose float versions reproduce numpy's bits. The barrier
 kernel and the filter also write those float versions out inline, under one
 representation check per call: each primitive checks its argument's type on
 every call, and on one run's floats those checks cost more than the
-arithmetic (about 70% of a two-obstacle barrier pass). Their columns, and
-any other input, still go through the primitives.
+arithmetic (about 70% of a two-obstacle barrier pass). Their columns still
+go through sqrt, select and clamp0; the barrier divides its own offset
+columns in place with numpy, under the caller's np.errstate, and calls
+divide only for a float distance that is zero or not finite.
 select and divide also take tuples of components, so a vector (or several
 quantities chosen by one condition) goes through one call: select keeps
 every component of a or of b together, and divide enters np.errstate once
@@ -75,7 +77,9 @@ def divide(a, b):
     """a / b, with numpy's result and no warning where b is zero; for a planar
     a = (ax, ay), each component divided by b. The divisor alone picks the
     path: numpy for an array, zero or non-finite b (where a column's 0/0, x/0
-    or inf/inf would warn), plain division for a finite nonzero float."""
+    or inf/inf would warn), plain division for a finite nonzero float. It
+    enters np.errstate for every non-float divisor, which is why the barrier's
+    column pass, whose callers already hold one, divides with numpy itself."""
     if type(b) is float and 0.0 < abs(b) < math.inf:
         if type(a) is tuple:
             ax, ay = a

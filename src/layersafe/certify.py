@@ -14,13 +14,16 @@ run command reports from the same start. Verdicts:
 
 Points are elementwise-independent throughout (states never mix across grid
 rows), so verdicts do not depend on chunking or on which other points share
-the grid. The module also houses the fine-step containment oracle used to
+the grid. Each point's record is a PointRecord tuple, and the report and
+point cloud writers format their point tables with one '%' over every row's
+fields. The module also houses the fine-step containment oracle used to
 validate coarse containment times.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import isnan, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,11 +103,11 @@ class Grid:
         return f"[{lo}] .. [{hi}] @ {ct}"
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    """Classification of one lattice point.
+class PointRecord(NamedTuple):
+    """Classification of one lattice point, as a NamedTuple in field order.
 
-    in_s_v records initial membership in the certified region (h_V(0) >= 0)
+    point is a read-only view of the point's row of the lattice. in_s_v
+    records initial membership in the certified region (h_V(0) >= 0)
     regardless of the verdict; rtf_margin is the observed one-shot recurrence
     margin over the window (0, tau] to half a step, clipped to the horizon,
     recorded and never used to classify.
@@ -141,7 +144,7 @@ class CertificateReport:
         return [r for r in self.per_point if r.verdict == verdict]
 
     def to_text(self) -> str:
-        lines = [
+        head = [
             "initial-set certification report",
             f"scenario digest: {self.scenario_hash}",
             f"alpha = {self.alpha!r}",
@@ -150,29 +153,33 @@ class CertificateReport:
             f"grid = {self.grid.describe()}",
             "",
             "configuration:",
+            *(f"  {ln}" for ln in self.config_lines),
+            "",
+            "points:",
+            "",
         ]
-        lines += [f"  {ln}" for ln in self.config_lines]
-        lines.append("")
-        lines.append("points:")
-        for r in self.per_point:
-            pt = ", ".join(f"{float(v):.10g}" for v in r.point)
-            viol = "none" if r.first_violation_t is None else f"{r.first_violation_t:.10g}"
-            extra = f"  # {r.note}" if r.note else ""
-            lines.append(
-                f"  ({pt})  {r.verdict}  min_h={r.min_h:.10g}  min_h_v={r.min_h_v:.10g}"
-                f"  first_violation_t={viol}  rtf_margin={r.rtf_margin:.10g}"
-                f"  in_s_v={int(r.in_s_v)}{extra}"
+        # the point table: one row format, one '%' over every row's fields
+        row = (
+            "  (" + ", ".join(["%.10g"] * self.grid.ndim) + ")  %s  min_h=%.10g"
+            "  min_h_v=%.10g  first_violation_t=%s  rtf_margin=%.10g  in_s_v=%d%s\n"
+        )
+        fields = []
+        for point, verdict, min_h, min_h_v, viol, margin, in_s_v, note in self.per_point:
+            fields += point.tolist()
+            fields += (
+                verdict, min_h, min_h_v, "none" if viol is None else "%.10g" % viol, margin,
+                in_s_v, "  # " + note if note else "",
             )
-        lines.append("")
-        lines.append("summary:")
-        total = 0
-        for v in VERDICTS:
-            n = self.summary.get(v, 0)
-            total += n
-            lines.append(f"  {v}: {n}")
-        lines.append(f"  total: {total}")
-        lines.append("")
-        return "\n".join(lines)
+        counts = [self.summary.get(v, 0) for v in VERDICTS]
+        tail = [
+            "",
+            "summary:",
+            *(f"  {v}: {n}" for v, n in zip(VERDICTS, counts)),
+            f"  total: {sum(counts)}",
+            "",
+        ]
+        table = (row * len(self.per_point)) % tuple(fields)
+        return "\n".join(head) + table + "\n".join(tail)
 
     def write(self, path) -> None:
         atomic_write_text(path, self.to_text())
@@ -183,14 +190,14 @@ class CertificateReport:
         k = self.grid.ndim
         header = ",".join([f"x{i + 1}" for i in range(k)] + [
             "verdict", "min_h", "min_h_v", "first_violation_t", "in_s_v"])
-        out = [f"# scenario digest: {self.scenario_hash}", header]
-        for r in rows:
-            coords = ",".join(f"{float(v):.17g}" for v in r.point)
-            viol = "" if r.first_violation_t is None else f"{r.first_violation_t:.17g}"
-            out.append(
-                f"{coords},{r.verdict},{r.min_h:.17g},{r.min_h_v:.17g},{viol},{int(r.in_s_v)}"
-            )
-        atomic_write_text(path, "\n".join(out) + "\n")
+        # one row format, one '%' over every row's fields
+        row = ",".join(["%.17g"] * k + ["%s", "%.17g", "%.17g", "%s", "%d"]) + "\n"
+        fields = []
+        for point, verdict, min_h, min_h_v, viol, _margin, in_s_v, _note in rows:
+            fields += point.tolist()
+            fields += (verdict, min_h, min_h_v, "" if viol is None else "%.17g" % viol, in_s_v)
+        table = (row * len(rows)) % tuple(fields)
+        atomic_write_text(path, f"# scenario digest: {self.scenario_hash}\n{header}\n{table}")
 
 
 def _scan_chunk(pair, law, rcbf, x0s, dt, n_steps, d_sig):
@@ -245,7 +252,7 @@ def certify_initial_set(
     d_sig = dist.signal if dist.kind != "none" else None
 
     pts = grid.points
-    x0s = initial_states(scn, law, pts, mode=velocity_mode) if grid.ndim == 2 else pts.copy()
+    x0s = initial_states(scn, law, pts, mode=velocity_mode) if grid.ndim == 2 else pts
     n_pts = x0s.shape[0]
 
     dt = scn.integrator.dt
@@ -270,34 +277,30 @@ def certify_initial_set(
             reduced = _scan_chunk(pair, law, rcbf, x0s[idx], dt, n_steps, d_sig)
             min_h[idx], min_hv[idx], first_viol[idx], rtf_margin[idx], diverged_t[idx] = reduced
 
+    pts.flags.writeable = False  # each record's point is a view of its row
+    summary = dict.fromkeys(VERDICTS, 0)
     records = []
-    for i in range(n_pts):
-        viol_t = None if np.isnan(first_viol[i]) else float(first_viol[i])
+    for point, is_rolled, viol_t, div_t, in_set, mh, mhv, margin in zip(
+        pts, rolled.tolist(), first_viol.tolist(), diverged_t.tolist(), in_s_v.tolist(),
+        min_h.tolist(), min_hv.tolist(), rtf_margin.tolist(),
+    ):
         note = ""
-        if not rolled[i]:
+        if isnan(viol_t):  # no violation observed
+            viol_t = None
+        if not is_rolled:
             verdict = "outside_S_V"
             note = "initial position violates h >= 0; not rolled out"
-        elif viol_t is not None and not viol_t > diverged_t[i]:  # NaN: finiteness never lost
+        elif viol_t is not None and not viol_t > div_t:  # NaN: finiteness never lost
             verdict = "unsafe_witness"
-        elif not np.isnan(diverged_t[i]):
+        elif not isnan(div_t):
             verdict = "indeterminate"
-            note = f"rollout lost finiteness at t={diverged_t[i]:.6g}"
-        elif in_s_v[i]:
+            note = f"rollout lost finiteness at t={div_t:.6g}"
+        elif in_set:
             verdict = "certified_safe"
         else:
             verdict = "outside_S_V"
-        records.append(
-            PointRecord(
-                point=pts[i].copy(),
-                verdict=verdict,
-                min_h=float(min_h[i]),
-                min_h_v=float(min_hv[i]),
-                first_violation_t=viol_t,
-                rtf_margin=float(rtf_margin[i]),
-                in_s_v=bool(in_s_v[i]),
-                note=note,
-            )
-        )
+        summary[verdict] += 1
+        records.append(PointRecord(point, verdict, mh, mhv, viol_t, margin, in_set, note))
 
     return CertificateReport(
         scenario_hash=scn.digest(),
@@ -306,7 +309,7 @@ def certify_initial_set(
         horizon=horizon,
         grid=grid,
         per_point=tuple(records),
-        summary={v: sum(r.verdict == v for r in records) for v in VERDICTS},
+        summary=summary,
         config_lines=tuple(scn.resolved_lines()),
     )
 

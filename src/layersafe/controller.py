@@ -144,7 +144,8 @@ def assemble_closed_loop(pair, b: BarrierFn, gains: Gains, goal) -> ClosedLoopLa
 
     def evaluate(x):
         if not isinstance(x, tuple):
-            return LawIntermediates._make(map(join, evaluate(split(x))))
+            with np.errstate(divide="ignore", invalid="ignore"):  # the barrier's column division
+                return LawIntermediates._make(map(join, evaluate(split(x))))
         zx, zy, vx, vy = x
         z_dot_d = desired_velocity(goal_c, k_p, (zx, zy))
         z_dot_s, active, h, grad_h = safe_velocity(b, alpha, (zx, zy), z_dot_d)

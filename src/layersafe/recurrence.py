@@ -90,15 +90,19 @@ def fold_min(x, prev=None):
 
 def fold_window(t, v, beta: float, tau: float, dt: float, prev=None):
     """NaN-skipping minimum of e^{beta t} v over the samples in (0, tau] to
-    half a step, folded into ``prev``; inf while the window holds none."""
-    sel = _window_selector(t, dt, 0.0, tau)
-    m = np.fmin.reduce((np.exp(beta * t[sel]) * v[sel].T).T, axis=0, initial=np.inf)
+    half a step, folded into ``prev``; inf while the window holds none.
+    t is increasing, so the window is one slice of the samples."""
+    win = slice(*np.searchsorted(t, (0.0, tau + dt / 2), side="right").tolist())
+    w = np.exp(beta * t[win])
+    m = np.fmin.reduce((w[:, None] if v.ndim > 1 else w) * v[win], axis=0, initial=np.inf)
     return m if prev is None else np.fmin(prev, m)
 
 
 def fold_first(t, hit, prev=None):
     """The first time t at which ``hit`` holds (NaN if none), unless ``prev``
-    already holds an earlier one."""
+    already holds an earlier one; ``prev`` itself when no sample hits."""
+    if prev is not None and not hit.any():
+        return prev
     first = np.where(np.any(hit, axis=0), t[np.argmax(hit, axis=0)], np.nan)
     return first if prev is None else np.where(np.isnan(prev), first, prev)
 

@@ -2,6 +2,7 @@
 import dataclasses
 import io
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -384,8 +385,8 @@ def test_one_run_stays_on_python_scalars(world, request):
 
 def test_one_run_makes_no_primitive_calls(td, monkeypatch):
     # a K = 1 rollout runs the barrier kernel and the filter's clamp as plain
-    # float code, with no _vec dispatch per pass; columns still go through
-    # the primitives, the same calls per pass as before
+    # float code, with no _vec dispatch per pass; columns go through sqrt,
+    # select and clamp0 and divide the kernel's own offset columns with numpy
     pair, law, rcbf, scn = td["pair"], td["law"], td["rcbf"], td["scn"]
     cfg = ls.IntegratorConfig(dt=scn.integrator.dt, horizon=0.05)
     x0 = ls.initial_state(scn, law)
@@ -403,7 +404,36 @@ def test_one_run_makes_no_primitive_calls(td, monkeypatch):
     assert calls == {}
     ls.integrate_batch(pair, law, np.stack([x0, x0 + [0.1, -0.2, 0.0, 0.0]]), cfg, rcbf=rcbf)
     passes = 4 * cfg.n_steps + 1
-    assert calls == {"sqrt": 2 * passes, "select": passes, "divide": passes, "clamp0": passes}
+    assert calls == {"sqrt": 2 * passes, "select": passes, "clamp0": passes}
+
+
+def test_array_entry_points_hold_their_own_errstate(two_disks):
+    # the barrier's column pass divides with no np.errstate of its own; the
+    # array entry points hold one, so at a disk center (0/0) and on the
+    # exact tie no warning escapes, and every row keeps the bits of one
+    # run's float pass
+    _pair, law, _rcbf = _crafted_world()
+    b = law.barrier
+    zs = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.7], [-0.0, 1.0], [0.5, 0.5]])
+    xs = np.concatenate([zs, np.zeros_like(zs)], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, grad = b.value_and_gradient(zs)
+        value, gradient = b.value(zs), b.gradient(zs)
+        inter = law.evaluate(xs)
+        starts = ls.initial_states(two_disks, law, zs, mode="safe")
+        rows = [b.value_and_gradient(z) for z in zs]
+        evals = [law.evaluate(x) for x in xs]
+    assert _same_bits(h, np.stack([r[0] for r in rows])) and _same_bits(value, h)
+    assert _same_bits(grad, np.stack([r[1] for r in rows])) and _same_bits(gradient, grad)
+    assert np.isnan(grad[:2]).all() and np.isfinite(grad[2:]).all()
+    assert grad[2, 0] > 0.0 and grad[3, 0] > 0.0  # the tie goes to the left disk
+    for i, field in enumerate(inter):  # a 0/0 gradient's NaN reaches z_dot_s and u
+        assert _same_bits_but_nan_sign(field, np.stack([e[i] for e in evals])), inter._fields[i]
+    assert _same_bits(starts, np.concatenate([zs, inter.z_dot_s], axis=1))
+    # components straight to the kernel get no errstate: a column caller holds its own
+    with pytest.warns(RuntimeWarning):
+        b.value_and_gradient((zs[:, 0].copy(), zs[:, 1].copy()))
 
 
 def test_min_h_skips_nan_samples():

@@ -148,6 +148,51 @@ def test_fold_window_empty_and_first_time_earliest():
     assert first.tolist() == [1.0, 4.0]
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _mask_fold_window(t, v, beta, tau, dt, prev=None):
+    """fold_window by a boolean window mask and a transpose, for any t."""
+    sel = (t > 0.0) & (t <= tau + dt / 2)
+    m = np.fmin.reduce((np.exp(beta * t[sel]) * v[sel].T).T, axis=0, initial=np.inf)
+    return m if prev is None else np.fmin(prev, m)
+
+
+def _where_fold_first(t, hit, prev=None):
+    """fold_first with no shortcut for a block that holds no hit."""
+    first = np.where(np.any(hit, axis=0), t[np.argmax(hit, axis=0)], np.nan)
+    return first if prev is None else np.where(np.isnan(prev), first, prev)
+
+
+def test_folds_match_mask_formulas_bit_for_bit():
+    # the window is a slice of the increasing sample times, and a block with
+    # no hit returns prev itself; blocks start before, inside and after the
+    # window (0, 0.525], so windows start, end or vanish mid-block
+    rng = np.random.default_rng(19)
+    beta, tau, dt = 1.3, 0.5, 0.05
+    for start in (0, 3, 8, 10, 11, 20):
+        for size in (1, 4, 16):
+            t = (start + np.arange(size)) * dt
+            for shape in ((size,), (size, 5)):
+                v = rng.uniform(-1.0, 2.0, shape)
+                v[rng.random(shape) < 0.3] = np.nan
+                prev_w = rng.uniform(-1.0, 2.0, shape[1:])
+                prev_f = np.where(rng.random(shape[1:]) < 0.5, np.nan, rng.uniform(0, 9, shape[1:]))
+                for prev in (None, prev_w, np.full(shape[1:], np.nan)):
+                    got = fold_window(t, v, beta, tau, dt, prev)
+                    want = _mask_fold_window(t, v, beta, tau, dt, prev)
+                    assert _same_bits(got, want), (start, size, shape)
+                for p_hit in (0.0, 0.2):
+                    hit = rng.random(shape) < p_hit
+                    for prev in (None, prev_f):
+                        got = fold_first(t, hit, prev)
+                        assert _same_bits(got, _where_fold_first(t, hit, prev)), (start, size)
+                        if prev is not None and not hit.any():
+                            assert got is prev
+
+
 def test_rtf_recurrence_needs_full_window():
     t = np.arange(0, 500) * 0.001
     traj = synthetic_trajectory(t, np.exp(-3 * t))
