@@ -30,3 +30,35 @@ def test_bench_pairs_names_a_checkout_outside_git(bench_pairs, tmp_path):
     module = copies[1] / "src" / "layersafe" / "errors.py"
     module.write_bytes(module.read_bytes() + b"\n")
     assert bench_pairs._revision(copies[1]) != a
+
+
+def _pairs(parent, change, name="norm_op_p50_s"):
+    return [
+        {"parent": {"metrics": {name: p}}, "change": {"metrics": {name: c}}}
+        for p, c in zip(parent, change)
+    ]
+
+
+def test_bench_pairs_gain_rule(bench_pairs):
+    # the rule: at least nine tenths of the pairs won, ties counting for
+    # neither, and a median gain larger than the parent's IQR
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    lower = {"norm_op_p50_s": True}
+
+    def rule(change, better=lower):
+        name = next(iter(better))
+        return bench_pairs.summarize(_pairs(parent, change, name), better)[name]
+
+    clear = [p - 0.2 for p in parent]
+    got = rule(clear)
+    assert (got["change_wins"], got["parent_wins"], got["gain_rule_holds"]) == (10, 0, True)
+    assert abs(got["median_gain"] - 0.2) < 1e-12 and got["parent"]["iqr"] < 0.2
+    assert rule(clear[:9] + [parent[9]])["gain_rule_holds"]  # 9 wins, one tie
+    assert not rule(clear[:8] + parent[8:])["gain_rule_holds"]  # 8 wins
+    # every pair won, by less than the parent's spread
+    small = rule([p - 0.01 for p in parent])
+    assert small["change_wins"] == 10 and not small["gain_rule_holds"]
+    # a higher-is-better metric gains when the change reads higher
+    higher = {"norm_steps_per_s": False}
+    assert rule([p + 0.2 for p in parent], higher)["gain_rule_holds"]
+    assert not rule(clear, higher)["gain_rule_holds"]

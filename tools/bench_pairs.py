@@ -11,12 +11,17 @@ four end-to-end metrics and its ``correct``/``attempted``/``failed`` fields
 are kept; the script exits 1 without writing if any run is not correct.
 
 Per metric it writes, for both sides, the median and quartiles
-(``statistics.quantiles(n=4)``, exclusive method) and how many pairs each
-side won, ties counting for neither; "better" comes from BENCHMARK.json.
+(``statistics.quantiles(n=4)``, exclusive method), how many pairs each
+side won, ties counting for neither, the change's median gain and whether
+the gain rule holds: the change won at least nine tenths of the pairs and
+its median beats the parent's by more than the parent's interquartile
+range. "better" comes from BENCHMARK.json.
 ``--out`` may already hold other workloads: their entries are kept and this
 workload's entry is replaced, so one file can cover every workload. Each
 side's revision is its ``git describe``, or for a checkout outside git (say
-a ``git archive`` copy) ``tree:`` and a digest of its ``src/``. Uses the
+a ``git archive`` copy) its source digest; the source digest, ``tree:`` and
+a digest of its ``src/``, is recorded for both sides either way, since a
+``-dirty`` describe may come from files outside ``src/``. Uses the
 standard library only.
 """
 from __future__ import annotations
@@ -49,13 +54,18 @@ def _parse(argv):
 
 def _revision(root: Path) -> str:
     """``git describe`` of a checkout; outside a git work tree (an exported
-    copy), ``tree:`` and the SHA-256 over the sorted relative paths and bytes
-    of its ``src/`` files, ``__pycache__`` left out."""
+    copy), its source digest."""
     proc = subprocess.run(
         ["git", "-C", str(root), "describe", "--always", "--dirty"], capture_output=True, text=True
     )
     if proc.returncode == 0:
         return proc.stdout.strip()
+    return _src_digest(root)
+
+
+def _src_digest(root: Path) -> str:
+    """``tree:`` and the SHA-256 over the sorted relative paths and bytes of
+    a checkout's ``src/`` files, ``__pycache__`` left out."""
     src = root / "src"
     digest = hashlib.sha256()
     for path in sorted(src.rglob("*")):
@@ -92,18 +102,29 @@ def _spread(values: list) -> dict:
 
 
 def summarize(runs: list, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs each side won."""
+    """Per metric: each side's median and quartiles, the pairs each side won,
+    the change's median gain (positive when better) and whether the gain
+    rule holds: at least nine tenths of the pairs won and a median gain
+    larger than the parent's interquartile range."""
     out = {}
     for name, lower_is_better in better.items():
         parent = [r["parent"]["metrics"][name] for r in runs]
         change = [r["change"]["metrics"][name] for r in runs]
         gains = [(p - c) if lower_is_better else (c - p) for p, c in zip(parent, change)]
+        p_spread, c_spread = _spread(parent), _spread(change)
+        median_gain = p_spread["median"] - c_spread["median"]
+        if not lower_is_better:
+            median_gain = -median_gain
+        change_wins = sum(g > 0 for g in gains)
         out[name] = {
             "better": "lower" if lower_is_better else "higher",
-            "parent": _spread(parent),
-            "change": _spread(change),
-            "change_wins": sum(g > 0 for g in gains),
+            "parent": p_spread,
+            "change": c_spread,
+            "change_wins": change_wins,
             "parent_wins": sum(g < 0 for g in gains),
+            "median_gain": median_gain,
+            "gain_rule_holds": 10 * change_wins >= 9 * len(runs)
+            and median_gain > p_spread["iqr"],
         }
     return out
 
@@ -133,6 +154,7 @@ def main(argv=None) -> int:
         "command": f"bench/run.py --workload {args.workload} --seed <i> "
                    f"--seconds {args.seconds:g} --trace 0",
         "revisions": {"parent": _revision(parent), "change": _revision(ROOT)},
+        "src_digests": {"parent": _src_digest(parent), "change": _src_digest(ROOT)},
         "provenance": runs[0]["change"]["provenance"],
         "metrics": summarize(runs, better),
         "runs": [
