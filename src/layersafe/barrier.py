@@ -10,12 +10,9 @@ obstacles resolve to the lowest obstacle index. It runs on the state's
 components (see _vec): floats for one state, columns for a batch. It checks
 the representation once per pass: two Python floats take straight-line float
 code, columns the _vec primitives sqrt and select and an in-place numpy
-divide, with the same bits either way. The column divide enters no
-np.errstate: at a center (0/0) or a non-finite state it warns unless the
-caller holds one. Array callers go through BarrierFn, which splits a state
-array into components, holds np.errstate around the pass and joins the
-results; a caller that hands columns straight to the kernel holds its own,
-as the rollout kernel's callers (integrate_batch, certify) do.
+divide, with the same bits either way. Array callers go through BarrierFn,
+which splits a state array into components, holds np.errstate around the
+pass and joins the results.
 """
 from __future__ import annotations
 
@@ -77,10 +74,9 @@ class BarrierFn:
     or on columns (see _vec). ``value``, ``gradient`` and ``value_and_gradient``
     pass components straight to it, and also accept a single state (2,) or a
     batch (..., 2), which they split and whose results they join into arrays.
-    An array goes through one pass under np.errstate, so a center row warns
-    nowhere; columns passed as components get none, and a component-level
-    column caller holds np.errstate itself (the min-distance kernel's
-    division warns at a center otherwise).
+    An array's pass runs under np.errstate. A caller that passes columns as
+    components holds its own, as integrate_batch and certify do: the
+    min-distance kernel's column division warns at a center otherwise.
     ``grad_bound`` is the constant that turns tracking-error size into a bound
     on the barrier's rate of change.
     """
@@ -128,9 +124,8 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
     call per primitive would cost more than the arithmetic. It divides
     directly where the distance is finite and nonzero and otherwise falls
     back to _vec.divide, which gives numpy's inf and NaN. Columns go
-    through _vec.sqrt and _vec.select, and the pass divides the offset
-    columns it made in place by the distance, under the caller's
-    np.errstate.
+    through _vec.sqrt and _vec.select and divide the pass's own offset
+    columns in place, under the caller's np.errstate.
     """
     (cx0, cy0, r0), *rest = [
         (float(cx), float(cy), float(r)) for (cx, cy), r in zip(field.centers, field.radii)
@@ -169,9 +164,7 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
             d = sqrt(ex * ex + ey * ey)
             m = d - r
             h, dist, dx, dy = select(m < h, (m, d, ex, ey), (h, dist, dx, dy))
-        # offset / distance, into the offset columns this pass made; non-finite
-        # where the distance is 0 or non-finite, warning unless the caller
-        # holds np.errstate
+        # offset / distance in place; non-finite where the distance is 0 or non-finite
         return h, (np.divide(dx, dist, out=dx), np.divide(dy, dist, out=dy))
 
     return BarrierFn(vg_fn=value_and_gradient, grad_bound=1.0, field=field)
