@@ -10,7 +10,8 @@ every call, and on one run's floats those checks cost more than the
 arithmetic (about 70% of a two-obstacle barrier pass). Their columns still
 go through sqrt, select and clamp0; the barrier divides its own offset
 columns in place with numpy, under the caller's np.errstate, and calls
-divide only for a float distance that is zero or not finite.
+divide only for a float distance that is zero or not finite and for numpy
+scalar components.
 select and divide also take tuples of components, so a vector (or several
 quantities chosen by one condition) goes through one call: select keeps
 every component of a or of b together, and divide enters np.errstate once

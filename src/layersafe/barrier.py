@@ -125,7 +125,8 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
     directly where the distance is finite and nonzero and otherwise falls
     back to _vec.divide, which gives numpy's inf and NaN. Columns go
     through _vec.sqrt and _vec.select and divide the pass's own offset
-    columns in place, under the caller's np.errstate.
+    columns in place, under the caller's np.errstate; numpy scalar
+    components divide through _vec.divide.
     """
     (cx0, cy0, r0), *rest = [
         (float(cx), float(cy), float(r)) for (cx, cy), r in zip(field.centers, field.radii)
@@ -165,6 +166,8 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
             m = d - r
             h, dist, dx, dy = select(m < h, (m, d, ex, ey), (h, dist, dx, dy))
         # offset / distance in place; non-finite where the distance is 0 or non-finite
-        return h, (np.divide(dx, dist, out=dx), np.divide(dy, dist, out=dy))
+        if type(dx) is np.ndarray and type(dy) is np.ndarray:
+            return h, (np.divide(dx, dist, out=dx), np.divide(dy, dist, out=dy))
+        return h, divide((dx, dy), dist)  # numpy scalars, as tuple(array) gives
 
     return BarrierFn(vg_fn=value_and_gradient, grad_bound=1.0, field=field)

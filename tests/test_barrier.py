@@ -125,6 +125,9 @@ def test_batch_matches_scalar_bitwise():
             assert _same_bits(b.value(z), ref_value)
             assert _same_bits(h, ref_h)
             assert _same_bits(grad, ref_grad)
+            if z.ndim == 1:  # numpy scalar components, as tuple(z) gives
+                h_np, grad_np = b.value_and_gradient(tuple(z))
+                assert _same_bits(h_np, ref_h) and _same_bits(grad_np, ref_grad)
             if z.ndim == 1 and np.any(field.center_distances(z) == 0.0):
                 with pytest.raises(ls.SingularGradientError):
                     b.gradient(z)
