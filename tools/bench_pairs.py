@@ -110,11 +110,10 @@ def summarize(runs: list, better: dict) -> dict:
     for name, lower_is_better in better.items():
         parent = [r["parent"]["metrics"][name] for r in runs]
         change = [r["change"]["metrics"][name] for r in runs]
-        gains = [(p - c) if lower_is_better else (c - p) for p, c in zip(parent, change)]
+        sign = 1.0 if lower_is_better else -1.0
+        gains = [sign * (p - c) for p, c in zip(parent, change)]
         p_spread, c_spread = _spread(parent), _spread(change)
-        median_gain = p_spread["median"] - c_spread["median"]
-        if not lower_is_better:
-            median_gain = -median_gain
+        median_gain = sign * (p_spread["median"] - c_spread["median"])
         change_wins = sum(g > 0 for g in gains)
         out[name] = {
             "better": "lower" if lower_is_better else "higher",
