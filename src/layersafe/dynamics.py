@@ -20,8 +20,10 @@ The kernel's state is a tuple of four components, position then velocity
 (zx, zy, vx, vy; see _vec): floats for one run, contiguous columns for
 several. The pair's maps take tuples of components only, and rk4_step
 unpacks the four components of the state and of each stage slope. The
-kernel splits the initial states, and integrate_batch stacks the recorded
-samples into arrays.
+kernel splits the initial states. integrate_batch turns the recorded
+samples into arrays one row block (_ROW_BLOCK samples) at a time, and
+Trajectory.to_csv formats and writes its table one row block at a time, so
+each holds the Python objects of at most one block at once.
 """
 from __future__ import annotations
 
@@ -34,6 +36,10 @@ import numpy as np
 from ._io import atomic_write_text
 from ._vec import finite, join, split, vnorm
 from .errors import ConfigurationError, DivergenceError, require_number
+
+# samples recorded, and CSV rows formatted, per block
+_ROW_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -164,14 +170,19 @@ class Trajectory(_Samples):
         """Write the flat sample table at full round-trip precision, atomically.
 
         ``preamble`` lines are emitted as leading '#' comments so an artifact
-        can carry its own provenance.
+        can carry its own provenance. Rows take np.savetxt's format, one '%'
+        per block of _ROW_BLOCK rows read from row slices of the fields, and
+        each block's text is written before the next is formatted.
         """
-        data = np.hstack([getattr(self, name).reshape(self.n_samples, -1) for name in _CSV_STEMS])
-        # np.savetxt's format, one '%' over the whole table
-        row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-        lines = [f"# {line}\n" for line in preamble] + [self.csv_header() + "\n"]
-        lines.append((row * data.shape[0]) % tuple(data.ravel().tolist()))
-        atomic_write_text(path, "".join(lines))
+        atomic_write_text(path, self._csv_parts(preamble))
+
+    def _csv_parts(self, preamble):
+        yield "".join([f"# {line}\n" for line in preamble] + [self.csv_header() + "\n"])
+        columns = [getattr(self, name).reshape(self.n_samples, -1) for name in _CSV_STEMS]
+        row = ",".join(["%.17g"] * sum(c.shape[1] for c in columns)) + "\n"
+        for start in range(0, self.n_samples, _ROW_BLOCK):
+            block = np.hstack([c[start:start + _ROW_BLOCK] for c in columns])
+            yield (row * block.shape[0]) % tuple(block.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -264,6 +275,15 @@ def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
             x = x_next
 
 
+def _record(samples, n_runs: int) -> tuple:
+    """One block of per-sample (x, u, (h,), z_dot_s, active) tuples as the
+    arrays x, u, z_dot_s (B, K, d), h and active (B, K)."""
+    *floats, active = zip(*samples)
+    x, u, h, z_s_dot = (_per_sample(vals, n_runs) for vals in floats)
+    h = h[..., 0]  # recorded as 1-tuples
+    return x, u, h, z_s_dot, np.array(active, dtype=bool).reshape(h.shape)
+
+
 def _per_sample(vals, n_runs: int) -> np.ndarray:
     """Per-sample tuples of components as (T, K, d): for one run, tuples of
     floats read in one flat pass, which costs less than np.array's walk over
@@ -302,7 +322,9 @@ def integrate_batch(
     1-D array of T = n_steps + 1 stage times, and must return (T, 2), one
     planar input per time shared by every run; any other shape is a
     ConfigurationError.
-    z, z_dot, e_dot, e, v and h_V are derived after the rollout, elementwise.
+    The samples become arrays one block of _ROW_BLOCK samples at a time
+    while the rollout runs, and the blocks are concatenated once at the end;
+    z, z_dot, e_dot, e, v and h_V are then derived elementwise.
     h_V reuses the law's barrier passes, so ``rcbf`` must be built on the
     law's barrier. Raises DivergenceError at the first non-finite sample.
     """
@@ -315,7 +337,7 @@ def integrate_batch(
     dt = cfg.dt
     d_sig = disturbance.signal if disturbance is not None else None
 
-    samples = []
+    blocks, samples = [], []
     with np.errstate(all="ignore"):
         for k, (t, x, u, inter) in enumerate(_rollout(pair, law, x0s, dt, cfg.n_steps, d_sig)):
             ok = finite(x)
@@ -324,11 +346,13 @@ def integrate_batch(
                     f"non-finite state at step {k} (t={t:.6g}), run {int(np.argmin(ok))}"
                 )
             samples.append((x, u, (inter.h,), inter.z_dot_s, inter.active))
+            if len(samples) == _ROW_BLOCK:
+                blocks.append(_record(samples, n_runs))
+                samples.clear()
+    if samples:
+        blocks.append(_record(samples, n_runs))
 
-    *floats, active = zip(*samples)
-    x, u, h, z_s_dot = (_per_sample(vals, n_runs) for vals in floats)
-    h = h[..., 0]  # recorded as 1-tuples
-    active = np.array(active, dtype=bool).reshape(h.shape)
+    x, u, h, z_s_dot, active = (np.concatenate(parts) for parts in zip(*blocks))
     z, z_dot, e_dot, v, h_v = _derived(pair, rcbf, split(x), split(z_s_dot), h)
     z, z_dot, e_dot = join(z), join(z_dot), join(e_dot)
     # e(t) = integral of e_dot, trapezoid rule; the reference starts on the run
@@ -336,7 +360,7 @@ def integrate_batch(
     e[0] = 0.0
     np.cumsum((e_dot[:-1] + e_dot[1:]) * (dt / 2.0), axis=0, out=e[1:])
     return BatchRollout(
-        dt=dt, t=np.arange(len(samples)) * dt, x=x, z=z, z_dot=z_dot, z_s_dot=z_s_dot, e=e,
+        dt=dt, t=np.arange(x.shape[0]) * dt, x=x, z=z, z_dot=z_dot, z_s_dot=z_s_dot, e=e,
         e_dot=e_dot, u=u, h=h, active=active, v=v, h_v=h_v,
     )
 

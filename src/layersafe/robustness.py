@@ -113,7 +113,8 @@ def make_disturbance(
 
     kinds: "none" (zero), "constant" (amplitude along the first axis),
     "sine" (rotating, ||d(t)|| = amplitude exactly), "random" (seeded
-    piecewise-constant on segments, values in the closed amplitude disk).
+    piecewise-constant on segments, values in the closed amplitude disk,
+    read from a table of 2**16 values that is filled in place).
     A random signal raises ConfigurationError at a time t with
     t / segment >= 2**53, where floats no longer count whole segments, and a
     sine at a time t where 2*pi*frequency*t is not finite.
@@ -150,13 +151,8 @@ def make_disturbance(
 
         return Disturbance(kind=kind, signal=signal, sup_norm=amp)
 
-    # random: values drawn once per segment from the closed disk of radius amp
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=_RANDOM_TABLE)
-    radius = amp * np.sqrt(rng.uniform(0.0, 1.0, size=_RANDOM_TABLE))
-    table = np.empty((_RANDOM_TABLE, 2))  # filled in place: no stacked temporaries
-    table[:, 0] = radius * np.cos(theta)
-    table[:, 1] = radius * np.sin(theta)
+    # random: one table value per segment, the table repeating after _RANDOM_TABLE
+    table = _random_table(amp, seed)
     seg = float(segment)
 
     def signal(t):
@@ -170,8 +166,26 @@ def make_disturbance(
             )
         return table[n.astype(np.int64) % _RANDOM_TABLE]
 
-    sup = float(np.max(vnorm(table)))
+    # the norm of the two columns: vnorm(table)'s bits without its product table
+    sup = float(np.max(vnorm((table[:, 0], table[:, 1]))))
     return Disturbance(kind=kind, signal=signal, sup_norm=sup)
+
+
+def _random_table(amp: float, seed: int) -> np.ndarray:
+    """The random kind's (_RANDOM_TABLE, 2) values, drawn from the closed
+    disk of radius amp as radius * (cos theta, sin theta) with radius =
+    amp * sqrt(uniform), filled in place: each product is the same float in
+    either operand order, and no (_RANDOM_TABLE, 2) temporary is made."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=_RANDOM_TABLE)
+    radius = rng.uniform(0.0, 1.0, size=_RANDOM_TABLE)
+    np.sqrt(radius, out=radius)
+    radius *= amp
+    table = np.empty((_RANDOM_TABLE, 2))
+    np.cos(theta, out=table[:, 0])
+    np.sin(theta, out=table[:, 1])
+    table *= radius[:, None]
+    return table
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 import dataclasses
 import io
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -275,6 +276,7 @@ def _same_bits_but_nan_sign(a, b):
 
 
 _RECORDED = ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h", "active", "v", "h_v")
+_CSV_COLUMNS = tuple(name for name in _RECORDED if name != "active")
 
 
 def _crafted_world():
@@ -507,8 +509,8 @@ def test_array_entry_points_match_batch_rows():
 
 
 def test_csv_matches_savetxt(tmp_path, td):
-    # the one-'%' writer gives np.savetxt's text byte for byte, NaN,
-    # infinities, -0.0 and subnormals included
+    # the block-wise '%' writer gives np.savetxt's text byte for byte, NaN,
+    # infinities, -0.0 and subnormals included, across its 512-row blocks
     traj = ls.integrate(
         td["pair"], td["law"], ls.initial_state(td["scn"], td["law"]),
         ls.IntegratorConfig(dt=0.001, horizon=1.0), rcbf=td["rcbf"],
@@ -523,10 +525,87 @@ def test_csv_matches_savetxt(tmp_path, td):
     crafted = dataclasses.replace(traj, **fields)
     path = tmp_path / "run.csv"
     crafted.to_csv(path, preamble=["alpha = 0.5", "label: x"])
-    columns = ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h", "v", "h_v")
-    data = np.hstack([getattr(crafted, name).reshape(traj.n_samples, -1) for name in columns])
+    data = np.hstack([getattr(crafted, name).reshape(traj.n_samples, -1) for name in _CSV_COLUMNS])
     assert data.shape == (1001, len(crafted.csv_header().split(",")))
     ref = io.StringIO()
     ref.write("# alpha = 0.5\n# label: x\n" + crafted.csv_header() + "\n")
     np.savetxt(ref, data, fmt="%.17g", delimiter=",")
     assert path.read_text() == ref.getvalue()
+
+
+def _whole_table_csv(traj, preamble):
+    """The writer as one '%' over the whole table: the streamed writer's reference."""
+    data = np.hstack([getattr(traj, name).reshape(traj.n_samples, -1) for name in _CSV_COLUMNS])
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    lines = [f"# {line}\n" for line in preamble] + [traj.csv_header() + "\n"]
+    lines.append((row * data.shape[0]) % tuple(data.ravel().tolist()))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("n_steps", [510, 511, 512, 513, 1023, 1025])
+def test_recording_blocks_are_seamless(n_steps, td, tmp_path, monkeypatch):
+    # the rollout is recorded, and its CSV written, in blocks of _ROW_BLOCK
+    # samples; around every block edge the record must be the one-block
+    # record bit for bit (value, dtype and shape), its states rk4_step's,
+    # and its CSV the whole-table text
+    assert ls.dynamics._ROW_BLOCK == 512
+    pair, law, rcbf, scn = td["pair"], td["law"], td["rcbf"], td["scn"]
+    cfg = ls.IntegratorConfig(dt=0.001, horizon=n_steps * 0.001)
+    assert cfg.n_steps == n_steps
+    dist = ls.make_disturbance("random", amplitude=0.2, seed=7, segment=0.0125)
+    z0s = np.array([scn.start, [-1.0, -0.5], [0.5, 1.2]])
+    x0s = ls.initial_states(scn, law, z0s, mode="desired")
+
+    def records():
+        return [ls.integrate_batch(pair, law, x0s[:k], cfg, rcbf=rcbf, disturbance=dist)
+                for k in (1, 3)]
+
+    blocked = records()
+    with monkeypatch.context() as m:
+        m.setattr(ls.dynamics, "_ROW_BLOCK", n_steps + 1)
+        whole = records()
+    for got, want in zip(blocked, whole):
+        assert got.x.shape == (n_steps + 1, want.n_runs, 4)
+        for name in _RECORDED:
+            assert _same_bits(getattr(got, name), getattr(want, name)), (want.n_runs, name)
+    alone = ls.integrate(pair, law, x0s[0], cfg, rcbf=rcbf, disturbance=dist)
+    for k, x0 in enumerate(x0s):
+        states = _reference_states(pair, law, x0, cfg, dist.signal)
+        assert _same_bits(np.ascontiguousarray(blocked[1].x[:, k]), states), k
+    assert _same_bits(alone.x, _reference_states(pair, law, x0s[0], cfg, dist.signal))
+    preamble = ["alpha = 0.5"]
+    for k, traj in enumerate([alone, blocked[1].trajectory(2)]):
+        path = tmp_path / f"run{k}.csv"
+        traj.to_csv(path, preamble=preamble)
+        assert path.read_text() == _whole_table_csv(traj, preamble), k
+
+
+def test_to_csv_memory_budget(td_transit, tmp_path):
+    # the CSV of a 10 s two_disks run (10001 rows) is formatted one row block
+    # at a time: no whole-table array, float tuple or string is held
+    tracemalloc.start()
+    try:
+        td_transit.to_csv(tmp_path / "run.csv", preamble=["alpha = 0.5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert td_transit.n_samples == 10001
+    assert peak < 1.5e6, peak
+
+
+def test_integrate_memory_budget(td):
+    # a 10 s two_disks rollout as the run commands make it, with the
+    # scenario's disturbance: the samples become arrays one row block at a
+    # time, so no Python tuple per sample outlives its block
+    scn = td["scn"]
+    x0 = ls.initial_state(scn, td["law"])
+    tracemalloc.start()
+    try:
+        traj = ls.integrate(
+            td["pair"], td["law"], x0, scn.integrator, rcbf=td["rcbf"], disturbance=td["dist"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_samples == 10001
+    assert peak < 4.5e6, peak

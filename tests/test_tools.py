@@ -8,12 +8,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module")
-def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    return _load("bench_pairs")
 
 
 def test_bench_pairs_names_a_checkout_outside_git(bench_pairs, tmp_path):
@@ -62,3 +66,15 @@ def test_bench_pairs_gain_rule(bench_pairs):
     higher = {"norm_steps_per_s": False}
     assert rule([p + 0.2 for p in parent], higher)["gain_rule_holds"]
     assert not rule(clear, higher)["gain_rule_holds"]
+
+
+def test_cli_costs_runs_one_command(capsys):
+    # one simulate run in a fresh interpreter, reaped with its peak RSS
+    cli_costs = _load("cli_costs")
+    assert cli_costs.main(["--repeat", "1", "--only", "simulate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[1].split() == ["command", "median_wall_s", "median_rss_mb", "max_rss_mb"]
+    name, wall, median_rss, max_rss = lines[2].split()
+    assert name == "simulate" and float(wall) > 0.0
+    assert 0.0 < float(median_rss) == float(max_rss)
