@@ -27,7 +27,6 @@ from .harness import (
     run_iss,
     run_recurrence_demo,
     run_simulate,
-    write_plot_script,
 )
 from .scenario import DisturbanceSpec, Scenario, bundled_scenario_path, load_scenario, parse_value
 
@@ -52,9 +51,8 @@ def _print_artifacts(art) -> None:
     print(*summary_lines, *verdicts, sep="\n")
 
 
-def _finish(art, out: Path) -> int:
-    """Print one run's artifacts and drop the plot helper; 1 if an expectation failed."""
-    write_plot_script(out)
+def _finish(art) -> int:
+    """Print one run's artifacts; 1 if an expectation failed."""
     _print_artifacts(art)
     return 1 if art.failed_expectations else 0
 
@@ -73,9 +71,7 @@ def _out(args) -> Path:
 
 
 def _cmd_simulate(args) -> int:
-    scn = _load(args)
-    out = _out(args)
-    return _finish(run_simulate(scn, out_dir=out), out)
+    return _finish(run_simulate(_load(args), out_dir=_out(args)))
 
 
 def _parse_alphas(text: str) -> list:
@@ -89,14 +85,13 @@ def _parse_alphas(text: str) -> list:
 
 
 def _cmd_case_study(args) -> int:
-    scn = _load(args)
-    out = _out(args)
-    artifacts, summary_path = run_case_study(scn, _parse_alphas(args.alphas), out_dir=out)
+    artifacts, summary_path = run_case_study(
+        _load(args), _parse_alphas(args.alphas), out_dir=_out(args)
+    )
     for art in artifacts:
         print(f"[{art.label}]")
         _print_artifacts(art)
     print(f"wrote {summary_path}")
-    write_plot_script(out)
     return 1 if any(art.failed_expectations for art in artifacts) else 0
 
 
@@ -139,13 +134,14 @@ def _cmd_certify(args) -> int:
     print(f"wrote {unsafe_path}")
     for verdict in VERDICTS:
         print(f"  {verdict}: {report.summary.get(verdict, 0)}")
+    # stdout only: bench/references.json pins the report's bytes
+    witnesses_in_s_v = sum(r.in_s_v for r in report.records("unsafe_witness"))
+    print(f"  unsafe_witness inside S_V: {witnesses_in_s_v}")
     return 0
 
 
 def _cmd_recurrence_demo(args) -> int:
-    scn = _load(args)
-    out = _out(args)
-    return _finish(run_recurrence_demo(scn, out_dir=out), out)
+    return _finish(run_recurrence_demo(_load(args), out_dir=_out(args)))
 
 
 def _parse_disturbance(text: str, base: DisturbanceSpec) -> DisturbanceSpec:
@@ -173,8 +169,7 @@ def _cmd_iss(args) -> int:
     scn = _load(args)
     if args.disturbance:
         scn = scn.with_disturbance(_parse_disturbance(args.disturbance, scn.disturbance))
-    out = _out(args)
-    return _finish(run_iss(scn, out_dir=out, mu_gain=args.mu_gain), out)
+    return _finish(run_iss(scn, out_dir=_out(args), mu_gain=args.mu_gain))
 
 
 def build_parser() -> argparse.ArgumentParser:

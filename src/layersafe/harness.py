@@ -389,79 +389,3 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
             f" (margin = {prtf.margin!r})"
         )
     return _emit(scn, "iss", traj, summary, checks, out_dir)
-
-
-_PLOT_SCRIPT = '''#!/usr/bin/env python3
-"""Plot run CSVs emitted by the layersafe harness.
-
-Usage: python plot_runs.py RUN.csv [RUN2.csv ...]
-Writes RUN.png next to each CSV. Requires matplotlib.
-"""
-import sys
-from pathlib import Path
-
-import numpy as np
-import matplotlib
-
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-
-def main(paths):
-    if not paths:
-        print(__doc__)
-        return 2
-    for p in map(Path, paths):
-        with open(p) as fh:
-            header = None
-            for line in fh:
-                if not line.startswith("#"):
-                    header = line.strip().split(",")
-                    break
-        data = np.genfromtxt(p, delimiter=",", comments="#", skip_header=0, names=None)
-        data = data[1:] if np.isnan(data[0]).all() else data
-        col = {name: i for i, name in enumerate(header)}
-        t = data[:, col["t"]]
-        fig, axes = plt.subplots(2, 2, figsize=(11, 8))
-        axes[0, 0].plot(data[:, col["z1"]], data[:, col["z2"]])
-        axes[0, 0].set_title("position path")
-        axes[0, 0].set_aspect("equal", adjustable="datalim")
-        axes[0, 1].plot(t, data[:, col["h"]])
-        axes[0, 1].axhline(0.0, color="k", lw=0.5)
-        axes[0, 1].set_title("barrier h(t)")
-        axes[1, 0].plot(t, data[:, col["V"]], label="V")
-        if not np.isnan(data[:, col["hV"]]).all():
-            axes[1, 0].plot(t, data[:, col["hV"]], label="h_V")
-            axes[1, 0].axhline(0.0, color="k", lw=0.5)
-        axes[1, 0].legend()
-        axes[1, 0].set_title("certificate and recurrent barrier")
-        speeds = {
-            "||zdot||": np.hypot(data[:, col["zdot1"]], data[:, col["zdot2"]]),
-            "||zdot_s||": np.hypot(data[:, col["zsdot1"]], data[:, col["zsdot2"]]),
-            "||edot||": np.hypot(data[:, col["edot1"]], data[:, col["edot2"]]),
-        }
-        for name, s in speeds.items():
-            axes[1, 1].plot(t, s, label=name)
-        axes[1, 1].legend()
-        axes[1, 1].set_title("speeds")
-        for ax in axes.flat:
-            ax.grid(True, alpha=0.3)
-        fig.tight_layout()
-        out = p.with_suffix(".png")
-        fig.savefig(out, dpi=130)
-        plt.close(fig)
-        print(f"wrote {out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
-'''
-
-
-def write_plot_script(out_dir=None) -> Path:
-    """Drop a standalone plotting helper next to the artifacts."""
-    out_dir = default_out_dir() if out_dir is None else Path(out_dir)
-    path = out_dir / "plot_runs.py"
-    atomic_write_text(path, _PLOT_SCRIPT)
-    return path

@@ -1,4 +1,5 @@
 """Exit codes and artifacts of the command-line front end (in-process)."""
+import csv
 import subprocess
 import sys
 
@@ -48,9 +49,23 @@ def test_simulate_pass_and_artifacts(tmp_path, capsys):
     assert main(["simulate", scn, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "PASS expect.max_edot <= 1000.0" in stdout
-    assert (out / "simulate.csv").is_file()
-    assert (out / "simulate_report.txt").is_file()
-    assert (out / "plot_runs.py").is_file()
+    assert {p.name for p in out.iterdir()} == {"simulate.csv", "simulate_report.txt"}
+
+
+def test_case_study_pass_and_artifacts(tmp_path, capsys):
+    scn = _write(tmp_path, GOOD)
+    out = tmp_path / "out"
+    assert main(["case-study", scn, "--alphas", "0.5,1", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    # expectations are judged only at the scenario's own alpha
+    assert stdout.count("PASS expect.max_edot <= 1000.0") == 1
+    assert {p.name for p in out.iterdir()} == {
+        "case_study_alpha_0.5.csv",
+        "case_study_alpha_0.5_report.txt",
+        "case_study_alpha_1.csv",
+        "case_study_alpha_1_report.txt",
+        "case_study_summary.txt",
+    }
 
 
 def test_simulate_seed_override_runs(tmp_path, capsys):
@@ -228,6 +243,12 @@ def test_certify_bundled_name(tmp_path, capsys):
     assert (out / "certify_report.txt").is_file()
     assert (out / "certify_points.csv").is_file()
     assert (out / "unsafe_points.csv").is_file()
+    # the S_V count reads the same records as the points file
+    rows = list(csv.DictReader((out / "certify_points.csv").read_text().splitlines()[1:]))
+    witnesses = [r for r in rows if r["verdict"] == "unsafe_witness"]
+    inside = sum(r["in_s_v"] == "1" for r in witnesses)
+    assert inside < len(witnesses)  # on this grid the in_s_v filter changes the count
+    assert f"\n  unsafe_witness inside S_V: {inside}\n" in stdout
 
 
 def test_certify_workers_flag_is_inert(tmp_path, capsys):

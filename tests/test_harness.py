@@ -229,12 +229,3 @@ def test_run_iss_makes_one_barrier_pass_per_rk4_stage(open_field, monkeypatch, t
     monkeypatch.setattr(ls.harness, "build_barrier", lambda _scn: b)
     ls.run_iss(scn, out_dir=tmp_path, mu_gain=MU_GAIN)
     assert (calls["vg"], calls["value"]) == (4 * scn.integrator.n_steps + 1, 0)
-
-
-def test_write_plot_script(tmp_path):
-    path = ls.write_plot_script(tmp_path)
-    assert path == tmp_path / "plot_runs.py"
-    body = path.read_text()
-    assert body.startswith("#!/usr/bin/env python3")
-    assert "def main" in body
-    compile(body, str(path), "exec")  # the helper must at least be valid python
