@@ -213,7 +213,7 @@ def _scan_chunk(pair, law, rcbf, x0s, dt, n_steps, d_sig):
     for i, (t_i, x, _u, inter) in enumerate(_rollout(pair, law, x0s, dt, n_steps, d_sig)):
         j = i % _BLOCK
         t[j], h[j], ok[j] = t_i, inter.h, finite(x)
-        v[j], h_v[j] = _derived(pair, rcbf, x, inter.z_dot_s, inter.h)[3:]
+        v[j], h_v[j] = _derived(rcbf, x, inter.z_dot_s, inter.h)[3:]
         if i == 0:
             v0 = v[0].copy()
         if j == _BLOCK - 1 or i == n_steps:  # a full block, or the last sample
@@ -264,7 +264,7 @@ def certify_initial_set(
         x0 = split(x0s)
         inter0 = law.evaluate(x0)
         h0 = inter0.h
-        h_v0 = _derived(pair, rcbf, x0, inter0.z_dot_s, h0)[4]
+        h_v0 = _derived(rcbf, x0, inter0.z_dot_s, h0)[4]
         in_s_v, rolled = h_v0 >= 0.0, h0 >= 0.0
         roll_idx = np.flatnonzero(rolled)
         # the t = 0 block stands for the points that are not rolled

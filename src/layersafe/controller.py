@@ -13,11 +13,10 @@ components (x, y), one expression per component, and the filter's inner
 product n . z_dot_d keeps vsum's order, (p0 + 0.0) + p1, so its signed
 zeros are those of np.sum. Arrays enter the stack at two places: the law's
 ``evaluate`` and the barrier (BarrierFn). ``evaluate`` unpacks the state's
-four components (zx, zy, vx, vy) itself, so assemble_closed_loop checks
-once that the pair's state is laid out that way: position x[:2], velocity
-x[2:4]. One evaluation returns a
-LawIntermediates, a NamedTuple: it is indexable and iterable in field order,
-and ``_replace`` gives a copy with some fields changed.
+four components (zx, zy, vx, vy) itself: the plant's state is position
+x[:2], velocity x[2:4]. One evaluation returns a LawIntermediates, a
+NamedTuple: it is indexable and iterable in field order, and ``_replace``
+gives a copy with some fields changed.
 """
 from __future__ import annotations
 
@@ -113,31 +112,16 @@ def tracking_control(k_d: float, z_dot, z_dot_s):
     return (-k_d * (vx - sx), -k_d * (vy - sy))
 
 
-def assemble_closed_loop(pair, b: BarrierFn, gains: Gains, goal) -> ClosedLoopLaw:
-    """Compose projection, reference, filter, and tracking into state feedback.
+def assemble_closed_loop(b: BarrierFn, gains: Gains, goal) -> ClosedLoopLaw:
+    """Compose reference, filter, and tracking into state feedback.
 
-    The law reads the state as (position, velocity) over four components, so
-    the pair must project x to x[:2] and x[2:4]; any other pair is refused
-    here, once, and evaluate unpacks the components directly.
+    The law reads the state as (position, velocity) over four components,
+    x[:2] and x[2:4], and evaluate unpacks them directly. The goal is a
+    planar position.
     """
-    if pair.n_reduced != 2:
-        raise ConfigurationError(
-            "the control layers are planar: the reduced model must have 2 states, "
-            f"got n_reduced = {pair.n_reduced!r}"
-        )
-    probe = (1.0, 2.0, 3.0, 4.0)
-    if not (
-        pair.n_full == 4
-        and tuple(pair.project_state(probe)) == probe[:2]
-        and tuple(pair.project_input(probe)) == probe[2:]
-    ):
-        raise ConfigurationError(
-            "the law reads the state as (position, velocity) over 4 components: the "
-            "model pair must have n_full = 4 and project x to x[:2] and x[2:4]"
-        )
     goal = np.asarray(goal, dtype=float)
-    if goal.shape != (pair.n_reduced,):
-        raise ConfigurationError(f"goal must have shape ({pair.n_reduced},)")
+    if goal.shape != (2,):
+        raise ConfigurationError("goal must have shape (2,)")
     goal_c = split(goal)
     k_p, k_d, alpha = float(gains.k_p), float(gains.k_d), float(gains.alpha)
     new = tuple.__new__  # a LawIntermediates without NamedTuple.__new__'s argument handling

@@ -1,9 +1,8 @@
-"""Model pairs, a fixed-step RK4 integrator, the closed-loop rollout kernel, and trajectories.
+"""The plant's vector field, a fixed-step RK4 integrator, the closed-loop rollout kernel, and trajectories.
 
-A ModelPair couples a full-order vector field F(x, u) with a reduced-order
-field f(z, v) through a state projection and an input projection, consistent
-in the sense that d/dt project_state(x) = f(project_state(x), project_input(x))
-along full-model solutions.
+The plant is the planar double integrator: x = (position, velocity) in R^4
+with x_dot = (velocity, u). The control layers plan on its position
+z = x[:2], whose velocity z_dot = x[2:4] is read from the state.
 
 Rollouts are deterministic: fixed step, no adaptive logic, no threading, so a
 repeated run reproduces every float bit for bit. One kernel steps every
@@ -18,7 +17,7 @@ entry the same float rk4_step forms as that stage's time. Its one shape is
 (T, 2): a planar input per time, shared by every run.
 The kernel's state is a tuple of four components, position then velocity
 (zx, zy, vx, vy; see _vec): floats for one run, contiguous columns for
-several. The pair's maps take tuples of components only, and rk4_step
+several. The plant's field takes tuples of components only, and rk4_step
 unpacks the four components of the state and of each stage slope. The
 kernel splits the initial states. integrate_batch turns the recorded
 samples into arrays one row block (_ROW_BLOCK samples) at a time, and
@@ -67,34 +66,14 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class ModelPair:
-    """A full-order model, a reduced-order model, and the projections linking them.
+    """The plant's vector field F(x, u), on tuples of state components (see _vec)."""
 
-    Each map takes and returns tuples of state components (see _vec).
-    """
-
-    n_full: int
-    n_reduced: int
     fom_field: Callable
-    rom_field: Callable
-    project_state: Callable
-    project_input: Callable
 
 
 def double_integrator_pair() -> ModelPair:
-    """Planar double integrator over a single-integrator reduced model.
-
-    Full state x = (position, velocity) in R^4 with x_dot = (velocity, u);
-    reduced state z = position with z_dot = v. The input projection reads the
-    velocity, which is exactly the quantity the reduced model commands.
-    """
-    return ModelPair(
-        n_full=4,
-        n_reduced=2,
-        fom_field=lambda x, u: x[2:4] + u,  # (velocity, u), concatenated
-        rom_field=lambda z, v: v,
-        project_state=lambda x: x[:2],
-        project_input=lambda x: x[2:4],
-    )
+    """The planar double integrator: x = (position, velocity) in R^4, x_dot = (velocity, u)."""
+    return ModelPair(fom_field=lambda x, u: x[2:4] + u)  # (velocity, u), concatenated
 
 
 @dataclass(frozen=True)
@@ -295,11 +274,11 @@ def _per_sample(vals, n_runs: int) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 
-def _derived(pair: ModelPair, rcbf, x, z_s_dot, h):
-    """z, z_dot, e_dot, v = ||e_dot|| and h_V (NaN without ``rcbf``) from x,
-    z_dot_s and h, with vectors as tuples of components (see _vec)."""
-    z = pair.project_state(x)
-    z_dot = pair.rom_field(z, pair.project_input(x))
+def _derived(rcbf, x, z_s_dot, h):
+    """z = x[:2], z_dot = x[2:4], e_dot, v = ||e_dot|| and h_V (NaN without
+    ``rcbf``) from x, z_dot_s and h, with vectors as tuples of components
+    (see _vec)."""
+    z, z_dot = x[:2], x[2:4]
     e_dot = tuple([a - b for a, b in zip(z_dot, z_s_dot)])
     v = vnorm(e_dot)
     h_v = np.full(np.shape(h), np.nan) if rcbf is None else rcbf.combine(v, h)
@@ -329,8 +308,8 @@ def integrate_batch(
     law's barrier. Raises DivergenceError at the first non-finite sample.
     """
     x0s = np.asarray(x0s, dtype=float)
-    if x0s.ndim != 2 or x0s.shape[1] != pair.n_full:
-        raise ConfigurationError(f"initial states must have shape (K, {pair.n_full})")
+    if x0s.ndim != 2 or x0s.shape[1] != 4:
+        raise ConfigurationError("initial states must have shape (K, 4)")
     if rcbf is not None and rcbf.barrier is not law.barrier:
         raise ConfigurationError("the recurrent barrier must be built on the law's barrier")
     n_runs = x0s.shape[0]
@@ -353,7 +332,7 @@ def integrate_batch(
         blocks.append(_record(samples, n_runs))
 
     x, u, h, z_s_dot, active = (np.concatenate(parts) for parts in zip(*blocks))
-    z, z_dot, e_dot, v, h_v = _derived(pair, rcbf, split(x), split(z_s_dot), h)
+    z, z_dot, e_dot, v, h_v = _derived(rcbf, split(x), split(z_s_dot), h)
     z, z_dot, e_dot = join(z), join(z_dot), join(e_dot)
     # e(t) = integral of e_dot, trapezoid rule; the reference starts on the run
     e = np.empty_like(e_dot)
@@ -375,7 +354,7 @@ def integrate(
 ) -> Trajectory:
     """Roll the closed loop from one initial state; see integrate_batch."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (pair.n_full,):
-        raise ConfigurationError(f"initial state must have shape ({pair.n_full},)")
+    if x0.shape != (4,):
+        raise ConfigurationError("initial state must have shape (4,)")
     batch = integrate_batch(pair, law, x0[None, :], cfg, rcbf=rcbf, disturbance=disturbance)
     return batch.trajectory(0)

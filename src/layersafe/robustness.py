@@ -299,7 +299,7 @@ def estimate_mu_gain(
     if not freqs or any(f < 0 for f in freqs):
         raise ConfigurationError("frequencies must be >= 0")
     # each entry rolls out alone from a quiet start, on the single-run path
-    x0 = np.concatenate([np.asarray(law.goal, dtype=float), np.zeros(pair.n_reduced)])
+    x0 = np.concatenate([np.asarray(law.goal, dtype=float), np.zeros(2)])
     c = 0.0
     for amp in amps:
         for freq in freqs:

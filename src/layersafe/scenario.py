@@ -390,7 +390,7 @@ def bundled_scenario_path(name: str = "two_disks.scn") -> Path:
 # -- builders ---------------------------------------------------------------
 
 def build_pair(scn: Scenario) -> ModelPair:
-    # one pair serves every scenario: Scenario already holds start and goal planar
+    # one plant serves every scenario; the rollout kernel calls its fom_field
     return double_integrator_pair()
 
 
@@ -401,7 +401,7 @@ def build_barrier(scn: Scenario) -> BarrierFn:
 def build_law(scn: Scenario, b: BarrierFn | None = None) -> ClosedLoopLaw:
     if b is None:
         b = build_barrier(scn)
-    return assemble_closed_loop(build_pair(scn), b, scn.gains, scn.goal)
+    return assemble_closed_loop(b, scn.gains, scn.goal)
 
 
 def build_rtf(scn: Scenario) -> Rtf:

@@ -1,5 +1,4 @@
 """Layered velocity pipeline: goal pull, safety filter, tracking feedback."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -172,32 +171,14 @@ def test_layers_match_numpy_reference_bitwise():
             assert np.array_equal(active, corr[rows] > 0.0)
 
 
-def test_law_refuses_non_planar_reduced_model():
+def test_law_refuses_non_planar_goal():
     # the layers are written on the two planar components
-    pair = ls.double_integrator_pair()
     b = ls.min_distance_barrier(ls.ObstacleField(centers=[[5.0, 5.0]], radii=[0.5]))
     gains = ls.Gains(k_p=1.8, k_d=8.0, alpha=0.5)
-    for n_reduced in (1, 3):
-        odd = dataclasses.replace(pair, n_reduced=n_reduced)
-        with pytest.raises(ls.ConfigurationError, match="the control layers are planar"):
-            ls.assemble_closed_loop(odd, b, gains, np.zeros(n_reduced))
-    assert ls.assemble_closed_loop(pair, b, gains, [1.0, 0.0]).barrier is b
-
-
-def test_law_refuses_pair_with_other_state_layout():
-    # evaluate unpacks x as (zx, zy, vx, vy), so assembly refuses any pair whose
-    # projections are not x[:2] and x[2:4]
-    pair = ls.double_integrator_pair()
-    b = ls.min_distance_barrier(ls.ObstacleField(centers=[[5.0, 5.0]], radii=[0.5]))
-    gains = ls.Gains(k_p=1.8, k_d=8.0, alpha=0.5)
-    for odd in (
-        dataclasses.replace(pair, project_state=lambda x: x[2:4], project_input=lambda x: x[:2]),
-        dataclasses.replace(pair, project_state=lambda x: (x[1], x[0])),
-        dataclasses.replace(pair, project_input=lambda x: x[3:1:-1]),
-        dataclasses.replace(pair, n_full=5),
-    ):
-        with pytest.raises(ls.ConfigurationError, match=r"project x to x\[:2\] and x\[2:4\]"):
-            ls.assemble_closed_loop(odd, b, gains, [1.0, 0.0])
+    for shape in ((1,), (3,), (2, 2)):
+        with pytest.raises(ls.ConfigurationError, match=r"^goal must have shape \(2,\)$"):
+            ls.assemble_closed_loop(b, gains, np.zeros(shape))
+    assert ls.assemble_closed_loop(b, gains, [1.0, 0.0]).barrier is b
 
 
 def test_law_evaluate_returns_law_intermediates():

@@ -34,10 +34,6 @@ def test_double_integrator_structure():
     x = tuple(np.array([1.0, 2.0, 3.0, 4.0]).tolist())
     u = tuple(np.array([5.0, 6.0]).tolist())
     assert np.array_equal(np.stack(pair.fom_field(x, u), axis=-1), [3.0, 4.0, 5.0, 6.0])
-    assert np.array_equal(np.stack(pair.project_state(x), axis=-1), [1.0, 2.0])
-    assert np.array_equal(np.stack(pair.project_input(x), axis=-1), [3.0, 4.0])
-    # reduced model is a single integrator: z_dot equals the input
-    assert np.array_equal(np.stack(pair.rom_field(x[:2], u), axis=-1), u)
 
 
 def test_rk4_is_fourth_order():
@@ -284,7 +280,7 @@ def _crafted_world():
     on the right disk's boundary line x = 1.5."""
     pair = ls.double_integrator_pair()
     b = ls.min_distance_barrier(ls.ObstacleField(centers=[[-1.0, 0.0], [1.0, 0.0]], radii=[0.5, 0.5]))
-    law = ls.assemble_closed_loop(pair, b, ls.Gains(k_p=1.8, k_d=8.0, alpha=0.5), [1.5, 2.0])
+    law = ls.assemble_closed_loop(b, ls.Gains(k_p=1.8, k_d=8.0, alpha=0.5), [1.5, 2.0])
     return pair, law, ls.build_rcbf(ls.norm_rtf(), b, alpha=0.5, m=3.24)
 
 
