@@ -156,6 +156,8 @@ def _parse_disturbance(text: str, base: DisturbanceSpec) -> DisturbanceSpec:
                 f"--disturbance items must be key=value, got {item!r}"
             )
         key = key.strip()
+        if key in fields:  # as a scenario file refuses a repeated key
+            raise ConfigurationError(f"duplicate disturbance field {key!r}")
         try:
             fields[key] = parse_value(f"disturbance.{key}", val.strip())
         except KeyError:

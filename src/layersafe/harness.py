@@ -23,7 +23,6 @@ from .errors import ConfigurationError, HypothesisViolationError
 from .recurrence import (
     RecurrenceVerdict,
     RecurrentCbf,
-    Rtf,
     _covers_window,
     check_exponential_envelope,
     check_rtf_recurrence,
@@ -32,6 +31,7 @@ from .recurrence import (
 )
 from .robustness import (
     Disturbance,
+    _check_gain,
     build_iss_envelope,
     check_iss_envelope,
     check_practical_rtf,
@@ -43,7 +43,6 @@ from .scenario import (
     build_disturbance,
     build_law,
     build_pair,
-    build_rtf,
     build_scenario_rcbf,
     initial_state,
 )
@@ -138,7 +137,6 @@ class _Run(NamedTuple):
 
     pair: ModelPair
     law: ClosedLoopLaw
-    rtf: Rtf
     rcbf: RecurrentCbf | None
     dist: Disturbance
     traj: Trajectory
@@ -157,7 +155,6 @@ def _roll(scn: Scenario, needs_region: str = "") -> _Run:
     pair = build_pair(scn)
     b = build_barrier(scn)
     law = build_law(scn, b)
-    rtf = build_rtf(scn)
     rcbf = build_scenario_rcbf(scn, b) if scn.rcbf_hypothesis_ok else None
     dist = build_disturbance(scn)
     checks = []
@@ -169,7 +166,7 @@ def _roll(scn: Scenario, needs_region: str = "") -> _Run:
         checks.append("no certified region for this alpha: the recurrence rate does not exceed it")
     x0 = initial_state(scn, law)
     traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
-    rtf_v = check_rtf_recurrence(rtf, traj) if _covers_window(traj, rtf) else None
+    rtf_v = check_rtf_recurrence(scn.rtf, traj) if _covers_window(traj, scn.rtf) else None
     summary = {
         "min_h": float(fold_min(traj.h)),
         "min_h_v": float(fold_min(traj.h_v)),
@@ -180,7 +177,7 @@ def _roll(scn: Scenario, needs_region: str = "") -> _Run:
             check_safety_chain(traj, rcbf).min_slack if rcbf is not None else float("nan")
         ),
     }
-    return _Run(pair, law, rtf, rcbf, dist, traj, summary, rtf_v, checks)
+    return _Run(pair, law, rcbf, dist, traj, summary, rtf_v, checks)
 
 
 def run_simulate(scn: Scenario, out_dir=None) -> RunArtifacts:
@@ -221,12 +218,8 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
         traj, summary, rtf_v = run.traj, run.summary, run.rtf_v
         # the exponential envelope constrains error-only starts; a quiet start
         # (zero initial tracking error) has no meaningful ratio to report
-        e0 = float(traj.v[0])
-        env_v = (
-            check_exponential_envelope(traj, run.rtf.beta, scn_a.rtf_constants.m_overshoot)
-            if e0 > 0
-            else None
-        )
+        e0, rtf = float(traj.v[0]), scn_a.rtf
+        env_v = check_exponential_envelope(traj, rtf.beta, rtf.m_overshoot) if e0 > 0 else None
         summary["envelope_worst_ratio"] = (
             env_v.worst_ratio if env_v is not None else float("nan")
         )
@@ -317,7 +310,7 @@ def run_recurrence_demo(scn: Scenario, out_dir=None) -> RunArtifacts:
             f"[{traj.t[i0]:.6g}, {traj.t[i1]:.6g}]" for i0, i1 in dips
         )
         checks.append(f"h_V dip intervals: {spans}")
-        checks.append(f"max dip duration = {summary['max_dip_duration']!r} (window tau = {run.rtf.tau!r})")
+        checks.append(f"max dip duration = {summary['max_dip_duration']!r} (window tau = {scn.rtf.tau!r})")
     else:
         checks.append("no h_V dip occurred for this scenario")
     checks.append(
@@ -358,16 +351,16 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
     sines at 0.5 and 1 Hz (amplitude 0.1, 6 s each); a supplied c must be
     finite and > 0.
     """
-    if mu_gain is not None and not (np.isfinite(mu_gain) and mu_gain > 0):
-        raise ConfigurationError(f"mu gain must be finite and positive, got {mu_gain!r}")
-    pair, law, rtf, rcbf, dist, traj, summary, rtf_v, _ = _roll(scn, needs_region="the ISS run")
+    if mu_gain is not None:
+        _check_gain(mu_gain)
+    pair, law, rcbf, dist, traj, summary, rtf_v, _ = _roll(scn, needs_region="the ISS run")
     if mu_gain is None:
         cal_cfg = IntegratorConfig(dt=scn.integrator.dt, horizon=6.0)
         mu_gain = estimate_mu_gain(pair, law, cal_cfg)
-    env = build_iss_envelope(rcbf, lambda r: mu_gain * r, dist.sup_norm)
+    env = build_iss_envelope(rcbf, mu_gain, dist.sup_norm)
     iss_v = check_iss_envelope(traj, env)
     in0 = bool(traj.h_v[0] - env.gamma_margin >= 0.0)  # h_V(0) as the rollout recorded it
-    prtf = check_practical_rtf(rtf, traj, env) if rtf_v is not None else None
+    prtf = check_practical_rtf(traj, env) if rtf_v is not None else None
     summary["iss_holds"] = 1.0 if iss_v.holds else 0.0
     summary["iss_worst_excess"] = iss_v.worst_excess
     summary["practical_rtf_margin"] = prtf.margin if prtf is not None else float("nan")

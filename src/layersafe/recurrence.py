@@ -1,11 +1,11 @@
 """Tracking certificates, containment times, the recurrent barrier, and trajectory checks.
 
 The tracking certificate V = ||e_dot|| is recorded by every rollout as
-Trajectory.v, and the checks here read it (and the recorded h) from there.
-Its recurrence property over windows of length tau asks for some sample
-time t in (0, tau] with e^{beta t} V(t) <= V(0): V need not decay
-monotonically, it must merely keep returning below an exponentially
-shrinking level.
+Trajectory.v, and the checks here read it (and the recorded h) from there;
+its constants (a1, a2, beta, tau, M) live in one record, Rtf. Its recurrence
+property over windows of length tau asks for some sample time t in (0, tau]
+with e^{beta t} V(t) <= V(0): V need not decay monotonically, it must merely
+keep returning below an exponentially shrinking level.
 
 The recurrent barrier combines the certificate with a state barrier h:
 h_V(z, e_dot) = -V(z, e_dot) + alpha_e h(z), with
@@ -24,7 +24,7 @@ fold_min and leaves fold_window's window empty, which folds to inf.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -36,32 +36,32 @@ from .errors import ConfigurationError, HypothesisViolationError, require_number
 
 @dataclass(frozen=True)
 class Rtf:
-    """The constants of the tracking certificate V = ||e_dot||.
+    """The constants of the tracking certificate V = ||e_dot||, in one record.
 
-    V itself is recorded by every rollout as Trajectory.v. The declared
-    constants promise a1 ||e_dot|| <= V <= a2 ||e_dot||; beta is the
-    recurrence rate and tau the window length.
+    V itself is recorded by every rollout as Trajectory.v. The constants
+    promise a1 ||e_dot|| <= V <= a2 ||e_dot||; beta is the recurrence rate,
+    tau the window length and m_overshoot the certified tracking overshoot
+    M. Each must be a finite number, with 0 < a1 <= a2 and beta, tau, M > 0;
+    a message about one value starts with its scenario key, rtf.a1 to rtf.M.
     """
 
-    a1: float
-    a2: float
-    beta: float
-    tau: float
+    a1: float = 1.0
+    a2: float = 1.0
+    beta: float = 2.45
+    tau: float = 1.0
+    m_overshoot: float = 3.24
 
-
-def norm_rtf(a1: float = 1.0, a2: float = 1.0, beta: float = 2.45, tau: float = 1.0) -> Rtf:
-    """Constants of the Euclidean certificate V = ||e_dot||; a1 = a2 = 1 is canonical."""
-    for name, val in (("a1", a1), ("a2", a2), ("beta", beta), ("tau", tau)):
-        require_number(name, val)
-        if not np.isfinite(val):
-            raise ConfigurationError(f"{name} must be finite, got {val!r}")
-    if not (0 < a1 <= a2):
-        raise ConfigurationError(f"need 0 < a1 <= a2, got a1={a1!r}, a2={a2!r}")
-    if not beta > 0:
-        raise ConfigurationError("beta must be positive")
-    if not tau > 0:
-        raise ConfigurationError("tau must be positive")
-    return Rtf(a1=float(a1), a2=float(a2), beta=float(beta), tau=float(tau))
+    def __post_init__(self):
+        for key, val in zip(("rtf.a1", "rtf.a2", "rtf.beta", "rtf.tau", "rtf.M"), astuple(self)):
+            require_number(key, val)
+            if not np.isfinite(val):  # the echo could not write it back
+                raise ConfigurationError(f"{key} must be finite, got {val!r}")
+        if not 0 < self.a1 <= self.a2:
+            raise ConfigurationError(
+                f"rtf constants need 0 < a1 <= a2, got a1={self.a1!r}, a2={self.a2!r}"
+            )
+        if not (self.beta > 0 and self.tau > 0 and self.m_overshoot > 0):
+            raise ConfigurationError("rtf.beta, rtf.tau, rtf.M must be positive")
 
 
 def _predicate_mask(traj: Trajectory, predicate) -> np.ndarray:
@@ -175,7 +175,6 @@ class RecurrentCbf:
     barrier: BarrierFn
     alpha: float
     alpha_e: float
-    m_overshoot: float
 
     def value(self, z, e_dot):
         """h_V at sampled states; a rollout records it through combine."""
@@ -186,16 +185,14 @@ class RecurrentCbf:
         return -np.asarray(v, dtype=float) + self.alpha_e * np.asarray(h, dtype=float)
 
 
-def build_rcbf(rtf: Rtf, b: BarrierFn, alpha: float, m: float) -> RecurrentCbf:
+def build_rcbf(rtf: Rtf, b: BarrierFn, alpha: float) -> RecurrentCbf:
     """Construct the recurrent barrier; requires beta > alpha.
 
     alpha_e = a1^2 (beta - alpha) / (a2 C_h M) with C_h the barrier's gradient
-    bound and M the certified tracking overshoot.
+    bound and M = rtf.m_overshoot the certified tracking overshoot.
     """
     if not alpha > 0:
         raise ConfigurationError("alpha must be positive")
-    if not m > 0:
-        raise ConfigurationError("overshoot constant must be positive")
     if not b.grad_bound > 0:
         raise ConfigurationError("barrier gradient bound must be positive")
     if not rtf.beta > alpha:
@@ -203,8 +200,8 @@ def build_rcbf(rtf: Rtf, b: BarrierFn, alpha: float, m: float) -> RecurrentCbf:
             "the recurrence rate must exceed the barrier decay rate "
             f"(beta={rtf.beta:g} <= alpha={alpha:g}); no recurrent barrier exists here"
         )
-    alpha_e = rtf.a1 * rtf.a1 * (rtf.beta - alpha) / (rtf.a2 * b.grad_bound * m)
-    return RecurrentCbf(rtf=rtf, barrier=b, alpha=float(alpha), alpha_e=float(alpha_e), m_overshoot=float(m))
+    alpha_e = rtf.a1 * rtf.a1 * (rtf.beta - alpha) / (rtf.a2 * b.grad_bound * rtf.m_overshoot)
+    return RecurrentCbf(rtf=rtf, barrier=b, alpha=float(alpha), alpha_e=float(alpha_e))
 
 
 def in_recurrent_set(rcbf: RecurrentCbf, z, e_dot):

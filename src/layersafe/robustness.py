@@ -2,12 +2,15 @@
 
 Under a bounded input disturbance the tracking error no longer vanishes; it
 obeys an ISS envelope ||e_dot(t)|| <= M ||e_dot(0)|| e^{-beta t} + mu(||d||_inf)
-with a class-K offset mu. The recurrence condition picks up a floor
-iota = a2 e^{beta tau} mu(||d||_inf) / M, and the certified region shrinks by
-gamma = iota / alpha_e. Every check here reduces bit-for-bit to its nominal
-counterpart when d is identically zero: the zero-offset branches delegate to
-the same code paths the nominal checks use, on the recorded V = Trajectory.v.
-The shifted recurrence takes its margin from the nominal one's window fold.
+with a linear offset mu(r) = c r, the gain form of Kolathaya and Ames
+("Input-to-State Safety With Control Barrier Functions", L-CSS 2019). The
+recurrence condition picks up a floor iota = a2 e^{beta tau} c ||d||_inf / M,
+and the certified region shrinks by gamma = iota / alpha_e; a2, beta, tau
+and M are read from the recurrent barrier's Rtf. Every check here reduces
+bit-for-bit to its nominal counterpart when d is identically zero: the
+zero-offset branches delegate to the same code paths the nominal checks use,
+on the recorded V = Trajectory.v. The shifted recurrence takes its margin
+from the nominal one's window fold.
 """
 from __future__ import annotations
 
@@ -192,47 +195,41 @@ def _random_table(amp: float, seed: int) -> np.ndarray:
 class IssEnvelope:
     """ISS tracking-envelope constants for a given disturbance level.
 
-    mu is the class-K offset; mu_at_d = mu(d_sup) is its value at the declared
-    sup norm; iota = a2 e^{beta tau} mu_at_d / M is the recurrence floor and
-    gamma_margin = iota / alpha_e the set-shrinkage margin.
+    The offset is mu(r) = mu_gain r; mu_at_d = mu(d_sup) is its value at the
+    declared sup norm; iota = a2 e^{beta tau} mu_at_d / M is the recurrence
+    floor and gamma_margin = iota / alpha_e the set-shrinkage margin, with
+    a2, beta, tau and M read from rtf.
     """
 
-    m_overshoot: float
-    beta: float
-    mu: Callable
+    rtf: Rtf
+    mu_gain: float
     d_sup: float
     mu_at_d: float
     iota: float
     gamma_margin: float
 
 
-def build_iss_envelope(rcbf: RecurrentCbf, mu: Callable, d_sup: float) -> IssEnvelope:
-    """Assemble the envelope constants from a recurrent barrier and an offset map.
+def _check_gain(mu_gain: float) -> None:
+    if not (np.isfinite(mu_gain) and mu_gain > 0):
+        raise ConfigurationError(f"mu gain must be finite and positive, got {mu_gain!r}")
 
-    mu must be class-K on the sampled arguments: mu(0) = 0 and mu(d_sup) > 0
-    whenever d_sup > 0.
-    """
+
+def build_iss_envelope(rcbf: RecurrentCbf, mu_gain: float, d_sup: float) -> IssEnvelope:
+    """Assemble the envelope constants from a recurrent barrier and a linear
+    offset gain, finite and > 0, at the disturbance sup norm d_sup."""
+    _check_gain(mu_gain)
     if not (np.isfinite(d_sup) and d_sup >= 0):
         raise ConfigurationError("disturbance sup norm must be finite and >= 0")
-    mu0 = float(mu(0.0))
-    if mu0 != 0.0:
-        raise ConfigurationError(f"mu(0) must be 0, got {mu0!r}")
-    mu_at_d = float(mu(d_sup))
-    if d_sup > 0 and not mu_at_d > 0:
-        raise ConfigurationError("mu must be strictly increasing: mu(d_sup) <= 0")
-    if mu_at_d < 0:
-        raise ConfigurationError("mu must be nonnegative")
+    mu_at_d = float(mu_gain * d_sup)
     rtf = rcbf.rtf
-    iota = rtf.a2 * float(np.exp(rtf.beta * rtf.tau)) * mu_at_d / rcbf.m_overshoot
-    gamma = iota / rcbf.alpha_e
+    iota = rtf.a2 * float(np.exp(rtf.beta * rtf.tau)) * mu_at_d / rtf.m_overshoot
     return IssEnvelope(
-        m_overshoot=rcbf.m_overshoot,
-        beta=rtf.beta,
-        mu=mu,
+        rtf=rtf,
+        mu_gain=float(mu_gain),
         d_sup=float(d_sup),
         mu_at_d=mu_at_d,
         iota=float(iota),
-        gamma_margin=float(gamma),
+        gamma_margin=float(iota / rcbf.alpha_e),
     )
 
 
@@ -249,24 +246,25 @@ def check_iss_envelope(traj: Trajectory, env: IssEnvelope) -> IssVerdict:
     envelope holds with room). With a zero offset the verdict delegates to
     the nominal exponential-envelope check so the reduction is exact.
     """
+    m, beta = env.rtf.m_overshoot, env.rtf.beta
     en = traj.v
     e0 = float(en[0])
-    bound = env.m_overshoot * e0 * np.exp(-env.beta * traj.t) + env.mu_at_d
+    bound = m * e0 * np.exp(-beta * traj.t) + env.mu_at_d
     worst = float(np.max(en - bound))
     if env.mu_at_d == 0.0:
-        nominal = check_exponential_envelope(traj, env.beta, env.m_overshoot)
+        nominal = check_exponential_envelope(traj, beta, m)
         return IssVerdict(holds=nominal.holds, worst_excess=worst)
-    holds = worst <= 1e-9 * max(1.0, env.m_overshoot * e0 + env.mu_at_d)
+    holds = worst <= 1e-9 * max(1.0, m * e0 + env.mu_at_d)
     return IssVerdict(holds=bool(holds), worst_excess=worst)
 
 
-def check_practical_rtf(rtf: Rtf, traj: Trajectory, env: IssEnvelope) -> RecurrenceVerdict:
+def check_practical_rtf(traj: Trajectory, env: IssEnvelope) -> RecurrenceVerdict:
     """Disturbance-shifted recurrence: min e^{beta t}(V(t) - iota) <= V(0) - iota.
 
     Shares the nominal check's code path with shift = iota, so iota = 0 gives
     an identical verdict.
     """
-    return check_rtf_recurrence(rtf, traj, shift=env.iota)
+    return check_rtf_recurrence(env.rtf, traj, shift=env.iota)
 
 
 def in_robust_set(rcbf: RecurrentCbf, env: IssEnvelope, z, e_dot):

@@ -40,7 +40,7 @@ from .barrier import BarrierFn, ObstacleField, min_distance_barrier
 from .controller import ClosedLoopLaw, Gains, assemble_closed_loop, desired_velocity
 from .dynamics import IntegratorConfig, ModelPair, double_integrator_pair
 from .errors import ConfigurationError, ScenarioError, require_number
-from .recurrence import RecurrentCbf, Rtf, build_rcbf, norm_rtf
+from .recurrence import RecurrentCbf, Rtf, build_rcbf
 from .robustness import DISTURBANCE_FIELDS, Disturbance, DisturbanceSpec, make_disturbance
 
 _OPS = {
@@ -63,35 +63,6 @@ EXPECT_METRICS = (
 
 _VELOCITY_MODES = ("safe", "desired", "zero")
 _OBSTACLE_KEY = re.compile(r"^obstacle\.(\d+)\.(center|radius)$")
-
-
-@dataclass(frozen=True)
-class RtfConstants:
-    """Certificate constants: sandwich a1 <= 1 <= a2, rate beta, window tau, overshoot M."""
-
-    a1: float = 1.0
-    a2: float = 1.0
-    beta: float = 2.45
-    tau: float = 1.0
-    m_overshoot: float = 3.24
-
-    def __post_init__(self):
-        for key, val in (
-            ("rtf.a1", self.a1),
-            ("rtf.a2", self.a2),
-            ("rtf.beta", self.beta),
-            ("rtf.tau", self.tau),
-            ("rtf.M", self.m_overshoot),
-        ):
-            require_number(key, val)
-            if not np.isfinite(val):  # the echo could not write it back
-                raise ConfigurationError(f"{key} must be finite, got {val!r}")
-        if not (0 < self.a1 <= 1.0 <= self.a2):  # the sandwich must hold for V = ||e_dot||
-            raise ConfigurationError(
-                f"rtf constants need 0 < a1 <= 1 <= a2, got a1={self.a1!r}, a2={self.a2!r}"
-            )
-        if not (self.beta > 0 and self.tau > 0 and self.m_overshoot > 0):
-            raise ConfigurationError("rtf.beta, rtf.tau, rtf.M must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,7 +105,8 @@ class Scenario:
     """A fully validated navigation problem.
 
     Left out, the certify box hulls start, goal and the obstacles padded by
-    0.5. beta > gains.alpha is not required to load; constructions that need
+    0.5. The certificate constants must bracket 1, a1 <= 1 <= a2, as
+    V = ||e_dot|| needs; Rtf alone allows any 0 < a1 <= a2. beta > gains.alpha is not required to load; constructions that need
     the recurrent barrier raise HypothesisViolationError when it fails, and
     rcbf_hypothesis_ok exposes the gate.
     """
@@ -143,7 +115,7 @@ class Scenario:
     start: np.ndarray
     goal: np.ndarray
     gains: Gains
-    rtf_constants: RtfConstants
+    rtf: Rtf
     integrator: IntegratorConfig
     disturbance: DisturbanceSpec
     velocity_mode: str = "safe"
@@ -164,6 +136,11 @@ class Scenario:
             object.__setattr__(self, attr, arr)
         if not np.all(self.certify_lower < self.certify_upper):
             raise ConfigurationError("certify.lower must be strictly below certify.upper")
+        a1, a2 = self.rtf.a1, self.rtf.a2
+        if not a1 <= 1.0 <= a2:  # the sandwich must hold for V = ||e_dot||
+            raise ConfigurationError(
+                f"rtf constants need 0 < a1 <= 1 <= a2, got a1={a1!r}, a2={a2!r}"
+            )
         if self.velocity_mode not in _VELOCITY_MODES:
             raise ConfigurationError(
                 f"sim.initial_velocity must be one of {_VELOCITY_MODES}, got {self.velocity_mode!r}"
@@ -171,7 +148,7 @@ class Scenario:
 
     @property
     def rcbf_hypothesis_ok(self) -> bool:
-        return self.rtf_constants.beta > self.gains.alpha
+        return self.rtf.beta > self.gains.alpha
 
     def resolved_lines(self) -> list[str]:
         """Canonical key=value echo of the full configuration, defaults included:
@@ -258,11 +235,11 @@ _KEYS = {
     "gains.kp": ("gains", "k_p", _FLOAT),
     "gains.kd": ("gains", "k_d", _FLOAT),
     "gains.alpha": ("gains", "alpha", _FLOAT),
-    "rtf.a1": ("rtf_constants", "a1", _FLOAT),
-    "rtf.a2": ("rtf_constants", "a2", _FLOAT),
-    "rtf.beta": ("rtf_constants", "beta", _FLOAT),
-    "rtf.tau": ("rtf_constants", "tau", _FLOAT),
-    "rtf.M": ("rtf_constants", "m_overshoot", _FLOAT),
+    "rtf.a1": ("rtf", "a1", _FLOAT),
+    "rtf.a2": ("rtf", "a2", _FLOAT),
+    "rtf.beta": ("rtf", "beta", _FLOAT),
+    "rtf.tau": ("rtf", "tau", _FLOAT),
+    "rtf.M": ("rtf", "m_overshoot", _FLOAT),
     "sim.dt": ("integrator", "dt", _FLOAT),
     "sim.horizon": ("integrator", "horizon", _FLOAT),
     "sim.initial_velocity": (None, "velocity_mode", _WORD),
@@ -278,7 +255,7 @@ _KEYS = {
 _RECORDS = {
     None: Scenario,
     "gains": Gains,
-    "rtf_constants": RtfConstants,
+    "rtf": Rtf,
     "integrator": IntegratorConfig,
     "disturbance": DisturbanceSpec,
 }
@@ -404,15 +381,10 @@ def build_law(scn: Scenario, b: BarrierFn | None = None) -> ClosedLoopLaw:
     return assemble_closed_loop(b, scn.gains, scn.goal)
 
 
-def build_rtf(scn: Scenario) -> Rtf:
-    rc = scn.rtf_constants
-    return norm_rtf(a1=rc.a1, a2=rc.a2, beta=rc.beta, tau=rc.tau)
-
-
 def build_scenario_rcbf(scn: Scenario, b: BarrierFn | None = None) -> RecurrentCbf:
     if b is None:
         b = build_barrier(scn)
-    return build_rcbf(build_rtf(scn), b, scn.gains.alpha, scn.rtf_constants.m_overshoot)
+    return build_rcbf(scn.rtf, b, scn.gains.alpha)
 
 
 def build_disturbance(scn: Scenario) -> Disturbance:

@@ -39,7 +39,7 @@ def build_world(scn):
         "pair": ls.build_pair(scn),
         "barrier": b,
         "law": ls.build_law(scn, b),
-        "rtf": ls.build_rtf(scn),
+        "rtf": scn.rtf,
         "rcbf": ls.build_scenario_rcbf(scn, b) if scn.rcbf_hypothesis_ok else None,
         "dist": ls.build_disturbance(scn),
     }

@@ -53,8 +53,8 @@ def test_criterion_01_tracking_envelope_bound(linear):
 
 
 def test_criterion_02_certified_rate_formula():
-    rtf = ls.norm_rtf(beta=BETA, tau=1.0)
-    rc = ls.build_rcbf(rtf, _flat_barrier(1.0), alpha=0.5, m=M_OVERSHOOT)
+    rtf = ls.Rtf(beta=BETA, tau=1.0, m_overshoot=M_OVERSHOOT)
+    rc = ls.build_rcbf(rtf, _flat_barrier(1.0), alpha=0.5)
     pinned = 1.95 / 3.24
     rel_pinned = abs(rc.alpha_e - pinned) / pinned
     assert rel_pinned <= 1e-14
@@ -69,10 +69,9 @@ def test_criterion_02_certified_rate_formula():
         c_h = rng.uniform(0.1, 3.0)
         m = rng.uniform(1.0, 5.0)
         rc = ls.build_rcbf(
-            ls.norm_rtf(a1=a1, a2=a2, beta=beta, tau=1.0),
+            ls.Rtf(a1=a1, a2=a2, beta=beta, tau=1.0, m_overshoot=m),
             _flat_barrier(c_h),
             alpha=alpha,
-            m=m,
         )
         lhs = rc.alpha_e * a2 * c_h * m / (a1 * a1)
         worst = max(worst, abs(lhs - (beta - alpha)) / (beta - alpha))
@@ -122,7 +121,7 @@ def test_criterion_03_alpha_sign_reproduction(two_disks):
 
 
 def test_criterion_04_recurrence_dip_safety(two_disks, tmp_path):
-    tau = ls.build_rtf(two_disks).tau
+    tau = two_disks.rtf.tau
     art = ls.run_recurrence_demo(two_disks.with_horizon(4.0), out_dir=tmp_path)
     s = art.summary
     assert s["dip_count"] >= 1.0
@@ -163,7 +162,7 @@ def test_criterion_05_decay_chain_bound(td, td_transit, of, of_run):
 
 
 def test_criterion_06_recurrence_window(linear):
-    rtf = ls.norm_rtf(beta=BETA, tau=1.0)
+    rtf = ls.Rtf(beta=BETA, tau=1.0)
     rng = np.random.default_rng(11)
     e0 = rng.normal(0.0, 1.0, (50, 2))
     e0 *= (rng.uniform(0.05, 2.5, 50) / np.linalg.norm(e0, axis=1))[:, None]
@@ -237,8 +236,6 @@ def test_criterion_07_containment_oracle():
 
 
 def test_criterion_08_disturbance_reduction_and_robustness(linear, td, of, of_run):
-    mu = lambda d: MU_GAIN * d
-
     # zero disturbance: the disturbed path reduces to the nominal one exactly
     x0 = error_starts(linear["law"], [[1.0, 0.5]])[0]
     cfg = ls.IntegratorConfig(dt=0.001, horizon=1.5)
@@ -250,27 +247,27 @@ def test_criterion_08_disturbance_reduction_and_robustness(linear, td, of, of_ru
     for a, b in ((tr.x, tr_d0.x), (tr.u, tr_d0.u), (tr.h, tr_d0.h)):
         assert np.array_equal(a, b)
 
-    env0 = ls.build_iss_envelope(linear["rcbf"], mu, 0.0)
+    env0 = ls.build_iss_envelope(linear["rcbf"], MU_GAIN, 0.0)
     iss0 = ls.check_iss_envelope(tr, env0)
     nom = ls.check_exponential_envelope(tr, beta=BETA, m=M_OVERSHOOT)
     assert iss0.holds == nom.holds
-    assert ls.check_practical_rtf(linear["rtf"], tr, env0) == ls.check_rtf_recurrence(
+    assert ls.check_practical_rtf(tr, env0) == ls.check_rtf_recurrence(
         linear["rtf"], tr
     )
     rng = np.random.default_rng(3)
     z_pts = rng.uniform(td["scn"].certify_lower, td["scn"].certify_upper, (1000, 2))
     e_pts = rng.uniform(-2.0, 2.0, (1000, 2))
-    env0_td = ls.build_iss_envelope(td["rcbf"], mu, 0.0)
+    env0_td = ls.build_iss_envelope(td["rcbf"], MU_GAIN, 0.0)
     robust0 = ls.in_robust_set(td["rcbf"], env0_td, z_pts, e_pts)
     nominal = ls.in_recurrent_set(td["rcbf"], z_pts, e_pts)
     assert np.array_equal(robust0, nominal)
     assert robust0.any() and not robust0.all()
 
     # sinusoidal amplitude 0.1 from a start inside the shrunken region
-    env = ls.build_iss_envelope(of["rcbf"], mu, 0.1)
+    env = ls.build_iss_envelope(of["rcbf"], MU_GAIN, 0.1)
     assert ls.in_robust_set(of["rcbf"], env, of_run.z[0], of_run.e_dot[0])
     assert of_run.min_h() >= -1e-6
-    prtf = ls.check_practical_rtf(of["rtf"], of_run, env)
+    prtf = ls.check_practical_rtf(of_run, env)
     assert prtf.satisfied
 
     # the shrunken certified region is contained in the nominal one

@@ -222,7 +222,7 @@ def test_certify_window_ends_half_a_step_past_tau(two_disks):
     scn = dataclasses.replace(
         two_disks,
         integrator=ls.IntegratorConfig(dt=0.02, horizon=2.0),
-        rtf_constants=dataclasses.replace(two_disks.rtf_constants, tau=0.05),
+        rtf=dataclasses.replace(two_disks.rtf, tau=0.05),
     )
     grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=(3, 3))
     report = ls.certify_initial_set(scn, grid, velocity_mode="desired")

@@ -139,6 +139,16 @@ def test_bad_disturbance(tmp_path, capsys):
     assert "bad value for disturbance" in err
 
 
+def test_iss_rejects_repeated_disturbance_field(tmp_path, capsys):
+    # a scenario file refuses a repeated key, so the override does too, rather
+    # than letting the last value win
+    out = tmp_path / "out"
+    spec = "kind=sine,amplitude=0.1,kind=none"
+    assert main(["iss", "open_field", "--disturbance", spec, "--out", str(out)]) == 2
+    assert "error: duplicate disturbance field 'kind'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_iss_rejects_non_finite_disturbance(tmp_path, capsys):
     # an override the scenario format could not re-read is refused before any run
     out = tmp_path / "out"
@@ -206,7 +216,8 @@ def test_iss_rejects_negative_seed(tmp_path, capsys):
 
 
 def test_iss_rejects_invalid_mu_gain(tmp_path, capsys):
-    # a class-K offset is strictly increasing: refused before any rollout
+    # the offset is mu(r) = c r, so a gain that is not finite and > 0 is
+    # refused before any rollout
     out = tmp_path / "out"
     for value in ("-1", "0", "nan", "inf"):
         argv = ["iss", "open_field", "--disturbance", "kind=none", "--mu-gain", value,

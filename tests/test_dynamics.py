@@ -281,7 +281,7 @@ def _crafted_world():
     pair = ls.double_integrator_pair()
     b = ls.min_distance_barrier(ls.ObstacleField(centers=[[-1.0, 0.0], [1.0, 0.0]], radii=[0.5, 0.5]))
     law = ls.assemble_closed_loop(b, ls.Gains(k_p=1.8, k_d=8.0, alpha=0.5), [1.5, 2.0])
-    return pair, law, ls.build_rcbf(ls.norm_rtf(), b, alpha=0.5, m=3.24)
+    return pair, law, ls.build_rcbf(ls.Rtf(), b, alpha=0.5)
 
 
 _CRAFTED_STARTS = [

@@ -126,7 +126,7 @@ def test_recurrence_demo_dips(two_disks, tmp_path):
     # two completed h_V dips on this transit, both shorter than the window
     assert s["dip_count"] == 2.0
     assert s["max_dip_duration"] == pytest.approx(1.221, abs=0.05)
-    assert s["max_dip_duration"] < two_disks.rtf_constants.tau
+    assert s["max_dip_duration"] < two_disks.rtf.tau
     assert s["first_dip_t"] == pytest.approx(0.312, abs=0.02)
     assert s["first_return_t"] == pytest.approx(1.356, abs=0.05)
     assert s["v_increase_found"] == 1.0
@@ -154,7 +154,7 @@ def test_run_iss_summary(open_field, tmp_path):
     s = art.summary
     assert s["mu_gain"] == MU_GAIN
     assert s["d_sup"] == 0.1
-    rc = scn.rtf_constants
+    rc = scn.rtf
     iota = rc.a2 * float(np.exp(rc.beta * rc.tau)) * (MU_GAIN * 0.1) / rc.m_overshoot
     assert s["iota"] == iota
     rcbf = ls.build_scenario_rcbf(scn)

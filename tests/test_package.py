@@ -34,3 +34,14 @@ def test_every_public_name_is_used():
         if not any(word.search(ln) and not own.match(ln) for ln in lines):
             unused.append(name)
     assert unused == []
+
+
+def test_readme_quick_start_runs(monkeypatch, tmp_path, capsys):
+    # the README's library example, run as written: a renamed or removed name
+    # fails here instead of leaving the docs stale
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "min clearance:" in out and "recurrence:" in out and "chain slack:" in out

@@ -13,19 +13,16 @@ def far_barrier():
     )
 
 
-def test_norm_rtf_validation():
-    with pytest.raises(ls.ConfigurationError):
-        ls.norm_rtf(a1=0.0)
-    with pytest.raises(ls.ConfigurationError):
-        ls.norm_rtf(a1=2.0, a2=1.0)
-    with pytest.raises(ls.ConfigurationError):
-        ls.norm_rtf(beta=0.0)
-    with pytest.raises(ls.ConfigurationError):
-        ls.norm_rtf(tau=-1.0)
-    for name in ("a1", "a2", "beta", "tau"):
-        for bad in (np.inf, np.nan):
-            with pytest.raises(ls.ConfigurationError, match=f"^{name} must be finite, got"):
-                ls.norm_rtf(**{name: bad})
+def test_rtf_validation():
+    for bad in (
+        dict(a1=0.0),
+        dict(a1=2.0, a2=1.0),
+        dict(beta=0.0),
+        dict(tau=-1.0),
+        dict(m_overshoot=0.0),
+    ):
+        with pytest.raises(ls.ConfigurationError):
+            ls.Rtf(**bad)
 
 
 def test_containment_times_window_semantics():
@@ -53,7 +50,7 @@ def test_rtf_recurrence_on_pure_decay():
     t = np.arange(0, 1201) * 0.001
     for v0 in (1.0, 0.3, 7.5):
         traj = synthetic_trajectory(t, v0 * np.exp(-beta * t))
-        verdict = ls.check_rtf_recurrence(ls.norm_rtf(beta=beta, tau=1.0), traj)
+        verdict = ls.check_rtf_recurrence(ls.Rtf(beta=beta, tau=1.0), traj)
         assert verdict.satisfied
         assert abs(verdict.margin) <= 1e-12 * max(1.0, v0)
 
@@ -62,7 +59,7 @@ def test_rtf_recurrence_rejects_slow_decay():
     # decay slower than beta: e^{beta t} V grows, no contained time works
     t = np.arange(0, 1201) * 0.001
     traj = synthetic_trajectory(t, np.exp(-1.0 * t))
-    verdict = ls.check_rtf_recurrence(ls.norm_rtf(beta=2.45, tau=1.0), traj)
+    verdict = ls.check_rtf_recurrence(ls.Rtf(beta=2.45, tau=1.0), traj)
     assert not verdict.satisfied
     assert verdict.margin < 0
 
@@ -73,7 +70,7 @@ def test_rtf_recurrence_accepts_late_recovery():
     v = 1.0 + 0.5 * np.sin(8 * t)
     v[1100:] = 1e-4
     traj = synthetic_trajectory(t, v)
-    verdict = ls.check_rtf_recurrence(ls.norm_rtf(beta=2.45, tau=1.2), traj)
+    verdict = ls.check_rtf_recurrence(ls.Rtf(beta=2.45, tau=1.2), traj)
     assert verdict.satisfied
 
 
@@ -81,7 +78,7 @@ def test_rtf_recurrence_shift_and_empty_window():
     beta, shift = 2.0, 0.25
     t = np.arange(0, 1101) * 0.001
     traj = synthetic_trajectory(t, shift + 0.6 * np.exp(-beta * t))
-    rtf = ls.norm_rtf(beta=beta, tau=1.0)
+    rtf = ls.Rtf(beta=beta, tau=1.0)
     shifted = ls.check_rtf_recurrence(rtf, traj, shift=shift)
     assert shifted.satisfied
     assert abs(shifted.margin) <= 1e-12
@@ -89,7 +86,7 @@ def test_rtf_recurrence_shift_and_empty_window():
     assert not ls.check_rtf_recurrence(rtf, traj).satisfied
     # a window shorter than half a step holds no sample: conservative failure
     coarse = synthetic_trajectory(np.arange(3) * 1.0, np.ones(3))
-    empty = ls.check_rtf_recurrence(ls.norm_rtf(beta=beta, tau=0.25), coarse)
+    empty = ls.check_rtf_recurrence(ls.Rtf(beta=beta, tau=0.25), coarse)
     assert empty == ls.RecurrenceVerdict(satisfied=False, margin=float("-inf"))
 
 
@@ -140,7 +137,7 @@ def test_fold_window_empty_and_first_time_earliest():
     # reports margin -inf and fails
     t = np.arange(3) * 1.0
     assert fold_window(t, np.ones(3), 2.0, 0.25, 1.0) == np.inf
-    verdict = ls.check_rtf_recurrence(ls.norm_rtf(tau=0.25), synthetic_trajectory(t, np.ones(3)))
+    verdict = ls.check_rtf_recurrence(ls.Rtf(tau=0.25), synthetic_trajectory(t, np.ones(3)))
     assert (verdict.satisfied, verdict.margin) == (False, float("-inf"))
     # hits in two blocks keep the earlier; a run with none yet takes the later
     first = fold_first(t[:2], np.array([[False, False], [True, False]]))
@@ -197,7 +194,7 @@ def test_rtf_recurrence_needs_full_window():
     t = np.arange(0, 500) * 0.001
     traj = synthetic_trajectory(t, np.exp(-3 * t))
     with pytest.raises(ls.ConfigurationError, match="shorter than the window"):
-        ls.check_rtf_recurrence(ls.norm_rtf(beta=2.45, tau=1.0), traj)
+        ls.check_rtf_recurrence(ls.Rtf(beta=2.45, tau=1.0), traj)
 
 
 def test_exponential_envelope_checks():
@@ -220,8 +217,8 @@ def test_exponential_envelope_checks():
 
 
 def test_build_rcbf_scaling_constant():
-    rtf = ls.norm_rtf(beta=2.45, tau=1.5)
-    rcbf = ls.build_rcbf(rtf, far_barrier(), alpha=0.5, m=3.24)
+    rtf = ls.Rtf(beta=2.45, tau=1.5)
+    rcbf = ls.build_rcbf(rtf, far_barrier(), alpha=0.5)
     assert rcbf.alpha_e == pytest.approx(1.95 / 3.24, rel=1e-12)
     assert rcbf.alpha == 0.5
     # h_V = -V + alpha_e h
@@ -234,20 +231,18 @@ def test_build_rcbf_scaling_constant():
 
 
 def test_build_rcbf_requires_rate_ordering():
-    rtf = ls.norm_rtf(beta=2.45, tau=1.5)
+    rtf = ls.Rtf(beta=2.45, tau=1.5)
     with pytest.raises(ls.HypothesisViolationError, match="must exceed"):
-        ls.build_rcbf(rtf, far_barrier(), alpha=2.45, m=3.24)
+        ls.build_rcbf(rtf, far_barrier(), alpha=2.45)
     with pytest.raises(ls.HypothesisViolationError, match="beta=2.45 <= alpha=5"):
-        ls.build_rcbf(rtf, far_barrier(), alpha=5.0, m=3.24)
+        ls.build_rcbf(rtf, far_barrier(), alpha=5.0)
     with pytest.raises(ls.ConfigurationError):
-        ls.build_rcbf(rtf, far_barrier(), alpha=-1.0, m=3.24)
-    with pytest.raises(ls.ConfigurationError):
-        ls.build_rcbf(rtf, far_barrier(), alpha=0.5, m=0.0)
+        ls.build_rcbf(rtf, far_barrier(), alpha=-1.0)
 
 
 def test_in_recurrent_set_boundary():
-    rtf = ls.norm_rtf(beta=2.45, tau=1.5)
-    rcbf = ls.build_rcbf(rtf, far_barrier(), alpha=0.5, m=3.24)
+    rtf = ls.Rtf(beta=2.45, tau=1.5)
+    rcbf = ls.build_rcbf(rtf, far_barrier(), alpha=0.5)
     z = np.array([0.0, 0.0])
     h0 = float(rcbf.barrier.value(z))
     boundary_v = rcbf.alpha_e * h0
@@ -262,8 +257,8 @@ def test_safety_chain_matches_analytic_integral():
     # integral E (1 - e^{-alpha t}) / alpha, so the audited slack is pure
     # quadrature error
     alpha, e_const, h0 = 0.5, 0.8, 2.0
-    rtf = ls.norm_rtf(beta=2.45, tau=1.5)
-    rcbf = ls.build_rcbf(rtf, far_barrier(), alpha=alpha, m=3.24)
+    rtf = ls.Rtf(beta=2.45, tau=1.5)
+    rcbf = ls.build_rcbf(rtf, far_barrier(), alpha=alpha)
     t = np.arange(0, 2001) * 0.001
     integral = e_const * (1 - np.exp(-alpha * t)) / alpha
     h = np.exp(-alpha * t) * h0 - integral

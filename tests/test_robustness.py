@@ -11,7 +11,7 @@ def far_rcbf():
     b = ls.min_distance_barrier(
         ls.ObstacleField(centers=[[50.0, 50.0]], radii=[0.5])
     )
-    return ls.build_rcbf(ls.norm_rtf(beta=2.45, tau=1.5), b, alpha=0.5, m=3.24)
+    return ls.build_rcbf(ls.Rtf(beta=2.45, tau=1.5), b, alpha=0.5)
 
 
 def test_disturbance_none_and_zero_amplitude():
@@ -153,36 +153,33 @@ def test_spec_and_make_disturbance_refuse_the_same_values():
 
 
 def test_iss_envelope_constants(far_rcbf):
-    mu = lambda r: 0.5 * r
-    env = ls.build_iss_envelope(far_rcbf, mu, d_sup=0.2)
+    env = ls.build_iss_envelope(far_rcbf, 0.5, d_sup=0.2)
     rtf = far_rcbf.rtf
-    assert env.m_overshoot == far_rcbf.m_overshoot
-    assert env.beta == rtf.beta
+    assert env.rtf is rtf
     assert env.d_sup == 0.2
     assert env.mu_at_d == 0.1
-    iota = rtf.a2 * float(np.exp(rtf.beta * rtf.tau)) * env.mu_at_d / far_rcbf.m_overshoot
+    iota = rtf.a2 * float(np.exp(rtf.beta * rtf.tau)) * env.mu_at_d / rtf.m_overshoot
     assert env.iota == iota
     assert env.gamma_margin == iota / far_rcbf.alpha_e
-    assert env.mu(0.3) == 0.15
-    zero = ls.build_iss_envelope(far_rcbf, mu, d_sup=0.0)
+    assert env.mu_gain == 0.5
+    zero = ls.build_iss_envelope(far_rcbf, 0.5, d_sup=0.0)
     assert zero.mu_at_d == 0.0
     assert zero.iota == 0.0
     assert zero.gamma_margin == 0.0
 
 
 def test_iss_envelope_validation(far_rcbf):
-    with pytest.raises(ls.ConfigurationError, match="mu\\(0\\) must be 0"):
-        ls.build_iss_envelope(far_rcbf, lambda r: r + 0.01, d_sup=0.1)
-    with pytest.raises(ls.ConfigurationError, match="strictly increasing"):
-        ls.build_iss_envelope(far_rcbf, lambda r: 0.0, d_sup=0.1)
+    for gain in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ls.ConfigurationError, match="mu gain must be finite and positive"):
+            ls.build_iss_envelope(far_rcbf, gain, d_sup=0.1)
     with pytest.raises(ls.ConfigurationError):
-        ls.build_iss_envelope(far_rcbf, lambda r: r, d_sup=-0.1)
+        ls.build_iss_envelope(far_rcbf, 1.0, d_sup=-0.1)
     with pytest.raises(ls.ConfigurationError):
-        ls.build_iss_envelope(far_rcbf, lambda r: r, d_sup=float("inf"))
+        ls.build_iss_envelope(far_rcbf, 1.0, d_sup=float("inf"))
 
 
 def test_check_iss_envelope_offset_bound(far_rcbf):
-    env = ls.build_iss_envelope(far_rcbf, lambda r: 0.5 * r, d_sup=0.2)
+    env = ls.build_iss_envelope(far_rcbf, 0.5, d_sup=0.2)
     t = np.arange(0, 3001) * 0.001
     # fast decay stays under the overshoot term alone
     good = synthetic_trajectory(t, 0.1 * np.exp(-3.0 * t))
@@ -194,13 +191,13 @@ def test_check_iss_envelope_offset_bound(far_rcbf):
     verdict = ls.check_iss_envelope(bad, env)
     assert not verdict.holds
     en = np.full(t.size, 0.2)
-    bound = env.m_overshoot * en[0] * np.exp(-env.beta * t) + env.mu_at_d
+    bound = env.rtf.m_overshoot * en[0] * np.exp(-env.rtf.beta * t) + env.mu_at_d
     assert verdict.worst_excess == float(np.max(en - bound))
     assert verdict.worst_excess == pytest.approx(0.1, rel=1e-2)
 
 
 def test_check_iss_envelope_zero_offset_delegates(far_rcbf):
-    env0 = ls.build_iss_envelope(far_rcbf, lambda r: 0.5 * r, d_sup=0.0)
+    env0 = ls.build_iss_envelope(far_rcbf, 0.5, d_sup=0.0)
     t = np.arange(0, 2001) * 0.001
     spike = np.zeros(t.size)
     spike[900] = 1e-6
@@ -215,25 +212,25 @@ def test_check_iss_envelope_zero_offset_delegates(far_rcbf):
     decay = synthetic_trajectory(t, 0.7 * np.exp(-2.5 * t))
     assert (
         ls.check_iss_envelope(decay, env0).holds
-        == ls.check_exponential_envelope(decay, env0.beta, env0.m_overshoot).holds
+        == ls.check_exponential_envelope(decay, env0.rtf.beta, env0.rtf.m_overshoot).holds
     )
 
 
 def test_practical_rtf_shares_the_nominal_path(far_rcbf):
     rtf = far_rcbf.rtf
-    env = ls.build_iss_envelope(far_rcbf, lambda r: 0.05 * r, d_sup=0.1)
+    env = ls.build_iss_envelope(far_rcbf, 0.05, d_sup=0.1)
     t = np.arange(0, 1601) * 0.001
     traj = synthetic_trajectory(t, env.iota + 0.6 * np.exp(-rtf.beta * t))
-    assert ls.check_practical_rtf(rtf, traj, env) == ls.check_rtf_recurrence(
+    assert ls.check_practical_rtf(traj, env) == ls.check_rtf_recurrence(
         rtf, traj, shift=env.iota
     )
-    assert ls.check_practical_rtf(rtf, traj, env).satisfied
-    env0 = ls.build_iss_envelope(far_rcbf, lambda r: 0.05 * r, d_sup=0.0)
-    assert ls.check_practical_rtf(rtf, traj, env0) == ls.check_rtf_recurrence(rtf, traj)
+    assert ls.check_practical_rtf(traj, env).satisfied
+    env0 = ls.build_iss_envelope(far_rcbf, 0.05, d_sup=0.0)
+    assert ls.check_practical_rtf(traj, env0) == ls.check_rtf_recurrence(rtf, traj)
 
 
 def test_in_robust_set_shrinks_by_gamma(far_rcbf):
-    env = ls.build_iss_envelope(far_rcbf, lambda r: 0.5 * r, d_sup=0.2)
+    env = ls.build_iss_envelope(far_rcbf, 0.5, d_sup=0.2)
     assert env.gamma_margin > 0
     z = np.array([0.0, 0.0])
     h0 = float(far_rcbf.barrier.value(z))
@@ -245,7 +242,7 @@ def test_in_robust_set_shrinks_by_gamma(far_rcbf):
 
 
 def test_in_robust_set_zero_gamma_delegates(far_rcbf):
-    env0 = ls.build_iss_envelope(far_rcbf, lambda r: 0.5 * r, d_sup=0.0)
+    env0 = ls.build_iss_envelope(far_rcbf, 0.5, d_sup=0.0)
     rng = np.random.default_rng(11)
     Z = rng.uniform(-3, 3, size=(64, 2))
     E = rng.uniform(-50, 50, size=(64, 2))

@@ -27,7 +27,7 @@ def test_minimal_scenario_defaults():
     assert np.array_equal(scn.start, [-1.0, 0.25])
     assert np.array_equal(scn.goal, [2.0, 0.0])
     assert scn.field.count == 1
-    rc = scn.rtf_constants
+    rc = scn.rtf
     assert (rc.a1, rc.a2, rc.beta, rc.tau, rc.m_overshoot) == (1.0, 1.0, 2.45, 1.0, 3.24)
     assert scn.integrator.dt == 1e-3
     assert scn.integrator.horizon == 10.0
@@ -128,7 +128,7 @@ def test_numpy_scalars_echo_as_plain_numbers(open_field):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: ls.RtfConstants(beta="2"), "rtf.beta must be a number, got '2'"),
+        (lambda: ls.Rtf(beta="2"), "rtf.beta must be a number, got '2'"),
         (lambda: ls.Expectation("min_h", ">=", "1"), "expect.min_h: value must be a number, got '1'"),
         (
             lambda: ls.DisturbanceSpec(kind="sine", amplitude="0.1"),
@@ -136,9 +136,8 @@ def test_numpy_scalars_echo_as_plain_numbers(open_field):
         ),
         (lambda: ls.Gains(k_p="1", k_d=8.0, alpha=0.5), "gains.k_p must be a number, got '1'"),
         (lambda: ls.IntegratorConfig(dt="0.001"), "dt must be a number, got '0.001'"),
-        (lambda: ls.norm_rtf(beta="2"), "beta must be a number, got '2'"),
     ],
-    ids=["rtf", "expectation", "disturbance", "gains", "integrator", "norm_rtf"],
+    ids=["rtf", "expectation", "disturbance", "gains", "integrator"],
 )
 def test_string_values_built_in_code_are_refused_by_key(build, message):
     # the file parser never passes a string, but a record built in code can:
@@ -156,7 +155,7 @@ def test_certificate_constants_must_be_finite():
     ):
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ls.ConfigurationError, match=f"^{key} must be finite, got"):
-                ls.RtfConstants(**{attr: bad})
+                ls.Rtf(**{attr: bad})
 
 
 def test_bundled_scenarios_are_pinned(two_disks, open_field):
@@ -236,7 +235,7 @@ def test_sandwich_constants_must_bracket_one():
     for a1, a2 in (("2.0", "2.0"), ("0.5", "0.8")):
         with pytest.raises(ls.ScenarioError, match=f"0 < a1 <= 1 <= a2, got a1={a1}, a2={a2}"):
             ls.parse_scenario(MINIMAL + f"rtf.a1 = {a1}\nrtf.a2 = {a2}\n")
-    rc = ls.parse_scenario(MINIMAL + "rtf.a1 = 0.5\nrtf.a2 = 2.0\n").rtf_constants
+    rc = ls.parse_scenario(MINIMAL + "rtf.a1 = 0.5\nrtf.a2 = 2.0\n").rtf
     assert (rc.a1, rc.a2) == (0.5, 2.0)
 
 

@@ -78,3 +78,25 @@ def test_cli_costs_runs_one_command(capsys):
     name, wall, median_rss, max_rss = lines[2].split()
     assert name == "simulate" and float(wall) > 0.0
     assert 0.0 < float(median_rss) == float(max_rss)
+
+
+def test_artifact_digests_check(monkeypatch, tmp_path, capsys):
+    # the simulate run alone, against its lines in the checked-in digests:
+    # a match exits 0, one altered digest exits 1 with a diff naming its line
+    digests = _load("artifact_digests")
+    monkeypatch.setattr(digests, "RUNS", [run for run in digests.RUNS if run[0] == "simulate"])
+    lines = [
+        ln
+        for ln in (ROOT / "tools" / "artifact_digests.txt").read_text().splitlines(keepends=True)
+        if ln.split()[1].startswith(("simulate.", "simulate/"))
+    ]
+    assert len(lines) == 3
+    expected = tmp_path / "expected.txt"
+    expected.write_text("".join(lines))
+    assert digests.main(["--check", str(expected)]) == 0
+    assert capsys.readouterr().out == ""
+    altered = ("0" * 64) + lines[1][64:]
+    expected.write_text("".join([lines[0], altered, lines[2]]))
+    assert digests.main(["--check", str(expected)]) == 1
+    out = capsys.readouterr().out
+    assert f"-{altered}" in out and f"+{lines[1]}" in out

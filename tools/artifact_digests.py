@@ -22,18 +22,21 @@ runs):
 where two_disks_desired.scn is two_disks with sim.initial_velocity = desired,
 written into the temporary directory. It prints one sorted
 ``<sha256>  <name>`` line per artifact and per command's stdout. Two builds
-write byte-identical artifacts exactly when their outputs match, e.g.
+write byte-identical artifacts exactly when their outputs match.
+``tools/artifact_digests.txt`` holds the lines of the last build whose
+artifacts were meant to change; ``--check PATH`` compares against such a
+file, prints a unified diff and exits 1 on any difference:
 
-    PYTHONPATH=src python tools/artifact_digests.py > after.txt
-    PYTHONPATH=/path/to/other/checkout/src python tools/artifact_digests.py > before.txt
-    diff before.txt after.txt
+    PYTHONPATH=src python tools/artifact_digests.py --check tools/artifact_digests.txt
 
 The imported layersafe module's path goes to stderr. Takes under a minute
 on one core.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import os
@@ -42,7 +45,7 @@ import tempfile
 from pathlib import Path
 
 import layersafe
-from layersafe.cli import main
+from layersafe import cli
 
 DESIRED_SCENARIO = "two_disks_desired.scn"
 
@@ -114,7 +117,7 @@ def digests() -> list:
             for label, argv in RUNS:
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf):
-                    code = main([*argv, "--out", label])
+                    code = cli.main([*argv, "--out", label])
                 out.append((_sha(buf.getvalue().encode()), f"{label}.stdout (exit {code})"))
                 for path in sorted(Path(label).rglob("*")):
                     if path.is_file():
@@ -124,7 +127,24 @@ def digests() -> list:
     return sorted(out, key=lambda item: item[1])
 
 
-if __name__ == "__main__":
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print the digest of every artifact and stdout.")
+    parser.add_argument(
+        "--check",
+        metavar="PATH",
+        help="compare with the lines in PATH: print a unified diff, exit 1 on any difference",
+    )
+    args = parser.parse_args(argv)
     print(f"layersafe from {Path(layersafe.__file__).parent}", file=sys.stderr)
-    for digest, name in digests():
-        print(f"{digest}  {name}")
+    lines = [f"{digest}  {name}\n" for digest, name in digests()]
+    if args.check is None:
+        sys.stdout.writelines(lines)
+        return 0
+    expected = Path(args.check).read_text().splitlines(keepends=True)
+    diff = list(difflib.unified_diff(expected, lines, args.check, "this build"))
+    sys.stdout.writelines(diff)
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
