@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._vec import divide, join, select, split, sqrt, vnorm
-from .errors import ConfigurationError, SingularGradientError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,12 @@ class BarrierFn:
     where arrays enter the control stack (the other is ClosedLoopLaw.evaluate).
 
     ``vg_fn`` maps a state's components (zx, zy) to (h, (gx, gy)), on floats
-    or on columns (see _vec). ``value``, ``gradient`` and ``value_and_gradient``
-    pass components straight to it, and also accept a single state (2,) or a
-    batch (..., 2), which they split and whose results they join into arrays.
-    An array's pass runs under np.errstate. A caller that passes columns as
-    components holds its own, as integrate_batch and certify do: the
-    min-distance kernel's column division warns at a center otherwise.
+    or on columns (see _vec). ``value`` and ``value_and_gradient`` pass
+    components straight to it, and also accept a single state (2,) or a batch
+    (..., 2), which they split and whose results they join into arrays.
+    An array's pass runs under np.errstate(all="ignore"). A caller that passes
+    columns as components holds its own, as integrate_batch and certify do,
+    or the kernel's column arithmetic warns at a center and on overflow.
     ``grad_bound`` is the constant that turns tracking-error size into a bound
     on the barrier's rate of change.
     """
@@ -91,22 +91,12 @@ class BarrierFn:
         z = np.asarray(z, dtype=float)
         if z.shape[-1:] != (2,):
             raise ConfigurationError(f"states must have shape (..., 2), got {z.shape}")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             h, grad = self.vg_fn(split(z))
         return join(h), join(grad)
 
     def value(self, z):
         return self._vg(z)[0]
-
-    def gradient(self, z):
-        """The gradient; a finite single state whose gradient is not finite
-        (an obstacle center) raises SingularGradientError, a batch row does not."""
-        grad = self._vg(z)[1]
-        if np.ndim(z) == 1 and np.all(np.isfinite(z)) and not np.all(np.isfinite(grad)):
-            raise SingularGradientError(
-                f"gradient undefined at {np.asarray(z, dtype=float)}, an obstacle center"
-            )
-        return grad
 
     def value_and_gradient(self, z):
         if isinstance(z, tuple):  # components, as the law passes them

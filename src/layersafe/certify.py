@@ -1,7 +1,7 @@
 """Grid certification of initial sets and the fine-step containment oracle.
 
-certify_initial_set classifies every lattice point of an initial-condition
-grid by rolling out the closed loop through the shared rollout kernel and
+certify_initial_set classifies every point of a planar lattice of start
+positions by rolling out the closed loop through the shared rollout kernel and
 scanning running minima of h and h_V, without materializing whole
 trajectories, by the recurrence module's folds: each point reports what a
 run command reports from the same start. Verdicts:
@@ -22,7 +22,7 @@ validate coarse containment times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isnan, prod
+from math import isnan
 from typing import NamedTuple
 
 import numpy as np
@@ -52,20 +52,18 @@ VERDICTS = ("certified_safe", "unsafe_witness", "outside_S_V", "indeterminate")
 
 @dataclass(frozen=True)
 class Grid:
-    """A rectangular lattice: per-axis bounds and sample counts."""
+    """A planar lattice of start positions: bounds (2,) and two sample counts."""
 
     lower: np.ndarray
     upper: np.ndarray
     counts: tuple
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.array(self.lower, dtype=float))
-        upper = np.atleast_1d(np.array(self.upper, dtype=float))
+        lower = np.array(self.lower, dtype=float)
+        upper = np.array(self.upper, dtype=float)
         counts = tuple(int(c) for c in np.atleast_1d(self.counts))
-        if lower.ndim != 1 or lower.shape != upper.shape:
-            raise ConfigurationError("grid bounds must be 1-D arrays of equal length")
-        if len(counts) != lower.shape[0]:
-            raise ConfigurationError("grid counts must give one entry per axis")
+        if lower.shape != (2,) or upper.shape != (2,) or len(counts) != 2:
+            raise ConfigurationError("a grid takes bounds of shape (2,) and two counts")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ConfigurationError("grid bounds must be finite")
         if not np.all(lower < upper):
@@ -79,22 +77,10 @@ class Grid:
         object.__setattr__(self, "counts", counts)
 
     @property
-    def ndim(self) -> int:
-        return self.lower.shape[0]
-
-    @property
-    def n_points(self) -> int:
-        return prod(self.counts)
-
-    @property
     def points(self) -> np.ndarray:
-        """The full lattice, shape (n_points, ndim), last axis varying fastest."""
-        axes = [
-            np.linspace(self.lower[i], self.upper[i], self.counts[i])
-            for i in range(self.ndim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.ndim)
+        """The full lattice, shape (nx * ny, 2), the second axis varying fastest."""
+        axes = [np.linspace(self.lower[i], self.upper[i], self.counts[i]) for i in range(2)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
 
     def describe(self) -> str:
         lo = ", ".join(repr(float(v)) for v in self.lower)
@@ -160,7 +146,7 @@ class CertificateReport:
         ]
         # the point table: one row format, one '%' over every row's fields
         row = (
-            "  (" + ", ".join(["%.10g"] * self.grid.ndim) + ")  %s  min_h=%.10g"
+            "  (%.10g, %.10g)  %s  min_h=%.10g"
             "  min_h_v=%.10g  first_violation_t=%s  rtf_margin=%.10g  in_s_v=%d%s\n"
         )
         fields = []
@@ -187,11 +173,9 @@ class CertificateReport:
     def point_cloud_csv(self, path, verdict: str | None = None) -> None:
         """Flat CSV of point coordinates and verdicts, for external plotting."""
         rows = self.records(verdict)
-        k = self.grid.ndim
-        header = ",".join([f"x{i + 1}" for i in range(k)] + [
-            "verdict", "min_h", "min_h_v", "first_violation_t", "in_s_v"])
+        header = "x1,x2,verdict,min_h,min_h_v,first_violation_t,in_s_v"
         # one row format, one '%' over every row's fields
-        row = ",".join(["%.17g"] * k + ["%s", "%.17g", "%.17g", "%s", "%d"]) + "\n"
+        row = "%.17g,%.17g,%s,%.17g,%.17g,%s,%d\n"
         fields = []
         for point, verdict, min_h, min_h_v, viol, _margin, in_s_v, _note in rows:
             fields += point.tolist()
@@ -234,14 +218,12 @@ def certify_initial_set(
 ) -> CertificateReport:
     """Classify every grid point per the module verdicts.
 
-    A 2-axis grid samples initial positions, with the initial velocity fixed
-    by ``velocity_mode`` ("desired" reproduces the unfiltered goal pull;
-    "safe" zeroes the initial tracking error; "zero" starts at rest). A
-    4-axis grid samples full states directly. Points starting inside an
-    obstacle (h < 0) are recorded as outside_S_V without a rollout.
+    The grid samples initial positions, with the initial velocity fixed by
+    ``velocity_mode`` ("desired" reproduces the unfiltered goal pull; "safe"
+    zeroes the initial tracking error; "zero" starts at rest). Points
+    starting inside an obstacle (h < 0) are recorded as outside_S_V without
+    a rollout.
     """
-    if grid.ndim not in (2, 4):
-        raise ConfigurationError("grid must sample positions (2 axes) or full states (4 axes)")
     if chunk < 1:
         raise ConfigurationError("chunk must be positive")
     pair = build_pair(scn)
@@ -252,7 +234,7 @@ def certify_initial_set(
     d_sig = dist.signal if dist.kind != "none" else None
 
     pts = grid.points
-    x0s = initial_states(scn, law, pts, mode=velocity_mode) if grid.ndim == 2 else pts
+    x0s = initial_states(scn, law, pts, mode=velocity_mode)
     n_pts = x0s.shape[0]
 
     dt = scn.integrator.dt
@@ -305,7 +287,7 @@ def certify_initial_set(
     return CertificateReport(
         scenario_hash=scn.digest(),
         alpha=scn.gains.alpha,
-        velocity_mode=velocity_mode if grid.ndim == 2 else "explicit",
+        velocity_mode=velocity_mode,
         horizon=horizon,
         grid=grid,
         per_point=tuple(records),

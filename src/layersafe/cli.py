@@ -144,7 +144,7 @@ def _cmd_recurrence_demo(args) -> int:
     return _finish(run_recurrence_demo(_load(args), out_dir=_out(args)))
 
 
-def _parse_disturbance(text: str, base: DisturbanceSpec) -> DisturbanceSpec:
+def _parse_disturbance(text: str, base: DisturbanceSpec, seed_flag: bool) -> DisturbanceSpec:
     fields = {}
     for item in text.split(","):
         item = item.strip()
@@ -158,6 +158,8 @@ def _parse_disturbance(text: str, base: DisturbanceSpec) -> DisturbanceSpec:
         key = key.strip()
         if key in fields:  # as a scenario file refuses a repeated key
             raise ConfigurationError(f"duplicate disturbance field {key!r}")
+        if key == "seed" and seed_flag:  # both name disturbance.seed; neither may win silently
+            raise ConfigurationError("--seed and --disturbance seed=... both set disturbance.seed")
         try:
             fields[key] = parse_value(f"disturbance.{key}", val.strip())
         except KeyError:
@@ -170,7 +172,8 @@ def _parse_disturbance(text: str, base: DisturbanceSpec) -> DisturbanceSpec:
 def _cmd_iss(args) -> int:
     scn = _load(args)
     if args.disturbance:
-        scn = scn.with_disturbance(_parse_disturbance(args.disturbance, scn.disturbance))
+        spec = _parse_disturbance(args.disturbance, scn.disturbance, args.seed is not None)
+        scn = scn.with_disturbance(spec)
     return _finish(run_iss(scn, out_dir=_out(args), mu_gain=args.mu_gain))
 
 

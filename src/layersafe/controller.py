@@ -128,7 +128,7 @@ def assemble_closed_loop(b: BarrierFn, gains: Gains, goal) -> ClosedLoopLaw:
 
     def evaluate(x):
         if not isinstance(x, tuple):
-            with np.errstate(divide="ignore", invalid="ignore"):  # the barrier's column division
+            with np.errstate(all="ignore"):  # the barrier's column division and overflow
                 return LawIntermediates._make(map(join, evaluate(split(x))))
         zx, zy, vx, vy = x
         z_dot_d = desired_velocity(goal_c, k_p, (zx, zy))

@@ -173,10 +173,6 @@ class BatchRollout(_Samples):
     standalone Trajectory.
     """
 
-    @property
-    def n_runs(self) -> int:
-        return self.x.shape[1]
-
     def trajectory(self, k: int) -> Trajectory:
         runs = {
             name: np.ascontiguousarray(getattr(self, name)[:, k]) for name in _FIELDS if name != "t"
@@ -223,8 +219,7 @@ def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
     rk4_step forms: t for stage 1, t + dt/2 for stages 2 and 3, t + dt for
     stage 4. Non-finite states propagate.
     """
-    n_runs = x0s.shape[0]
-    x = split(x0s[0] if n_runs == 1 else x0s)
+    x = split(x0s[0] if x0s.shape[0] == 1 else x0s)
     times = np.arange(n_steps + 1) * dt
     if d_sig is not None:
         stage_times = (times, times + 0.5 * dt, times + dt)
@@ -254,20 +249,20 @@ def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
             x = x_next
 
 
-def _record(samples, n_runs: int) -> tuple:
+def _record(samples, runs: int) -> tuple:
     """One block of per-sample (x, u, (h,), z_dot_s, active) tuples as the
     arrays x, u, z_dot_s (B, K, d), h and active (B, K)."""
     *floats, active = zip(*samples)
-    x, u, h, z_s_dot = (_per_sample(vals, n_runs) for vals in floats)
+    x, u, h, z_s_dot = (_per_sample(vals, runs) for vals in floats)
     h = h[..., 0]  # recorded as 1-tuples
     return x, u, h, z_s_dot, np.array(active, dtype=bool).reshape(h.shape)
 
 
-def _per_sample(vals, n_runs: int) -> np.ndarray:
+def _per_sample(vals, runs: int) -> np.ndarray:
     """Per-sample tuples of components as (T, K, d): for one run, tuples of
     floats read in one flat pass, which costs less than np.array's walk over
     nested tuples."""
-    if n_runs == 1:
+    if runs == 1:
         flat = np.fromiter(chain.from_iterable(vals), dtype=float, count=len(vals) * len(vals[0]))
         return flat.reshape(len(vals), 1, -1)
     a = np.array(vals, dtype=float)
@@ -312,7 +307,7 @@ def integrate_batch(
         raise ConfigurationError("initial states must have shape (K, 4)")
     if rcbf is not None and rcbf.barrier is not law.barrier:
         raise ConfigurationError("the recurrent barrier must be built on the law's barrier")
-    n_runs = x0s.shape[0]
+    runs = x0s.shape[0]
     dt = cfg.dt
     d_sig = disturbance.signal if disturbance is not None else None
 
@@ -320,16 +315,16 @@ def integrate_batch(
     with np.errstate(all="ignore"):
         for k, (t, x, u, inter) in enumerate(_rollout(pair, law, x0s, dt, cfg.n_steps, d_sig)):
             ok = finite(x)
-            if not (ok if n_runs == 1 else ok.all()):
+            if not (ok if runs == 1 else ok.all()):
                 raise DivergenceError(
                     f"non-finite state at step {k} (t={t:.6g}), run {int(np.argmin(ok))}"
                 )
             samples.append((x, u, (inter.h,), inter.z_dot_s, inter.active))
             if len(samples) == _ROW_BLOCK:
-                blocks.append(_record(samples, n_runs))
+                blocks.append(_record(samples, runs))
                 samples.clear()
     if samples:
-        blocks.append(_record(samples, n_runs))
+        blocks.append(_record(samples, runs))
 
     x, u, h, z_s_dot, active = (np.concatenate(parts) for parts in zip(*blocks))
     z, z_dot, e_dot, v, h_v = _derived(rcbf, split(x), split(z_s_dot), h)

@@ -20,10 +20,6 @@ class DivergenceError(RuntimeError):
     """A rollout produced a non-finite state."""
 
 
-class SingularGradientError(ValueError):
-    """Barrier gradient requested exactly at an obstacle center."""
-
-
 class HypothesisViolationError(ValueError):
     """A construction's standing hypothesis does not hold for these parameters."""
 

@@ -33,6 +33,9 @@ from .recurrence import (
 
 _RANDOM_TABLE = 1 << 16  # piecewise-constant pattern repeats after this many segments
 _MAX_SEGMENTS = 2.0**53  # floor(t / segment) counts whole segments exactly below this
+# estimate_mu_gain's probe schedule: one amplitude, a constant and two sines (Hz)
+_PROBE_AMPLITUDE = 0.1
+_PROBE_FREQUENCIES = (0.0, 0.5, 1.0)
 
 # the stock disturbance kinds and the DisturbanceSpec fields each one reads
 DISTURBANCE_FIELDS = {
@@ -272,41 +275,28 @@ def in_robust_set(rcbf: RecurrentCbf, env: IssEnvelope, z, e_dot):
     return rcbf.value(z, e_dot) - env.gamma_margin >= 0.0
 
 
-def estimate_mu_gain(
-    pair: ModelPair,
-    law,
-    cfg: IntegratorConfig | None = None,
-    amplitudes=(0.1,),
-    frequencies=(0.0, 0.5, 1.0),
-) -> float:
+def estimate_mu_gain(pair: ModelPair, law, cfg: IntegratorConfig | None = None) -> float:
     """Empirical linear gain c so that mu(r) = c r bounds the error offset.
 
-    Runs quiet starts (at the goal, zero velocity) under constant and
-    sinusoidal disturbances (frequency 0 means constant), one run per
-    schedule entry, and takes the worst transient-inclusive ratio
-    max_t ||e_dot(t)|| / amplitude. The error loop is linear while the filter
-    is inactive, so the ratio is amplitude-free; the frequency sweep matters
-    because the loop's peak gain sits at a nonzero frequency.
+    Runs quiet starts (at the goal, zero velocity) under the _PROBE_*
+    schedule, a constant and two sinusoidal disturbances, and takes the worst
+    transient-inclusive ratio max_t ||e_dot(t)|| / amplitude. The error loop
+    is linear while the filter is inactive, so the ratio is amplitude-free;
+    the frequency sweep matters because the loop's peak gain sits at a
+    nonzero frequency.
     """
     if cfg is None:
         cfg = IntegratorConfig(dt=1e-3, horizon=6.0)
-    amps = [float(a) for a in amplitudes]
-    if not amps or any(a <= 0 for a in amps):
-        raise ConfigurationError("amplitudes must be positive")
-    freqs = [float(f) for f in frequencies]
-    if not freqs or any(f < 0 for f in freqs):
-        raise ConfigurationError("frequencies must be >= 0")
     # each entry rolls out alone from a quiet start, on the single-run path
     x0 = np.concatenate([np.asarray(law.goal, dtype=float), np.zeros(2)])
-    c = 0.0
-    for amp in amps:
-        for freq in freqs:
-            if freq == 0.0:
-                d = make_disturbance("constant", amplitude=amp)
-            else:
-                d = make_disturbance("sine", amplitude=amp, frequency=freq)
-            traj = integrate(pair, law, x0, cfg, disturbance=d)
-            c = max(c, float(np.max(traj.v)) / amp)
+    amp, c = _PROBE_AMPLITUDE, 0.0
+    for freq in _PROBE_FREQUENCIES:
+        if freq == 0.0:
+            d = make_disturbance("constant", amplitude=amp)
+        else:
+            d = make_disturbance("sine", amplitude=amp, frequency=freq)
+        traj = integrate(pair, law, x0, cfg, disturbance=d)
+        c = max(c, float(np.max(traj.v)) / amp)
     if not c > 0:
         raise ConfigurationError("calibration produced a zero gain; disturbance has no effect")
     return c

@@ -106,8 +106,9 @@ class Scenario:
 
     Left out, the certify box hulls start, goal and the obstacles padded by
     0.5. The certificate constants must bracket 1, a1 <= 1 <= a2, as
-    V = ||e_dot|| needs; Rtf alone allows any 0 < a1 <= a2. beta > gains.alpha is not required to load; constructions that need
-    the recurrent barrier raise HypothesisViolationError when it fails, and
+    V = ||e_dot|| needs; Rtf alone allows any 0 < a1 <= a2. beta >
+    gains.alpha is not required to load; constructions that need the
+    recurrent barrier raise HypothesisViolationError when it fails, and
     rcbf_hypothesis_ok exposes the gate.
     """
 

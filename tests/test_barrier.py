@@ -38,7 +38,7 @@ def test_field_validation():
 def test_value_at_known_point():
     b = single_disk()
     assert float(b.value(np.array([0.9, 0.3]))) == pytest.approx(0.5, abs=1e-15)
-    n = b.gradient(np.array([0.9, 0.3]))
+    n = b.value_and_gradient(np.array([0.9, 0.3]))[1]
     assert np.allclose(n, [1.0, 0.0], atol=1e-15)
 
 
@@ -105,13 +105,13 @@ def test_batch_matches_scalar_bitwise():
     rng = np.random.default_rng(0)
     zs = rng.uniform(-2, 2, size=(200, 2))
     hv = b.value(zs)
-    gv = b.gradient(zs)
+    gv = b.value_and_gradient(zs)[1]
     h2, g2 = b.value_and_gradient(zs)
     assert np.array_equal(hv, h2)
     assert np.array_equal(gv, g2)
     for i in range(0, 200, 17):
         assert float(b.value(zs[i])) == hv[i]
-        assert np.array_equal(np.asarray(b.gradient(zs[i])), gv[i])
+        assert np.array_equal(np.asarray(b.value_and_gradient(zs[i])[1]), gv[i])
 
     # the per-obstacle kernel reproduces the argmin formula bit for bit, NaN
     # and non-finite gradients included, over every leading shape
@@ -128,11 +128,6 @@ def test_batch_matches_scalar_bitwise():
             if z.ndim == 1:  # numpy scalar components, as tuple(z) gives
                 h_np, grad_np = b.value_and_gradient(tuple(z))
                 assert _same_bits(h_np, ref_h) and _same_bits(grad_np, ref_grad)
-            if z.ndim == 1 and np.any(field.center_distances(z) == 0.0):
-                with pytest.raises(ls.SingularGradientError):
-                    b.gradient(z)
-            else:
-                assert _same_bits(b.gradient(z), ref_grad)
         # a row at distance 0.0 from a center (on it, or within underflow)
         # has a non-finite gradient; no other row is affected
         at_center = np.any(field.center_distances(zs) == 0.0, axis=-1)
@@ -209,7 +204,7 @@ def test_gradient_is_unit_norm():
     rng = np.random.default_rng(1)
     zs = rng.uniform(-3, 3, size=(500, 2))
     keep = np.min(b.field.center_distances(zs), axis=-1) > 1e-6
-    g = b.gradient(zs[keep])
+    g = b.value_and_gradient(zs[keep])[1]
     assert np.allclose(np.hypot(g[:, 0], g[:, 1]), 1.0, atol=1e-12)
     assert b.grad_bound == 1.0
 
@@ -223,7 +218,7 @@ def test_gradient_matches_finite_difference():
     keep = (np.abs(d[:, 0] - d[:, 1]) > 1e-2) & (np.min(d, axis=-1) > 1e-2)
     zs = zs[keep]
     eps = 1e-7
-    g = b.gradient(zs)
+    g = b.value_and_gradient(zs)[1]
     for k in range(2):
         step = np.zeros(2)
         step[k] = eps
@@ -242,13 +237,3 @@ def test_tie_uses_one_consistent_obstacle():
     expected = diff / np.hypot(*diff)
     assert np.array_equal(np.asarray(g), expected)
     assert float(h) == float(b.value(z))
-
-
-def test_singular_gradient():
-    b = single_disk()
-    with pytest.raises(ls.SingularGradientError):
-        b.gradient(np.array([-0.1, 0.3]))
-    # batch path keeps other rows finite instead of raising
-    g = b.gradient(np.array([[-0.1, 0.3], [0.9, 0.3]]))
-    assert not np.all(np.isfinite(g[0]))
-    assert np.allclose(g[1], [1.0, 0.0])

@@ -215,6 +215,18 @@ def test_iss_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_iss_rejects_seed_set_twice(tmp_path, capsys):
+    # --seed and a seed= item in --disturbance name one field, so the pair is
+    # refused in either order rather than letting one silently win
+    out = tmp_path / "out"
+    spec = "kind=random,amplitude=0.1,seed=7"
+    for flags in (["--seed", "3", "--disturbance", spec], ["--disturbance", spec, "--seed", "3"]):
+        assert main(["iss", "open_field", *flags, "--mu-gain", "0.14", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "--disturbance" in err
+        assert not out.exists()
+
+
 def test_iss_rejects_invalid_mu_gain(tmp_path, capsys):
     # the offset is mu(r) = c r, so a gain that is not finite and > 0 is
     # refused before any rollout

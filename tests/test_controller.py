@@ -64,7 +64,7 @@ def test_safe_velocity_inactive_is_identity():
     zs, active, _h, _n = ls.safe_velocity(b, 0.5, comps(z), comps(zd))
     zs = stacked(zs)
     h = b.value(z)
-    n = b.gradient(z)
+    n = b.value_and_gradient(z)[1]
     feasible = np.einsum("ij,ij->i", n, zd) + 0.5 * h >= 0
     assert np.array_equal(np.asarray(active), ~feasible)
     assert np.array_equal(zs[feasible], zd[feasible])
@@ -79,7 +79,7 @@ def test_safe_velocity_residual_nonnegative():
     zd = rng.uniform(-4, 4, size=(z.shape[0], 2))
     for alpha in (0.5, 1.0, 5.0):
         zs = stacked(ls.safe_velocity(b, alpha, comps(z), comps(zd))[0])
-        res = np.einsum("ij,ij->i", b.gradient(z), zs) + alpha * b.value(z)
+        res = np.einsum("ij,ij->i", b.value_and_gradient(z)[1], zs) + alpha * b.value(z)
         assert float(np.min(res)) >= -1e-9
 
 
@@ -93,7 +93,7 @@ def test_safe_velocity_is_minimal_change():
     zd = rng.uniform(-4, 4, size=(z.shape[0], 2))
     zs, active, _h, _n = ls.safe_velocity(b, 0.7, comps(z), comps(zd))
     zs = stacked(zs)
-    n = b.gradient(z)
+    n = b.value_and_gradient(z)[1]
     tang = np.stack([-n[:, 1], n[:, 0]], axis=1)
     assert np.allclose(
         np.einsum("ij,ij->i", tang, zs), np.einsum("ij,ij->i", tang, zd), atol=1e-12
@@ -224,7 +224,7 @@ def test_certified_envelope_holds_on_rollout(linear):
     mags = rng.uniform(0.1, 2.0, size=16)
     e0 = np.stack([mags * np.cos(angles), mags * np.sin(angles)], axis=1)
     batch = ls.integrate_batch(pair, law, error_starts(law, e0), scn.integrator)
-    for k in range(batch.n_runs):
+    for k in range(batch.x.shape[1]):
         traj = batch.trajectory(k)
         # the pair declared by the bundled scenario is an envelope
         assert ls.check_exponential_envelope(traj, 2.45, 3.24).holds

@@ -417,7 +417,7 @@ def test_array_entry_points_hold_their_own_errstate(two_disks):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         h, grad = b.value_and_gradient(zs)
-        value, gradient = b.value(zs), b.gradient(zs)
+        value, gradient = b.value(zs), b.value_and_gradient(zs)[1]
         inter = law.evaluate(xs)
         starts = ls.initial_states(two_disks, law, zs, mode="safe")
         rows = [b.value_and_gradient(z) for z in zs]
@@ -429,6 +429,14 @@ def test_array_entry_points_hold_their_own_errstate(two_disks):
     for i, field in enumerate(inter):  # a 0/0 gradient's NaN reaches z_dot_s and u
         assert _same_bits_but_nan_sign(field, np.stack([e[i] for e in evals])), inter._fields[i]
     assert _same_bits(starts, np.concatenate([zs, inter.z_dot_s], axis=1))
+    # nor does an overflow: a far state's squared offset, in the barrier and
+    # in the safe starts certify builds before its own np.errstate
+    grid = ls.Grid([1e306, -1], [1e307, 1], (3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = ls.build_barrier(two_disks).value([[1e200, 0.0]])
+        ls.certify_initial_set(two_disks.with_horizon(0.05), grid, velocity_mode="safe")
+    assert np.isposinf(far).all()
     # components straight to the kernel get no errstate: a column caller holds its own
     with pytest.warns(RuntimeWarning):
         b.value_and_gradient((zs[:, 0].copy(), zs[:, 1].copy()))
@@ -497,11 +505,6 @@ def test_array_entry_points_match_batch_rows():
                     got, want = [got], [want]
                 for g, w in zip(got, want):
                     assert _same_bits_but_nan_sign(stacked(g), stacked(w)[k]), (k, name)
-            if np.all(np.isfinite(z)) and not np.all(np.isfinite(single["vg"][1])):
-                with pytest.raises(ls.SingularGradientError):
-                    b.gradient(z)
-            else:
-                assert _same_bits_but_nan_sign(b.gradient(z), np.asarray(batch["vg"][1])[k]), k
 
 
 def test_csv_matches_savetxt(tmp_path, td):
@@ -561,9 +564,9 @@ def test_recording_blocks_are_seamless(n_steps, td, tmp_path, monkeypatch):
         m.setattr(ls.dynamics, "_ROW_BLOCK", n_steps + 1)
         whole = records()
     for got, want in zip(blocked, whole):
-        assert got.x.shape == (n_steps + 1, want.n_runs, 4)
+        assert got.x.shape == (n_steps + 1, want.x.shape[1], 4)
         for name in _RECORDED:
-            assert _same_bits(getattr(got, name), getattr(want, name)), (want.n_runs, name)
+            assert _same_bits(getattr(got, name), getattr(want, name)), (want.x.shape[1], name)
     alone = ls.integrate(pair, law, x0s[0], cfg, rcbf=rcbf, disturbance=dist)
     for k, x0 in enumerate(x0s):
         states = _reference_states(pair, law, x0, cfg, dist.signal)

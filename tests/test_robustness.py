@@ -256,29 +256,20 @@ def test_in_robust_set_zero_gamma_delegates(far_rcbf):
     assert bool(ls.in_robust_set(far_rcbf, env0, np.array([0.0, 0.0]), eb))
 
 
-def test_mu_gain_validation(linear):
-    with pytest.raises(ls.ConfigurationError):
-        ls.estimate_mu_gain(linear["pair"], linear["law"], amplitudes=())
-    with pytest.raises(ls.ConfigurationError):
-        ls.estimate_mu_gain(linear["pair"], linear["law"], amplitudes=(-0.1,))
-    with pytest.raises(ls.ConfigurationError):
-        ls.estimate_mu_gain(linear["pair"], linear["law"], frequencies=())
-    with pytest.raises(ls.ConfigurationError):
-        ls.estimate_mu_gain(linear["pair"], linear["law"], frequencies=(-1.0,))
-
-
 def test_mu_gain_is_amplitude_free(linear):
     # the filter never engages on quiet starts here, so the loop is linear
     # and the transient ratio must not depend on the probe amplitude
+    pair, law = linear["pair"], linear["law"]
     cfg = ls.IntegratorConfig(dt=1e-3, horizon=3.0)
-    c_small = ls.estimate_mu_gain(
-        linear["pair"], linear["law"], cfg, amplitudes=(0.05,), frequencies=(0.5,)
-    )
-    c_large = ls.estimate_mu_gain(
-        linear["pair"], linear["law"], cfg, amplitudes=(0.2,), frequencies=(0.5,)
-    )
-    assert c_small == pytest.approx(c_large, rel=1e-9)
-    assert 0.1 < c_small < 0.2
+    x0 = np.concatenate([law.goal, np.zeros(2)])
+    ratios = []
+    for amp in (0.05, 0.2):
+        d = ls.make_disturbance("sine", amplitude=amp, frequency=0.5)
+        traj = ls.integrate(pair, law, x0, cfg, disturbance=d)
+        assert not traj.active.any()
+        ratios.append(float(np.max(traj.v)) / amp)
+    assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
+    assert 0.1 < ratios[0] < 0.2
 
 
 def test_mu_gain_frozen_regression(of):

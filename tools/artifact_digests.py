@@ -1,4 +1,4 @@
-"""Print sha256 digests of every artifact and stdout of fourteen CLI runs.
+"""Print sha256 digests of every artifact and stdout of fifteen CLI runs.
 
 Runs, through ``layersafe.cli.main`` and in a fresh temporary directory with
 relative ``--out`` paths (so the printed paths do not depend on where it
@@ -18,6 +18,7 @@ runs):
     certify two_disks --velocity safe --grid pos:30x30 --horizon 6
     certify two_disks --grid pos:6x6 --horizon 0.5 --chunk 1
     certify open_field --grid pos:6x6 --horizon 0.5
+    certify two_disks --velocity zero --grid pos:6x6 --horizon 0.5
 
 where two_disks_desired.scn is two_disks with sim.initial_velocity = desired,
 written into the temporary directory. It prints one sorted
@@ -90,6 +91,10 @@ RUNS = (
     (  # a batch of starts under a disturbance
         "certify_open_field",
         ["certify", "open_field", "--grid", "pos:6x6", "--horizon", "0.5"],
+    ),
+    (  # starts at rest
+        "certify_zero",
+        ["certify", "two_disks", "--velocity", "zero", "--grid", "pos:6x6", "--horizon", "0.5"],
     ),
 )
 
