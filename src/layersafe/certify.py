@@ -10,7 +10,8 @@ run command reports from the same start. Verdicts:
   unsafe_witness   a sample with h < -1e-6 was observed (before any blowup)
   outside_S_V      started outside the certified region (or inside an
                    obstacle) and no violation was observed
-  indeterminate    the rollout lost finiteness before any violation
+  indeterminate    the rollout's state or h lost finiteness before any
+                   violation
 
 Points are elementwise-independent throughout (states never mix across grid
 rows), so verdicts do not depend on chunking or on which other points share
@@ -185,12 +186,13 @@ class CertificateReport:
 
 
 def _scan_chunk(pair, law, rcbf, x0s, dt, n_steps, d_sig):
-    """Min h, min h_V, first violation time, RTF margin and the time finiteness
-    was lost (NaN if never) for each row of x0s: the recurrence folds over
-    blocks of the rollout's samples, under the caller's np.errstate. Each
-    sample's t, h, V, h_V and finiteness go into rows of buffers allocated
-    once per chunk, (_BLOCK,) and (_BLOCK, K), and each fold reads views of
-    the filled rows; one run's floats (K = 1) fill rows of one column."""
+    """Min h, min h_V, first violation time, RTF margin and the time the state
+    or h lost finiteness (NaN if never) for each row of x0s: the recurrence
+    folds over blocks of the rollout's samples, under the caller's
+    np.errstate. Each sample's t, h, V, h_V and finiteness go into rows of
+    buffers allocated once per chunk, (_BLOCK,) and (_BLOCK, K), and each
+    fold reads views of the filled rows; one run's floats (K = 1) fill rows
+    of one column."""
     rows = (_BLOCK, x0s.shape[0])
     t, (h, v, h_v), ok = np.empty(_BLOCK), (np.empty(rows) for _ in range(3)), np.empty(rows, bool)
     min_h = min_hv = viol = div = scaled = None
@@ -204,7 +206,7 @@ def _scan_chunk(pair, law, rcbf, x0s, dt, n_steps, d_sig):
             b = slice(j + 1)
             min_h, min_hv = fold_min(h[b], min_h), fold_min(h_v[b], min_hv)
             viol = fold_first(t[b], h[b] < -_H_TOL, viol)
-            div = fold_first(t[b], ~ok[b], div)
+            div = fold_first(t[b], ~(ok[b] & np.isfinite(h[b])), div)
             scaled = fold_window(t[b], v[b], rcbf.rtf.beta, rcbf.rtf.tau, dt, scaled)
     return min_h, min_hv, viol, v0 - scaled, div
 

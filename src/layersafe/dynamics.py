@@ -20,9 +20,14 @@ The kernel's state is a tuple of four components, position then velocity
 several. The plant's field takes tuples of components only, and rk4_step
 unpacks the four components of the state and of each stage slope. The
 kernel splits the initial states. integrate_batch turns the recorded
-samples into arrays one row block (_ROW_BLOCK samples) at a time, and
-Trajectory.to_csv formats and writes its table one row block at a time, so
-each holds the Python objects of at most one block at once.
+samples into arrays one row block (_ROW_BLOCK samples) at a time, so it
+holds the Python objects of at most one block at once, and
+Trajectory.to_csv formats and writes its table one row block at a time.
+The text is '%.17g' of every field, byte for byte, computed by
+_io.format_rows in numpy: the exact 17-digit significand from Dekker's
+error-free product with a power of ten, a digit table and the %g layout,
+with a per-value '%.17g' fallback for subnormals, |x| >= 1e17, |x| < 1e-27
+and the rare near tie of a two-step product.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._io import atomic_write_text
+from ._io import atomic_write_text, format_rows
 from ._vec import finite, join, split, vnorm
 from .errors import ConfigurationError, DivergenceError, require_number
 
@@ -149,19 +154,21 @@ class Trajectory(_Samples):
         """Write the flat sample table at full round-trip precision, atomically.
 
         ``preamble`` lines are emitted as leading '#' comments so an artifact
-        can carry its own provenance. Rows take np.savetxt's format, one '%'
-        per block of _ROW_BLOCK rows read from row slices of the fields, and
-        each block's text is written before the next is formatted.
+        can carry its own provenance. Rows take np.savetxt's format: every
+        field is the text of '%.17g' % x, byte for byte, which
+        _io.format_rows computes with numpy (exact significands, a digit
+        table, the %g layout) and a per-value '%.17g' fallback for the few
+        values outside its exact path. A block of _ROW_BLOCK rows is read
+        from row slices of the fields, and each block's text is written
+        before the next is formatted.
         """
         atomic_write_text(path, self._csv_parts(preamble))
 
     def _csv_parts(self, preamble):
         yield "".join([f"# {line}\n" for line in preamble] + [self.csv_header() + "\n"])
         columns = [getattr(self, name).reshape(self.n_samples, -1) for name in _CSV_STEMS]
-        row = ",".join(["%.17g"] * sum(c.shape[1] for c in columns)) + "\n"
         for start in range(0, self.n_samples, _ROW_BLOCK):
-            block = np.hstack([c[start:start + _ROW_BLOCK] for c in columns])
-            yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+            yield format_rows(np.hstack([c[start:start + _ROW_BLOCK] for c in columns]))
 
 
 @dataclass(frozen=True)

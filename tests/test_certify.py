@@ -128,19 +128,23 @@ def test_certify_is_block_invariant(two_disks, monkeypatch):
 def test_certify_overflowing_starts_are_indeterminate(two_disks):
     # positions near the float limit overflow h and V in the initial
     # diagnostics, so h_V(0) is NaN, and under -W error a leaked numpy
-    # warning would raise. Every start is rolled; those at x = 5.5e306 and
-    # 1e307 lose finiteness in the first step, on the float path (chunk 1)
-    # and the column path alike
+    # warning would raise. Every start is rolled and h is +inf from the
+    # first sample, so none is certified_safe: a start whose state stays
+    # finite (x = 1e306, and in safe mode every start) is indeterminate on
+    # its barrier value, as are those at x = 5.5e306 and 1e307, whose state
+    # loses finiteness in the first step in zero mode; on the float path
+    # (chunk 1) and the column path alike
     scn = two_disks.with_horizon(0.05)
     grid = ls.Grid(lower=[1e306, -1], upper=[1e307, 1], counts=(3, 3))
-    reports = [
-        ls.certify_initial_set(scn, grid, velocity_mode="zero", chunk=c) for c in (1, 3, 2048)
-    ]
-    got = Counter(r.verdict for r in reports[0].per_point)
-    assert got == {"indeterminate": 6, "outside_S_V": 3}
-    for r in reports[0].records("indeterminate"):
-        assert "lost finiteness" in r.note
-    assert reports[0].to_text() == reports[1].to_text() == reports[2].to_text()
+    for mode in ("zero", "safe"):
+        reports = [
+            ls.certify_initial_set(scn, grid, velocity_mode=mode, chunk=c) for c in (1, 3, 2048)
+        ]
+        got = Counter(r.verdict for r in reports[0].per_point)
+        assert got == {"indeterminate": 9}, mode
+        for r in reports[0].records("indeterminate"):
+            assert r.note == "rollout lost finiteness at t=0" and r.min_h == np.inf
+        assert reports[0].to_text() == reports[1].to_text() == reports[2].to_text()
 
 
 def test_certify_argument_validation(two_disks):

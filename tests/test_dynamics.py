@@ -592,6 +592,16 @@ def test_to_csv_memory_budget(td_transit, tmp_path):
     assert peak < 1.5e6, peak
 
 
+def test_to_csv_fallback_share(td_transit):
+    # the CSV of a 10 s two_disks run formats at most 1% of its values one
+    # at a time: 12% of them lie below 1e-6, on the two-step exact path
+    table = np.hstack([getattr(td_transit, name).reshape(10001, -1) for name in _CSV_COLUMNS])
+    ax = np.abs(table.ravel())
+    fallback = ls._io._significands(ax)[2] & (ax > 0) & (ax < np.inf)
+    assert np.count_nonzero((ax > 0) & (ax < 1e-6)) > 0.1 * ax.size
+    assert np.count_nonzero(fallback) <= 0.01 * ax.size
+
+
 def test_integrate_memory_budget(td):
     # a 10 s two_disks rollout as the run commands make it, with the
     # scenario's disturbance: the samples become arrays one row block at a

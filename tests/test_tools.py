@@ -81,22 +81,24 @@ def test_cli_costs_runs_one_command(capsys):
 
 
 def test_artifact_digests_check(monkeypatch, tmp_path, capsys):
-    # the simulate run alone, against its lines in the checked-in digests:
+    # the simulate run and the case-study run (three 10 s CSVs, one with an
+    # all-NaN hV column), against their lines in the checked-in digests:
     # a match exits 0, one altered digest exits 1 with a diff naming its line
     digests = _load("artifact_digests")
-    monkeypatch.setattr(digests, "RUNS", [run for run in digests.RUNS if run[0] == "simulate"])
+    labels = ("simulate", "case_study")
+    monkeypatch.setattr(digests, "RUNS", [run for run in digests.RUNS if run[0] in labels])
     lines = [
         ln
         for ln in (ROOT / "tools" / "artifact_digests.txt").read_text().splitlines(keepends=True)
-        if ln.split()[1].startswith(("simulate.", "simulate/"))
+        if ln.split()[1].startswith(tuple(f"{label}{sep}" for label in labels for sep in "./"))
     ]
-    assert len(lines) == 3
+    assert len(lines) == 11
     expected = tmp_path / "expected.txt"
     expected.write_text("".join(lines))
     assert digests.main(["--check", str(expected)]) == 0
     assert capsys.readouterr().out == ""
     altered = ("0" * 64) + lines[1][64:]
-    expected.write_text("".join([lines[0], altered, lines[2]]))
+    expected.write_text("".join([lines[0], altered, *lines[2:]]))
     assert digests.main(["--check", str(expected)]) == 1
     out = capsys.readouterr().out
     assert f"-{altered}" in out and f"+{lines[1]}" in out
