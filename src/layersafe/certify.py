@@ -2,12 +2,13 @@
 
 certify_initial_set classifies every point of a planar lattice of start
 positions by rolling out the closed loop through the shared rollout kernel and
-scanning running minima of h and h_V, without materializing whole
-trajectories, by the recurrence module's folds: each point reports what a
-run command reports from the same start. Verdicts:
+folding blocks of its samples with recurrence.scan, without materializing
+whole trajectories: each point reports what a run command reports from the
+same start. Verdicts:
 
-  certified_safe   started inside the certified region, min h >= -1e-6
-  unsafe_witness   a sample with h < -1e-6 was observed (before any blowup)
+  certified_safe   started inside the certified region, and no violation (a
+                   sample with h below scan's tolerance) was observed
+  unsafe_witness   a violation was observed (before any blowup)
   outside_S_V      started outside the certified region (or inside an
                    obstacle) and no violation was observed
   indeterminate    the rollout's state or h lost finiteness before any
@@ -32,7 +33,7 @@ from ._io import atomic_write_text
 from ._vec import finite, split
 from .dynamics import IntegratorConfig, _derived, _rollout, integrate
 from .errors import ConfigurationError
-from .recurrence import containment_times, fold_first, fold_min, fold_window
+from .recurrence import containment_times, scan
 from .scenario import (
     Scenario,
     build_barrier,
@@ -43,7 +44,6 @@ from .scenario import (
     initial_states,
 )
 
-_H_TOL = 1e-6  # a sample counts as a violation only below -_H_TOL
 # samples folded at once: each buffered sample holds its h, V, h_V and
 # finiteness columns, so the buffers grow with the block at large K
 _BLOCK = 16
@@ -186,29 +186,22 @@ class CertificateReport:
 
 
 def _scan_chunk(pair, law, rcbf, x0s, dt, n_steps, d_sig):
-    """Min h, min h_V, first violation time, RTF margin and the time the state
-    or h lost finiteness (NaN if never) for each row of x0s: the recurrence
-    folds over blocks of the rollout's samples, under the caller's
-    np.errstate. Each sample's t, h, V, h_V and finiteness go into rows of
-    buffers allocated once per chunk, (_BLOCK,) and (_BLOCK, K), and each
-    fold reads views of the filled rows; one run's floats (K = 1) fill rows
-    of one column."""
+    """The recurrence Scan of the rollout from each row of x0s, one scan per
+    block of samples, under the caller's np.errstate. Each sample's t, h, V,
+    h_V and finiteness go into rows of buffers allocated once per chunk,
+    (_BLOCK,) and (_BLOCK, K), and each scan reads views of the filled rows;
+    one run's floats (K = 1) fill rows of one column."""
     rows = (_BLOCK, x0s.shape[0])
     t, (h, v, h_v), ok = np.empty(_BLOCK), (np.empty(rows) for _ in range(3)), np.empty(rows, bool)
-    min_h = min_hv = viol = div = scaled = None
+    rec = None
     for i, (t_i, x, _u, inter) in enumerate(_rollout(pair, law, x0s, dt, n_steps, d_sig)):
         j = i % _BLOCK
         t[j], h[j], ok[j] = t_i, inter.h, finite(x)
         v[j], h_v[j] = _derived(rcbf, x, inter.z_dot_s, inter.h)[3:]
-        if i == 0:
-            v0 = v[0].copy()
         if j == _BLOCK - 1 or i == n_steps:  # a full block, or the last sample
             b = slice(j + 1)
-            min_h, min_hv = fold_min(h[b], min_h), fold_min(h_v[b], min_hv)
-            viol = fold_first(t[b], h[b] < -_H_TOL, viol)
-            div = fold_first(t[b], ~(ok[b] & np.isfinite(h[b])), div)
-            scaled = fold_window(t[b], v[b], rcbf.rtf.beta, rcbf.rtf.tau, dt, scaled)
-    return min_h, min_hv, viol, v0 - scaled, div
+            rec = scan(t[b], h[b], v[b], h_v[b], ok[b], rcbf.rtf, dt, rec)
+    return rec
 
 
 def certify_initial_set(
@@ -248,25 +241,24 @@ def certify_initial_set(
         x0 = split(x0s)
         inter0 = law.evaluate(x0)
         h0 = inter0.h
-        h_v0 = _derived(rcbf, x0, inter0.z_dot_s, h0)[4]
+        v0, h_v0 = _derived(rcbf, x0, inter0.z_dot_s, h0)[3:]
         in_s_v, rolled = h_v0 >= 0.0, h0 >= 0.0
         roll_idx = np.flatnonzero(rolled)
-        # the t = 0 block stands for the points that are not rolled
-        min_h, min_hv = fold_min(h0[None]), fold_min(h_v0[None])
-        first_viol = fold_first(np.zeros(1), h0[None] < -_H_TOL)
-        rtf_margin = np.full(n_pts, np.nan)
-        diverged_t = np.full(n_pts, np.nan)
+        # the t = 0 sample stands for the points that are not rolled, whose
+        # recurrence margin and finiteness time stay NaN
+        rec = scan(np.zeros(1), h0[None], v0[None], h_v0[None], True, rcbf.rtf, dt)
+        rec = rec._replace(window=np.full(n_pts, np.nan), diverged_t=np.full(n_pts, np.nan))
         for i in range(0, roll_idx.size, chunk):
             idx = roll_idx[i : i + chunk]
-            reduced = _scan_chunk(pair, law, rcbf, x0s[idx], dt, n_steps, d_sig)
-            min_h[idx], min_hv[idx], first_viol[idx], rtf_margin[idx], diverged_t[idx] = reduced
+            for field, part in zip(rec, _scan_chunk(pair, law, rcbf, x0s[idx], dt, n_steps, d_sig)):
+                field[idx] = part
 
     pts.flags.writeable = False  # each record's point is a view of its row
     summary = dict.fromkeys(VERDICTS, 0)
     records = []
     for point, is_rolled, viol_t, div_t, in_set, mh, mhv, margin in zip(
-        pts, rolled.tolist(), first_viol.tolist(), diverged_t.tolist(), in_s_v.tolist(),
-        min_h.tolist(), min_hv.tolist(), rtf_margin.tolist(),
+        pts, rolled.tolist(), rec.first_violation_t.tolist(), rec.diverged_t.tolist(),
+        in_s_v.tolist(), rec.min_h.tolist(), rec.min_h_v.tolist(), rec.rtf_margin.tolist(),
     ):
         note = ""
         if isnan(viol_t):  # no violation observed

@@ -27,7 +27,7 @@ from .recurrence import (
     check_exponential_envelope,
     check_rtf_recurrence,
     check_safety_chain,
-    fold_min,
+    scan,
 )
 from .robustness import (
     Disturbance,
@@ -167,12 +167,14 @@ def _roll(scn: Scenario, needs_region: str = "") -> _Run:
     x0 = initial_state(scn, law)
     traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
     rtf_v = check_rtf_recurrence(scn.rtf, traj) if _covers_window(traj, scn.rtf) else None
+    # one scan of the whole record; a run reports no finiteness time
+    rec = scan(traj.t, traj.h, traj.v, traj.h_v, True, scn.rtf, traj.dt)
     summary = {
-        "min_h": float(fold_min(traj.h)),
-        "min_h_v": float(fold_min(traj.h_v)),
+        "min_h": float(rec.min_h),
+        "min_h_v": float(rec.min_h_v),
         "max_edot": float(np.max(traj.v)),
         "final_goal_distance": float(vnorm(traj.z[-1] - law.goal)),
-        "rtf_margin": rtf_v.margin if rtf_v is not None else float("nan"),
+        "rtf_margin": float(rec.rtf_margin) if rtf_v is not None else float("nan"),
         "chain_min_slack": (
             check_safety_chain(traj, rcbf).min_slack if rcbf is not None else float("nan")
         ),

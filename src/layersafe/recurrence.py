@@ -15,16 +15,13 @@ h_V itself dips below zero, provided beta > alpha. The recurrence of h_V is
 what that result concludes from the certificate's recurrence, so a run
 checks the certificate's recurrence and h >= 0, not h_V's recurrence.
 
-Every verdict quantity comes from one of three folds over samples with time
-on axis 0, (B,) for one run or (B, K) for K runs: fold_min, fold_window (of
-e^{beta t} V over 0 < t <= tau + dt/2) and fold_first. certify folds blocks
-of samples, the run commands the whole record. The minima skip NaN, so a run
-that goes NaN keeps the minima it had; an all-NaN series stays NaN in
-fold_min and leaves fold_window's window empty, which folds to inf.
+Every verdict quantity comes from one scan (see there): certify scans blocks
+of samples, the run commands the whole record.
 """
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +29,8 @@ from ._vec import vnorm
 from .barrier import BarrierFn
 from .dynamics import Trajectory
 from .errors import ConfigurationError, HypothesisViolationError, require_number
+
+_H_TOL = 1e-6  # a sample counts as a violation only below -_H_TOL
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,11 @@ def _covers_window(traj: Trajectory, rtf: Rtf) -> bool:
     return traj.horizon + traj.dt / 2 >= rtf.tau
 
 
-def _window_selector(t, dt: float, a: float, b_end: float) -> np.ndarray:
+def _window(t, dt: float, a: float, b_end: float) -> slice:
     # (a, b] resolved at sample resolution: strictly after a, within half a
-    # step of b so the endpoint sample always counts
-    return (t > a) & (t <= b_end + dt / 2)
+    # step of b so the endpoint sample always counts; t is increasing, so
+    # the window is one slice of the samples
+    return slice(*np.searchsorted(t, (a, b_end + dt / 2), side="right").tolist())
 
 
 def fold_min(x, prev=None):
@@ -90,9 +90,8 @@ def fold_min(x, prev=None):
 
 def fold_window(t, v, beta: float, tau: float, dt: float, prev=None):
     """NaN-skipping minimum of e^{beta t} v over the samples in (0, tau] to
-    half a step, folded into ``prev``; inf while the window holds none.
-    t is increasing, so the window is one slice of the samples."""
-    win = slice(*np.searchsorted(t, (0.0, tau + dt / 2), side="right").tolist())
+    half a step, folded into ``prev``; inf while the window holds none."""
+    win = _window(t, dt, 0.0, tau)
     w = np.exp(beta * t[win])
     m = np.fmin.reduce((w[:, None] if v.ndim > 1 else w) * v[win], axis=0, initial=np.inf)
     return m if prev is None else np.fmin(prev, m)
@@ -107,6 +106,47 @@ def fold_first(t, hit, prev=None):
     return first if prev is None else np.where(np.isnan(prev), first, prev)
 
 
+class Scan(NamedTuple):
+    """The verdict quantities of one run or of K runs, as scan folds them."""
+
+    v0: np.ndarray
+    min_h: np.ndarray
+    min_h_v: np.ndarray
+    window: np.ndarray
+    first_violation_t: np.ndarray
+    diverged_t: np.ndarray
+
+    @property
+    def rtf_margin(self):
+        """The recurrence margin V(0) - min e^{beta t} V(t) over the window;
+        NaN, with no warning, where both are inf."""
+        with np.errstate(invalid="ignore"):
+            return self.v0 - self.window
+
+
+def scan(t, h, v, h_v, ok, rtf: Rtf, dt: float, prev: Scan | None = None) -> Scan:
+    """Fold one block of samples, time on axis 0, (B,) for one run or (B, K)
+    for K runs, into ``prev``, the Scan of the blocks before; ``ok`` says
+    whether each state was finite. V(0) is copied from the first block, as a
+    caller may reuse its buffers. fold_min gives min h and min h_V, skipping
+    NaN: a run that goes NaN keeps the minima it had, an all-NaN series stays
+    NaN. fold_window gives the least e^{beta t} V over 0 < t <= tau + dt/2,
+    inf while that window is empty. fold_first gives the first violation,
+    h < -1e-6, and the first time the state or h was not finite. Blocks of
+    any size give the same bits as one block of the whole record.
+    """
+    if prev is None:
+        prev = Scan(v[0].copy(), None, None, None, None, None)
+    return Scan(
+        prev.v0,
+        fold_min(h, prev.min_h),
+        fold_min(h_v, prev.min_h_v),
+        fold_window(t, v, rtf.beta, rtf.tau, dt, prev.window),
+        fold_first(t, h < -_H_TOL, prev.first_violation_t),
+        fold_first(t, ~(ok & np.isfinite(h)), prev.diverged_t),
+    )
+
+
 def containment_times(traj: Trajectory, predicate, window) -> np.ndarray:
     """Sample times in the half-open window (a, b] where the predicate holds.
 
@@ -119,7 +159,8 @@ def containment_times(traj: Trajectory, predicate, window) -> np.ndarray:
         raise ConfigurationError(
             f"window end {b_end:g} exceeds the trajectory horizon {traj.horizon:g}"
         )
-    return traj.t[_window_selector(traj.t, traj.dt, a, b_end) & _predicate_mask(traj, predicate)]
+    win = _window(traj.t, traj.dt, a, b_end)
+    return traj.t[win][_predicate_mask(traj, predicate)[win]]
 
 
 @dataclass(frozen=True)

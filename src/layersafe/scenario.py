@@ -177,9 +177,6 @@ class Scenario:
     def with_disturbance(self, spec: DisturbanceSpec) -> "Scenario":
         return dataclasses.replace(self, disturbance=spec)
 
-    def with_velocity_mode(self, mode: str) -> "Scenario":
-        return dataclasses.replace(self, velocity_mode=mode)
-
     def with_horizon(self, horizon: float) -> "Scenario":
         sim = dataclasses.replace(self.integrator, horizon=float(horizon))
         return dataclasses.replace(self, integrator=sim)

@@ -1,4 +1,5 @@
 """Experiment presets: artifacts, reports, the alpha sweep, demo, and ISS run."""
+import dataclasses
 import math
 
 import numpy as np
@@ -224,7 +225,7 @@ def test_run_iss_makes_one_barrier_pass_per_rk4_stage(open_field, monkeypatch, t
     # the rollout's 4 n_steps + 1 passes are all: the report reads the
     # recorded filter flag and the recorded h_V(0) instead of evaluating
     # the law or the barrier again
-    scn = open_field.with_horizon(0.05).with_velocity_mode("zero")
+    scn = dataclasses.replace(open_field.with_horizon(0.05), velocity_mode="zero")
     b, calls = counting_barrier(scn.field, monkeypatch)
     monkeypatch.setattr(ls.harness, "build_barrier", lambda _scn: b)
     ls.run_iss(scn, out_dir=tmp_path, mu_gain=MU_GAIN)

@@ -4,7 +4,7 @@ import pytest
 
 import layersafe as ls
 from conftest import synthetic_trajectory
-from layersafe.recurrence import fold_first, fold_min, fold_window
+from layersafe.recurrence import fold_first, fold_min, fold_window, scan
 
 
 def far_barrier():
@@ -110,12 +110,49 @@ def _folded(t, v, size, beta=1.3, tau=1.0, dt=0.05):
     return m, w, f
 
 
+def _crafted_scan_columns():
+    """h, h_V and finiteness next to _crafted_series' V. Run 0: h exactly
+    -1e-6 at t = 0.15 (no violation), the next float below at t = 0.45 (a
+    violation) and +inf with a finite state at t = 1.5. Run 1: a violation
+    at t = 0.7 and a non-finite state at t = 1.05, each the first sample of
+    a block of 7. Run 2: a violation at t = 0, +inf at t = 0.35 (first of a
+    block of 7) and an all-NaN h_V."""
+    rng = np.random.default_rng(11)
+    h = rng.uniform(0.1, 1.0, size=(40, 3))
+    h[3, 0], h[9, 0], h[30, 0] = -1e-6, np.nextafter(-1e-6, -np.inf), np.inf
+    h[14, 1], h[0, 2], h[7, 2] = -0.5, -2.0, np.inf
+    h_v = rng.uniform(-1.0, 1.0, size=(40, 3))
+    h_v[:, 2] = np.nan
+    ok = np.ones((40, 3), dtype=bool)
+    ok[21, 1] = False
+    return h, h_v, ok
+
+
+def _scanned(t, h, v, h_v, ok, size, dt=0.05):
+    """The scan of the samples, taken in blocks of ``size``."""
+    rec = None
+    for i in range(0, t.size, size):
+        b = slice(i, i + size)
+        rec = scan(t[b], h[b], v[b], h_v[b], ok[b], ls.Rtf(beta=1.3, tau=1.0), dt, rec)
+    return rec
+
+
 def test_folds_do_not_depend_on_the_block_size():
     t, v = _crafted_series()
     for series in (v, v[:, 0]):
         want = [np.asarray(r).tobytes() for r in _folded(t, series, t.size)]
         for size in (1, 7):
             assert [np.asarray(r).tobytes() for r in _folded(t, series, size)] == want
+    # the scan too, over (B, K) and each run's (B,) column
+    h, h_v, ok = _crafted_scan_columns()
+    whole = _scanned(t, h, v, h_v, ok, t.size)
+    assert whole.first_violation_t.tolist() == [t[9], t[14], t[0]]
+    assert whole.diverged_t.tolist() == [t[30], t[21], t[7]]
+    assert np.isnan(whole.min_h_v[2]) and whole.window[2] == np.inf
+    for cols in ((h, v, h_v, ok), *zip(h.T, v.T, h_v.T, ok.T)):
+        want = [np.asarray(f).tobytes() for f in _scanned(t, *cols, t.size)]
+        for size in (1, 7):
+            assert [np.asarray(f).tobytes() for f in _scanned(t, *cols, size)] == want
 
 
 def test_fold_nan_rules():
