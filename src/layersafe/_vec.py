@@ -1,25 +1,14 @@
-"""The component representation the control stack runs on, and vector sums.
+"""The two component forms the control stack runs on, and vector sums.
 
-Each layer's arithmetic is written once, on a tuple of state components:
-Python floats for one run (K = 1), contiguous 1-D float columns for several.
-Inside the stack the type-specific code is the primitives sqrt, select,
-clamp0 and divide, whose float versions reproduce numpy's bits. The barrier
-kernel and the filter also write those float versions out inline, under one
-representation check per call: each primitive checks its argument's type on
-every call, and on one run's floats those checks cost more than the
-arithmetic (about 70% of a two-obstacle barrier pass). Their columns still
-go through sqrt, select and clamp0; the barrier divides its own offset
-columns in place with numpy, under the caller's np.errstate, and calls
-divide only for a float distance that is zero or not finite and for numpy
-scalar components.
-select and divide also take tuples of components, so a vector (or several
-quantities chosen by one condition) goes through one call: select keeps
-every component of a or of b together, and divide enters np.errstate once
-for all of a's components. divide's float path, taken for a finite nonzero
-float divisor, divides a planar (ax, ay) as (ax / b, ay / b) directly.
+Each layer's arithmetic is written on a tuple of state components, which
+take one of two forms: Python floats for one run (K = 1), contiguous 1-D
+float columns for several. Where the forms need different code (a root, a
+choice between obstacles, a clamp, a division), the barrier kernel and the
+filter check the form once per call and write each form once: floats as
+plain float code that gives numpy's bits, columns as numpy calls. Arrays
+enter at two places, ClosedLoopLaw.evaluate and BarrierFn, which convert
+with split and join; the rollout kernel splits its initial states.
 finite reads the four components of a state.
-Arrays enter at two places, ClosedLoopLaw.evaluate and BarrierFn, which
-convert with split and join; the rollout kernel splits its initial states.
 Sums run 0.0 + p0 + p1 + ... left to right, the order np.sum(..., axis=-1)
 uses for a trailing axis shorter than 8, so the two agree bit for bit there,
 signed zeros included.
@@ -32,9 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-with np.errstate(invalid="ignore"):
-    _SQRT_NEG = float(np.sqrt(-1.0))  # numpy's NaN for the root of a negative
 
 
 def split(a) -> tuple:
@@ -53,44 +39,8 @@ def join(v):
 
 
 def sqrt(x):
-    if isinstance(x, np.ndarray):
-        return np.sqrt(x)
-    return math.sqrt(x) if not x < 0.0 else _SQRT_NEG
-
-
-def select(cond, a, b):
-    """np.where(cond, a, b); for tuples a and b, componentwise."""
-    if not isinstance(cond, np.ndarray):
-        return a if cond else b
-    if isinstance(a, tuple):
-        return tuple([np.where(cond, ai, bi) for ai, bi in zip(a, b)])
-    return np.where(cond, a, b)
-
-
-def clamp0(x):
-    """np.maximum(x, 0.0)."""
-    if isinstance(x, np.ndarray):
-        return np.maximum(x, 0.0)
-    return x if x > 0.0 or x != x else 0.0
-
-
-def divide(a, b):
-    """a / b, with numpy's result and no warning where b is zero; for a planar
-    a = (ax, ay), each component divided by b. The divisor alone picks the
-    path: numpy for an array, zero or non-finite b (where a column's 0/0, x/0
-    or inf/inf would warn), plain division for a finite nonzero float. It
-    enters np.errstate for every non-float divisor, which is why the barrier's
-    column pass, whose callers already hold one, divides with numpy itself."""
-    if type(b) is float and 0.0 < abs(b) < math.inf:
-        if type(a) is tuple:
-            ax, ay = a
-            return (ax / b, ay / b)
-        return a / b
-    if not isinstance(a, tuple):
-        return divide((a,), b)[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = [np.divide(p, b) for p in a]
-    return tuple([o if isinstance(o, np.ndarray) else float(o) for o in out])
+    """The root of a sum of squares, a float or a column."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def vsum(parts):

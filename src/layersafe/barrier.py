@@ -7,12 +7,12 @@ is exactly 1. One kernel serves a single state and a batch alike: it walks
 the obstacles in order, elementwise over all states, and takes an obstacle
 only when its margin is strictly smaller, so ties between equally near
 obstacles resolve to the lowest obstacle index. It runs on the state's
-components (see _vec): floats for one state, columns for a batch. It checks
-the representation once per pass: two Python floats take straight-line float
-code, columns the _vec primitives sqrt and select and an in-place numpy
-divide, with the same bits either way. Array callers go through BarrierFn,
-which splits a state array into components, holds np.errstate around the
-pass and joins the results.
+components (see _vec): Python floats for one state, ndarray columns for a
+batch, and it checks which once per pass. Floats take straight-line float
+code, columns np.sqrt, np.where and an in-place np.divide, with the same
+bits either way. Array callers go through BarrierFn, which splits a state
+array into components, holds np.errstate around the pass and joins the
+results.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._vec import divide, join, select, split, sqrt, vnorm
+from ._vec import join, split, vnorm
 from .errors import ConfigurationError
 
 
@@ -109,14 +109,13 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
 
     The gradient is the unit vector from the nearest center toward z, hence
     grad_bound = 1 exactly. At a center the gradient is 0/0, non-finite.
-    A state of two Python floats (one run) is scanned in plain float
-    arithmetic: a K = 1 rollout makes four passes per step, and one _vec
-    call per primitive would cost more than the arithmetic. It divides
-    directly where the distance is finite and nonzero and otherwise falls
-    back to _vec.divide, which gives numpy's inf and NaN. Columns go
-    through _vec.sqrt and _vec.select and divide the pass's own offset
-    columns in place, under the caller's np.errstate; numpy scalar
-    components divide through _vec.divide.
+    Components are Python floats (one run) or ndarray columns (a batch).
+    Floats are scanned in plain float arithmetic: a K = 1 rollout makes
+    four passes per step, and a numpy call per operation would cost more
+    than the arithmetic. They divide directly where the distance is finite
+    and nonzero, else with np.divide, for numpy's inf and NaN. Columns go
+    through np.sqrt and np.where and divide the pass's own offset columns
+    in place, under the caller's np.errstate.
     """
     (cx0, cy0, r0), *rest = [
         (float(cx), float(cy), float(r)) for (cx, cy), r in zip(field.centers, field.radii)
@@ -127,9 +126,8 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
         # (zx, zy); strict < keeps the lowest index on ties, as argmin does
         zx, zy = z
         if type(zx) is float and type(zy) is float:
-            # one state: _vec's float rules written out, with no per-call
-            # dispatch; a sum of squares is never negative, so math.sqrt
-            # gives _vec.sqrt's bits
+            # one state: a sum of squares is never negative, so math.sqrt
+            # gives np.sqrt's bits
             dx = zx - cx0
             dy = zy - cy0
             dist = math.sqrt(dx * dx + dy * dy)
@@ -143,21 +141,22 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
                     h, dist, dx, dy = m, d, ex, ey
             if 0.0 < dist < math.inf:
                 return h, (dx / dist, dy / dist)
-            return h, divide((dx, dy), dist)  # numpy's inf and NaN signs
+            with np.errstate(divide="ignore", invalid="ignore"):  # numpy's inf and NaN signs
+                return h, (float(np.divide(dx, dist)), float(np.divide(dy, dist)))
         dx = zx - cx0
         dy = zy - cy0
         # vnorm's sum of squares; its leading 0.0 + never changes a square
-        dist = sqrt(dx * dx + dy * dy)
+        dist = np.sqrt(dx * dx + dy * dy)
         h = dist - r0
         for cx, cy, r in rest:
             ex = zx - cx
             ey = zy - cy
-            d = sqrt(ex * ex + ey * ey)
+            d = np.sqrt(ex * ex + ey * ey)
             m = d - r
-            h, dist, dx, dy = select(m < h, (m, d, ex, ey), (h, dist, dx, dy))
+            near = m < h
+            h, dist = np.where(near, m, h), np.where(near, d, dist)
+            dx, dy = np.where(near, ex, dx), np.where(near, ey, dy)
         # offset / distance in place; non-finite where the distance is 0 or non-finite
-        if type(dx) is np.ndarray and type(dy) is np.ndarray:
-            return h, (np.divide(dx, dist, out=dx), np.divide(dy, dist, out=dy))
-        return h, divide((dx, dy), dist)  # numpy scalars, as tuple(array) gives
+        return h, (np.divide(dx, dist, out=dx), np.divide(dy, dist, out=dy))
 
     return BarrierFn(vg_fn=value_and_gradient, grad_bound=1.0, field=field)

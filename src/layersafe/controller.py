@@ -7,14 +7,14 @@ The filter solves, in closed form, the one-constraint projection
 against the nearest obstacle only (n the barrier gradient at z): the optimum
 is z_dot_d plus max(-n . z_dot_d - alpha h, 0) along n. The tracking layer is
 plain velocity-error feedback u = -k_d (z_dot - z_dot_s). Each layer takes
-and returns tuples of components only (see _vec): floats for one state,
-columns for a batch. The layers are planar: each is written on the two
-components (x, y), one expression per component, and the filter's inner
-product n . z_dot_d keeps vsum's order, (p0 + 0.0) + p1, so its signed
-zeros are those of np.sum. Arrays enter the stack at two places: the law's
-``evaluate`` and the barrier (BarrierFn). ``evaluate`` unpacks the state's
-four components (zx, zy, vx, vy) itself: the plant's state is position
-x[:2], velocity x[2:4]. One evaluation returns a LawIntermediates, a
+and returns tuples of components only (see _vec): Python floats for one
+state, ndarray columns for a batch. The layers are planar: each is written
+on the two components (x, y), one expression per component, and the
+filter's inner product n . z_dot_d keeps vsum's order, (p0 + 0.0) + p1, so
+its signed zeros are those of np.sum. Arrays enter the stack at two
+places: the law's ``evaluate`` and the barrier (BarrierFn). ``evaluate``
+unpacks the state's four components (zx, zy, vx, vy) itself: the plant's
+state is position x[:2], velocity x[2:4]. One evaluation returns a LawIntermediates, a
 NamedTuple: it is indexable and iterable in field order, and ``_replace``
 gives a copy with some fields changed.
 """
@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._vec import clamp0, join, split
+from ._vec import join, split
 from .barrier import BarrierFn
 from .errors import ConfigurationError, require_number
 
@@ -91,18 +91,19 @@ def safe_velocity(b: BarrierFn, alpha: float, z, z_dot_d):
     distance to the half-space boundary, applied along the barrier gradient,
     which is the closest feasible point to z_dot_d. h and grad_h are the
     barrier value and gradient it was computed from, so a caller needs no
-    second barrier pass. The correction max(c, 0) is clamp0 on columns; on
-    one run's float it applies clamp0's float rule inline, so a K = 1 step
-    pays no dispatch for it. Both keep NaN and turn -0.0 into 0.0.
+    second barrier pass. Components are Python floats or ndarray columns.
+    The correction max(c, 0) is np.maximum(c, 0.0) on columns, and the same
+    rule written in float code on one run's float, so a K = 1 step makes no
+    numpy call for it. Both keep NaN and turn -0.0 into 0.0.
     """
     h, n = b.value_and_gradient(z)
     (nx, ny), (vx, vy) = n, z_dot_d
     # n . z_dot_d in vsum's order: (p0 + 0.0) + p1, which keeps its signed zeros
     corr = -((nx * vx + 0.0) + ny * vy) - alpha * h
-    if type(corr) is float:  # clamp0's float rule, without its dispatch
+    if type(corr) is float:
         corr = corr if corr > 0.0 or corr != corr else 0.0
     else:
-        corr = clamp0(corr)
+        corr = np.maximum(corr, 0.0)
     return (vx + corr * nx, vy + corr * ny), corr > 0.0, h, n
 
 

@@ -22,12 +22,8 @@ unpacks the four components of the state and of each stage slope. The
 kernel splits the initial states. integrate_batch turns the recorded
 samples into arrays one row block (_ROW_BLOCK samples) at a time, so it
 holds the Python objects of at most one block at once, and
-Trajectory.to_csv formats and writes its table one row block at a time.
-The text is '%.17g' of every field, byte for byte, computed by
-_io.format_rows in numpy: the exact 17-digit significand from Dekker's
-error-free product with a power of ten, a digit table and the %g layout,
-with a per-value '%.17g' fallback for subnormals, |x| >= 1e17, |x| < 1e-27
-and the rare near tie of a two-step product.
+Trajectory.to_csv formats and writes its table one row block at a time,
+as '%.17g' of every field, byte for byte (see _io.format_rows).
 """
 from __future__ import annotations
 
@@ -305,7 +301,8 @@ def integrate_batch(
     ConfigurationError.
     The samples become arrays one block of _ROW_BLOCK samples at a time
     while the rollout runs, and the blocks are concatenated once at the end;
-    z, z_dot, e_dot, e, v and h_V are then derived elementwise.
+    z, z_dot, e_dot, e, v and h_V are then derived elementwise, under the
+    loop's np.errstate: an overflow there gives inf or NaN, not a warning.
     h_V reuses the law's barrier passes, so ``rcbf`` must be built on the
     law's barrier. Raises DivergenceError at the first non-finite sample.
     """
@@ -330,16 +327,16 @@ def integrate_batch(
             if len(samples) == _ROW_BLOCK:
                 blocks.append(_record(samples, runs))
                 samples.clear()
-    if samples:
-        blocks.append(_record(samples, runs))
+        if samples:
+            blocks.append(_record(samples, runs))
 
-    x, u, h, z_s_dot, active = (np.concatenate(parts) for parts in zip(*blocks))
-    z, z_dot, e_dot, v, h_v = _derived(rcbf, split(x), split(z_s_dot), h)
-    z, z_dot, e_dot = join(z), join(z_dot), join(e_dot)
-    # e(t) = integral of e_dot, trapezoid rule; the reference starts on the run
-    e = np.empty_like(e_dot)
-    e[0] = 0.0
-    np.cumsum((e_dot[:-1] + e_dot[1:]) * (dt / 2.0), axis=0, out=e[1:])
+        x, u, h, z_s_dot, active = (np.concatenate(parts) for parts in zip(*blocks))
+        z, z_dot, e_dot, v, h_v = _derived(rcbf, split(x), split(z_s_dot), h)
+        z, z_dot, e_dot = join(z), join(z_dot), join(e_dot)
+        # e(t) = integral of e_dot, trapezoid rule; the reference starts on the run
+        e = np.empty_like(e_dot)
+        e[0] = 0.0
+        np.cumsum((e_dot[:-1] + e_dot[1:]) * (dt / 2.0), axis=0, out=e[1:])
     return BatchRollout(
         dt=dt, t=np.arange(x.shape[0]) * dt, x=x, z=z, z_dot=z_dot, z_s_dot=z_s_dot, e=e,
         e_dot=e_dot, u=u, h=h, active=active, v=v, h_v=h_v,

@@ -19,7 +19,7 @@ from ._io import atomic_write_text
 from ._vec import vnorm
 from .controller import ClosedLoopLaw
 from .dynamics import IntegratorConfig, ModelPair, Trajectory, integrate
-from .errors import ConfigurationError, HypothesisViolationError
+from .errors import ConfigurationError, DivergenceError, HypothesisViolationError
 from .recurrence import (
     RecurrenceVerdict,
     RecurrentCbf,
@@ -151,6 +151,8 @@ def _roll(scn: Scenario, needs_region: str = "") -> _Run:
     A certified region exists exactly when the recurrence rate exceeds alpha.
     Without one, a run named by ``needs_region`` is refused before it rolls;
     any other run rolls with no recurrent barrier (h_V is NaN) and says so.
+    A run whose h is not finite somewhere (it overflowed) is refused with a
+    DivergenceError naming the first such time, before any check runs.
     """
     pair = build_pair(scn)
     b = build_barrier(scn)
@@ -166,9 +168,12 @@ def _roll(scn: Scenario, needs_region: str = "") -> _Run:
         checks.append("no certified region for this alpha: the recurrence rate does not exceed it")
     x0 = initial_state(scn, law)
     traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
-    rtf_v = check_rtf_recurrence(scn.rtf, traj) if _covers_window(traj, scn.rtf) else None
-    # one scan of the whole record; a run reports no finiteness time
+    # one scan of the whole record; integrate refused a non-finite state, so
+    # a finiteness time is h's own overflow, which no check can judge
     rec = scan(traj.t, traj.h, traj.v, traj.h_v, True, scn.rtf, traj.dt)
+    if not np.isnan(rec.diverged_t):
+        raise DivergenceError(f"non-finite barrier value h at t={float(rec.diverged_t):.6g}")
+    rtf_v = check_rtf_recurrence(scn.rtf, traj) if _covers_window(traj, scn.rtf) else None
     summary = {
         "min_h": float(rec.min_h),
         "min_h_v": float(rec.min_h_v),

@@ -219,7 +219,7 @@ class _Type(NamedTuple):  # how a value is read, and how the echo writes it back
 
 
 _PAIR = _Type(_parse_pair, _pair_text)
-# numpy scalars echo as the plain numbers they hold, e.g. 0.1, not np.float64(0.1)
+# a numpy float echoes as the plain number it holds, e.g. 0.1, not np.float64(0.1)
 _FLOAT = _Type(_parse_float, lambda v: repr(float(v)))
 _INT = _Type(_parse_int, lambda v: repr(int(v)))
 _WORD = _Type(str, str)
@@ -413,7 +413,6 @@ def initial_states(scn: Scenario, law: ClosedLoopLaw, z0s, mode: str | None = No
     return np.concatenate([z0s, vel], axis=1)
 
 
-def initial_state(scn: Scenario, law: ClosedLoopLaw, z0=None, mode: str | None = None) -> np.ndarray:
-    """Single full-model initial state; z0 defaults to the scenario start."""
-    z0 = scn.start if z0 is None else np.asarray(z0, dtype=float)
-    return initial_states(scn, law, z0[None, :], mode=mode)[0]
+def initial_state(scn: Scenario, law: ClosedLoopLaw) -> np.ndarray:
+    """The full-model initial state (4,) at the scenario start, in its velocity mode."""
+    return initial_states(scn, law, scn.start[None, :])[0]

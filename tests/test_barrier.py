@@ -1,5 +1,4 @@
 """Obstacle field and min-distance barrier behavior."""
-import warnings
 
 import numpy as np
 import pytest
@@ -92,7 +91,7 @@ def _probe_states(field, rng):
         [1e-200, 0.0],
         # next to the P = 3 center (0, 1): dx * dx underflows, so the
         # distance is 0.0 while dx is not, and the float path falls back to
-        # _vec.divide for (inf, NaN)
+        # np.divide for (inf, NaN)
         [1e-200, 1.0],
     ]
     centers = [list(c) for c in field.centers]
@@ -125,9 +124,6 @@ def test_batch_matches_scalar_bitwise():
             assert _same_bits(b.value(z), ref_value)
             assert _same_bits(h, ref_h)
             assert _same_bits(grad, ref_grad)
-            if z.ndim == 1:  # numpy scalar components, as tuple(z) gives
-                h_np, grad_np = b.value_and_gradient(tuple(z))
-                assert _same_bits(h_np, ref_h) and _same_bits(grad_np, ref_grad)
         # a row at distance 0.0 from a center (on it, or within underflow)
         # has a non-finite gradient; no other row is affected
         at_center = np.any(field.center_distances(zs) == 0.0, axis=-1)
@@ -158,45 +154,6 @@ def test_vec_sums_match_numpy_bitwise():
             # an all -0.0 sum is +0.0, as numpy's reduction gives
             neg = np.full(shape, -0.0)
             assert _same_bits(ls._vec.vdot(neg, np.ones(shape)), np.sum(neg, axis=-1))
-
-
-def test_vec_tuple_select_and_divide_match_per_component():
-    """select and divide on tuples of components equal one call per component,
-    bit for bit and type for type, on floats and on columns. Divisors include
-    0.0, -0.0, NaN and +-inf, conditions come from NaN comparisons too, and
-    no warning escapes."""
-    values = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.25, 0.1, -7.0]
-    grid = np.array([(p, q) for p in values for q in values])
-    p, q = grid[:, 0], grid[:, 1]
-    a, b = (p, -q), (q, 0.5 * p)  # components; q is also the divisor
-    select, divide = ls._vec.select, ls._vec.divide
-
-    def check(got, want, numpy_want):
-        assert isinstance(got, tuple) and len(got) == len(want) == len(numpy_want)
-        for g, w, n in zip(got, want, numpy_want):
-            assert type(g) is type(w) and _same_bits(g, w) and _same_bits(g, n)
-
-    def ref_divide(parts, d):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return [np.divide(x, d) for x in parts]
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # columns
-        for cond in (p < q, p >= q, np.isnan(p)):
-            want = [select(cond, ai, bi) for ai, bi in zip(a, b)]
-            check(select(cond, a, b), want, [np.where(cond, ai, bi) for ai, bi in zip(a, b)])
-        for d in (q, 0.0, -0.0, np.nan, np.inf, -np.inf):
-            check(divide(a, d), [divide(ai, d) for ai in a], ref_divide(a, d))
-        # floats, one run per grid row
-        rows = zip(zip(*[c.tolist() for c in a]), zip(*[c.tolist() for c in b]), q.tolist())
-        for fa, fb, d in rows:
-            for cond in (fa[0] < d, fa[0] >= d, fa[0] != fa[0]):
-                want = [select(cond, x, y) for x, y in zip(fa, fb)]
-                check(select(cond, fa, fb), want, [np.where(cond, x, y) for x, y in zip(fa, fb)])
-            got = divide(fa, d)
-            check(got, [divide(x, d) for x in fa], ref_divide(fa, d))
-            assert all(type(g) is float for g in got)
 
 
 def test_gradient_is_unit_norm():

@@ -58,7 +58,7 @@ def test_single_run_matches_batch_row(td):
     scn, pair, law, rcbf = td["scn"], td["pair"], td["law"], td["rcbf"]
     cfg = ls.IntegratorConfig(dt=0.001, horizon=0.5)
     x0 = ls.initial_state(scn, law)
-    x1 = ls.initial_state(scn, law, z0=np.array([-1.0, -0.5]))
+    x1 = ls.initial_states(scn, law, np.array([[-1.0, -0.5]]))[0]
     single = ls.integrate(pair, law, x0, cfg, rcbf=rcbf)
     batch = ls.integrate_batch(pair, law, np.stack([x0, x1]), cfg, rcbf=rcbf)
     other = batch.trajectory(0)
@@ -383,26 +383,32 @@ def test_one_run_stays_on_python_scalars(world, request):
 
 def test_one_run_makes_no_primitive_calls(td, monkeypatch):
     # a K = 1 rollout runs the barrier kernel and the filter's clamp as plain
-    # float code, with no _vec dispatch per pass; columns go through sqrt,
-    # select and clamp0 and divide the kernel's own offset columns with numpy
+    # float code, with no numpy call per pass; on columns the kernel makes
+    # two np.sqrt, four np.where (one per component, for the one extra
+    # obstacle) and two in-place np.divide per pass, the clamp one np.maximum
     pair, law, rcbf, scn = td["pair"], td["law"], td["rcbf"], td["scn"]
     cfg = ls.IntegratorConfig(dt=scn.integrator.dt, horizon=0.05)
     x0 = ls.initial_state(scn, law)
     calls = Counter()
-    for module, name in [
-        (ls.barrier, "sqrt"), (ls.barrier, "select"), (ls.barrier, "divide"),
-        (ls.controller, "clamp0"),
-    ]:
-        def counted(*args, fn=getattr(module, name), name=name):
-            calls[name] += 1
-            return fn(*args)
 
-        monkeypatch.setattr(module, name, counted)
+    class CountingNumpy:
+        def __getattr__(self, name):
+            fn = getattr(np, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+    for module in (ls.barrier, ls.controller):
+        monkeypatch.setattr(module, "np", CountingNumpy())
     ls.integrate(pair, law, x0, cfg, rcbf=rcbf)
     assert calls == {}
     ls.integrate_batch(pair, law, np.stack([x0, x0 + [0.1, -0.2, 0.0, 0.0]]), cfg, rcbf=rcbf)
     passes = 4 * cfg.n_steps + 1
-    assert calls == {"sqrt": 2 * passes, "select": passes, "clamp0": passes}
+    assert calls == {"sqrt": 2 * passes, "where": 4 * passes, "divide": 2 * passes,
+                     "maximum": passes}
 
 
 def test_array_entry_points_hold_their_own_errstate(two_disks):

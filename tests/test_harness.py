@@ -7,6 +7,7 @@ import pytest
 
 import layersafe as ls
 from conftest import MU_GAIN, counting_barrier
+from layersafe.cli import main
 
 QUIET_WORLD = """\
 start = 0.4, 0.0
@@ -86,6 +87,21 @@ def test_run_simulate_is_reproducible(tmp_path):
     b = ls.run_simulate(scn, out_dir=tmp_path / "b")
     assert a.trajectory_csv.read_bytes() == b.trajectory_csv.read_bytes()
     assert a.report_path.read_bytes() == b.report_path.read_bytes()
+
+
+def test_run_whose_barrier_overflows_is_refused(two_disks, tmp_path):
+    # a finite start whose squared offset overflows has h = +inf from t = 0;
+    # the run is refused, as certify calls such a start indeterminate,
+    # rather than reported safe with min_h = inf, and no warning escapes
+    far = dataclasses.replace(two_disks.with_horizon(0.05), start=np.array([1e306, 0.0]))
+    with pytest.raises(ls.DivergenceError, match=r"non-finite barrier value h at t=0$"):
+        ls.run_simulate(far, out_dir=tmp_path / "api")
+    text = ls.bundled_scenario_path("two_disks.scn").read_text()
+    path = tmp_path / "far.scn"
+    text = text.replace("start = -1.2, 0.3", "start = 1e306, 0.0")
+    path.write_text(text.replace("sim.horizon = 10.0", "sim.horizon = 0.05"))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "cli")]) == 1
+    assert not (tmp_path / "api").exists() and not (tmp_path / "cli").exists()
 
 
 def test_case_study_sweep(two_disks, tmp_path):

@@ -316,17 +316,17 @@ def test_initial_state_modes(two_disks, td):
     im = law.evaluate(x0[None, :])
     assert np.array_equal(im.z_dot_s[0], x0[2:])
 
-    rest = ls.initial_state(scn, law, mode="zero")
+    rest = ls.initial_states(scn, law, scn.start[None], mode="zero")[0]
     assert np.array_equal(rest[2:], [0.0, 0.0])
 
-    pull = ls.initial_state(scn, law, mode="desired")
+    pull = ls.initial_states(scn, law, scn.start[None], mode="desired")[0]
     want = scn.gains.k_p * (scn.goal - scn.start)
     assert np.allclose(pull[2:], want, atol=1e-12)
 
     # near an obstacle the filter bends the start velocity away from it
     z_near = scn.field.centers[0] + [0.0, scn.field.radii[0] + 0.05]
-    safe = ls.initial_state(scn, law, z0=z_near, mode="safe")
-    des = ls.initial_state(scn, law, z0=z_near, mode="desired")
+    safe = ls.initial_states(scn, law, z_near[None], mode="safe")[0]
+    des = ls.initial_states(scn, law, z_near[None], mode="desired")[0]
     assert not np.allclose(safe[2:], des[2:], atol=1e-6)
 
     batch = ls.initial_states(scn, law, np.array([[0.0, 0.0], [1.0, 1.0]]))
@@ -334,7 +334,7 @@ def test_initial_state_modes(two_disks, td):
     with pytest.raises(ls.ConfigurationError):
         ls.initial_states(scn, law, np.zeros((3, 3)))
     with pytest.raises(ls.ConfigurationError):
-        ls.initial_state(scn, law, mode="sideways")
+        ls.initial_states(scn, law, scn.start[None], mode="sideways")
 
 
 def test_bundled_path_and_load_errors(tmp_path):
