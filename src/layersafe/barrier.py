@@ -25,6 +25,8 @@ import numpy as np
 from ._vec import join, split, vnorm
 from .errors import ConfigurationError
 
+_NDARRAY = np.ndarray  # bound once: a pass reads no attribute of np for its form test
+
 
 @dataclass(frozen=True)
 class ObstacleField:
@@ -145,6 +147,11 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
                 return h, (float(np.divide(dx, dist)), float(np.divide(dy, dist)))
         dx = zx - cx0
         dy = zy - cy0
+        if not (isinstance(dx, _NDARRAY) and isinstance(dy, _NDARRAY)):  # 0-d arrays give scalars
+            raise ConfigurationError(
+                "barrier components must be two Python floats or two ndarray columns, "
+                f"got {type(zx).__name__} and {type(zy).__name__}"
+            )
         # vnorm's sum of squares; its leading 0.0 + never changes a square
         dist = np.sqrt(dx * dx + dy * dy)
         h = dist - r0

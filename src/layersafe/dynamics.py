@@ -19,11 +19,13 @@ The kernel's state is a tuple of four components, position then velocity
 (zx, zy, vx, vy; see _vec): floats for one run, contiguous columns for
 several. The plant's field takes tuples of components only, and rk4_step
 unpacks the four components of the state and of each stage slope. The
-kernel splits the initial states. integrate_batch turns the recorded
-samples into arrays one row block (_ROW_BLOCK samples) at a time, so it
-holds the Python objects of at most one block at once, and
-Trajectory.to_csv formats and writes its table one row block at a time,
-as '%.17g' of every field, byte for byte (see _io.format_rows).
+kernel splits the initial states. integrate_batch records the samples
+into batch arrays one row block (_ROW_BLOCK samples) at a time, so it
+holds the Python objects of at most one block at once, and returns one
+Trajectory per start, the one rollout record, whose fields are read-only
+views of that run's column. Trajectory.to_csv formats and writes its table
+one row block at a time, as '%.17g' of every field, byte for byte (see
+_io.format_rows).
 """
 from __future__ import annotations
 
@@ -78,8 +80,8 @@ def double_integrator_pair() -> ModelPair:
 
 
 @dataclass(frozen=True)
-class _Samples:
-    """The recorded fields of a rollout, declared once for Trajectory and BatchRollout.
+class Trajectory:
+    """A uniformly sampled rollout with derived safety fields per sample, shape (T, ...).
 
     e is the integral of e_dot from zero (the tracked reference starts on the
     trajectory), so e = z - z_s holds by construction with z_s := z - e.
@@ -108,20 +110,6 @@ class _Samples:
             arr = getattr(self, name)
             if arr.flags.writeable:
                 arr.flags.writeable = False
-
-
-# every recorded per-sample field, in declaration order, which is also the
-# CSV column order
-_FIELDS = tuple(f.name for f in fields(_Samples) if f.name != "dt")
-
-_CSV_RENAMES = {"z_dot": "zdot", "z_s_dot": "zsdot", "e_dot": "edot", "v": "V", "h_v": "hV"}
-# CSV column stem of each written field; active is not written
-_CSV_STEMS = {name: _CSV_RENAMES.get(name, name) for name in _FIELDS if name != "active"}
-
-
-@dataclass(frozen=True)
-class Trajectory(_Samples):
-    """A uniformly sampled rollout with derived safety fields per sample, shape (T, ...)."""
 
     @property
     def n_samples(self) -> int:
@@ -167,20 +155,13 @@ class Trajectory(_Samples):
             yield format_rows(np.hstack([c[start:start + _ROW_BLOCK] for c in columns]))
 
 
-@dataclass(frozen=True)
-class BatchRollout(_Samples):
-    """Column-stacked rollouts from several initial states, one time grid.
+# every recorded per-sample field, in declaration order, which is also the
+# CSV column order
+_FIELDS = tuple(f.name for f in fields(Trajectory) if f.name != "dt")
 
-    t is (T,); the other arrays are shaped (T, K, d) with K the number of
-    runs, and scalar fields are (T, K). trajectory(k) materializes run k as a
-    standalone Trajectory.
-    """
-
-    def trajectory(self, k: int) -> Trajectory:
-        runs = {
-            name: np.ascontiguousarray(getattr(self, name)[:, k]) for name in _FIELDS if name != "t"
-        }
-        return Trajectory(dt=self.dt, t=self.t, **runs)
+_CSV_RENAMES = {"z_dot": "zdot", "z_s_dot": "zsdot", "e_dot": "edot", "v": "V", "h_v": "hV"}
+# CSV column stem of each written field; active is not written
+_CSV_STEMS = {name: _CSV_RENAMES.get(name, name) for name in _FIELDS if name != "active"}
 
 
 def rk4_step(f, t, x, dt):
@@ -290,8 +271,8 @@ def integrate_batch(
     cfg: IntegratorConfig,
     rcbf=None,
     disturbance=None,
-) -> BatchRollout:
-    """Roll the closed loop from each row of x0s and record every derived field.
+) -> tuple[Trajectory, ...]:
+    """Roll the closed loop from each row of x0s: one Trajectory per row.
 
     The disturbance, when given, enters additively on the full-model input
     channel: x_dot = F(x, u(x) + d(t)), with d at each RK4 stage time.
@@ -303,8 +284,10 @@ def integrate_batch(
     while the rollout runs, and the blocks are concatenated once at the end;
     z, z_dot, e_dot, e, v and h_V are then derived elementwise, under the
     loop's np.errstate: an overflow there gives inf or NaN, not a warning.
-    h_V reuses the law's barrier passes, so ``rcbf`` must be built on the
-    law's barrier. Raises DivergenceError at the first non-finite sample.
+    Each Trajectory's fields are read-only views of its run's column of
+    these batch arrays, so no run is copied; t is shared. h_V reuses the
+    law's barrier passes, so ``rcbf`` must be built on the law's barrier.
+    Raises DivergenceError at the first non-finite sample.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != 4:
@@ -337,10 +320,9 @@ def integrate_batch(
         e = np.empty_like(e_dot)
         e[0] = 0.0
         np.cumsum((e_dot[:-1] + e_dot[1:]) * (dt / 2.0), axis=0, out=e[1:])
-    return BatchRollout(
-        dt=dt, t=np.arange(x.shape[0]) * dt, x=x, z=z, z_dot=z_dot, z_s_dot=z_s_dot, e=e,
-        e_dot=e_dot, u=u, h=h, active=active, v=v, h_v=h_v,
-    )
+    t = np.arange(x.shape[0]) * dt
+    batch = (x, z, z_dot, z_s_dot, e, e_dot, u, h, active, v, h_v)  # in _FIELDS order, after t
+    return tuple(Trajectory(dt, t, *[a[:, k] for a in batch]) for k in range(runs))
 
 
 def integrate(
@@ -355,5 +337,4 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (4,):
         raise ConfigurationError("initial state must have shape (4,)")
-    batch = integrate_batch(pair, law, x0[None, :], cfg, rcbf=rcbf, disturbance=disturbance)
-    return batch.trajectory(0)
+    return integrate_batch(pair, law, x0[None, :], cfg, rcbf=rcbf, disturbance=disturbance)[0]

@@ -108,14 +108,9 @@ class Disturbance:
     sup_norm: float
 
 
-def make_disturbance(
-    kind: str,
-    amplitude: float = 0.0,
-    frequency: float = 1.0,
-    seed: int = 0,
-    segment: float = 0.1,
-) -> Disturbance:
-    """Build one of the stock disturbance signals; DisturbanceSpec checks the fields.
+def make_disturbance(kind: str, **fields) -> Disturbance:
+    """Build one of the stock disturbance signals; DisturbanceSpec(kind, **fields)
+    holds the defaults, checks the fields and gives every value read here.
 
     kinds: "none" (zero), "constant" (amplitude along the first axis),
     "sine" (rotating, ||d(t)|| = amplitude exactly), "random" (seeded
@@ -125,8 +120,8 @@ def make_disturbance(
     t / segment >= 2**53, where floats no longer count whole segments, and a
     sine at a time t where 2*pi*frequency*t is not finite.
     """
-    DisturbanceSpec(kind=kind, amplitude=amplitude, frequency=frequency, seed=seed, segment=segment)
-    amp = float(amplitude)
+    spec = DisturbanceSpec(kind=kind, **fields)
+    kind, amp = spec.kind, float(spec.amplitude)
     if kind == "none" or amp == 0.0:
         kind, amp = "none", 0.0
 
@@ -140,7 +135,7 @@ def make_disturbance(
         return Disturbance(kind=kind, signal=signal, sup_norm=amp)
 
     if kind == "sine":
-        w = 2.0 * np.pi * float(frequency)
+        w = 2.0 * np.pi * float(spec.frequency)
 
         def signal(t):
             t = np.asarray(t, dtype=float)
@@ -150,7 +145,7 @@ def make_disturbance(
             if bad.any():
                 t_bad = float(np.min(np.abs(t[bad])))  # the first time it fails at
                 raise ConfigurationError(
-                    f"disturbance.frequency = {float(frequency)!r} is too large for "
+                    f"disturbance.frequency = {float(spec.frequency)!r} is too large for "
                     f"t = {t_bad!r}: 2*pi*frequency*t must be finite"
                 )
             return np.stack([amp * np.sin(wt), amp * np.cos(wt)], axis=-1)
@@ -158,8 +153,8 @@ def make_disturbance(
         return Disturbance(kind=kind, signal=signal, sup_norm=amp)
 
     # random: one table value per segment, the table repeating after _RANDOM_TABLE
-    table = _random_table(amp, seed)
-    seg = float(segment)
+    table = _random_table(amp, spec.seed)
+    seg = float(spec.segment)
 
     def signal(t):
         t = np.asarray(t, dtype=float)
@@ -275,18 +270,16 @@ def in_robust_set(rcbf: RecurrentCbf, env: IssEnvelope, z, e_dot):
     return rcbf.value(z, e_dot) - env.gamma_margin >= 0.0
 
 
-def estimate_mu_gain(pair: ModelPair, law, cfg: IntegratorConfig | None = None) -> float:
+def estimate_mu_gain(pair: ModelPair, law, cfg: IntegratorConfig) -> float:
     """Empirical linear gain c so that mu(r) = c r bounds the error offset.
 
-    Runs quiet starts (at the goal, zero velocity) under the _PROBE_*
+    Runs quiet starts (at the goal, zero velocity) over cfg under the _PROBE_*
     schedule, a constant and two sinusoidal disturbances, and takes the worst
     transient-inclusive ratio max_t ||e_dot(t)|| / amplitude. The error loop
     is linear while the filter is inactive, so the ratio is amplitude-free;
     the frequency sweep matters because the loop's peak gain sits at a
     nonzero frequency.
     """
-    if cfg is None:
-        cfg = IntegratorConfig(dt=1e-3, horizon=6.0)
     # each entry rolls out alone from a quiet start, on the single-run path
     x0 = np.concatenate([np.asarray(law.goal, dtype=float), np.zeros(2)])
     amp, c = _PROBE_AMPLITUDE, 0.0

@@ -34,8 +34,7 @@ def test_criterion_01_tracking_envelope_bound(linear):
     )
     worst_ratio = 0.0
     min_h = np.inf
-    for k in range(100):
-        tr = batch.trajectory(k)
+    for tr in batch:
         en = np.linalg.norm(tr.e_dot, axis=1)
         bound = M_OVERSHOOT * np.exp(-BETA * tr.t) * en[0]
         worst_ratio = max(worst_ratio, float(np.max(en / bound)))
@@ -170,7 +169,7 @@ def test_criterion_06_recurrence_window(linear):
     batch = ls.integrate_batch(
         linear["pair"], linear["law"], error_starts(linear["law"], e0), cfg
     )
-    verdicts = [ls.check_rtf_recurrence(rtf, batch.trajectory(k)) for k in range(50)]
+    verdicts = [ls.check_rtf_recurrence(rtf, tr) for tr in batch]
     assert all(v.satisfied for v in verdicts)
 
     t = np.arange(0, 1.2 + 1e-12, 0.001)

@@ -194,3 +194,15 @@ def test_tie_uses_one_consistent_obstacle():
     expected = diff / np.hypot(*diff)
     assert np.array_equal(np.asarray(g), expected)
     assert float(h) == float(b.value(z))
+
+
+@pytest.mark.parametrize("world", ["td", "of"])
+def test_numpy_scalar_components_are_refused(world, request):
+    # components are two Python floats or two ndarray columns; numpy scalars
+    # and 0-d arrays are neither, and the barrier kernel names both forms
+    w = request.getfixturevalue(world)
+    for z in (tuple(np.array([1.0, 1.0])), (np.array(1.0), np.array(1.0))):
+        with pytest.raises(ls.ConfigurationError, match="Python floats or two ndarray columns"):
+            w["barrier"].value_and_gradient(z)
+    with pytest.raises(ls.ConfigurationError, match="Python floats or two ndarray columns"):
+        w["law"].evaluate(tuple(np.array([1.0, 1.0, 0.0, 0.0])))

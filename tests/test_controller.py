@@ -224,7 +224,6 @@ def test_certified_envelope_holds_on_rollout(linear):
     mags = rng.uniform(0.1, 2.0, size=16)
     e0 = np.stack([mags * np.cos(angles), mags * np.sin(angles)], axis=1)
     batch = ls.integrate_batch(pair, law, error_starts(law, e0), scn.integrator)
-    for k in range(batch.x.shape[1]):
-        traj = batch.trajectory(k)
+    for traj in batch:
         # the pair declared by the bundled scenario is an envelope
         assert ls.check_exponential_envelope(traj, 2.45, 3.24).holds

@@ -61,13 +61,13 @@ def test_single_run_matches_batch_row(td):
     x1 = ls.initial_states(scn, law, np.array([[-1.0, -0.5]]))[0]
     single = ls.integrate(pair, law, x0, cfg, rcbf=rcbf)
     batch = ls.integrate_batch(pair, law, np.stack([x0, x1]), cfg, rcbf=rcbf)
-    other = batch.trajectory(0)
+    other = batch[0]
     for name in ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h",
                  "active", "v", "h_v"):
         assert np.array_equal(getattr(single, name), getattr(other, name)), name
     # row independence: the same start alone gives bit-identical results
     alone = ls.integrate_batch(pair, law, x1[None, :], cfg, rcbf=rcbf)
-    assert np.array_equal(batch.x[:, 1], alone.x[:, 0])
+    assert np.array_equal(batch[1].x, alone[0].x)
     # h_V reuses the law's barrier passes, so a recurrent barrier built on
     # another barrier is refused
     with pytest.raises(ls.ConfigurationError, match="law's barrier"):
@@ -109,9 +109,9 @@ def test_recorded_active_is_the_filter_flag(td):
     for dist in (None, sine):
         alone = ls.integrate(pair, law, x0s[0], cfg, disturbance=dist)
         batch = ls.integrate_batch(pair, law, x0s, cfg, disturbance=dist)
-        assert batch.active.shape == (cfg.n_steps + 1, 3)
-        for rec in (alone, batch):
-            assert rec.active.dtype == bool and rec.active.shape == rec.h.shape
+        assert len(batch) == 3
+        for rec in (alone, *batch):
+            assert rec.active.dtype == bool and rec.active.shape == rec.h.shape == (cfg.n_steps + 1,)
             assert np.array_equal(rec.active, law.evaluate(rec.x).active)
         # the transit both engages and releases the filter
         assert alone.active.any() and not alone.active.all()
@@ -229,7 +229,7 @@ def test_stage_time_grids_match_scalar_stage_times(of):
             want = _reference_states(pair, law, x0, cfg, dist.signal)
             alone = ls.integrate(pair, law, x0, cfg, disturbance=dist)
             assert _same_bits(alone.x, want), (dist.kind, k)
-            assert _same_bits(np.ascontiguousarray(batch.x[:, k]), want), (dist.kind, k)
+            assert _same_bits(batch[k].x, want), (dist.kind, k)
 
 
 def test_disturbance_evaluated_three_times_per_rollout(of):
@@ -330,7 +330,7 @@ def test_float_path_matches_column_path(td):
             seen.clear()
             alone = ls.integrate(pair, spy, x0, cfg, rcbf=rcbf, disturbance=dist)
             assert type(seen[0]) is float
-            row = batch.trajectory(k)
+            row = batch[k]
             for name in _RECORDED:
                 assert _same_bits(getattr(alone, name), getattr(row, name)), (k, name)
 
@@ -570,16 +570,18 @@ def test_recording_blocks_are_seamless(n_steps, td, tmp_path, monkeypatch):
         m.setattr(ls.dynamics, "_ROW_BLOCK", n_steps + 1)
         whole = records()
     for got, want in zip(blocked, whole):
-        assert got.x.shape == (n_steps + 1, want.x.shape[1], 4)
-        for name in _RECORDED:
-            assert _same_bits(getattr(got, name), getattr(want, name)), (want.x.shape[1], name)
+        assert len(got) == len(want)
+        for k, (run, one) in enumerate(zip(got, want)):
+            assert run.x.shape == (n_steps + 1, 4)
+            for name in _RECORDED:
+                assert _same_bits(getattr(run, name), getattr(one, name)), (len(want), k, name)
     alone = ls.integrate(pair, law, x0s[0], cfg, rcbf=rcbf, disturbance=dist)
     for k, x0 in enumerate(x0s):
         states = _reference_states(pair, law, x0, cfg, dist.signal)
-        assert _same_bits(np.ascontiguousarray(blocked[1].x[:, k]), states), k
+        assert _same_bits(blocked[1][k].x, states), k
     assert _same_bits(alone.x, _reference_states(pair, law, x0s[0], cfg, dist.signal))
     preamble = ["alpha = 0.5"]
-    for k, traj in enumerate([alone, blocked[1].trajectory(2)]):
+    for k, traj in enumerate([alone, blocked[1][2]]):
         path = tmp_path / f"run{k}.csv"
         traj.to_csv(path, preamble=preamble)
         assert path.read_text() == _whole_table_csv(traj, preamble), k

@@ -8,6 +8,7 @@ import pytest
 import layersafe as ls
 from conftest import MU_GAIN, counting_barrier
 from layersafe.cli import main
+from layersafe.scenario import EXPECT_METRICS
 
 QUIET_WORLD = """\
 start = 0.4, 0.0
@@ -73,6 +74,9 @@ def test_run_simulate_artifacts(tmp_path):
     data = np.loadtxt(art.trajectory_csv, delimiter=",", skiprows=n_pre + 1)
     assert data.shape == (2001, 20)
     assert np.array_equal(data[:, 0], np.arange(2001) * scn.integrator.dt)
+    # every expect.* metric is a summary key, so no expectation reads NaN
+    # for want of one; case-study, demo and ISS runs are checked below
+    assert set(EXPECT_METRICS) <= art.summary.keys()
     # expected summary metrics for a clean convergent run
     assert art.summary["min_h"] > 30.0
     assert art.summary["final_goal_distance"] < 0.01
@@ -125,6 +129,7 @@ def test_case_study_sweep(two_disks, tmp_path):
 
     # quiet start: the pure-decay envelope has no meaningful ratio
     for a in arts:
+        assert set(EXPECT_METRICS) <= a.summary.keys()
         assert math.isnan(a.summary["envelope_worst_ratio"])
         assert "not applicable (zero initial error)" in a.report_path.read_text()
 
@@ -140,6 +145,7 @@ def test_case_study_sweep(two_disks, tmp_path):
 def test_recurrence_demo_dips(two_disks, tmp_path):
     art = ls.run_recurrence_demo(two_disks.with_horizon(4.0), out_dir=tmp_path)
     s = art.summary
+    assert set(EXPECT_METRICS) <= s.keys()
     # two completed h_V dips on this transit, both shorter than the window
     assert s["dip_count"] == 2.0
     assert s["max_dip_duration"] == pytest.approx(1.221, abs=0.05)
@@ -169,6 +175,7 @@ def test_run_iss_summary(open_field, tmp_path):
     scn = open_field.with_horizon(2.0)
     art = ls.run_iss(scn, out_dir=tmp_path, mu_gain=MU_GAIN)
     s = art.summary
+    assert set(EXPECT_METRICS) <= s.keys()
     assert s["mu_gain"] == MU_GAIN
     assert s["d_sup"] == 0.1
     rc = scn.rtf

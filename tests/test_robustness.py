@@ -15,7 +15,7 @@ def far_rcbf():
 
 
 def test_disturbance_none_and_zero_amplitude():
-    for d in (ls.make_disturbance("none"), ls.make_disturbance("sine", 0.0)):
+    for d in (ls.make_disturbance("none"), ls.make_disturbance("sine", amplitude=0.0)):
         assert d.kind == "none"
         assert d.sup_norm == 0.0
         out = d.signal(np.linspace(0, 5, 7))
@@ -275,7 +275,7 @@ def test_mu_gain_is_amplitude_free(linear):
 def test_mu_gain_frozen_regression(of):
     # default schedule: constant plus two sine probes at amplitude 0.1; the
     # 0.5 Hz probe sits near the loop's peak gain and sets the value
-    c = ls.estimate_mu_gain(of["pair"], of["law"])
+    c = ls.estimate_mu_gain(of["pair"], of["law"], ls.IntegratorConfig(dt=1e-3, horizon=6.0))
     assert c == MU_GAIN
     # the sweep must exceed the DC gain 1/k_d = 0.125 of this loop
     assert c > 0.125
