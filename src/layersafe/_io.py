@@ -3,12 +3,13 @@
 An artifact goes to ``<name>.tmp`` beside its target and is renamed over the
 target only once every byte is written. The text may come as one string or
 as an iterable of string parts written in order, so a writer can format a
-large table one block at a time. If a part raises, or a write or the
+large table one chunk of rows at a time. If a part raises, or a write or the
 rename fails, the temp file is deleted and the error re-raised: the target
 keeps its previous bytes and no ``.tmp`` file is left behind.
 
 format_rows writes a float table as comma-separated '%.17g' fields, byte for
-byte the text of Python's '%' operator, with the digits computed in numpy.
+byte the text of Python's '%' operator, with the digits computed in numpy;
+format_chunks yields the same text one chunk of rows at a time.
 '%.17g' prints N * 10**(E - 16), where E is the decimal exponent of |x| and
 N = |x| * 10**(16 - E) rounded half to even, an integer in [1e16, 1e17]. For
 1e-27 <= |x| < 1e17, N is exact:
@@ -209,9 +210,15 @@ def _format_chunk(x, cols):
 def format_rows(block) -> str:
     """The text ``(row * rows) % tuple(block.ravel().tolist())`` gives for a
     (rows, cols) float block, with row = ",".join(["%.17g"] * cols) + "\\n"."""
-    block = np.asarray(block, dtype=np.float64)
-    rows, cols = block.shape
+    return "".join(format_chunks([np.asarray(block, dtype=np.float64)]))
+
+
+def format_chunks(columns):
+    """Yield format_rows' text of np.hstack(columns), for 2-D float blocks of
+    equal row count, one chunk of whole rows (about _CHUNK values) at a time:
+    a chunk's rows are sliced from the blocks, formatted and yielded before
+    the next chunk is read, so one chunk's text and temporaries are alive."""
+    rows, cols = columns[0].shape[0], sum(c.shape[1] for c in columns)
     step = max(1, _CHUNK // cols)
-    return "".join(
-        _format_chunk(np.ravel(block[i : i + step]), cols) for i in range(0, rows, step)
-    )
+    for i in range(0, rows, step):
+        yield _format_chunk(np.ravel(np.hstack([c[i : i + step] for c in columns])), cols)

@@ -300,8 +300,9 @@ def brute_force_containment_oracle(
     """Containment times recomputed at a fine step, scanning every fine sample.
 
     Independent reference for coarse containment_times results: re-integrates
-    the same closed loop at dt_fine (at most a tenth of the scenario step)
-    and applies the predicate on the dense grid over (0, tau].
+    the same closed loop at dt_fine (at most a tenth of the scenario step),
+    for the whole number of fine steps nearest tau (at least one), and
+    applies the predicate on the dense grid over (0, tau].
     """
     dt = scn.integrator.dt
     if not dt_fine > 0:
@@ -315,7 +316,7 @@ def brute_force_containment_oracle(
     law = build_law(scn, b)
     rcbf = build_scenario_rcbf(scn, b) if scn.rcbf_hypothesis_ok else None
     dist = build_disturbance(scn)
-    cfg = IntegratorConfig(dt=dt_fine, horizon=max(float(tau), dt_fine))
+    cfg = IntegratorConfig(dt=dt_fine, horizon=max(1, round(float(tau) / dt_fine)) * dt_fine)
     traj = integrate(pair, law, x0, cfg, rcbf=rcbf, disturbance=dist)
     return containment_times(traj, predicate, (0.0, float(tau)))
 

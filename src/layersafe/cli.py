@@ -211,7 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="desired",
         help="initial-velocity mode for grid points",
     )
-    p.add_argument("--horizon", type=float, default=None, help="rollout horizon (default: sim.horizon)")
+    p.add_argument(
+        "--horizon",
+        type=float,
+        default=None,
+        help="rollout horizon, a whole number of sim.dt steps (default: sim.horizon)",
+    )
     # inert since certify runs serially; still parsed because bench/workloads.py passes it
     p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--chunk", type=int, default=2048, help="grid points per batch")

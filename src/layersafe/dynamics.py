@@ -23,9 +23,9 @@ kernel splits the initial states. integrate_batch records the samples
 into batch arrays one row block (_ROW_BLOCK samples) at a time, so it
 holds the Python objects of at most one block at once, and returns one
 Trajectory per start, the one rollout record, whose fields are read-only
-views of that run's column. Trajectory.to_csv formats and writes its table
-one row block at a time, as '%.17g' of every field, byte for byte (see
-_io.format_rows).
+views of that run's column. Trajectory.to_csv writes its table as '%.17g'
+of every field, byte for byte, each formatting chunk of rows (about 2560
+values) written as soon as it is formatted (see _io.format_chunks).
 """
 from __future__ import annotations
 
@@ -35,17 +35,18 @@ from typing import Callable
 
 import numpy as np
 
-from ._io import atomic_write_text, format_rows
+from ._io import atomic_write_text, format_chunks
 from ._vec import finite, join, split, vnorm
 from .errors import ConfigurationError, DivergenceError, require_number
 
-# samples recorded, and CSV rows formatted, per block
+# samples recorded per block
 _ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 integration settings."""
+    """Fixed-step RK4 integration settings: a run takes horizon / dt steps,
+    which must be a whole number to 1e-9 relative, so it ends at the horizon."""
 
     dt: float = 1e-3
     horizon: float = 10.0
@@ -61,6 +62,12 @@ class IntegratorConfig:
             raise ConfigurationError("dt must be positive")
         if self.horizon < self.dt:
             raise ConfigurationError("horizon must cover at least one step")
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigurationError(
+                f"sim.horizon = {self.horizon!r} must be a whole number of "
+                f"sim.dt = {self.dt!r} steps, got {steps!r} steps"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -140,19 +147,20 @@ class Trajectory:
         ``preamble`` lines are emitted as leading '#' comments so an artifact
         can carry its own provenance. Rows take np.savetxt's format: every
         field is the text of '%.17g' % x, byte for byte, which
-        _io.format_rows computes with numpy (exact significands, a digit
+        _io.format_chunks computes with numpy (exact significands, a digit
         table, the %g layout) and a per-value '%.17g' fallback for the few
-        values outside its exact path. A block of _ROW_BLOCK rows is read
-        from row slices of the fields, and each block's text is written
-        before the next is formatted.
+        values outside its exact path. Each chunk of rows (about 2560
+        values) is read from row slices of the fields and its text written
+        before the next is formatted, so one chunk's text and temporaries
+        are alive at a time, whatever the run's length.
         """
         atomic_write_text(path, self._csv_parts(preamble))
 
     def _csv_parts(self, preamble):
         yield "".join([f"# {line}\n" for line in preamble] + [self.csv_header() + "\n"])
-        columns = [getattr(self, name).reshape(self.n_samples, -1) for name in _CSV_STEMS]
-        for start in range(0, self.n_samples, _ROW_BLOCK):
-            yield format_rows(np.hstack([c[start:start + _ROW_BLOCK] for c in columns]))
+        yield from format_chunks(
+            [getattr(self, name).reshape(self.n_samples, -1) for name in _CSV_STEMS]
+        )
 
 
 # every recorded per-sample field, in declaration order, which is also the

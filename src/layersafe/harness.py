@@ -355,14 +355,15 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
 
     The class-K offset is linear, mu(r) = c r; unless supplied, c is calibrated
     by estimate_mu_gain from quiet-start runs under a constant disturbance and
-    sines at 0.5 and 1 Hz (amplitude 0.1, 6 s each); a supplied c must be
-    finite and > 0.
+    sines at 0.5 and 1 Hz (amplitude 0.1, each the whole number of steps
+    nearest 6 s); a supplied c must be finite and > 0.
     """
     if mu_gain is not None:
         _check_gain(mu_gain)
     pair, law, rcbf, dist, traj, summary, rtf_v, _ = _roll(scn, needs_region="the ISS run")
     if mu_gain is None:
-        cal_cfg = IntegratorConfig(dt=scn.integrator.dt, horizon=6.0)
+        dt = scn.integrator.dt
+        cal_cfg = IntegratorConfig(dt=dt, horizon=round(6.0 / dt) * dt)
         mu_gain = estimate_mu_gain(pair, law, cal_cfg)
     env = build_iss_envelope(rcbf, mu_gain, dist.sup_norm)
     iss_v = check_iss_envelope(traj, env)

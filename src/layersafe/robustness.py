@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._vec import vnorm
 from .dynamics import IntegratorConfig, ModelPair, Trajectory, integrate
 from .errors import ConfigurationError, require_number
 from .recurrence import (
@@ -32,6 +31,10 @@ from .recurrence import (
 )
 
 _RANDOM_TABLE = 1 << 16  # piecewise-constant pattern repeats after this many segments
+_TABLE_BLOCK = 1 << 12  # random-table rows filled per block; divides _RANDOM_TABLE
+# scales a row whose sum of squares overflows: |c| * _SCALE < 2**510, so
+# two squares sum below 2**1021, and an overflowing sum stays above 2**-4
+_SCALE = 2.0**-514
 _MAX_SEGMENTS = 2.0**53  # floor(t / segment) counts whole segments exactly below this
 # estimate_mu_gain's probe schedule: one amplitude, a constant and two sines (Hz)
 _PROBE_AMPLITUDE = 0.1
@@ -115,7 +118,9 @@ def make_disturbance(kind: str, **fields) -> Disturbance:
     kinds: "none" (zero), "constant" (amplitude along the first axis),
     "sine" (rotating, ||d(t)|| = amplitude exactly), "random" (seeded
     piecewise-constant on segments, values in the closed amplitude disk,
-    read from a table of 2**16 values that is filled in place).
+    read from a table of 2**16 rows built and measured in place a block of
+    rows at a time; its sup_norm is the largest row norm, finite for every
+    finite amplitude; see _random_table).
     A random signal raises ConfigurationError at a time t with
     t / segment >= 2**53, where floats no longer count whole segments, and a
     sine at a time t where 2*pi*frequency*t is not finite.
@@ -153,7 +158,7 @@ def make_disturbance(kind: str, **fields) -> Disturbance:
         return Disturbance(kind=kind, signal=signal, sup_norm=amp)
 
     # random: one table value per segment, the table repeating after _RANDOM_TABLE
-    table = _random_table(amp, spec.seed)
+    table, sup = _random_table(amp, spec.seed)
     seg = float(spec.segment)
 
     def signal(t):
@@ -167,26 +172,53 @@ def make_disturbance(kind: str, **fields) -> Disturbance:
             )
         return table[n.astype(np.int64) % _RANDOM_TABLE]
 
-    # the norm of the two columns: vnorm(table)'s bits without its product table
-    sup = float(np.max(vnorm((table[:, 0], table[:, 1]))))
     return Disturbance(kind=kind, signal=signal, sup_norm=sup)
 
 
-def _random_table(amp: float, seed: int) -> np.ndarray:
-    """The random kind's (_RANDOM_TABLE, 2) values, drawn from the closed
-    disk of radius amp as radius * (cos theta, sin theta) with radius =
-    amp * sqrt(uniform), filled in place: each product is the same float in
-    either operand order, and no (_RANDOM_TABLE, 2) temporary is made."""
+def _random_table(amp: float, seed: int) -> tuple[np.ndarray, float]:
+    """The random kind's (_RANDOM_TABLE, 2) values and their largest row norm.
+
+    The values are drawn from the closed disk of radius amp as radius *
+    (cos theta, sin theta), with theta = uniform(0, 2 pi) and radius =
+    amp * sqrt(uniform(0, 1)): every angle, then every radius, in the
+    generator's order. uniform(0, hi) is 0.0 + hi * random(), the same
+    float as hi * random(), so the raw draws land in the table's two
+    columns, and each block of _TABLE_BLOCK rows is turned into its values
+    in place. Nothing beyond the table and one block of rows is held.
+    The norm is sqrt(max(c0*c0 + c1*c1)) over the blocks, the bits of
+    vnorm's largest value: 0.0 + c0*c0 is c0*c0, and a correctly rounded
+    sqrt is monotone. A block whose sum of squares overflows is summed
+    again scaled by _SCALE, a power of two, which is exact for its largest
+    row, so the norm stays finite for every finite amp.
+    """
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=_RANDOM_TABLE)
-    radius = rng.uniform(0.0, 1.0, size=_RANDOM_TABLE)
-    np.sqrt(radius, out=radius)
-    radius *= amp
     table = np.empty((_RANDOM_TABLE, 2))
-    np.cos(theta, out=table[:, 0])
-    np.sin(theta, out=table[:, 1])
-    table *= radius[:, None]
-    return table
+    blocks = range(0, _RANDOM_TABLE, _TABLE_BLOCK)
+    for col in (0, 1):  # angles, then radii
+        for a in blocks:
+            table[a:a + _TABLE_BLOCK, col] = rng.random(_TABLE_BLOCK)
+    sup = 0.0
+    for a in blocks:
+        rows = table[a:a + _TABLE_BLOCK]
+        theta = rows[:, 0] * (2.0 * np.pi)
+        radius = np.sqrt(rows[:, 1])
+        radius *= amp
+        np.cos(theta, out=rows[:, 0])
+        np.sin(theta, out=rows[:, 1])
+        rows *= radius[:, None]
+        sup = max(sup, _largest_norm(rows[:, 0], rows[:, 1]))
+    return table, sup
+
+
+def _largest_norm(c0, c1) -> float:
+    """max(sqrt(c0*c0 + c1*c1)) over two columns, with no overflow where the
+    rows are finite."""
+    with np.errstate(over="ignore"):
+        sq = float(np.max(c0 * c0 + c1 * c1))
+    if sq == math.inf:
+        c0, c1 = c0 * _SCALE, c1 * _SCALE
+        return math.sqrt(float(np.max(c0 * c0 + c1 * c1))) / _SCALE
+    return math.sqrt(sq)
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,10 @@ def test_fine_step_oracle_validation(two_disks):
         ls.brute_force_containment_oracle(two_disks, x0, lambda tr: tr.h > 0, 0.5, 0.0)
     with pytest.raises(ls.ConfigurationError, match="at most a tenth"):
         ls.brute_force_containment_oracle(two_disks, x0, lambda tr: tr.h > 0, 0.5, 2e-4)
+    # a fine step that does not divide tau rolls the whole number of fine
+    # steps nearest it (714 of 7e-5 s for 0.05 s)
+    times = ls.brute_force_containment_oracle(two_disks, x0, lambda tr: tr.h > 0, 0.05, 7e-5)
+    assert np.array_equal(times, np.arange(1, 715) * 7e-5)
 
 
 def test_containment_gap_edge_cases():

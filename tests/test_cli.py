@@ -99,13 +99,20 @@ def test_certify_bad_grid(tmp_path, capsys):
 
 
 def test_certify_non_finite_horizon(tmp_path, capsys):
-    # refused with a usage error before any rollout or artifact
+    # refused with a usage error before any rollout or artifact, and so is a
+    # horizon of 1.5 steps, which ran 2 steps and so ended past it
     out = tmp_path / "out"
     for value in ("inf", "nan"):
         argv = ["certify", "two_disks", "--grid", "pos:3x3", "--horizon", value, "--out", str(out)]
         assert main(argv) == 2
         assert "dt and horizon must be finite" in capsys.readouterr().err
         assert not out.exists()
+    argv = ["certify", "two_disks", "--grid", "pos:3x3", "--horizon", "0.0015", "--out", str(out)]
+    assert main(argv) == 2
+    assert "sim.horizon = 0.0015 must be a whole number of sim.dt = 0.001 steps, got 1.5 steps" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_bad_alphas(tmp_path, capsys):

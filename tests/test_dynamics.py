@@ -27,6 +27,23 @@ def test_integrator_config_validation():
         ls.IntegratorConfig(dt=0.1, horizon=1.0, method="euler")
     cfg = ls.IntegratorConfig(dt=0.1, horizon=1.0)
     assert cfg.n_steps == 10
+    assert ls.IntegratorConfig(dt=0.001, horizon=0.3).n_steps == 300  # 299.99999999999994
+
+
+def test_horizon_must_be_whole_steps():
+    # such a horizon was rounded to a step count: 3 steps of 0.3 end at 0.9,
+    # and 2 steps of 0.001 at 0.002, past the declared 0.0015
+    for dt, horizon, steps in ((0.3, 1.0, "3.3333333333333335"), (0.001, 0.0015, "1.5")):
+        with pytest.raises(
+            ls.ConfigurationError,
+            match=f"sim.horizon = {horizon!r} must be a whole number of sim.dt = {dt!r} "
+            f"steps, got {steps} steps",
+        ):
+            ls.IntegratorConfig(dt=dt, horizon=horizon)
+    text = ls.bundled_scenario_path("two_disks.scn").read_text()
+    assert "sim.horizon = 10.0\n" in text
+    with pytest.raises(ls.ScenarioError, match="sim.horizon = 10.0005 must be a whole number"):
+        ls.parse_scenario(text.replace("sim.horizon = 10.0\n", "sim.horizon = 10.0005\n"))
 
 
 def test_double_integrator_structure():
@@ -549,10 +566,10 @@ def _whole_table_csv(traj, preamble):
 
 @pytest.mark.parametrize("n_steps", [510, 511, 512, 513, 1023, 1025])
 def test_recording_blocks_are_seamless(n_steps, td, tmp_path, monkeypatch):
-    # the rollout is recorded, and its CSV written, in blocks of _ROW_BLOCK
-    # samples; around every block edge the record must be the one-block
-    # record bit for bit (value, dtype and shape), its states rk4_step's,
-    # and its CSV the whole-table text
+    # the rollout is recorded in blocks of _ROW_BLOCK samples; around every
+    # block edge the record must be the one-block record bit for bit (value,
+    # dtype and shape), its states rk4_step's, and its CSV, written a
+    # formatting chunk at a time, the whole-table text
     assert ls.dynamics._ROW_BLOCK == 512
     pair, law, rcbf, scn = td["pair"], td["law"], td["rcbf"], td["scn"]
     cfg = ls.IntegratorConfig(dt=0.001, horizon=n_steps * 0.001)
@@ -587,17 +604,24 @@ def test_recording_blocks_are_seamless(n_steps, td, tmp_path, monkeypatch):
         assert path.read_text() == _whole_table_csv(traj, preamble), k
 
 
-def test_to_csv_memory_budget(td_transit, tmp_path):
-    # the CSV of a 10 s two_disks run (10001 rows) is formatted one row block
-    # at a time: no whole-table array, float tuple or string is held
-    tracemalloc.start()
-    try:
-        td_transit.to_csv(tmp_path / "run.csv", preamble=["alpha = 0.5"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert td_transit.n_samples == 10001
-    assert peak < 1.5e6, peak
+def test_to_csv_memory_budget(td, td_transit, tmp_path):
+    # the CSV of a two_disks run is written one formatting chunk of rows at a
+    # time: no whole-table or row-block array, float tuple or string is held,
+    # so a 1 s (1001-row) and a 10 s (10001-row) run peak alike (joined
+    # 512-row blocks peaked at 0.87 MiB on the 1 s run)
+    short = ls.integrate(
+        td["pair"], td["law"], ls.initial_state(td["scn"], td["law"]),
+        ls.IntegratorConfig(dt=0.001, horizon=1.0), rcbf=td["rcbf"],
+    )
+    for traj in (short, td_transit):
+        tracemalloc.start()
+        try:
+            traj.to_csv(tmp_path / "run.csv", preamble=["alpha = 0.5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.65 * 2**20, (traj.n_samples, peak)
+    assert (short.n_samples, td_transit.n_samples) == (1001, 10001)
 
 
 def test_to_csv_fallback_share(td_transit):

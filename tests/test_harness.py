@@ -195,6 +195,18 @@ def test_run_iss_summary(open_field, tmp_path):
     assert "shifted recurrence: satisfied" in report
 
 
+def test_run_iss_calibrates_on_whole_steps(open_field, tmp_path):
+    # a step that does not divide the 6 s calibration horizon calibrates over
+    # the whole number of steps nearest it (857 of 0.007 s), as the rounded
+    # step count did before such horizons were refused
+    sim = ls.IntegratorConfig(dt=0.007, horizon=1.75)
+    scn = dataclasses.replace(open_field, integrator=sim)
+    art = ls.run_iss(scn, out_dir=tmp_path)
+    law = ls.build_law(scn)
+    cal = ls.IntegratorConfig(dt=0.007, horizon=857 * 0.007)
+    assert art.summary["mu_gain"] == ls.estimate_mu_gain(ls.build_pair(scn), law, cal)
+
+
 def test_run_iss_needs_hypothesis(two_disks, tmp_path):
     # beta = 2.45 <= alpha = 5: refused, and nothing is written
     out = tmp_path / "iss"

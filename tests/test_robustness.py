@@ -1,8 +1,12 @@
 """Disturbance signals, the ISS envelope, and the shrunken robust set."""
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 import layersafe as ls
+from layersafe._vec import vnorm
 from conftest import MU_GAIN, synthetic_trajectory
 
 
@@ -65,6 +69,72 @@ def test_disturbance_random_periodicity_and_seeding():
     assert not np.array_equal(d_other.signal(t), d.signal(t))
     with pytest.raises(ls.ConfigurationError):
         ls.make_disturbance("random", amplitude=0.2, segment=0.0)
+
+
+def _reference_random(amp, seed, seg):
+    """The random kind as whole-table draws and vnorm's sup norm: make_disturbance's
+    reference, which builds the table a block of rows at a time."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=65536)
+    radius = amp * np.sqrt(rng.uniform(0.0, 1.0, size=65536))
+    table = np.stack([np.cos(theta), np.sin(theta)], axis=-1) * radius[:, None]
+
+    def signal(t):
+        return table[np.floor_divide(np.asarray(t, dtype=float), seg).astype(np.int64) % 65536]
+
+    return signal, float(np.max(vnorm((table[:, 0], table[:, 1]))))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_disturbance_random_matches_whole_table_reference():
+    # every table row, segment boundary and the 65536-row wrap, and the sup
+    # norm's bits, 1e-300's underflowed 0.0 included
+    for seg in (0.1, 0.0125):
+        t = np.concatenate([
+            np.arange(70000) * seg + 0.5 * seg,  # every row, then past the wrap
+            np.arange(-20, 20) * seg,  # on boundaries, negative times included
+            np.array([65535.5, 65536.0, 131072.25, 1e6 + 0.3]) * seg,
+        ])
+        for amp in (0.1, 3.7, 1e-300, 1e150):
+            for seed in (0, 7, 20260818):
+                d = ls.make_disturbance("random", amplitude=amp, seed=seed, segment=seg)
+                signal, sup = _reference_random(amp, seed, seg)
+                assert np.array_equal(_bits(d.signal(t)), _bits(signal(t))), (seg, amp, seed)
+                assert _bits(d.sup_norm) == _bits(sup), (seg, amp, seed)
+                assert d.signal(t[0]).shape == (2,)
+    assert ls.make_disturbance("random", amplitude=1e-300).sup_norm == 0.0
+
+
+def test_disturbance_random_sup_norm_does_not_overflow():
+    # past amplitude ~1.34e154 a row's sum of squares overflows although the
+    # row is finite: the sup norm was inf, with an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for amp in (1.3e154, 1.4e154, 1e200, 1e308, float(np.finfo(float).max)):
+            d = ls.make_disturbance("random", amplitude=amp, seed=7)
+            rows = d.signal(np.arange(65536) * 0.1 + 0.05)
+            # the same rows scaled by another power of two, where nothing overflows
+            scaled = rows * 2.0**-600
+            want = float(np.max(vnorm((scaled[:, 0], scaled[:, 1])))) * 2.0**600
+            assert d.sup_norm == want, amp
+            assert 0.99 * amp < d.sup_norm <= amp * (1 + 1e-12), amp
+
+
+def test_disturbance_random_memory_budget():
+    # the random table is built in place: no angle, radius or norm array of
+    # its length is alive beside it (the whole-table build peaked at 3.0 MiB)
+    ls.make_disturbance("random", amplitude=0.1, seed=7)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        d = ls.make_disturbance("random", amplitude=0.1, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.sup_norm > 0.0
+    assert peak <= 1.6 * 2**20, peak
 
 
 def test_disturbance_random_refuses_segment_too_short_to_count():
