@@ -14,17 +14,18 @@ same start. Verdicts:
   indeterminate    the rollout's state or h lost finiteness before any
                    violation
 
-Points are elementwise-independent throughout (states never mix across grid
-rows), so verdicts do not depend on chunking or on which other points share
-the grid. Each point's record is a PointRecord tuple, and the report and
-point cloud writers format their point tables with one '%' over every row's
-fields. The module also houses the fine-step containment oracle used to
-validate coarse containment times.
+Rolled points go through the kernel in chunks of _CHUNK starts, a module
+constant. Points are elementwise-independent throughout (states never mix
+across grid rows), so verdicts do not depend on the chunk size or on which
+other points share the grid. Each point's record is a PointRecord tuple,
+and the report and point cloud writers format their point tables with one
+'%' over every row's fields. The module also houses the fine-step
+containment oracle used to validate coarse containment times.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isnan
+from math import ceil, isnan
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +48,8 @@ from .scenario import (
 # samples folded at once: each buffered sample holds its h, V, h_V and
 # finiteness columns, so the buffers grow with the block at large K
 _BLOCK = 16
+# grid points rolled out together; a chunk of 1 rolls each start on Python floats
+_CHUNK = 2048
 
 VERDICTS = ("certified_safe", "unsafe_witness", "outside_S_V", "indeterminate")
 
@@ -209,7 +212,6 @@ def certify_initial_set(
     grid: Grid,
     horizon: float | None = None,
     velocity_mode: str = "desired",
-    chunk: int = 2048,
 ) -> CertificateReport:
     """Classify every grid point per the module verdicts.
 
@@ -217,10 +219,9 @@ def certify_initial_set(
     ``velocity_mode`` ("desired" reproduces the unfiltered goal pull; "safe"
     zeroes the initial tracking error; "zero" starts at rest). Points
     starting inside an obstacle (h < 0) are recorded as outside_S_V without
-    a rollout.
+    a rollout. The others are rolled out _CHUNK at a time; verdicts and
+    every record are the same for any chunk size.
     """
-    if chunk < 1:
-        raise ConfigurationError("chunk must be positive")
     pair = build_pair(scn)
     b = build_barrier(scn)
     law = build_law(scn, b)
@@ -248,8 +249,8 @@ def certify_initial_set(
         # recurrence margin and finiteness time stay NaN
         rec = scan(np.zeros(1), h0[None], v0[None], h_v0[None], True, rcbf.rtf, dt)
         rec = rec._replace(window=np.full(n_pts, np.nan), diverged_t=np.full(n_pts, np.nan))
-        for i in range(0, roll_idx.size, chunk):
-            idx = roll_idx[i : i + chunk]
+        for i in range(0, roll_idx.size, _CHUNK):
+            idx = roll_idx[i : i + _CHUNK]
             for field, part in zip(rec, _scan_chunk(pair, law, rcbf, x0s[idx], dt, n_steps, d_sig)):
                 field[idx] = part
 
@@ -301,8 +302,9 @@ def brute_force_containment_oracle(
 
     Independent reference for coarse containment_times results: re-integrates
     the same closed loop at dt_fine (at most a tenth of the scenario step),
-    for the whole number of fine steps nearest tau (at least one), and
-    applies the predicate on the dense grid over (0, tau].
+    for the least whole number of fine steps that reaches tau (to 1e-9
+    relative; at least one), and applies the predicate on the dense grid
+    over (0, tau].
     """
     dt = scn.integrator.dt
     if not dt_fine > 0:
@@ -316,7 +318,8 @@ def brute_force_containment_oracle(
     law = build_law(scn, b)
     rcbf = build_scenario_rcbf(scn, b) if scn.rcbf_hypothesis_ok else None
     dist = build_disturbance(scn)
-    cfg = IntegratorConfig(dt=dt_fine, horizon=max(1, round(float(tau) / dt_fine)) * dt_fine)
+    n_fine = max(1, ceil(float(tau) / dt_fine * (1 - 1e-9)))
+    cfg = IntegratorConfig(dt=dt_fine, horizon=n_fine * dt_fine)
     traj = integrate(pair, law, x0, cfg, rcbf=rcbf, disturbance=dist)
     return containment_times(traj, predicate, (0.0, float(tau)))
 

@@ -1,12 +1,14 @@
 """Command-line front end.
 
-    layersafe simulate SCENARIO [--out DIR] [--seed N]
+    layersafe simulate SCENARIO [--out DIR]
     layersafe case-study SCENARIO [--alphas 0.5,1,5] [--out DIR]
     layersafe certify SCENARIO [--grid pos:40x40] [--alpha A] [--velocity MODE]
-                      [--horizon T] [--chunk K] [--out DIR]
+                      [--horizon T] [--out DIR]
     layersafe recurrence-demo SCENARIO [--out DIR]
-    layersafe iss SCENARIO [--disturbance kind=sine,amplitude=0.1] [--seed N]
+    layersafe iss SCENARIO [--disturbance kind=random,amplitude=0.1,seed=7]
                   [--mu-gain C] [--out DIR]
+
+A disturbance field is set in the scenario file or by an iss --disturbance item.
 
 Exit codes: 0 success, 1 when a declared expectation fails (or a rollout
 diverges), 2 on usage or configuration errors.
@@ -58,12 +60,7 @@ def _finish(art) -> int:
 
 
 def _load(args) -> Scenario:
-    scn = load_scenario(_resolve_scenario_path(args.scenario))
-    if getattr(args, "seed", None) is not None:
-        scn = scn.with_disturbance(
-            dataclasses.replace(scn.disturbance, seed=int(args.seed))
-        )
-    return scn
+    return load_scenario(_resolve_scenario_path(args.scenario))
 
 
 def _out(args) -> Path:
@@ -116,13 +113,7 @@ def _cmd_certify(args) -> int:
         scn = scn.with_alpha(args.alpha)
     out = _out(args)
     grid = _parse_grid(args.grid, scn)
-    report = certify_initial_set(
-        scn,
-        grid,
-        horizon=args.horizon,
-        velocity_mode=args.velocity,
-        chunk=args.chunk,
-    )
+    report = certify_initial_set(scn, grid, horizon=args.horizon, velocity_mode=args.velocity)
     report_path = out / "certify_report.txt"
     points_path = out / "certify_points.csv"
     unsafe_path = out / "unsafe_points.csv"
@@ -144,7 +135,7 @@ def _cmd_recurrence_demo(args) -> int:
     return _finish(run_recurrence_demo(_load(args), out_dir=_out(args)))
 
 
-def _parse_disturbance(text: str, base: DisturbanceSpec, seed_flag: bool) -> DisturbanceSpec:
+def _parse_disturbance(text: str, base: DisturbanceSpec) -> DisturbanceSpec:
     fields = {}
     for item in text.split(","):
         item = item.strip()
@@ -158,8 +149,6 @@ def _parse_disturbance(text: str, base: DisturbanceSpec, seed_flag: bool) -> Dis
         key = key.strip()
         if key in fields:  # as a scenario file refuses a repeated key
             raise ConfigurationError(f"duplicate disturbance field {key!r}")
-        if key == "seed" and seed_flag:  # both name disturbance.seed; neither may win silently
-            raise ConfigurationError("--seed and --disturbance seed=... both set disturbance.seed")
         try:
             fields[key] = parse_value(f"disturbance.{key}", val.strip())
         except KeyError:
@@ -172,8 +161,7 @@ def _parse_disturbance(text: str, base: DisturbanceSpec, seed_flag: bool) -> Dis
 def _cmd_iss(args) -> int:
     scn = _load(args)
     if args.disturbance:
-        spec = _parse_disturbance(args.disturbance, scn.disturbance, args.seed is not None)
-        scn = scn.with_disturbance(spec)
+        scn = scn.with_disturbance(_parse_disturbance(args.disturbance, scn.disturbance))
     return _finish(run_iss(scn, out_dir=_out(args), mu_gain=args.mu_gain))
 
 
@@ -193,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="single rollout from the scenario start")
     common(p)
-    p.add_argument("--seed", type=int, default=None, help="override the disturbance seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("case-study", help="alpha sweep sharing all other parameters")
@@ -219,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # inert since certify runs serially; still parsed because bench/workloads.py passes it
     p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
-    p.add_argument("--chunk", type=int, default=2048, help="grid points per batch")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("recurrence-demo", help="rollout highlighting recurrent V with safe h")
@@ -233,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override, e.g. kind=sine,amplitude=0.1,frequency=1",
     )
-    p.add_argument("--seed", type=int, default=None, help="override the disturbance seed")
     p.add_argument("--mu-gain", type=float, default=None, help="linear class-K gain (default: calibrated)")
     p.set_defaults(func=_cmd_iss)
     return parser

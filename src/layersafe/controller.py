@@ -20,7 +20,7 @@ gives a copy with some fields changed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,18 +32,19 @@ from .errors import ConfigurationError, require_number
 
 @dataclass(frozen=True)
 class Gains:
-    """Loop gains: k_p position pull, k_d velocity feedback, alpha barrier decay rate."""
+    """Loop gains: k_p position pull, k_d velocity feedback, alpha barrier decay
+    rate, each finite and > 0; a message about one value starts with its
+    scenario key, gains.kp to gains.alpha."""
 
     k_p: float
     k_d: float
     alpha: float
 
     def __post_init__(self):
-        for name in ("k_p", "k_d", "alpha"):
-            val = getattr(self, name)
-            require_number(f"gains.{name}", val)
+        for key, val in zip(("gains.kp", "gains.kd", "gains.alpha"), astuple(self)):
+            require_number(key, val)
             if not (np.isfinite(val) and val > 0):
-                raise ConfigurationError(f"gains.{name} must be strictly positive, got {val!r}")
+                raise ConfigurationError(f"{key} must be strictly positive, got {val!r}")
 
 
 class LawIntermediates(NamedTuple):

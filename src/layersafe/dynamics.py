@@ -46,22 +46,23 @@ _ROW_BLOCK = 512
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step RK4 integration settings: a run takes horizon / dt steps,
-    which must be a whole number to 1e-9 relative, so it ends at the horizon."""
+    which must be a whole number to 1e-9 relative, so it ends at the horizon.
+    A message about one value starts with its scenario key, sim.dt or sim.horizon."""
 
     dt: float = 1e-3
     horizon: float = 10.0
 
     def __post_init__(self):
-        require_number("dt", self.dt)
-        require_number("horizon", self.horizon)
-        if not (np.isfinite(self.dt) and np.isfinite(self.horizon)):
-            raise ConfigurationError(
-                f"dt and horizon must be finite, got dt={self.dt!r}, horizon={self.horizon!r}"
-            )
+        for key, val in (("sim.dt", self.dt), ("sim.horizon", self.horizon)):
+            require_number(key, val)
+            if not np.isfinite(val):
+                raise ConfigurationError(f"{key} must be finite, got {val!r}")
         if not self.dt > 0:
-            raise ConfigurationError("dt must be positive")
+            raise ConfigurationError(f"sim.dt must be positive, got {self.dt!r}")
         if self.horizon < self.dt:
-            raise ConfigurationError("horizon must cover at least one step")
+            raise ConfigurationError(
+                f"sim.horizon = {self.horizon!r} must cover at least one sim.dt = {self.dt!r} step"
+            )
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigurationError(

@@ -59,8 +59,9 @@ class Rtf:
             raise ConfigurationError(
                 f"rtf constants need 0 < a1 <= a2, got a1={self.a1!r}, a2={self.a2!r}"
             )
-        if not (self.beta > 0 and self.tau > 0 and self.m_overshoot > 0):
-            raise ConfigurationError("rtf.beta, rtf.tau, rtf.M must be positive")
+        for key, val in zip(("rtf.beta", "rtf.tau", "rtf.M"), astuple(self)[2:]):
+            if not val > 0:
+                raise ConfigurationError(f"{key} must be positive, got {val!r}")
 
 
 def _predicate_mask(traj: Trajectory, predicate) -> np.ndarray:

@@ -32,9 +32,12 @@ from .recurrence import (
 
 _RANDOM_TABLE = 1 << 16  # piecewise-constant pattern repeats after this many segments
 _TABLE_BLOCK = 1 << 12  # random-table rows filled per block; divides _RANDOM_TABLE
-# scales a row whose sum of squares overflows: |c| * _SCALE < 2**510, so
-# two squares sum below 2**1021, and an overflowing sum stays above 2**-4
-_SCALE = 2.0**-514
+# a block whose largest sum of squares overflows is scaled down by _SCALE,
+# one whose largest is subnormal or zero up by it: the largest nonzero
+# component then has 2**-474 <= |c| < 2**424, where the squares are normal
+# and sum finite, and a power of two scales exactly
+_SCALE = 2.0**600
+_TINY = float(np.finfo(float).tiny)  # the least normal float, 2**-1022
 _MAX_SEGMENTS = 2.0**53  # floor(t / segment) counts whole segments exactly below this
 # estimate_mu_gain's probe schedule: one amplitude, a constant and two sines (Hz)
 _PROBE_AMPLITUDE = 0.1
@@ -120,7 +123,7 @@ def make_disturbance(kind: str, **fields) -> Disturbance:
     piecewise-constant on segments, values in the closed amplitude disk,
     read from a table of 2**16 rows built and measured in place a block of
     rows at a time; its sup_norm is the largest row norm, finite for every
-    finite amplitude; see _random_table).
+    finite amplitude and positive for every positive one; see _random_table).
     A random signal raises ConfigurationError at a time t with
     t / segment >= 2**53, where floats no longer count whole segments, and a
     sine at a time t where 2*pi*frequency*t is not finite.
@@ -187,9 +190,10 @@ def _random_table(amp: float, seed: int) -> tuple[np.ndarray, float]:
     in place. Nothing beyond the table and one block of rows is held.
     The norm is sqrt(max(c0*c0 + c1*c1)) over the blocks, the bits of
     vnorm's largest value: 0.0 + c0*c0 is c0*c0, and a correctly rounded
-    sqrt is monotone. A block whose sum of squares overflows is summed
-    again scaled by _SCALE, a power of two, which is exact for its largest
-    row, so the norm stays finite for every finite amp.
+    sqrt is monotone. A block whose largest sum of squares overflows, or is
+    subnormal or zero, is summed again scaled by a power of two, which is
+    exact for its largest row, so the norm stays finite for every finite amp
+    and positive for every positive one.
     """
     rng = np.random.default_rng(seed)
     table = np.empty((_RANDOM_TABLE, 2))
@@ -212,13 +216,14 @@ def _random_table(amp: float, seed: int) -> tuple[np.ndarray, float]:
 
 def _largest_norm(c0, c1) -> float:
     """max(sqrt(c0*c0 + c1*c1)) over two columns, with no overflow where the
-    rows are finite."""
+    rows are finite and no underflow where one is not zero."""
     with np.errstate(over="ignore"):
         sq = float(np.max(c0 * c0 + c1 * c1))
-    if sq == math.inf:
-        c0, c1 = c0 * _SCALE, c1 * _SCALE
-        return math.sqrt(float(np.max(c0 * c0 + c1 * c1))) / _SCALE
-    return math.sqrt(sq)
+    if _TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    scale = 1.0 / _SCALE if sq == math.inf else _SCALE
+    c0, c1 = c0 * scale, c1 * scale
+    return math.sqrt(float(np.max(c0 * c0 + c1 * c1))) / scale
 
 
 @dataclass(frozen=True)

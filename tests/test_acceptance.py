@@ -336,7 +336,7 @@ def test_criterion_09_velocity_filter_projection(td):
     )
 
 
-def test_criterion_10_deterministic_artifacts(two_disks, tmp_path):
+def test_criterion_10_deterministic_artifacts(two_disks, tmp_path, monkeypatch):
     scn = dataclasses.replace(two_disks.with_horizon(3.0), expectations=())
     arts_a, sum_a = ls.run_case_study(scn, alphas=(0.5, 1.0, 5.0), out_dir=tmp_path / "a")
     arts_b, sum_b = ls.run_case_study(scn, alphas=(0.5, 1.0, 5.0), out_dir=tmp_path / "b")
@@ -350,8 +350,11 @@ def test_criterion_10_deterministic_artifacts(two_disks, tmp_path):
 
     s_mid = two_disks.with_alpha(1.0)
     grid = ls.Grid(lower=s_mid.certify_lower, upper=s_mid.certify_upper, counts=(12, 12))
-    rep1 = ls.certify_initial_set(s_mid, grid, horizon=1.5, velocity_mode="desired", chunk=17)
-    rep3 = ls.certify_initial_set(s_mid, grid, horizon=1.5, velocity_mode="desired", chunk=64)
+    reports = []
+    for chunk in (17, 64):  # certify's grid points per batch
+        monkeypatch.setattr(ls.certify, "_CHUNK", chunk)
+        reports.append(ls.certify_initial_set(s_mid, grid, horizon=1.5, velocity_mode="desired"))
+    rep1, rep3 = reports
     assert rep1.to_text() == rep3.to_text()
     rep1.point_cloud_csv(tmp_path / "w1.csv")
     rep3.point_cloud_csv(tmp_path / "w3.csv")

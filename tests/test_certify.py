@@ -94,11 +94,16 @@ def test_certify_report_rendering(small_report, tmp_path):
         report.records("bogus")
 
 
-def test_certify_is_chunk_invariant(two_disks):
+def _certify_at_chunk(monkeypatch, chunk, *args, **kwargs):
+    monkeypatch.setattr(ls.certify, "_CHUNK", chunk)
+    return ls.certify_initial_set(*args, **kwargs)
+
+
+def test_certify_is_chunk_invariant(two_disks, monkeypatch):
     scn = two_disks.with_horizon(1.0)
     grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=(5, 5))
-    a = ls.certify_initial_set(scn, grid, chunk=7)
-    b = ls.certify_initial_set(scn, grid, chunk=5)
+    a = _certify_at_chunk(monkeypatch, 7, scn, grid)
+    b = _certify_at_chunk(monkeypatch, 5, scn, grid)
     assert a.to_text() == b.to_text()
     for ra, rb in zip(a.per_point, b.per_point):
         assert np.array_equal(ra.point, rb.point)
@@ -107,7 +112,7 @@ def test_certify_is_chunk_invariant(two_disks):
     # chunk 1 rolls every point alone, on Python floats: the same records,
     # floats compared by their round-trip repr
     short = scn.with_horizon(0.2)
-    one, many = (ls.certify_initial_set(short, grid, chunk=c) for c in (1, 2048))
+    one, many = (_certify_at_chunk(monkeypatch, c, short, grid) for c in (1, 2048))
     assert repr(one) == repr(many)
 
 
@@ -121,11 +126,11 @@ def test_certify_is_block_invariant(two_disks, monkeypatch):
     for block in (1, 7, 17, 51, 64):
         monkeypatch.setattr(ls.certify, "_BLOCK", block)
         for chunk in (1, 4):
-            seen.add(repr(ls.certify_initial_set(scn, grid, chunk=chunk).per_point))
+            seen.add(repr(_certify_at_chunk(monkeypatch, chunk, scn, grid).per_point))
     assert len(seen) == 1
 
 
-def test_certify_overflowing_starts_are_indeterminate(two_disks):
+def test_certify_overflowing_starts_are_indeterminate(two_disks, monkeypatch):
     # positions near the float limit overflow h and V in the initial
     # diagnostics, so h_V(0) is NaN, and under -W error a leaked numpy
     # warning would raise. Every start is rolled and h is +inf from the
@@ -138,19 +143,13 @@ def test_certify_overflowing_starts_are_indeterminate(two_disks):
     grid = ls.Grid(lower=[1e306, -1], upper=[1e307, 1], counts=(3, 3))
     for mode in ("zero", "safe"):
         reports = [
-            ls.certify_initial_set(scn, grid, velocity_mode=mode, chunk=c) for c in (1, 3, 2048)
+            _certify_at_chunk(monkeypatch, c, scn, grid, velocity_mode=mode) for c in (1, 3, 2048)
         ]
         got = Counter(r.verdict for r in reports[0].per_point)
         assert got == {"indeterminate": 9}, mode
         for r in reports[0].records("indeterminate"):
             assert r.note == "rollout lost finiteness at t=0" and r.min_h == np.inf
         assert reports[0].to_text() == reports[1].to_text() == reports[2].to_text()
-
-
-def test_certify_argument_validation(two_disks):
-    good = ls.Grid(lower=[-1, -1], upper=[1, 1], counts=(3, 3))
-    with pytest.raises(ls.ConfigurationError):
-        ls.certify_initial_set(two_disks, good, chunk=0)
 
 
 @pytest.mark.parametrize(
@@ -235,7 +234,7 @@ def test_one_barrier_pass_per_rk4_stage(two_disks, monkeypatch):
     monkeypatch.setattr(ls.certify, "build_barrier", lambda _scn: b)
     grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=(3, 3))
     calls.clear()
-    report = ls.certify_initial_set(scn, grid, velocity_mode="desired", chunk=2)
+    report = _certify_at_chunk(monkeypatch, 2, scn, grid, velocity_mode="desired")
     rolled = sum("not rolled" not in r.note for r in report.per_point)
     n_chunks = -(-rolled // 2)
     assert n_chunks >= 2
@@ -266,10 +265,18 @@ def test_fine_step_oracle_validation(two_disks):
         ls.brute_force_containment_oracle(two_disks, x0, lambda tr: tr.h > 0, 0.5, 0.0)
     with pytest.raises(ls.ConfigurationError, match="at most a tenth"):
         ls.brute_force_containment_oracle(two_disks, x0, lambda tr: tr.h > 0, 0.5, 2e-4)
-    # a fine step that does not divide tau rolls the whole number of fine
-    # steps nearest it (714 of 7e-5 s for 0.05 s)
-    times = ls.brute_force_containment_oracle(two_disks, x0, lambda tr: tr.h > 0, 0.05, 7e-5)
-    assert np.array_equal(times, np.arange(1, 715) * 7e-5)
+    # the dense grid reaches tau in the least whole number of fine steps, to
+    # 1e-9 relative: 715 of 7e-5 s for 0.05 s, where the 714 nearest it
+    # ended at 0.04998, and 1000 for 0.07 s (0.07 / 7e-5 = 1000.0000000000002);
+    # the window (0, tau] holds the first n_in fine samples, where h > 0
+    for tau, n_fine, n_in in ((0.05, 715, 714), (0.07, 1000, 1000)):
+        runs = []
+        times = ls.brute_force_containment_oracle(
+            two_disks, x0, lambda tr: runs.append(tr) or tr.h > 0, tau, 7e-5
+        )
+        t = runs[0].t
+        assert t.size == n_fine + 1 and t[-1] >= tau * (1 - 1e-9) and t[-2] < tau
+        assert np.array_equal(times, t[1 : n_in + 1])
 
 
 def test_containment_gap_edge_cases():

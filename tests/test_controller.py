@@ -26,9 +26,9 @@ def single_disk():
 
 
 def test_gains_validation():
-    with pytest.raises(ls.ConfigurationError, match="gains.k_p"):
+    with pytest.raises(ls.ConfigurationError, match="gains.kp must be strictly positive"):
         ls.Gains(k_p=0.0, k_d=8.0, alpha=0.5)
-    with pytest.raises(ls.ConfigurationError, match="gains.k_d"):
+    with pytest.raises(ls.ConfigurationError, match="gains.kd must be strictly positive"):
         ls.Gains(k_p=1.8, k_d=-1.0, alpha=0.5)
     with pytest.raises(ls.ConfigurationError, match="gains.alpha"):
         ls.Gains(k_p=1.8, k_d=8.0, alpha=float("nan"))

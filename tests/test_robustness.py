@@ -91,7 +91,7 @@ def _bits(a):
 
 def test_disturbance_random_matches_whole_table_reference():
     # every table row, segment boundary and the 65536-row wrap, and the sup
-    # norm's bits, 1e-300's underflowed 0.0 included
+    # norm's bits where the squares are normal
     for seg in (0.1, 0.0125):
         t = np.concatenate([
             np.arange(70000) * seg + 0.5 * seg,  # every row, then past the wrap
@@ -103,9 +103,18 @@ def test_disturbance_random_matches_whole_table_reference():
                 d = ls.make_disturbance("random", amplitude=amp, seed=seed, segment=seg)
                 signal, sup = _reference_random(amp, seed, seg)
                 assert np.array_equal(_bits(d.signal(t)), _bits(signal(t))), (seg, amp, seed)
-                assert _bits(d.sup_norm) == _bits(sup), (seg, amp, seed)
+                if amp > 1e-150:
+                    assert _bits(d.sup_norm) == _bits(sup), (seg, amp, seed)
+                else:  # every square underflows, and vnorm's largest value is 0.0
+                    assert sup == 0.0 < d.sup_norm, (seg, amp, seed)
                 assert d.signal(t[0]).shape == (2,)
-    assert ls.make_disturbance("random", amplitude=1e-300).sup_norm == 0.0
+    # a block whose largest sum of squares is subnormal or zero is scaled up
+    # by a power of two: the norm is positive, within 1 ulp of np.hypot's
+    for amp in (1e-154, 1e-160, 1e-300, 1e-310, 5e-324):
+        d = ls.make_disturbance("random", amplitude=amp, seed=7, segment=1.0)
+        rows = d.signal(np.arange(65536) + 0.5)
+        want = float(np.max(np.hypot(rows[:, 0], rows[:, 1])))
+        assert 0.0 < d.sup_norm and abs(d.sup_norm - want) <= np.spacing(want), amp
 
 
 def test_disturbance_random_sup_norm_does_not_overflow():

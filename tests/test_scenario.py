@@ -134,8 +134,8 @@ def test_numpy_scalars_echo_as_plain_numbers(open_field):
             lambda: ls.DisturbanceSpec(kind="sine", amplitude="0.1"),
             "disturbance.amplitude must be a number, got '0.1'",
         ),
-        (lambda: ls.Gains(k_p="1", k_d=8.0, alpha=0.5), "gains.k_p must be a number, got '1'"),
-        (lambda: ls.IntegratorConfig(dt="0.001"), "dt must be a number, got '0.001'"),
+        (lambda: ls.Gains(k_p="1", k_d=8.0, alpha=0.5), "gains.kp must be a number, got '1'"),
+        (lambda: ls.IntegratorConfig(dt="0.001"), "sim.dt must be a number, got '0.001'"),
     ],
     ids=["rtf", "expectation", "disturbance", "gains", "integrator"],
 )
@@ -192,6 +192,29 @@ def test_parse_error_line_numbers():
     assert ei.value.line == 1
     with pytest.raises(ls.ScenarioError, match="expected 'key = value'"):
         ls.parse_scenario("just some words\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (MINIMAL + "sim.dt = -0.001\n", 8, "sim.dt must be positive, got -0.001"),
+        (
+            MINIMAL + "sim.horizon = 0.0001\n",
+            8,
+            "sim.horizon = 0.0001 must cover at least one sim.dt = 0.001 step",
+        ),
+        (MINIMAL.replace("kp = 1.8", "kp = -1"), 5, "gains.kp must be strictly positive, got -1.0"),
+        (MINIMAL.replace("kd = 8.0", "kd = 0"), 6, "gains.kd must be strictly positive, got 0.0"),
+        (MINIMAL + "rtf.tau = -1\n", 8, "rtf.tau must be positive, got -1.0"),
+    ],
+    ids=["dt", "horizon", "kp", "kd", "tau"],
+)
+def test_record_refusals_carry_the_line(text, line, message):
+    # a record's refusal names the key as the file writes it, so the parser
+    # finds the line that set it
+    with pytest.raises(ls.ScenarioError) as ei:
+        ls.parse_scenario(text)
+    assert str(ei.value) == f"line {line}: {message}"
 
 
 def test_expectation_parse_errors():

@@ -16,12 +16,14 @@ runs):
     iss open_field --disturbance kind=random,amplitude=0.1,seed=7,segment=0.0125
     certify two_disks
     certify two_disks --velocity safe --grid pos:30x30 --horizon 6
-    certify two_disks --grid pos:6x6 --horizon 0.5 --chunk 1
+    certify two_disks --grid pos:6x6 --horizon 0.5    (certify._CHUNK = 1)
     certify open_field --grid pos:6x6 --horizon 0.5
     certify two_disks --velocity zero --grid pos:6x6 --horizon 0.5
 
 where two_disks_desired.scn is two_disks with sim.initial_velocity = desired,
-written into the temporary directory. It prints one sorted
+written into the temporary directory, and the certify_chunk1 run sets
+``layersafe.certify._CHUNK`` to 1 for that run alone, so every start rolls
+out alone on Python floats. It prints one sorted
 ``<sha256>  <name>`` line per artifact and per command's stdout. Two builds
 write byte-identical artifacts exactly when their outputs match.
 ``tools/artifact_digests.txt`` holds the lines of the last build whose
@@ -46,7 +48,7 @@ import tempfile
 from pathlib import Path
 
 import layersafe
-from layersafe import cli
+from layersafe import certify, cli
 
 DESIRED_SCENARIO = "two_disks_desired.scn"
 
@@ -86,7 +88,7 @@ RUNS = (
     ),
     (  # every start rolled alone, on Python floats
         "certify_chunk1",
-        ["certify", "two_disks", "--grid", "pos:6x6", "--horizon", "0.5", "--chunk", "1"],
+        ["certify", "two_disks", "--grid", "pos:6x6", "--horizon", "0.5"],
     ),
     (  # a batch of starts under a disturbance
         "certify_open_field",
@@ -114,12 +116,13 @@ def _desired_scenario_text() -> str:
 def digests() -> list:
     """(digest, name) for every artifact and stdout, sorted by name."""
     out = []
-    cwd = os.getcwd()
+    cwd, chunk = os.getcwd(), certify._CHUNK
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             Path(DESIRED_SCENARIO).write_text(_desired_scenario_text())
             for label, argv in RUNS:
+                certify._CHUNK = 1 if label == "certify_chunk1" else chunk
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf):
                     code = cli.main([*argv, "--out", label])
@@ -129,6 +132,7 @@ def digests() -> list:
                         out.append((_sha(path.read_bytes()), path.as_posix()))
         finally:
             os.chdir(cwd)
+            certify._CHUNK = chunk
     return sorted(out, key=lambda item: item[1])
 
 
