@@ -35,15 +35,7 @@ from ._vec import finite, split
 from .dynamics import IntegratorConfig, _derived, _rollout, integrate
 from .errors import ConfigurationError
 from .recurrence import containment_times, scan
-from .scenario import (
-    Scenario,
-    build_barrier,
-    build_disturbance,
-    build_law,
-    build_pair,
-    build_scenario_rcbf,
-    initial_states,
-)
+from .scenario import Scenario, build_loop, initial_states
 
 # samples folded at once: each buffered sample holds its h, V, h_V and
 # finiteness columns, so the buffers grow with the block at large K
@@ -220,13 +212,11 @@ def certify_initial_set(
     zeroes the initial tracking error; "zero" starts at rest). Points
     starting inside an obstacle (h < 0) are recorded as outside_S_V without
     a rollout. The others are rolled out _CHUNK at a time; verdicts and
-    every record are the same for any chunk size.
+    every record are the same for any chunk size. A scenario with no
+    certified region, or a horizon that is not a whole number of steps, is
+    refused before any rollout.
     """
-    pair = build_pair(scn)
-    b = build_barrier(scn)
-    law = build_law(scn, b)
-    rcbf = build_scenario_rcbf(scn, b)
-    dist = build_disturbance(scn)
+    pair, law, rcbf, dist = build_loop(scn, needs_region="certify")
     d_sig = dist.signal if dist.kind != "none" else None
 
     pts = grid.points
@@ -235,7 +225,10 @@ def certify_initial_set(
 
     dt = scn.integrator.dt
     horizon = scn.integrator.horizon if horizon is None else float(horizon)
-    n_steps = IntegratorConfig(dt=dt, horizon=horizon).n_steps
+    try:
+        n_steps = IntegratorConfig(dt=dt, horizon=horizon).n_steps
+    except ConfigurationError as exc:  # the scenario's horizon passed: name the caller's
+        raise ConfigurationError(str(exc).replace("sim.horizon", "horizon", 1)) from None
 
     with np.errstate(all="ignore"):
         # initial diagnostics for every point, including the skipped ones
@@ -313,11 +306,7 @@ def brute_force_containment_oracle(
         raise ConfigurationError(
             f"dt_fine must be at most a tenth of the scenario step ({dt / 10:g}), got {dt_fine:g}"
         )
-    pair = build_pair(scn)
-    b = build_barrier(scn)
-    law = build_law(scn, b)
-    rcbf = build_scenario_rcbf(scn, b) if scn.rcbf_hypothesis_ok else None
-    dist = build_disturbance(scn)
+    pair, law, rcbf, dist = build_loop(scn)
     n_fine = max(1, ceil(float(tau) / dt_fine * (1 - 1e-9)))
     cfg = IntegratorConfig(dt=dt_fine, horizon=n_fine * dt_fine)
     traj = integrate(pair, law, x0, cfg, rcbf=rcbf, disturbance=dist)

@@ -18,11 +18,10 @@ import numpy as np
 from ._io import atomic_write_text
 from ._vec import vnorm
 from .controller import ClosedLoopLaw
-from .dynamics import IntegratorConfig, ModelPair, Trajectory, integrate
-from .errors import ConfigurationError, DivergenceError, HypothesisViolationError
+from .dynamics import IntegratorConfig, Trajectory, integrate
+from .errors import ConfigurationError, DivergenceError
 from .recurrence import (
     RecurrenceVerdict,
-    RecurrentCbf,
     _covers_window,
     check_exponential_envelope,
     check_rtf_recurrence,
@@ -30,22 +29,13 @@ from .recurrence import (
     scan,
 )
 from .robustness import (
-    Disturbance,
     _check_gain,
     build_iss_envelope,
     check_iss_envelope,
     check_practical_rtf,
     estimate_mu_gain,
 )
-from .scenario import (
-    Scenario,
-    build_barrier,
-    build_disturbance,
-    build_law,
-    build_pair,
-    build_scenario_rcbf,
-    initial_state,
-)
+from .scenario import Loop, Scenario, build_loop, initial_state
 
 OUT_DIR_ENV = "LAYERSAFE_OUT"
 
@@ -131,14 +121,11 @@ def _emit(scn, label, traj, summary, checks, out_dir) -> RunArtifacts:
 
 
 class _Run(NamedTuple):
-    """A scenario rolled out from its start: the built parts, the record, the
+    """A scenario rolled out from its start: the built loop, the record, the
     summary and check lines every run reports, and the certificate's
     recurrence verdict (None when the rollout is shorter than the window)."""
 
-    pair: ModelPair
-    law: ClosedLoopLaw
-    rcbf: RecurrentCbf | None
-    dist: Disturbance
+    loop: Loop
     traj: Trajectory
     summary: dict
     rtf_v: RecurrenceVerdict | None
@@ -146,25 +133,18 @@ class _Run(NamedTuple):
 
 
 def _roll(scn: Scenario, needs_region: str = "") -> _Run:
-    """Build the layers and roll out from the scenario start.
+    """Build the loop and roll out from the scenario start.
 
-    A certified region exists exactly when the recurrence rate exceeds alpha.
-    Without one, a run named by ``needs_region`` is refused before it rolls;
-    any other run rolls with no recurrent barrier (h_V is NaN) and says so.
-    A run whose h is not finite somewhere (it overflowed) is refused with a
-    DivergenceError naming the first such time, before any check runs.
+    Without a certified region, build_loop refuses a run named by
+    ``needs_region`` before it rolls; any other run rolls with no recurrent
+    barrier (h_V is NaN) and says so. A run whose h is not finite somewhere
+    (it overflowed) is refused with a DivergenceError naming the first such
+    time, before any check runs.
     """
-    pair = build_pair(scn)
-    b = build_barrier(scn)
-    law = build_law(scn, b)
-    rcbf = build_scenario_rcbf(scn, b) if scn.rcbf_hypothesis_ok else None
-    dist = build_disturbance(scn)
+    loop = build_loop(scn, needs_region)
+    pair, law, rcbf, dist = loop
     checks = []
     if rcbf is None:
-        if needs_region:
-            raise HypothesisViolationError(
-                f"{needs_region} needs a certified region: the recurrence rate must exceed alpha"
-            )
         checks.append("no certified region for this alpha: the recurrence rate does not exceed it")
     x0 = initial_state(scn, law)
     traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
@@ -184,7 +164,7 @@ def _roll(scn: Scenario, needs_region: str = "") -> _Run:
             check_safety_chain(traj, rcbf).min_slack if rcbf is not None else float("nan")
         ),
     }
-    return _Run(pair, law, rcbf, dist, traj, summary, rtf_v, checks)
+    return _Run(loop, traj, summary, rtf_v, checks)
 
 
 def run_simulate(scn: Scenario, out_dir=None) -> RunArtifacts:
@@ -360,7 +340,7 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
     """
     if mu_gain is not None:
         _check_gain(mu_gain)
-    pair, law, rcbf, dist, traj, summary, rtf_v, _ = _roll(scn, needs_region="the ISS run")
+    (pair, law, rcbf, dist), traj, summary, rtf_v, _ = _roll(scn, needs_region="the ISS run")
     if mu_gain is None:
         dt = scn.integrator.dt
         cal_cfg = IntegratorConfig(dt=dt, horizon=round(6.0 / dt) * dt)

@@ -41,7 +41,8 @@ class Rtf:
     promise a1 ||e_dot|| <= V <= a2 ||e_dot||; beta is the recurrence rate,
     tau the window length and m_overshoot the certified tracking overshoot
     M. Each must be a finite number, with 0 < a1 <= a2 and beta, tau, M > 0;
-    a message about one value starts with its scenario key, rtf.a1 to rtf.M.
+    a message about one value starts with its scenario key, rtf.a1 to rtf.M,
+    and the one about the pair a1, a2 with rtf.a1.
     """
 
     a1: float = 1.0
@@ -57,7 +58,7 @@ class Rtf:
                 raise ConfigurationError(f"{key} must be finite, got {val!r}")
         if not 0 < self.a1 <= self.a2:
             raise ConfigurationError(
-                f"rtf constants need 0 < a1 <= a2, got a1={self.a1!r}, a2={self.a2!r}"
+                f"rtf.a1 and rtf.a2 need 0 < a1 <= a2, got a1={self.a1!r}, a2={self.a2!r}"
             )
         for key, val in zip(("rtf.beta", "rtf.tau", "rtf.M"), astuple(self)[2:]):
             if not val > 0:

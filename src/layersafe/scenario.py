@@ -39,7 +39,7 @@ from ._vec import join, split
 from .barrier import BarrierFn, ObstacleField, min_distance_barrier
 from .controller import ClosedLoopLaw, Gains, assemble_closed_loop, desired_velocity
 from .dynamics import IntegratorConfig, ModelPair, double_integrator_pair
-from .errors import ConfigurationError, ScenarioError, require_number
+from .errors import ConfigurationError, HypothesisViolationError, ScenarioError, require_number
 from .recurrence import RecurrentCbf, Rtf, build_rcbf
 from .robustness import DISTURBANCE_FIELDS, Disturbance, DisturbanceSpec, make_disturbance
 
@@ -106,10 +106,9 @@ class Scenario:
 
     Left out, the certify box hulls start, goal and the obstacles padded by
     0.5. The certificate constants must bracket 1, a1 <= 1 <= a2, as
-    V = ||e_dot|| needs; Rtf alone allows any 0 < a1 <= a2. beta >
-    gains.alpha is not required to load; constructions that need the
-    recurrent barrier raise HypothesisViolationError when it fails, and
-    rcbf_hypothesis_ok exposes the gate.
+    V = ||e_dot|| needs (the refusal starts with rtf.a1); Rtf alone allows
+    any 0 < a1 <= a2. beta > gains.alpha is not required to load; build_loop
+    applies that gate, and rcbf_hypothesis_ok exposes it.
     """
 
     field: ObstacleField
@@ -140,7 +139,7 @@ class Scenario:
         a1, a2 = self.rtf.a1, self.rtf.a2
         if not a1 <= 1.0 <= a2:  # the sandwich must hold for V = ||e_dot||
             raise ConfigurationError(
-                f"rtf constants need 0 < a1 <= 1 <= a2, got a1={a1!r}, a2={a2!r}"
+                f"rtf.a1 and rtf.a2 need 0 < a1 <= 1 <= a2, got a1={a1!r}, a2={a2!r}"
             )
         if self.velocity_mode not in _VELOCITY_MODES:
             raise ConfigurationError(
@@ -385,8 +384,32 @@ def build_scenario_rcbf(scn: Scenario, b: BarrierFn | None = None) -> RecurrentC
     return build_rcbf(scn.rtf, b, scn.gains.alpha)
 
 
-def build_disturbance(scn: Scenario) -> Disturbance:
-    return make_disturbance(**dataclasses.asdict(scn.disturbance))
+class Loop(NamedTuple):
+    """One scenario's closed loop: the recurrent barrier shares the law's
+    barrier and is None where no certified region exists."""
+
+    pair: ModelPair
+    law: ClosedLoopLaw
+    rcbf: RecurrentCbf | None
+    dist: Disturbance
+
+
+def build_loop(scn: Scenario, needs_region: str = "") -> Loop:
+    """Build the scenario's closed loop around one barrier.
+
+    A certified region exists exactly when the recurrence rate exceeds
+    alpha. Without one, a caller named by ``needs_region`` is refused with
+    HypothesisViolationError before anything is built; any other gets rcbf
+    None.
+    """
+    if not scn.rcbf_hypothesis_ok and needs_region:
+        raise HypothesisViolationError(
+            f"{needs_region} needs a certified region: the recurrence rate must exceed alpha"
+        )
+    b = build_barrier(scn)
+    rcbf = build_scenario_rcbf(scn, b) if scn.rcbf_hypothesis_ok else None
+    dist = make_disturbance(**dataclasses.asdict(scn.disturbance))
+    return Loop(build_pair(scn), build_law(scn, b), rcbf, dist)
 
 
 def initial_states(scn: Scenario, law: ClosedLoopLaw, z0s, mode: str | None = None) -> np.ndarray:

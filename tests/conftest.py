@@ -33,16 +33,8 @@ sim.horizon = 3.0
 
 def build_world(scn):
     """All derived objects for one scenario, keyed by role."""
-    b = ls.build_barrier(scn)
-    return {
-        "scn": scn,
-        "pair": ls.build_pair(scn),
-        "barrier": b,
-        "law": ls.build_law(scn, b),
-        "rtf": scn.rtf,
-        "rcbf": ls.build_scenario_rcbf(scn, b) if scn.rcbf_hypothesis_ok else None,
-        "dist": ls.build_disturbance(scn),
-    }
+    loop = ls.build_loop(scn)
+    return {"scn": scn, "barrier": loop.law.barrier, "rtf": scn.rtf, **loop._asdict()}
 
 
 def error_starts(law, e_dot0):

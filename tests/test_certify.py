@@ -8,7 +8,7 @@ import pytest
 
 import layersafe as ls
 from conftest import counting_barrier
-from layersafe import harness
+from layersafe import cli, harness
 
 
 def test_grid_validation_and_points():
@@ -162,9 +162,7 @@ def test_certify_minima_match_single_rollouts(name, mode, counts, request):
     scn = request.getfixturevalue(name).with_horizon(0.1)
     grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=counts)
     report = ls.certify_initial_set(scn, grid, velocity_mode=mode)
-    pair, b = ls.build_pair(scn), ls.build_barrier(scn)
-    law, rcbf = ls.build_law(scn, b), ls.build_scenario_rcbf(scn, b)
-    dist = ls.build_disturbance(scn)
+    pair, law, rcbf, dist = ls.build_loop(scn)
     x0s = ls.initial_states(scn, law, grid.points, mode=mode)
     rolled = [i for i, r in enumerate(report.per_point) if "not rolled" not in r.note]
     assert len(rolled) >= 4
@@ -217,6 +215,22 @@ def test_certify_window_ends_half_a_step_past_tau(two_disks):
     assert _single_run_mismatches(scn, report) == []
 
 
+def test_certify_needs_a_certified_region(two_disks, tmp_path, capsys):
+    # beta = 2.45 <= alpha = 5: refused by build_loop's one rule, in the
+    # library and on the command line, and nothing is written
+    grid = ls.Grid(lower=two_disks.certify_lower, upper=two_disks.certify_upper, counts=(3, 3))
+    with pytest.raises(
+        ls.HypothesisViolationError,
+        match="^certify needs a certified region: the recurrence rate must exceed alpha$",
+    ):
+        ls.certify_initial_set(two_disks.with_alpha(5.0), grid, horizon=0.05)
+    out = tmp_path / "out"
+    argv = ["certify", "two_disks", "--alpha", "5", "--grid", "pos:3x3", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "error: certify needs a certified region" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_one_barrier_pass_per_rk4_stage(two_disks, monkeypatch):
     # the law runs once per RK4 stage, stage 1 doubles as the recorded sample
     # and one more pass records the last: 4 n_steps + 1 per rollout, with h
@@ -224,14 +238,13 @@ def test_one_barrier_pass_per_rk4_stage(two_disks, monkeypatch):
     scn = two_disks.with_horizon(0.05)
     n_steps = scn.integrator.n_steps
     b, calls = counting_barrier(scn.field, monkeypatch)
-    law = ls.build_law(scn, b)
-    rcbf = ls.build_scenario_rcbf(scn, b)
+    monkeypatch.setattr(ls.scenario, "build_barrier", lambda _scn: b)
+    pair, law, rcbf, _ = ls.build_loop(scn)
     x0 = ls.initial_state(scn, law)
     calls.clear()
-    ls.integrate(ls.build_pair(scn), law, x0, scn.integrator, rcbf=rcbf)
+    ls.integrate(pair, law, x0, scn.integrator, rcbf=rcbf)
     assert (calls["vg"], calls["value"]) == (4 * n_steps + 1, 0)
 
-    monkeypatch.setattr(ls.certify, "build_barrier", lambda _scn: b)
     grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=(3, 3))
     calls.clear()
     report = _certify_at_chunk(monkeypatch, 2, scn, grid, velocity_mode="desired")

@@ -113,16 +113,17 @@ def test_certify_bad_grid(tmp_path, capsys):
 
 def test_certify_non_finite_horizon(tmp_path, capsys):
     # refused with a usage error before any rollout or artifact, and so is a
-    # horizon of 1.5 steps, which ran 2 steps and so ended past it
+    # horizon of 1.5 steps, which ran 2 steps and so ended past it; each
+    # message names the horizon passed, not the scenario's sim.horizon
     out = tmp_path / "out"
     for value in ("inf", "nan"):
         argv = ["certify", "two_disks", "--grid", "pos:3x3", "--horizon", value, "--out", str(out)]
         assert main(argv) == 2
-        assert f"sim.horizon must be finite, got {float(value)!r}" in capsys.readouterr().err
+        assert f"error: horizon must be finite, got {float(value)!r}" in capsys.readouterr().err
         assert not out.exists()
     argv = ["certify", "two_disks", "--grid", "pos:3x3", "--horizon", "0.0015", "--out", str(out)]
     assert main(argv) == 2
-    assert "sim.horizon = 0.0015 must be a whole number of sim.dt = 0.001 steps, got 1.5 steps" in (
+    assert "error: horizon = 0.0015 must be a whole number of sim.dt = 0.001 steps, got 1.5 steps" in (
         capsys.readouterr().err
     )
     assert not out.exists()

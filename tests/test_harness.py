@@ -262,6 +262,6 @@ def test_run_iss_makes_one_barrier_pass_per_rk4_stage(open_field, monkeypatch, t
     # the law or the barrier again
     scn = dataclasses.replace(open_field.with_horizon(0.05), velocity_mode="zero")
     b, calls = counting_barrier(scn.field, monkeypatch)
-    monkeypatch.setattr(ls.harness, "build_barrier", lambda _scn: b)
+    monkeypatch.setattr(ls.scenario, "build_barrier", lambda _scn: b)
     ls.run_iss(scn, out_dir=tmp_path, mu_gain=MU_GAIN)
     assert (calls["vg"], calls["value"]) == (4 * scn.integrator.n_steps + 1, 0)

@@ -1,6 +1,7 @@
 """The package's public surface: ``__all__`` names exactly what it exports,
 and every exported name is used by the program, the benchmark or an
 acceptance criterion."""
+import ast
 import re
 import types
 from pathlib import Path
@@ -34,6 +35,25 @@ def test_every_public_name_is_used():
         if not any(word.search(ln) and not own.match(ln) for ln in lines):
             unused.append(name)
     assert unused == []
+
+
+def test_only_scenario_builds_the_loop():
+    # scenario.build_loop is the one place the closed loop is assembled;
+    # estimate_mu_gain builds its own probe disturbances
+    builders = {"build_pair", "build_barrier", "build_law", "build_scenario_rcbf", "make_disturbance"}
+    found = []
+    for path in sorted((ROOT / "src" / "layersafe").glob("*.py")):
+        if path.name == "scenario.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if getattr(top, "name", None) == "estimate_mu_gain":
+                continue
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if isinstance(node, ast.Call) and name in builders:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 def test_readme_quick_start_runs(monkeypatch, tmp_path, capsys):

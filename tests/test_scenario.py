@@ -206,8 +206,18 @@ def test_parse_error_line_numbers():
         (MINIMAL.replace("kp = 1.8", "kp = -1"), 5, "gains.kp must be strictly positive, got -1.0"),
         (MINIMAL.replace("kd = 8.0", "kd = 0"), 6, "gains.kd must be strictly positive, got 0.0"),
         (MINIMAL + "rtf.tau = -1\n", 8, "rtf.tau must be positive, got -1.0"),
+        (
+            MINIMAL + "rtf.a1 = 2.0\nrtf.a2 = 2.0\n",
+            8,
+            "rtf.a1 and rtf.a2 need 0 < a1 <= 1 <= a2, got a1=2.0, a2=2.0",
+        ),
+        (
+            MINIMAL + "rtf.a1 = 0.5\nrtf.a2 = 0.25\n",
+            8,
+            "rtf.a1 and rtf.a2 need 0 < a1 <= a2, got a1=0.5, a2=0.25",
+        ),
     ],
-    ids=["dt", "horizon", "kp", "kd", "tau"],
+    ids=["dt", "horizon", "kp", "kd", "tau", "sandwich", "a1_above_a2"],
 )
 def test_record_refusals_carry_the_line(text, line, message):
     # a record's refusal names the key as the file writes it, so the parser
@@ -260,6 +270,18 @@ def test_sandwich_constants_must_bracket_one():
             ls.parse_scenario(MINIMAL + f"rtf.a1 = {a1}\nrtf.a2 = {a2}\n")
     rc = ls.parse_scenario(MINIMAL + "rtf.a1 = 0.5\nrtf.a2 = 2.0\n").rtf
     assert (rc.a1, rc.a2) == (0.5, 2.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.45, 5.0])
+def test_build_loop_shares_one_barrier(two_disks, alpha):
+    # the recurrent barrier exists exactly when beta = 2.45 exceeds alpha,
+    # and then reads the law's own barrier
+    scn = two_disks.with_alpha(alpha)
+    loop = ls.build_loop(scn)
+    assert (loop.rcbf is None) == (not scn.rcbf_hypothesis_ok) == (alpha >= 2.45)
+    if loop.rcbf is not None:
+        assert loop.rcbf.barrier is loop.law.barrier
+    assert loop.dist.kind == scn.disturbance.kind
 
 
 def test_negative_disturbance_seed():
