@@ -48,7 +48,8 @@ VERDICTS = ("certified_safe", "unsafe_witness", "outside_S_V", "indeterminate")
 
 @dataclass(frozen=True)
 class Grid:
-    """A planar lattice of start positions: bounds (2,) and two sample counts."""
+    """A planar lattice of start positions: bounds (2,) and two integer sample
+    counts, each at least 2; a bool, float or string count is refused."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -57,9 +58,12 @@ class Grid:
     def __post_init__(self):
         lower = np.array(self.lower, dtype=float)
         upper = np.array(self.upper, dtype=float)
-        counts = tuple(int(c) for c in np.atleast_1d(self.counts))
+        counts = tuple(np.atleast_1d(np.asarray(self.counts, dtype=object)).tolist())
         if lower.shape != (2,) or upper.shape != (2,) or len(counts) != 2:
             raise ConfigurationError("a grid takes bounds of shape (2,) and two counts")
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in counts):
+            raise ConfigurationError(f"grid counts must be integers, got {self.counts!r}")
+        counts = tuple(int(c) for c in counts)  # held as plain integers
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ConfigurationError("grid bounds must be finite")
         if not np.all(lower < upper):

@@ -42,7 +42,9 @@ class Rtf:
     tau the window length and m_overshoot the certified tracking overshoot
     M. Each must be a finite number, with 0 < a1 <= a2 and beta, tau, M > 0;
     a message about one value starts with its scenario key, rtf.a1 to rtf.M,
-    and the one about the pair a1, a2 with rtf.a1.
+    and the one about the pair a1, a2 with the key out of place: rtf.a2
+    when 0 < a1 and a2 lies below both a1 and 1 (a scenario also needs
+    a2 >= 1; see Scenario), else rtf.a1.
     """
 
     a1: float = 1.0
@@ -56,9 +58,12 @@ class Rtf:
             require_number(key, val)
             if not np.isfinite(val):  # the echo could not write it back
                 raise ConfigurationError(f"{key} must be finite, got {val!r}")
-        if not 0 < self.a1 <= self.a2:
+        a1, a2 = self.a1, self.a2
+        if not 0 < a1 <= a2:
+            key = "rtf.a2" if 0 < a1 and a2 < 1.0 else "rtf.a1"
             raise ConfigurationError(
-                f"rtf.a1 and rtf.a2 need 0 < a1 <= a2, got a1={self.a1!r}, a2={self.a2!r}"
+                f"{key} is out of range: rtf.a1 and rtf.a2 need 0 < a1 <= a2, "
+                f"got a1={a1!r}, a2={a2!r}"
             )
         for key, val in zip(("rtf.beta", "rtf.tau", "rtf.M"), astuple(self)[2:]):
             if not val > 0:

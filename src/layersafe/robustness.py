@@ -20,8 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, ModelPair, Trajectory, integrate
-from .errors import ConfigurationError, require_number
+from ._vec import finite
+from .dynamics import IntegratorConfig, ModelPair, Trajectory, _rollout
+from .errors import ConfigurationError, DivergenceError, require_number
 from .recurrence import (
     RecurrenceVerdict,
     RecurrentCbf,
@@ -31,7 +32,7 @@ from .recurrence import (
 )
 
 _RANDOM_TABLE = 1 << 16  # piecewise-constant pattern repeats after this many segments
-_TABLE_BLOCK = 1 << 12  # random-table rows filled per block; divides _RANDOM_TABLE
+_TABLE_BLOCK = 1 << 12  # random-table rows measured per block; divides _RANDOM_TABLE
 # a block whose largest sum of squares overflows is scaled down by _SCALE,
 # one whose largest is subnormal or zero up by it: the largest nonzero
 # component then has 2**-474 <= |c| < 2**424, where the squares are normal
@@ -121,9 +122,11 @@ def make_disturbance(kind: str, **fields) -> Disturbance:
     kinds: "none" (zero), "constant" (amplitude along the first axis),
     "sine" (rotating, ||d(t)|| = amplitude exactly), "random" (seeded
     piecewise-constant on segments, values in the closed amplitude disk,
-    read from a table of 2**16 rows built and measured in place a block of
-    rows at a time; its sup_norm is the largest row norm, finite for every
-    finite amplitude and positive for every positive one; see _random_table).
+    one row of a table of 2**16 rows per segment; no table is held: a call
+    draws the rows of the segments its times span, at most one period, see
+    _random_rows, and sup_norm, the largest row norm, is measured once a
+    block of rows at a time, finite for every finite amplitude and
+    positive for every positive one).
     A random signal raises ConfigurationError at a time t with
     t / segment >= 2**53, where floats no longer count whole segments, and a
     sine at a time t where 2*pi*frequency*t is not finite.
@@ -160,9 +163,8 @@ def make_disturbance(kind: str, **fields) -> Disturbance:
 
         return Disturbance(kind=kind, signal=signal, sup_norm=amp)
 
-    # random: one table value per segment, the table repeating after _RANDOM_TABLE
-    table, sup = _random_table(amp, spec.seed)
-    seg = float(spec.segment)
+    # random: one table row per segment, the table repeating after _RANDOM_TABLE
+    seed, seg = spec.seed, float(spec.segment)
 
     def signal(t):
         t = np.asarray(t, dtype=float)
@@ -173,50 +175,73 @@ def make_disturbance(kind: str, **fields) -> Disturbance:
                 f"disturbance.segment = {seg!r} is too short for t = {t_max!r}: "
                 "t / segment must stay below 2**53 to count whole segments"
             )
-        return table[n.astype(np.int64) % _RANDOM_TABLE]
+        m = n.astype(np.int64)
+        if m.size == 0:
+            return np.empty(t.shape + (2,))
+        # the rows of segments lo .. max(m), at most one period, drawn from
+        # table row lo % _RANDOM_TABLE on; a window past the last row wraps
+        lo = int(m.min())
+        start, count = lo % _RANDOM_TABLE, min(int(m.max()) - lo + 1, _RANDOM_TABLE)
+        head = min(count, _RANDOM_TABLE - start)
+        rows = _random_rows(amp, seed, start, head)
+        if head < count:
+            rows = np.concatenate([rows, _random_rows(amp, seed, 0, count - head)])
+        return rows[(m - lo) % _RANDOM_TABLE]
 
+    # the sup norm streams both draw sequences through the table a block at a time
+    angles, radii = _draws(seed, 0), _draws(seed, _RANDOM_TABLE)
+    sup = 0.0
+    for _ in range(_RANDOM_TABLE // _TABLE_BLOCK):
+        block = _disk(amp, angles.random(_TABLE_BLOCK), radii.random(_TABLE_BLOCK))
+        sup = max(sup, _largest_norm(*block))
     return Disturbance(kind=kind, signal=signal, sup_norm=sup)
 
 
-def _random_table(amp: float, seed: int) -> tuple[np.ndarray, float]:
-    """The random kind's (_RANDOM_TABLE, 2) values and their largest row norm.
+def _draws(seed: int, skip: int) -> np.random.Generator:
+    """default_rng(seed) past its first ``skip`` draws: random() takes one
+    64-bit output of PCG64 per draw, and PCG64.advance skips outputs."""
+    return np.random.Generator(np.random.PCG64(seed).advance(skip))
 
-    The values are drawn from the closed disk of radius amp as radius *
-    (cos theta, sin theta), with theta = uniform(0, 2 pi) and radius =
-    amp * sqrt(uniform(0, 1)): every angle, then every radius, in the
-    generator's order. uniform(0, hi) is 0.0 + hi * random(), the same
-    float as hi * random(), so the raw draws land in the table's two
-    columns, and each block of _TABLE_BLOCK rows is turned into its values
-    in place. Nothing beyond the table and one block of rows is held.
-    The norm is sqrt(max(c0*c0 + c1*c1)) over the blocks, the bits of
-    vnorm's largest value: 0.0 + c0*c0 is c0*c0, and a correctly rounded
-    sqrt is monotone. A block whose largest sum of squares overflows, or is
-    subnormal or zero, is summed again scaled by a power of two, which is
-    exact for its largest row, so the norm stays finite for every finite amp
-    and positive for every positive one.
+
+def _random_rows(amp: float, seed: int, lo: int, n: int) -> np.ndarray:
+    """Rows lo .. lo + n - 1 of the random kind's table, (n, 2), for
+    lo + n <= _RANDOM_TABLE.
+
+    The table is default_rng(seed)'s first _RANDOM_TABLE draws as angles and
+    its next _RANDOM_TABLE draws as radii, row i taking angle draw i and
+    radius draw _RANDOM_TABLE + i; see _disk. Only the n rows asked for are
+    drawn.
     """
-    rng = np.random.default_rng(seed)
-    table = np.empty((_RANDOM_TABLE, 2))
-    blocks = range(0, _RANDOM_TABLE, _TABLE_BLOCK)
-    for col in (0, 1):  # angles, then radii
-        for a in blocks:
-            table[a:a + _TABLE_BLOCK, col] = rng.random(_TABLE_BLOCK)
-    sup = 0.0
-    for a in blocks:
-        rows = table[a:a + _TABLE_BLOCK]
-        theta = rows[:, 0] * (2.0 * np.pi)
-        radius = np.sqrt(rows[:, 1])
-        radius *= amp
-        np.cos(theta, out=rows[:, 0])
-        np.sin(theta, out=rows[:, 1])
-        rows *= radius[:, None]
-        sup = max(sup, _largest_norm(rows[:, 0], rows[:, 1]))
-    return table, sup
+    angles, radii = _draws(seed, lo).random(n), _draws(seed, _RANDOM_TABLE + lo).random(n)
+    return np.stack(_disk(amp, angles, radii), axis=-1)
+
+
+def _disk(amp: float, angles: np.ndarray, radii: np.ndarray) -> tuple:
+    """The columns (c0, c1) = radius * (cos theta, sin theta) of rows in the
+    closed disk of radius amp, from raw random() draws, computed in the
+    draws' buffers.
+
+    theta = uniform(0, 2 pi) and radius = amp * sqrt(uniform(0, 1)), where
+    uniform(0, hi) is 0.0 + hi * random(), the same float as hi * random().
+    The table's sup norm is sqrt(max(c0*c0 + c1*c1)) over its blocks of
+    rows (_largest_norm), the bits of vnorm's largest value: 0.0 + c0*c0 is
+    c0*c0, and a correctly rounded sqrt is monotone.
+    """
+    theta = np.multiply(angles, 2.0 * np.pi, out=angles)
+    radius = np.sqrt(radii, out=radii)
+    radius *= amp
+    c0 = np.cos(theta)
+    c0 *= radius
+    c1 = np.sin(theta, out=theta)
+    c1 *= radius
+    return c0, c1
 
 
 def _largest_norm(c0, c1) -> float:
     """max(sqrt(c0*c0 + c1*c1)) over two columns, with no overflow where the
-    rows are finite and no underflow where one is not zero."""
+    rows are finite and no underflow where one is not zero: a block whose
+    largest sum of squares overflows, or is subnormal or zero, is summed
+    again scaled by a power of two, which is exact for its largest row."""
     with np.errstate(over="ignore"):
         sq = float(np.max(c0 * c0 + c1 * c1))
     if _TINY <= sq < math.inf:
@@ -315,18 +340,41 @@ def estimate_mu_gain(pair: ModelPair, law, cfg: IntegratorConfig) -> float:
     transient-inclusive ratio max_t ||e_dot(t)|| / amplitude. The error loop
     is linear while the filter is inactive, so the ratio is amplitude-free;
     the frequency sweep matters because the loop's peak gain sits at a
-    nonzero frequency.
+    nonzero frequency. Each probe is one rollout on the single-run path
+    whose largest ||e_dot|| is folded as the kernel runs (see _largest_v):
+    the gain is the float np.max(integrate(...).v) / amplitude gives, maxed
+    over the probes, with no Trajectory recorded.
     """
-    # each entry rolls out alone from a quiet start, on the single-run path
-    x0 = np.concatenate([np.asarray(law.goal, dtype=float), np.zeros(2)])
+    x0s = np.concatenate([np.asarray(law.goal, dtype=float), np.zeros(2)])[None, :]
     amp, c = _PROBE_AMPLITUDE, 0.0
     for freq in _PROBE_FREQUENCIES:
         if freq == 0.0:
             d = make_disturbance("constant", amplitude=amp)
         else:
             d = make_disturbance("sine", amplitude=amp, frequency=freq)
-        traj = integrate(pair, law, x0, cfg, disturbance=d)
-        c = max(c, float(np.max(traj.v)) / amp)
+        c = max(c, _largest_v(pair, law, x0s, cfg, d.signal) / amp)
     if not c > 0:
         raise ConfigurationError("calibration produced a zero gain; disturbance has no effect")
     return c
+
+
+def _largest_v(pair: ModelPair, law, x0s, cfg: IntegratorConfig, d_sig) -> float:
+    """The largest V = ||e_dot|| over the samples of the rollout from x0s,
+    (1, 4), folded as the kernel yields them.
+
+    V is _derived's vnorm in float code, vsum's order for two parts, so it
+    has the bits integrate records in Trajectory.v; a NaN V sticks, as in
+    np.max. A non-finite state raises the DivergenceError integrate raises.
+    """
+    v_max = -math.inf
+    with np.errstate(all="ignore"):  # integrate_batch's, around the same kernel
+        samples = _rollout(pair, law, x0s, cfg.dt, cfg.n_steps, d_sig)
+        for k, (t, x, _u, inter) in enumerate(samples):
+            if not finite(x):
+                raise DivergenceError(f"non-finite state at step {k} (t={t:.6g}), run 0")
+            (_, _, vx, vy), (sx, sy) = x, inter.z_dot_s
+            ex, ey = vx - sx, vy - sy
+            v = math.sqrt((ex * ex + 0.0) + ey * ey)
+            if v > v_max or v != v:
+                v_max = v
+    return v_max

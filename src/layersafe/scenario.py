@@ -106,9 +106,9 @@ class Scenario:
 
     Left out, the certify box hulls start, goal and the obstacles padded by
     0.5. The certificate constants must bracket 1, a1 <= 1 <= a2, as
-    V = ||e_dot|| needs (the refusal starts with rtf.a1); Rtf alone allows
-    any 0 < a1 <= a2. beta > gains.alpha is not required to load; build_loop
-    applies that gate, and rcbf_hypothesis_ok exposes it.
+    V = ||e_dot|| needs (the refusal starts with the key whose bound fails);
+    Rtf alone allows any 0 < a1 <= a2. beta > gains.alpha is not required
+    to load; build_loop applies that gate, and rcbf_hypothesis_ok exposes it.
     """
 
     field: ObstacleField
@@ -138,8 +138,10 @@ class Scenario:
             raise ConfigurationError("certify.lower must be strictly below certify.upper")
         a1, a2 = self.rtf.a1, self.rtf.a2
         if not a1 <= 1.0 <= a2:  # the sandwich must hold for V = ||e_dot||
+            key = "rtf.a1" if a1 > 1.0 else "rtf.a2"  # the one whose bound fails
             raise ConfigurationError(
-                f"rtf.a1 and rtf.a2 need 0 < a1 <= 1 <= a2, got a1={a1!r}, a2={a2!r}"
+                f"{key} is out of range: rtf.a1 and rtf.a2 need 0 < a1 <= 1 <= a2, "
+                f"got a1={a1!r}, a2={a2!r}"
             )
         if self.velocity_mode not in _VELOCITY_MODES:
             raise ConfigurationError(

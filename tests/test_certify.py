@@ -28,6 +28,17 @@ def test_grid_validation_and_points():
         ls.Grid(lower=[0.0, 0.0], upper=[1.0, float("inf")], counts=(2, 2))
     with pytest.raises(ls.ConfigurationError):
         ls.Grid(lower=[0.0, 0.0], upper=[1.0, 2.0], counts=(2, 1))
+    # a count that is not an integer was truncated ((2.7, 3) made a 2x3 grid)
+    # or parsed ("4"); it is refused, as a non-integer disturbance seed is
+    for bad in (
+        (2.7, 3), (2.0, 3), ("4", 3), (True, 3), (4, np.float64(3.0)), np.array([4.0, 5.0]),
+    ):
+        with pytest.raises(ls.ConfigurationError, match="grid counts must be integers, got"):
+            ls.Grid(lower=[0, 0], upper=[1, 1], counts=bad)
+    # numpy integers are taken and held as plain integers
+    for good in ((np.int64(4), 3), np.array([4, 3]), [4, 3]):
+        counts = ls.Grid(lower=[0, 0], upper=[1, 1], counts=good).counts
+        assert counts == (4, 3) and all(type(c) is int for c in counts)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,6 @@
 """Disturbance signals, the ISS envelope, and the shrunken robust set."""
+import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 import layersafe as ls
+from layersafe import dynamics, robustness
 from layersafe._vec import vnorm
 from conftest import MU_GAIN, synthetic_trajectory
 
@@ -133,17 +136,58 @@ def test_disturbance_random_sup_norm_does_not_overflow():
 
 
 def test_disturbance_random_memory_budget():
-    # the random table is built in place: no angle, radius or norm array of
-    # its length is alive beside it (the whole-table build peaked at 3.0 MiB)
+    # no table is built: the sup norm is measured one block of rows at a
+    # time (the in-place 1 MiB table peaked at 1.2 MiB, the whole-table
+    # build at 3.0 MiB), and nothing of a table's size stays alive after
     ls.make_disturbance("random", amplitude=0.1, seed=7)  # numpy's lazy imports
     tracemalloc.start()
     try:
         d = ls.make_disturbance("random", amplitude=0.1, seed=7)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert d.sup_norm > 0.0
-    assert peak <= 1.6 * 2**20, peak
+    assert peak <= 0.25 * 2**20, peak
+    assert kept < 64 * 2**10, kept
+
+
+def test_disturbance_random_draws_only_the_rows_it_reads():
+    # a call draws the rows of the segments its times span past the
+    # generator's first draws; each window matches the whole table's rows,
+    # bit for bit
+    seg = 0.1
+    d = ls.make_disturbance("random", amplitude=0.3, seed=11, segment=seg)
+    signal, _ = _reference_random(0.3, 11, seg)
+    for lo, n in ((0, 1), (1, 21), (4095, 2), (4096, 4097), (30001, 3), (65535, 1)):
+        t = (np.arange(lo, lo + n) + 0.5) * seg
+        assert np.array_equal(_bits(d.signal(t)), _bits(signal(t))), (lo, n)
+        assert np.array_equal(_bits(d.signal(t[::-1])), _bits(signal(t[::-1]))), (lo, n)
+    # the table lookup's shapes: t.shape + (2,) for an empty array,
+    # a 0-d time and a 2-D array, and an index range that wraps past row 65535
+    for t, shape in (
+        (np.array([]), (0, 2)),
+        (np.zeros((3, 0)), (3, 0, 2)),
+        (np.float64(0.25), (2,)),
+        (np.array(7.0), (2,)),
+        (np.arange(6.0).reshape(2, 3), (2, 3, 2)),
+    ):
+        out = d.signal(t)
+        assert out.shape == shape and out.dtype == np.float64, (t, out.shape)
+        assert np.array_equal(_bits(out), _bits(signal(t)))
+    wrap = (np.array([65534.5, 65535.5, 65536.5, 65537.5, -0.5]) * seg)[:, None]
+    out = d.signal(wrap)
+    assert out.shape == (5, 1, 2)
+    assert np.array_equal(_bits(out), _bits(signal(wrap)))
+    assert np.array_equal(out[2:4], d.signal(wrap[2:4] - 65536 * seg))
+    # segments 65534-65537 wrap past the last row: two pieces are drawn, not
+    # the whole table
+    tracemalloc.start()
+    try:
+        d.signal(wrap[:4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
 
 
 def test_disturbance_random_refuses_segment_too_short_to_count():
@@ -349,6 +393,71 @@ def test_mu_gain_is_amplitude_free(linear):
         ratios.append(float(np.max(traj.v)) / amp)
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
     assert 0.1 < ratios[0] < 0.2
+
+
+def _reference_mu_gain(pair, law, cfg):
+    # the recorded gain: per probe, the largest V of its Trajectory over the
+    # amplitude, maxed over the probes
+    x0 = np.concatenate([law.goal, np.zeros(2)])
+    c = 0.0
+    for d in (
+        ls.make_disturbance("constant", amplitude=0.1),
+        ls.make_disturbance("sine", amplitude=0.1, frequency=0.5),
+        ls.make_disturbance("sine", amplitude=0.1, frequency=1.0),
+    ):
+        c = max(c, float(np.max(ls.integrate(pair, law, x0, cfg, disturbance=d).v)) / 0.1)
+    return c
+
+
+@pytest.mark.parametrize("world, horizon", [("of", 2.0), ("of", 6.0), ("td", 2.0)])
+def test_mu_gain_folds_the_recorded_maximum(world, horizon, request):
+    # each probe folds its largest ||e_dot|| as the kernel runs, with the
+    # bits of the recorded Trajectory.v's maximum
+    w = request.getfixturevalue(world)
+    cfg = ls.IntegratorConfig(dt=1e-3, horizon=horizon)
+    c = ls.estimate_mu_gain(w["pair"], w["law"], cfg)
+    assert _bits(c) == _bits(_reference_mu_gain(w["pair"], w["law"], cfg))
+    if world == "of" and horizon == 2.0:  # the benchmark's calibration
+        assert c == MU_GAIN
+
+
+def test_mu_gain_records_nothing(of, monkeypatch):
+    # the probes run the kernel alone: no integrate_batch, one rk4_step per
+    # step and 3 signal calls per probe
+    calls = {"integrate_batch": 0, "rk4_step": 0, "signal": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("integrate_batch", "rk4_step"):
+        monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name)))
+    make = robustness.make_disturbance
+
+    def counted_make(kind, **fields):
+        d = make(kind, **fields)
+        return dataclasses.replace(d, signal=counted("signal", d.signal))
+
+    monkeypatch.setattr(robustness, "make_disturbance", counted_make)
+    cfg = ls.IntegratorConfig(dt=1e-3, horizon=2.0)
+    assert ls.estimate_mu_gain(of["pair"], of["law"], cfg) == MU_GAIN
+    assert calls == {"integrate_batch": 0, "rk4_step": 3 * cfg.n_steps, "signal": 9}
+
+
+def test_mu_gain_probe_divergence_matches_integrate(of):
+    # a plant that blows up: the first probe raises the DivergenceError the
+    # same rollout raises through integrate, at the same step and time
+    pair = ls.ModelPair(fom_field=lambda x, u: (x[2], x[3], u[0] + 1000.0 * x[2], u[1]))
+    law, cfg = of["law"], ls.IntegratorConfig(dt=1e-3, horizon=2.0)
+    x0 = np.concatenate([law.goal, np.zeros(2)])
+    with pytest.raises(ls.DivergenceError) as recorded:
+        ls.integrate(pair, law, x0, cfg, disturbance=ls.make_disturbance("constant", amplitude=0.1))
+    with pytest.raises(ls.DivergenceError) as folded:
+        ls.estimate_mu_gain(pair, law, cfg)
+    assert str(folded.value) == str(recorded.value)
+    assert re.fullmatch(r"non-finite state at step \d+ \(t=\S+\), run 0", str(folded.value))
 
 
 def test_mu_gain_frozen_regression(of):

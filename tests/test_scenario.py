@@ -209,19 +209,38 @@ def test_parse_error_line_numbers():
         (
             MINIMAL + "rtf.a1 = 2.0\nrtf.a2 = 2.0\n",
             8,
-            "rtf.a1 and rtf.a2 need 0 < a1 <= 1 <= a2, got a1=2.0, a2=2.0",
+            "rtf.a1 is out of range: rtf.a1 and rtf.a2 need 0 < a1 <= 1 <= a2, got a1=2.0, a2=2.0",
         ),
         (
             MINIMAL + "rtf.a1 = 0.5\nrtf.a2 = 0.25\n",
+            9,
+            "rtf.a2 is out of range: rtf.a1 and rtf.a2 need 0 < a1 <= a2, got a1=0.5, a2=0.25",
+        ),
+        (
+            MINIMAL + "rtf.a2 = 0.5\n",
             8,
-            "rtf.a1 and rtf.a2 need 0 < a1 <= a2, got a1=0.5, a2=0.25",
+            "rtf.a2 is out of range: rtf.a1 and rtf.a2 need 0 < a1 <= a2, got a1=1.0, a2=0.5",
+        ),
+        (
+            MINIMAL + "rtf.a1 = 2.0\n",
+            8,
+            "rtf.a1 is out of range: rtf.a1 and rtf.a2 need 0 < a1 <= a2, got a1=2.0, a2=1.0",
+        ),
+        (
+            MINIMAL + "rtf.a1 = 0.5\nrtf.a2 = 0.8\n",
+            9,
+            "rtf.a2 is out of range: rtf.a1 and rtf.a2 need 0 < a1 <= 1 <= a2, got a1=0.5, a2=0.8",
         ),
     ],
-    ids=["dt", "horizon", "kp", "kd", "tau", "sandwich", "a1_above_a2"],
+    ids=[
+        "dt", "horizon", "kp", "kd", "tau", "sandwich", "a1_above_a2", "a2_only", "a1_only",
+        "a2_below_one",
+    ],
 )
 def test_record_refusals_carry_the_line(text, line, message):
     # a record's refusal names the key as the file writes it, so the parser
-    # finds the line that set it
+    # finds the line that set it; an a1/a2 refusal names the key whose bound
+    # fails (a file that wrote only rtf.a2 got no line when it named rtf.a1)
     with pytest.raises(ls.ScenarioError) as ei:
         ls.parse_scenario(text)
     assert str(ei.value) == f"line {line}: {message}"
