@@ -58,9 +58,17 @@ def vdot(a, b) -> np.ndarray:
 
 
 def vnorm(v):
-    """Euclidean norm of a tuple of components, or over an array's trailing axis."""
+    """Euclidean norm of a tuple of components, or over an array's trailing axis.
+
+    A tuple's squares are summed left to right without vsum's leading 0.0 +:
+    a square is never -0.0 and 0.0 + s is s for every other square, NaN
+    included, so the bits are vsum's with one add less per norm.
+    """
     if isinstance(v, tuple):
-        return sqrt(vsum([c * c for c in v]))
+        out = v[0] * v[0]
+        for c in v[1:]:
+            out += c * c
+        return sqrt(out)
     return np.sqrt(vdot(v, v))
 
 

@@ -9,10 +9,11 @@ only when its margin is strictly smaller, so ties between equally near
 obstacles resolve to the lowest obstacle index. It runs on the state's
 components (see _vec): Python floats for one state, ndarray columns for a
 batch, and it checks which once per pass. Floats take straight-line float
-code, columns np.sqrt, np.where and an in-place np.divide, with the same
-bits either way. Array callers go through BarrierFn, which splits a state
-array into components, holds np.errstate around the pass and joins the
-results.
+code; columns take numpy calls that write into the pass's own columns
+(np.sqrt, np.minimum, np.copyto and np.divide with out= or where=), never
+into the caller's, with the same bits either way. Array callers go through
+BarrierFn, which splits a state array into components, holds np.errstate
+around the pass and joins the results.
 """
 from __future__ import annotations
 
@@ -115,9 +116,14 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
     Floats are scanned in plain float arithmetic: a K = 1 rollout makes
     four passes per step, and a numpy call per operation would cost more
     than the arithmetic. They divide directly where the distance is finite
-    and nonzero, else with np.divide, for numpy's inf and NaN. Columns go
-    through np.sqrt and np.where and divide the pass's own offset columns
-    in place, under the caller's np.errstate.
+    and nonzero, else with np.divide, for numpy's inf and NaN. Columns reuse
+    the pass's own temporaries: each sum of squares is built and rooted in
+    place, the running margin is kept with np.minimum(m, h, out=h), the
+    nearest obstacle's distance and offset are taken with
+    np.copyto(..., where=m < h), and the offset columns are divided in
+    place, under the caller's np.errstate. np.minimum gives the strict-<
+    select's bits: the centers are finite, so a row's margins are either
+    all NaN (a NaN component) or none is.
     """
     (cx0, cy0, r0), *rest = [
         (float(cx), float(cy), float(r)) for (cx, cy), r in zip(field.centers, field.radii)
@@ -152,17 +158,21 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
                 "barrier components must be two Python floats or two ndarray columns, "
                 f"got {type(zx).__name__} and {type(zy).__name__}"
             )
-        # vnorm's sum of squares; its leading 0.0 + never changes a square
-        dist = np.sqrt(dx * dx + dy * dy)
-        h = dist - r0
+        # vnorm's sum of squares, built and rooted in the pass's own columns
+        dist = dx * dx
+        dist += dy * dy
+        h = np.sqrt(dist, out=dist) - r0
         for cx, cy, r in rest:
             ex = zx - cx
             ey = zy - cy
-            d = np.sqrt(ex * ex + ey * ey)
-            m = d - r
+            d = ex * ex
+            d += ey * ey
+            m = np.sqrt(d, out=d) - r
             near = m < h
-            h, dist = np.where(near, m, h), np.where(near, d, dist)
-            dx, dy = np.where(near, ex, dx), np.where(near, ey, dy)
+            np.minimum(m, h, out=h)  # the strict-< select's bits (see the docstring)
+            np.copyto(dist, d, where=near)
+            np.copyto(dx, ex, where=near)
+            np.copyto(dy, ey, where=near)
         # offset / distance in place; non-finite where the distance is 0 or non-finite
         return h, (np.divide(dx, dist, out=dx), np.divide(dy, dist, out=dy))
 

@@ -224,7 +224,11 @@ def certify_initial_set(
     d_sig = dist.signal if dist.kind != "none" else None
 
     pts = grid.points
-    x0s = initial_states(scn, law, pts, mode=velocity_mode)
+    try:
+        x0s = initial_states(scn, law, pts, mode=velocity_mode)
+    except ConfigurationError as exc:  # the scenario key's refusal: name the caller's
+        msg = str(exc).replace("sim.initial_velocity", "velocity_mode", 1)
+        raise ConfigurationError(msg) from None
     n_pts = x0s.shape[0]
 
     dt = scn.integrator.dt

@@ -93,9 +93,10 @@ def safe_velocity(b: BarrierFn, alpha: float, z, z_dot_d):
     which is the closest feasible point to z_dot_d. h and grad_h are the
     barrier value and gradient it was computed from, so a caller needs no
     second barrier pass. Components are Python floats or ndarray columns.
-    The correction max(c, 0) is np.maximum(c, 0.0) on columns, and the same
-    rule written in float code on one run's float, so a K = 1 step makes no
-    numpy call for it. Both keep NaN and turn -0.0 into 0.0.
+    The correction max(c, 0) is np.maximum(c, 0.0) on columns, in place in
+    the correction's own column, and the same rule written in float code on
+    one run's float, so a K = 1 step makes no numpy call for it. Both keep
+    NaN and turn -0.0 into 0.0.
     """
     h, n = b.value_and_gradient(z)
     (nx, ny), (vx, vy) = n, z_dot_d
@@ -104,7 +105,7 @@ def safe_velocity(b: BarrierFn, alpha: float, z, z_dot_d):
     if type(corr) is float:
         corr = corr if corr > 0.0 or corr != corr else 0.0
     else:
-        corr = np.maximum(corr, 0.0)
+        np.maximum(corr, 0.0, out=corr)  # corr is this pass's own column
     return (vx + corr * nx, vy + corr * ny), corr > 0.0, h, n
 
 

@@ -304,6 +304,8 @@ def integrate_batch(
     if rcbf is not None and rcbf.barrier is not law.barrier:
         raise ConfigurationError("the recurrent barrier must be built on the law's barrier")
     runs = x0s.shape[0]
+    if runs == 0:  # no run to roll: the kernel would step empty columns to the horizon
+        return ()
     dt = cfg.dt
     d_sig = disturbance.signal if disturbance is not None else None
 

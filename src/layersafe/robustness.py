@@ -362,8 +362,9 @@ def _largest_v(pair: ModelPair, law, x0s, cfg: IntegratorConfig, d_sig) -> float
     """The largest V = ||e_dot|| over the samples of the rollout from x0s,
     (1, 4), folded as the kernel yields them.
 
-    V is _derived's vnorm in float code, vsum's order for two parts, so it
-    has the bits integrate records in Trajectory.v; a NaN V sticks, as in
+    V is _derived's vnorm in float code, vsum's order for two parts (vnorm
+    leaves out the + 0.0, which never changes a square), so it has the bits
+    integrate records in Trajectory.v; a NaN V sticks, as in
     np.max. A non-finite state raises the DivergenceError integrate raises.
     """
     v_max = -math.inf

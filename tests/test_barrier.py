@@ -54,13 +54,13 @@ def test_min_over_obstacles():
 def _reference_value_and_gradient(field, z):
     """The argmin/take_along_axis formula the per-obstacle kernel replaced."""
     z = np.asarray(z, dtype=float)
-    diff = z[..., None, :] - field.centers
-    dists = np.sqrt(np.sum(diff * diff, axis=-1))
-    margins = dists - field.radii
-    idx = np.asarray(np.argmin(margins, axis=-1))
-    val = np.take_along_axis(margins, np.expand_dims(idx, -1), axis=-1)[..., 0]
-    dist = np.take_along_axis(dists, np.expand_dims(idx, -1), axis=-1)[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        diff = z[..., None, :] - field.centers
+        dists = np.sqrt(np.sum(diff * diff, axis=-1))
+        margins = dists - field.radii
+        idx = np.asarray(np.argmin(margins, axis=-1))
+        val = np.take_along_axis(margins, np.expand_dims(idx, -1), axis=-1)[..., 0]
+        dist = np.take_along_axis(dists, np.expand_dims(idx, -1), axis=-1)[..., 0]
         grad = (z - field.centers[idx]) / np.expand_dims(dist, -1)
     return np.min(margins, axis=-1), val, grad
 
@@ -75,19 +75,33 @@ _FIELDS = {
     1: ls.ObstacleField(centers=[[-0.1, 0.3]], radii=[0.5]),
     2: ls.ObstacleField(centers=[[-1.0, 0.0], [1.0, 0.0]], radii=[0.5, 0.5]),
     3: ls.ObstacleField(centers=[[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], radii=[0.5, 0.5, 0.5]),
+    5: ls.ObstacleField(
+        centers=[[-4.0, 4.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, -2.0]],
+        radii=[0.3, 0.5, 0.5, 0.5, 0.5],
+    ),
 }
 
 
 def _probe_states(field, rng):
     special = [
-        [0.0, 0.0],  # ties obstacles 0 and 1 (all three when P = 3)
+        [0.0, 0.0],  # ties obstacles 0 and 1 (all three when P = 3; 1 and 2 when P = 5)
         [0.0, -2.5],  # ties obstacles 0 and 1 only
         [0.5, 0.5],  # ties obstacles 1 and 2 only (P = 3)
+        [-0.5, 1.0],  # ties obstacles 1 and 3 (P = 5)
+        [0.5, -1.0],  # ties obstacles 2 and 4 (P = 5)
         [np.inf, 0.0],
         [-np.inf, 1.0],
         [np.inf, -np.inf],
+        [-np.inf, -np.inf],
+        [0.5, np.inf],
         [np.nan, 0.0],
         [0.0, np.nan],
+        [np.nan, np.nan],
+        [np.inf, np.nan],
+        # squares overflow to inf on every obstacle
+        [1e200, 0.0],
+        [-1e200, 1e200],
+        [3e199, -1e-200],
         [1e-200, 0.0],
         # next to the P = 3 center (0, 1): dx * dx underflows, so the
         # distance is 0.0 while dx is not, and the float path falls back to
@@ -126,7 +140,8 @@ def test_batch_matches_scalar_bitwise():
             assert _same_bits(grad, ref_grad)
         # a row at distance 0.0 from a center (on it, or within underflow)
         # has a non-finite gradient; no other row is affected
-        at_center = np.any(field.center_distances(zs) == 0.0, axis=-1)
+        with np.errstate(over="ignore"):
+            at_center = np.any(field.center_distances(zs) == 0.0, axis=-1)
         _h, grad = b.value_and_gradient(zs)
         assert not np.any(np.isfinite(grad[at_center]))
         finite = np.all(np.isfinite(zs), axis=-1) & ~at_center
@@ -181,6 +196,30 @@ def test_gradient_matches_finite_difference():
         step[k] = eps
         fd = (b.value(zs + step) - b.value(zs - step)) / (2 * eps)
         assert np.allclose(g[:, k], fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("p", sorted(_FIELDS))
+def test_column_pass_matches_float_pass_bitwise(p):
+    # each row of a column pass has the bits of one state's float pass, the
+    # in-place loop over extra obstacles included, and the pass leaves the
+    # caller's columns as they were
+    field = _FIELDS[p]
+    vg = ls.min_distance_barrier(field).vg_fn
+    zs = _probe_states(field, np.random.default_rng(p))
+    zx, zy = np.ascontiguousarray(zs[:, 0]), np.ascontiguousarray(zs[:, 1])
+    before = zx.tobytes(), zy.tobytes()
+    with np.errstate(all="ignore"):
+        h, (gx, gy) = vg((zx, zy))
+    assert (zx.tobytes(), zy.tobytes()) == before
+    rows = [vg((x, y)) for x, y in zs.tolist()]
+    assert _same_bits(h, np.array([r[0] for r in rows]))
+    assert _same_bits(gx, np.array([r[1][0] for r in rows]))
+    assert _same_bits(gy, np.array([r[1][1] for r in rows]))
+    if p >= 3:  # the probes tie two obstacles after the first, where m < h is false
+        with np.errstate(over="ignore"):
+            margins = field.center_distances(zs) - field.radii
+        ties = (margins == margins.min(axis=-1, keepdims=True)).sum(axis=-1) >= 2
+        assert np.any(ties & (np.argmin(margins, axis=-1) >= 1))
 
 
 def test_tie_uses_one_consistent_obstacle():

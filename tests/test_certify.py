@@ -242,6 +242,16 @@ def test_certify_needs_a_certified_region(two_disks, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_certify_names_the_velocity_mode_it_was_passed(two_disks):
+    # the caller wrote velocity_mode, not the scenario key sim.initial_velocity
+    grid = ls.Grid(lower=two_disks.certify_lower, upper=two_disks.certify_upper, counts=(2, 2))
+    with pytest.raises(
+        ls.ConfigurationError,
+        match=r"^velocity_mode must be one of \('safe', 'desired', 'zero'\), got 'bogus'$",
+    ):
+        ls.certify_initial_set(two_disks.with_horizon(0.05), grid, velocity_mode="bogus")
+
+
 def test_one_barrier_pass_per_rk4_stage(two_disks, monkeypatch):
     # the law runs once per RK4 stage, stage 1 doubles as the recorded sample
     # and one more pass records the last: 4 n_steps + 1 per rollout, with h

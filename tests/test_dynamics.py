@@ -152,6 +152,18 @@ def test_trajectory_csv_round_trip(tmp_path, td):
     assert np.array_equal(data[:, cols.index("h")], traj.h)
 
 
+def test_empty_batch_rolls_nothing(td, monkeypatch):
+    # K = 0 has no run to roll: no RK4 step is taken over empty columns
+    calls = []
+    step = ls.dynamics.rk4_step
+    monkeypatch.setattr(ls.dynamics, "rk4_step", lambda *a: calls.append(1) or step(*a))
+    cfg = ls.IntegratorConfig(dt=td["scn"].integrator.dt, horizon=0.05)
+    runs = ls.integrate_batch(td["pair"], td["law"], np.empty((0, 4)), cfg, rcbf=td["rcbf"])
+    assert runs == () and calls == []
+    with pytest.raises(ls.ConfigurationError, match="shape"):
+        ls.integrate_batch(td["pair"], td["law"], np.empty((0, 3)), cfg)
+
+
 def test_divergence_reports_step_and_run():
     pair = ls.double_integrator_pair()
 
@@ -400,9 +412,10 @@ def test_one_run_stays_on_python_scalars(world, request):
 
 def test_one_run_makes_no_primitive_calls(td, monkeypatch):
     # a K = 1 rollout runs the barrier kernel and the filter's clamp as plain
-    # float code, with no numpy call per pass; on columns the kernel makes
-    # two np.sqrt, four np.where (one per component, for the one extra
-    # obstacle) and two in-place np.divide per pass, the clamp one np.maximum
+    # float code, with no numpy call per pass; on columns the kernel makes,
+    # per pass, two in-place np.sqrt, for the one extra obstacle one
+    # in-place np.minimum and three np.copyto (distance, dx, dy), and two
+    # in-place np.divide; the clamp makes one in-place np.maximum
     pair, law, rcbf, scn = td["pair"], td["law"], td["rcbf"], td["scn"]
     cfg = ls.IntegratorConfig(dt=scn.integrator.dt, horizon=0.05)
     x0 = ls.initial_state(scn, law)
@@ -424,8 +437,8 @@ def test_one_run_makes_no_primitive_calls(td, monkeypatch):
     assert calls == {}
     ls.integrate_batch(pair, law, np.stack([x0, x0 + [0.1, -0.2, 0.0, 0.0]]), cfg, rcbf=rcbf)
     passes = 4 * cfg.n_steps + 1
-    assert calls == {"sqrt": 2 * passes, "where": 4 * passes, "divide": 2 * passes,
-                     "maximum": passes}
+    assert calls == {"sqrt": 2 * passes, "minimum": passes, "copyto": 3 * passes,
+                     "divide": 2 * passes, "maximum": passes}
 
 
 def test_array_entry_points_hold_their_own_errstate(two_disks):
