@@ -33,9 +33,7 @@ from .controller import (
 )
 from .dynamics import (
     IntegratorConfig,
-    ModelPair,
     Trajectory,
-    double_integrator_pair,
     integrate,
     integrate_batch,
     rk4_step,
@@ -117,7 +115,6 @@ __all__ = [
     "IssEnvelope",
     "IssVerdict",
     "LawIntermediates",
-    "ModelPair",
     "ObstacleField",
     "PointRecord",
     "RecurrenceVerdict",
@@ -148,7 +145,6 @@ __all__ = [
     "containment_times",
     "default_out_dir",
     "desired_velocity",
-    "double_integrator_pair",
     "effective_disturbance_bound",
     "estimate_mu_gain",
     "evaluate_expectations",

@@ -184,7 +184,7 @@ class CertificateReport:
         atomic_write_text(path, f"# scenario digest: {self.scenario_hash}\n{header}\n{table}")
 
 
-def _scan_chunk(pair, law, rcbf, x0s, dt, n_steps, d_sig):
+def _scan_chunk(plant, law, rcbf, x0s, dt, n_steps, d_sig):
     """The recurrence Scan of the rollout from each row of x0s, one scan per
     block of samples, under the caller's np.errstate. Each sample's t, h, V,
     h_V and finiteness go into rows of buffers allocated once per chunk,
@@ -193,10 +193,10 @@ def _scan_chunk(pair, law, rcbf, x0s, dt, n_steps, d_sig):
     rows = (_BLOCK, x0s.shape[0])
     t, (h, v, h_v), ok = np.empty(_BLOCK), (np.empty(rows) for _ in range(3)), np.empty(rows, bool)
     rec = None
-    for i, (t_i, x, _u, inter) in enumerate(_rollout(pair, law, x0s, dt, n_steps, d_sig)):
+    for i, (t_i, x, _u, inter) in enumerate(_rollout(plant, law, x0s, dt, n_steps, d_sig)):
         j = i % _BLOCK
         t[j], h[j], ok[j] = t_i, inter.h, finite(x)
-        v[j], h_v[j] = _derived(rcbf, x, inter.z_dot_s, inter.h)[3:]
+        v[j], h_v[j] = _derived(rcbf, x[2:], inter.z_dot_s, inter.h)[1:]
         if j == _BLOCK - 1 or i == n_steps:  # a full block, or the last sample
             b = slice(j + 1)
             rec = scan(t[b], h[b], v[b], h_v[b], ok[b], rcbf.rtf, dt, rec)
@@ -220,7 +220,7 @@ def certify_initial_set(
     certified region, or a horizon that is not a whole number of steps, is
     refused before any rollout.
     """
-    pair, law, rcbf, dist = build_loop(scn, needs_region="certify")
+    plant, law, rcbf, dist = build_loop(scn, needs_region="certify")
     d_sig = dist.signal if dist.kind != "none" else None
 
     pts = grid.points
@@ -243,7 +243,7 @@ def certify_initial_set(
         x0 = split(x0s)
         inter0 = law.evaluate(x0)
         h0 = inter0.h
-        v0, h_v0 = _derived(rcbf, x0, inter0.z_dot_s, h0)[3:]
+        v0, h_v0 = _derived(rcbf, x0[2:], inter0.z_dot_s, h0)[1:]
         in_s_v, rolled = h_v0 >= 0.0, h0 >= 0.0
         roll_idx = np.flatnonzero(rolled)
         # the t = 0 sample stands for the points that are not rolled, whose
@@ -252,7 +252,7 @@ def certify_initial_set(
         rec = rec._replace(window=np.full(n_pts, np.nan), diverged_t=np.full(n_pts, np.nan))
         for i in range(0, roll_idx.size, _CHUNK):
             idx = roll_idx[i : i + _CHUNK]
-            for field, part in zip(rec, _scan_chunk(pair, law, rcbf, x0s[idx], dt, n_steps, d_sig)):
+            for field, part in zip(rec, _scan_chunk(plant, law, rcbf, x0s[idx], dt, n_steps, d_sig)):
                 field[idx] = part
 
     pts.flags.writeable = False  # each record's point is a view of its row
@@ -314,10 +314,10 @@ def brute_force_containment_oracle(
         raise ConfigurationError(
             f"dt_fine must be at most a tenth of the scenario step ({dt / 10:g}), got {dt_fine:g}"
         )
-    pair, law, rcbf, dist = build_loop(scn)
+    plant, law, rcbf, dist = build_loop(scn)
     n_fine = max(1, ceil(float(tau) / dt_fine * (1 - 1e-9)))
     cfg = IntegratorConfig(dt=dt_fine, horizon=n_fine * dt_fine)
-    traj = integrate(pair, law, x0, cfg, rcbf=rcbf, disturbance=dist)
+    traj = integrate(plant, law, x0, cfg, rcbf=rcbf, disturbance=dist)
     return containment_times(traj, predicate, (0.0, float(tau)))
 
 

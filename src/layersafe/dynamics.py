@@ -17,21 +17,22 @@ entry the same float rk4_step forms as that stage's time. Its one shape is
 (T, 2): a planar input per time, shared by every run.
 The kernel's state is a tuple of four components, position then velocity
 (zx, zy, vx, vy; see _vec): floats for one run, contiguous columns for
-several. The plant's field takes tuples of components only, and rk4_step
-unpacks the four components of the state and of each stage slope. The
-kernel splits the initial states. integrate_batch records the samples
-into batch arrays one row block (_ROW_BLOCK samples) at a time, so it
-holds the Python objects of at most one block at once, and returns one
-Trajectory per start, the one rollout record, whose fields are read-only
-views of that run's column. Trajectory.to_csv writes its table as '%.17g'
-of every field, byte for byte, each formatting chunk of rows (about 2560
-values) written as soon as it is formatted (see _io.format_chunks).
+several. The plant, double_integrator, is one function on tuples of
+components, and rk4_step unpacks the four components of the state and of
+each stage slope. The kernel splits the initial states. integrate_batch
+records the samples into batch arrays one row block (_ROW_BLOCK samples)
+at a time, so it holds the Python objects of at most one block at once,
+and returns one Trajectory per start, the one rollout record, whose fields
+are read-only views of that run's column; z and z_dot are views of its x,
+so the record holds one copy of each. Trajectory.to_csv writes its table
+as '%.17g' of every field, byte for byte, each formatting chunk of rows
+(about 2560 values) written as soon as it is formatted (see
+_io.format_chunks).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Callable
 
 import numpy as np
 
@@ -75,16 +76,10 @@ class IntegratorConfig:
         return int(round(self.horizon / self.dt))
 
 
-@dataclass(frozen=True)
-class ModelPair:
-    """The plant's vector field F(x, u), on tuples of state components (see _vec)."""
-
-    fom_field: Callable
-
-
-def double_integrator_pair() -> ModelPair:
-    """The planar double integrator: x = (position, velocity) in R^4, x_dot = (velocity, u)."""
-    return ModelPair(fom_field=lambda x, u: x[2:4] + u)  # (velocity, u), concatenated
+def double_integrator(x, u) -> tuple:
+    """The plant's vector field F(x, u) on tuples of state components (see
+    _vec): x = (position, velocity) in R^4, x_dot = (velocity, u)."""
+    return x[2:4] + u  # (velocity, u), concatenated
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def _stage_table(d, n_times: int) -> tuple:
     return tuple(d.T.tolist())
 
 
-def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
+def _rollout(plant, law, x0s, dt: float, n_steps: int, d_sig):
     """The closed-loop stepping kernel: yield (t, x, u, inter) at each sample.
 
     x holds the K rows of x0s as floats when K == 1, else as columns; inter
@@ -219,7 +214,7 @@ def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
         d1, d_half, d4 = (_stage_table(d_sig(s), n_steps + 1) for s in stage_times)
         d_tables = (d1, d_half, d_half, d4)  # by RK4 stage
     stages = []
-    evaluate, fom_field = law.evaluate, pair.fom_field
+    evaluate = law.evaluate
 
     def f_cl(t, x):
         inter = evaluate(x)
@@ -228,7 +223,7 @@ def _rollout(pair: ModelPair, law, x0s, dt: float, n_steps: int, d_sig):
             (ux, uy), (dx, dy) = u, d_tables[len(stages)]
             u = (ux + dx[k], uy + dy[k])
         stages.append((inter, u))
-        return fom_field(x, u)
+        return plant(x, u)
 
     for k, t in enumerate(times.tolist()):
         if k < n_steps:
@@ -262,19 +257,18 @@ def _per_sample(vals, runs: int) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 
-def _derived(rcbf, x, z_s_dot, h):
-    """z = x[:2], z_dot = x[2:4], e_dot, v = ||e_dot|| and h_V (NaN without
-    ``rcbf``) from x, z_dot_s and h, with vectors as tuples of components
-    (see _vec)."""
-    z, z_dot = x[:2], x[2:4]
+def _derived(rcbf, z_dot, z_s_dot, h):
+    """e_dot = z_dot - z_dot_s, v = ||e_dot|| and h_V (NaN without ``rcbf``)
+    from z_dot, z_dot_s and h, with vectors as tuples of components (see
+    _vec)."""
     e_dot = tuple([a - b for a, b in zip(z_dot, z_s_dot)])
     v = vnorm(e_dot)
     h_v = np.full(np.shape(h), np.nan) if rcbf is None else rcbf.combine(v, h)
-    return z, z_dot, e_dot, v, h_v
+    return e_dot, v, h_v
 
 
 def integrate_batch(
-    pair: ModelPair,
+    plant,
     law,
     x0s,
     cfg: IntegratorConfig,
@@ -283,19 +277,22 @@ def integrate_batch(
 ) -> tuple[Trajectory, ...]:
     """Roll the closed loop from each row of x0s: one Trajectory per row.
 
-    The disturbance, when given, enters additively on the full-model input
-    channel: x_dot = F(x, u(x) + d(t)), with d at each RK4 stage time.
+    ``plant`` is the plant F(x, u) on state components, called at every RK4
+    stage (see double_integrator). The disturbance, when given, enters
+    additively on the full-model input channel: x_dot = F(x, u(x) + d(t)),
+    with d at each RK4 stage time.
     ``disturbance.signal`` is called three times per rollout, each time on a
     1-D array of T = n_steps + 1 stage times, and must return (T, 2), one
     planar input per time shared by every run; any other shape is a
     ConfigurationError.
     The samples become arrays one block of _ROW_BLOCK samples at a time
     while the rollout runs, and the blocks are concatenated once at the end;
-    z, z_dot, e_dot, e, v and h_V are then derived elementwise, under the
-    loop's np.errstate: an overflow there gives inf or NaN, not a warning.
+    e_dot, e, v and h_V are then derived elementwise, under the loop's
+    np.errstate: an overflow there gives inf or NaN, not a warning.
     Each Trajectory's fields are read-only views of its run's column of
-    these batch arrays, so no run is copied; t is shared. h_V reuses the
-    law's barrier passes, so ``rcbf`` must be built on the law's barrier.
+    these batch arrays, z and z_dot of x's, so no run is copied; t is
+    shared. h_V reuses the law's barrier passes, so ``rcbf`` must be built
+    on the law's barrier.
     Raises DivergenceError at the first non-finite sample.
     """
     x0s = np.asarray(x0s, dtype=float)
@@ -311,7 +308,7 @@ def integrate_batch(
 
     blocks, samples = [], []
     with np.errstate(all="ignore"):
-        for k, (t, x, u, inter) in enumerate(_rollout(pair, law, x0s, dt, cfg.n_steps, d_sig)):
+        for k, (t, x, u, inter) in enumerate(_rollout(plant, law, x0s, dt, cfg.n_steps, d_sig)):
             ok = finite(x)
             if not (ok if runs == 1 else ok.all()):
                 raise DivergenceError(
@@ -325,19 +322,20 @@ def integrate_batch(
             blocks.append(_record(samples, runs))
 
         x, u, h, z_s_dot, active = (np.concatenate(parts) for parts in zip(*blocks))
-        z, z_dot, e_dot, v, h_v = _derived(rcbf, split(x), split(z_s_dot), h)
-        z, z_dot, e_dot = join(z), join(z_dot), join(e_dot)
+        e_dot, v, h_v = _derived(rcbf, split(x[..., 2:]), split(z_s_dot), h)
+        e_dot = join(e_dot)
         # e(t) = integral of e_dot, trapezoid rule; the reference starts on the run
         e = np.empty_like(e_dot)
         e[0] = 0.0
         np.cumsum((e_dot[:-1] + e_dot[1:]) * (dt / 2.0), axis=0, out=e[1:])
     t = np.arange(x.shape[0]) * dt
+    z, z_dot = x[..., :2], x[..., 2:]  # views: the record holds one copy of x
     batch = (x, z, z_dot, z_s_dot, e, e_dot, u, h, active, v, h_v)  # in _FIELDS order, after t
     return tuple(Trajectory(dt, t, *[a[:, k] for a in batch]) for k in range(runs))
 
 
 def integrate(
-    pair: ModelPair,
+    plant,
     law,
     x0,
     cfg: IntegratorConfig,
@@ -348,4 +346,4 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (4,):
         raise ConfigurationError("initial state must have shape (4,)")
-    return integrate_batch(pair, law, x0[None, :], cfg, rcbf=rcbf, disturbance=disturbance)[0]
+    return integrate_batch(plant, law, x0[None, :], cfg, rcbf=rcbf, disturbance=disturbance)[0]

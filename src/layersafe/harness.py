@@ -142,12 +142,12 @@ def _roll(scn: Scenario, needs_region: str = "") -> _Run:
     time, before any check runs.
     """
     loop = build_loop(scn, needs_region)
-    pair, law, rcbf, dist = loop
+    plant, law, rcbf, dist = loop
     checks = []
     if rcbf is None:
         checks.append("no certified region for this alpha: the recurrence rate does not exceed it")
     x0 = initial_state(scn, law)
-    traj = integrate(pair, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
+    traj = integrate(plant, law, x0, scn.integrator, rcbf=rcbf, disturbance=dist)
     # one scan of the whole record; integrate refused a non-finite state, so
     # a finiteness time is h's own overflow, which no check can judge
     rec = scan(traj.t, traj.h, traj.v, traj.h_v, True, scn.rtf, traj.dt)
@@ -340,11 +340,11 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
     """
     if mu_gain is not None:
         _check_gain(mu_gain)
-    (pair, law, rcbf, dist), traj, summary, rtf_v, _ = _roll(scn, needs_region="the ISS run")
+    (plant, law, rcbf, dist), traj, summary, rtf_v, _ = _roll(scn, needs_region="the ISS run")
     if mu_gain is None:
         dt = scn.integrator.dt
         cal_cfg = IntegratorConfig(dt=dt, horizon=round(6.0 / dt) * dt)
-        mu_gain = estimate_mu_gain(pair, law, cal_cfg)
+        mu_gain = estimate_mu_gain(plant, law, cal_cfg)
     env = build_iss_envelope(rcbf, mu_gain, dist.sup_norm)
     iss_v = check_iss_envelope(traj, env)
     in0 = bool(traj.h_v[0] - env.gamma_margin >= 0.0)  # h_V(0) as the rollout recorded it

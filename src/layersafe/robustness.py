@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ._vec import finite
-from .dynamics import IntegratorConfig, ModelPair, Trajectory, _rollout
+from .dynamics import IntegratorConfig, Trajectory, _rollout
 from .errors import ConfigurationError, DivergenceError, require_number
 from .recurrence import (
     RecurrenceVerdict,
@@ -276,21 +276,23 @@ def _check_gain(mu_gain: float) -> None:
 
 def build_iss_envelope(rcbf: RecurrentCbf, mu_gain: float, d_sup: float) -> IssEnvelope:
     """Assemble the envelope constants from a recurrent barrier and a linear
-    offset gain, finite and > 0, at the disturbance sup norm d_sup."""
+    offset gain, finite and > 0, at the disturbance sup norm d_sup. A gain
+    and sup norm, each finite, whose iota or iota / alpha_e is not finite
+    are refused: no envelope check can judge an infinite offset."""
     _check_gain(mu_gain)
     if not (np.isfinite(d_sup) and d_sup >= 0):
         raise ConfigurationError("disturbance sup norm must be finite and >= 0")
-    mu_at_d = float(mu_gain * d_sup)
+    mu_gain, d_sup = float(mu_gain), float(d_sup)
+    mu_at_d = mu_gain * d_sup
     rtf = rcbf.rtf
-    iota = rtf.a2 * float(np.exp(rtf.beta * rtf.tau)) * mu_at_d / rtf.m_overshoot
-    return IssEnvelope(
-        rtf=rtf,
-        mu_gain=float(mu_gain),
-        d_sup=float(d_sup),
-        mu_at_d=mu_at_d,
-        iota=float(iota),
-        gamma_margin=float(iota / rcbf.alpha_e),
-    )
+    iota = float(rtf.a2 * float(np.exp(rtf.beta * rtf.tau)) * mu_at_d / rtf.m_overshoot)
+    gamma_margin = float(iota / rcbf.alpha_e)
+    if not (math.isfinite(iota) and math.isfinite(gamma_margin)):
+        raise ConfigurationError(
+            f"mu gain {mu_gain!r} at disturbance sup norm {d_sup!r} gives a "
+            "non-finite envelope offset"
+        )
+    return IssEnvelope(rtf, mu_gain, d_sup, mu_at_d, iota, gamma_margin)
 
 
 @dataclass(frozen=True)
@@ -332,10 +334,11 @@ def in_robust_set(rcbf: RecurrentCbf, env: IssEnvelope, z, e_dot):
     return rcbf.value(z, e_dot) - env.gamma_margin >= 0.0
 
 
-def estimate_mu_gain(pair: ModelPair, law, cfg: IntegratorConfig) -> float:
+def estimate_mu_gain(plant, law, cfg: IntegratorConfig) -> float:
     """Empirical linear gain c so that mu(r) = c r bounds the error offset.
 
-    Runs quiet starts (at the goal, zero velocity) over cfg under the _PROBE_*
+    Rolls ``plant``, the plant F(x, u) on state components, with ``law``
+    from quiet starts (at the goal, zero velocity) over cfg under the _PROBE_*
     schedule, a constant and two sinusoidal disturbances, and takes the worst
     transient-inclusive ratio max_t ||e_dot(t)|| / amplitude. The error loop
     is linear while the filter is inactive, so the ratio is amplitude-free;
@@ -352,13 +355,13 @@ def estimate_mu_gain(pair: ModelPair, law, cfg: IntegratorConfig) -> float:
             d = make_disturbance("constant", amplitude=amp)
         else:
             d = make_disturbance("sine", amplitude=amp, frequency=freq)
-        c = max(c, _largest_v(pair, law, x0s, cfg, d.signal) / amp)
+        c = max(c, _largest_v(plant, law, x0s, cfg, d.signal) / amp)
     if not c > 0:
         raise ConfigurationError("calibration produced a zero gain; disturbance has no effect")
     return c
 
 
-def _largest_v(pair: ModelPair, law, x0s, cfg: IntegratorConfig, d_sig) -> float:
+def _largest_v(plant, law, x0s, cfg: IntegratorConfig, d_sig) -> float:
     """The largest V = ||e_dot|| over the samples of the rollout from x0s,
     (1, 4), folded as the kernel yields them.
 
@@ -369,7 +372,7 @@ def _largest_v(pair: ModelPair, law, x0s, cfg: IntegratorConfig, d_sig) -> float
     """
     v_max = -math.inf
     with np.errstate(all="ignore"):  # integrate_batch's, around the same kernel
-        samples = _rollout(pair, law, x0s, cfg.dt, cfg.n_steps, d_sig)
+        samples = _rollout(plant, law, x0s, cfg.dt, cfg.n_steps, d_sig)
         for k, (t, x, _u, inter) in enumerate(samples):
             if not finite(x):
                 raise DivergenceError(f"non-finite state at step {k} (t={t:.6g}), run 0")

@@ -38,7 +38,7 @@ import numpy as np
 from ._vec import join, split
 from .barrier import BarrierFn, ObstacleField, min_distance_barrier
 from .controller import ClosedLoopLaw, Gains, assemble_closed_loop, desired_velocity
-from .dynamics import IntegratorConfig, ModelPair, double_integrator_pair
+from .dynamics import IntegratorConfig, double_integrator
 from .errors import ConfigurationError, HypothesisViolationError, ScenarioError, require_number
 from .recurrence import RecurrentCbf, Rtf, build_rcbf
 from .robustness import DISTURBANCE_FIELDS, Disturbance, DisturbanceSpec, make_disturbance
@@ -122,7 +122,6 @@ class Scenario:
     expectations: tuple
     certify_lower: np.ndarray | None = None
     certify_upper: np.ndarray | None = None
-    name: str = "<scenario>"
 
     def __post_init__(self):
         for attr in ("start", "goal", "certify_lower", "certify_upper"):
@@ -273,7 +272,7 @@ def _parsed(parse, key: str, text: str, ln: int):
         raise ScenarioError(f"{key}: {exc}", line=ln) from None
 
 
-def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
+def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; raises ScenarioError with the offending line number."""
     fields: dict = {record: {} for record in _RECORDS}
     lines: dict[str, int] = {}  # the line of each table key
@@ -337,9 +336,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     try:
         field = ObstacleField(centers=centers, radii=radii)
         records = {r: cls(**fields[r]) for r, cls in _RECORDS.items() if r is not None}
-        return Scenario(
-            field=field, expectations=tuple(expectations), name=name, **records, **fields[None]
-        )
+        return Scenario(field=field, expectations=tuple(expectations), **records, **fields[None])
     except ConfigurationError as exc:
         # a record's check that names a key in its message's first word gets that key's line
         msg = str(exc)
@@ -352,7 +349,7 @@ def load_scenario(path) -> Scenario:
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"no such scenario file: {p}")
-    return parse_scenario(p.read_text(), name=p.name)
+    return parse_scenario(p.read_text())
 
 
 def bundled_scenario_path(name: str = "two_disks.scn") -> Path:
@@ -365,9 +362,9 @@ def bundled_scenario_path(name: str = "two_disks.scn") -> Path:
 
 # -- builders ---------------------------------------------------------------
 
-def build_pair(scn: Scenario) -> ModelPair:
-    # one plant serves every scenario; the rollout kernel calls its fom_field
-    return double_integrator_pair()
+def build_pair(scn: Scenario):
+    # one plant serves every scenario: the rollout kernel calls it as plant(x, u)
+    return double_integrator
 
 
 def build_barrier(scn: Scenario) -> BarrierFn:
@@ -387,10 +384,11 @@ def build_scenario_rcbf(scn: Scenario, b: BarrierFn | None = None) -> RecurrentC
 
 
 class Loop(NamedTuple):
-    """One scenario's closed loop: the recurrent barrier shares the law's
-    barrier and is None where no certified region exists."""
+    """One scenario's closed loop: the plant F(x, u) on state components,
+    the law, the recurrent barrier, which shares the law's barrier and is
+    None where no certified region exists, and the disturbance."""
 
-    pair: ModelPair
+    plant: Callable
     law: ClosedLoopLaw
     rcbf: RecurrentCbf | None
     dist: Disturbance

@@ -117,7 +117,7 @@ def of(open_field):
 
 @pytest.fixture(scope="session")
 def linear():
-    return build_world(ls.parse_scenario(LINEAR_WORLD, name="linear_world"))
+    return build_world(ls.parse_scenario(LINEAR_WORLD))
 
 
 @pytest.fixture(scope="session")
@@ -125,7 +125,7 @@ def td_transit(td):
     """Bundled two-disk rollout at the declared alpha (0.5), full horizon."""
     scn = td["scn"]
     x0 = ls.initial_state(scn, td["law"])
-    return ls.integrate(td["pair"], td["law"], x0, scn.integrator, rcbf=td["rcbf"])
+    return ls.integrate(td["plant"], td["law"], x0, scn.integrator, rcbf=td["rcbf"])
 
 
 @pytest.fixture(scope="session")
@@ -134,6 +134,6 @@ def of_run(of):
     scn = of["scn"]
     x0 = ls.initial_state(scn, of["law"])
     return ls.integrate(
-        of["pair"], of["law"], x0, scn.integrator,
+        of["plant"], of["law"], x0, scn.integrator,
         rcbf=of["rcbf"], disturbance=of["dist"],
     )

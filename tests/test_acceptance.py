@@ -29,7 +29,7 @@ def test_criterion_01_tracking_envelope_bound(linear):
 
     t0 = time.perf_counter()
     batch = ls.integrate_batch(
-        linear["pair"], linear["law"], error_starts(linear["law"], e0),
+        linear["plant"], linear["law"], error_starts(linear["law"], e0),
         linear["scn"].integrator,
     )
     worst_ratio = 0.0
@@ -83,20 +83,20 @@ def test_criterion_02_certified_rate_formula():
 
 def test_criterion_03_alpha_sign_reproduction(two_disks):
     t0 = time.perf_counter()
-    pair = ls.build_pair(two_disks)
+    plant = ls.build_pair(two_disks)
     b = ls.build_barrier(two_disks)
 
     law = ls.build_law(two_disks, b)
     rcbf = ls.build_scenario_rcbf(two_disks, b)
     x0 = ls.initial_state(two_disks, law)
-    tr_lo = ls.integrate(pair, law, x0, two_disks.integrator, rcbf=rcbf)
+    tr_lo = ls.integrate(plant, law, x0, two_disks.integrator, rcbf=rcbf)
     assert tr_lo.h_v[0] >= 0.0  # the start lies in the certified region
     min_h_lo = tr_lo.min_h()
     assert min_h_lo >= -1e-6
 
     s_hi = two_disks.with_alpha(5.0)
     law_hi = ls.build_law(s_hi, b)
-    tr_hi = ls.integrate(pair, law_hi, ls.initial_state(s_hi, law_hi), s_hi.integrator)
+    tr_hi = ls.integrate(plant, law_hi, ls.initial_state(s_hi, law_hi), s_hi.integrator)
     min_h_hi = tr_hi.min_h()
     assert min_h_hi < 0.0
 
@@ -139,7 +139,7 @@ def test_criterion_05_decay_chain_bound(td, td_transit, of, of_run):
     law1 = ls.build_law(s1, td["barrier"])
     rcbf1 = ls.build_scenario_rcbf(s1, td["barrier"])
     tr1 = ls.integrate(
-        td["pair"], law1, ls.initial_state(s1, law1), s1.integrator, rcbf=rcbf1
+        td["plant"], law1, ls.initial_state(s1, law1), s1.integrator, rcbf=rcbf1
     )
 
     runs = [
@@ -167,7 +167,7 @@ def test_criterion_06_recurrence_window(linear):
     e0 *= (rng.uniform(0.05, 2.5, 50) / np.linalg.norm(e0, axis=1))[:, None]
     cfg = ls.IntegratorConfig(dt=0.001, horizon=1.2)
     batch = ls.integrate_batch(
-        linear["pair"], linear["law"], error_starts(linear["law"], e0), cfg
+        linear["plant"], linear["law"], error_starts(linear["law"], e0), cfg
     )
     verdicts = [ls.check_rtf_recurrence(rtf, tr) for tr in batch]
     assert all(v.satisfied for v in verdicts)
@@ -199,8 +199,8 @@ sim.horizon = 0.8
 
 
 def test_criterion_07_containment_oracle():
-    scn = ls.parse_scenario(COARSE_TWO_DISKS, name="coarse_two_disks")
-    pair = ls.build_pair(scn)
+    scn = ls.parse_scenario(COARSE_TWO_DISKS)
+    plant = ls.build_pair(scn)
     b = ls.build_barrier(scn)
     law = ls.build_law(scn, b)
     rcbf = ls.build_scenario_rcbf(scn, b)
@@ -220,7 +220,7 @@ def test_criterion_07_containment_oracle():
         else:
             c = rng.uniform(-0.5, 0.3)
             pred = lambda tr, c=c: tr.h_v >= c
-        coarse_traj = ls.integrate(pair, law, x0, scn.integrator, rcbf=rcbf)
+        coarse_traj = ls.integrate(plant, law, x0, scn.integrator, rcbf=rcbf)
         coarse = ls.containment_times(coarse_traj, pred, (0.0, tau))
         fine = ls.brute_force_containment_oracle(scn, x0, pred, tau, dt_fine=dt / 10)
         gap = ls.containment_gap(coarse, fine)
@@ -238,9 +238,9 @@ def test_criterion_08_disturbance_reduction_and_robustness(linear, td, of, of_ru
     # zero disturbance: the disturbed path reduces to the nominal one exactly
     x0 = error_starts(linear["law"], [[1.0, 0.5]])[0]
     cfg = ls.IntegratorConfig(dt=0.001, horizon=1.5)
-    tr = ls.integrate(linear["pair"], linear["law"], x0, cfg)
+    tr = ls.integrate(linear["plant"], linear["law"], x0, cfg)
     tr_d0 = ls.integrate(
-        linear["pair"], linear["law"], x0, cfg,
+        linear["plant"], linear["law"], x0, cfg,
         disturbance=ls.make_disturbance("none"),
     )
     for a, b in ((tr.x, tr_d0.x), (tr.u, tr_d0.u), (tr.h, tr_d0.h)):

@@ -173,13 +173,13 @@ def test_certify_minima_match_single_rollouts(name, mode, counts, request):
     scn = request.getfixturevalue(name).with_horizon(0.1)
     grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=counts)
     report = ls.certify_initial_set(scn, grid, velocity_mode=mode)
-    pair, law, rcbf, dist = ls.build_loop(scn)
+    plant, law, rcbf, dist = ls.build_loop(scn)
     x0s = ls.initial_states(scn, law, grid.points, mode=mode)
     rolled = [i for i, r in enumerate(report.per_point) if "not rolled" not in r.note]
     assert len(rolled) >= 4
     for i in rolled:
         traj = ls.integrate(
-            pair, law, x0s[i], scn.integrator, rcbf=rcbf,
+            plant, law, x0s[i], scn.integrator, rcbf=rcbf,
             disturbance=dist if dist.kind != "none" else None,
         )
         rec = report.per_point[i]
@@ -260,10 +260,10 @@ def test_one_barrier_pass_per_rk4_stage(two_disks, monkeypatch):
     n_steps = scn.integrator.n_steps
     b, calls = counting_barrier(scn.field, monkeypatch)
     monkeypatch.setattr(ls.scenario, "build_barrier", lambda _scn: b)
-    pair, law, rcbf, _ = ls.build_loop(scn)
+    plant, law, rcbf, _ = ls.build_loop(scn)
     x0 = ls.initial_state(scn, law)
     calls.clear()
-    ls.integrate(pair, law, x0, scn.integrator, rcbf=rcbf)
+    ls.integrate(plant, law, x0, scn.integrator, rcbf=rcbf)
     assert (calls["vg"], calls["value"]) == (4 * n_steps + 1, 0)
 
     grid = ls.Grid(lower=scn.certify_lower, upper=scn.certify_upper, counts=(3, 3))
@@ -281,7 +281,7 @@ def test_fine_step_oracle_agrees_with_coarse(two_disks, td):
     tau = 0.5
     x0 = ls.initial_state(scn, td["law"])
     cfg = ls.IntegratorConfig(dt=scn.integrator.dt, horizon=tau)
-    coarse_traj = ls.integrate(td["pair"], td["law"], x0, cfg, rcbf=td["rcbf"])
+    coarse_traj = ls.integrate(td["plant"], td["law"], x0, cfg, rcbf=td["rcbf"])
     # h decays from 0.6 through 0.52 inside this window, so the containment
     # set is a proper prefix with a genuine boundary crossing
     predicate = lambda tr: tr.h >= 0.52

@@ -248,6 +248,18 @@ def test_iss_rejects_invalid_mu_gain(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_iss_rejects_non_finite_envelope(tmp_path, capsys):
+    # each value is finite, but the offset mu_gain * d_sup overflows: no
+    # envelope check could judge it, so the run writes nothing
+    out = tmp_path / "out"
+    argv = ["iss", "open_field", "--mu-gain", "1e300",
+            "--disturbance", "kind=constant,amplitude=1e10", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "mu gain 1e+300 at disturbance sup norm 10000000000.0 gives a non-finite" in err
+    assert not out.exists()
+
+
 def test_recurrence_demo_without_certified_region(tmp_path, capsys):
     text = GOOD.replace("gains.alpha = 0.5", "gains.alpha = 5.0")
     scn = _write(tmp_path, text)

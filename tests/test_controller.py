@@ -118,7 +118,7 @@ def test_layers_match_numpy_reference_bitwise():
     # signed zeros, on floats (one state at a time) and on columns: the
     # float-vs-column rollout test cannot see a slip both paths share.
     # The filter is fed both the planner's output and an arbitrary velocity.
-    _pair, law = _crafted_world()[:2]
+    _plant, law = _crafted_world()[:2]
     b, goal = law.barrier, law.goal
     k_p, k_d, alpha = law.gains.k_p, law.gains.k_d, law.gains.alpha
     rng = np.random.default_rng(17)
@@ -218,12 +218,12 @@ def test_assembled_law_consistency():
 
 
 def test_certified_envelope_holds_on_rollout(linear):
-    scn, pair, law = linear["scn"], linear["pair"], linear["law"]
+    scn, plant, law = linear["scn"], linear["plant"], linear["law"]
     rng = np.random.default_rng(4)
     angles = rng.uniform(0, 2 * np.pi, size=16)
     mags = rng.uniform(0.1, 2.0, size=16)
     e0 = np.stack([mags * np.cos(angles), mags * np.sin(angles)], axis=1)
-    batch = ls.integrate_batch(pair, law, error_starts(law, e0), scn.integrator)
+    batch = ls.integrate_batch(plant, law, error_starts(law, e0), scn.integrator)
     for traj in batch:
         # the pair declared by the bundled scenario is an envelope
         assert ls.check_exponential_envelope(traj, 2.45, 3.24).holds

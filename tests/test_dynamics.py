@@ -1,4 +1,4 @@
-"""Model pair, RK4 integration, trajectory recording, and batch rollouts."""
+"""The plant, RK4 integration, trajectory recording, and batch rollouts."""
 import dataclasses
 import io
 import re
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import layersafe as ls
+from layersafe.dynamics import double_integrator
 from conftest import synthetic_trajectory
 
 
@@ -47,10 +48,9 @@ def test_horizon_must_be_whole_steps():
 
 
 def test_double_integrator_structure():
-    pair = ls.double_integrator_pair()
     x = tuple(np.array([1.0, 2.0, 3.0, 4.0]).tolist())
     u = tuple(np.array([5.0, 6.0]).tolist())
-    assert np.array_equal(np.stack(pair.fom_field(x, u), axis=-1), [3.0, 4.0, 5.0, 6.0])
+    assert np.array_equal(np.stack(double_integrator(x, u), axis=-1), [3.0, 4.0, 5.0, 6.0])
 
 
 def test_rk4_is_fourth_order():
@@ -72,29 +72,29 @@ def test_rk4_is_fourth_order():
 
 
 def test_single_run_matches_batch_row(td):
-    scn, pair, law, rcbf = td["scn"], td["pair"], td["law"], td["rcbf"]
+    scn, plant, law, rcbf = td["scn"], td["plant"], td["law"], td["rcbf"]
     cfg = ls.IntegratorConfig(dt=0.001, horizon=0.5)
     x0 = ls.initial_state(scn, law)
     x1 = ls.initial_states(scn, law, np.array([[-1.0, -0.5]]))[0]
-    single = ls.integrate(pair, law, x0, cfg, rcbf=rcbf)
-    batch = ls.integrate_batch(pair, law, np.stack([x0, x1]), cfg, rcbf=rcbf)
+    single = ls.integrate(plant, law, x0, cfg, rcbf=rcbf)
+    batch = ls.integrate_batch(plant, law, np.stack([x0, x1]), cfg, rcbf=rcbf)
     other = batch[0]
     for name in ("t", "x", "z", "z_dot", "z_s_dot", "e", "e_dot", "u", "h",
                  "active", "v", "h_v"):
         assert np.array_equal(getattr(single, name), getattr(other, name)), name
     # row independence: the same start alone gives bit-identical results
-    alone = ls.integrate_batch(pair, law, x1[None, :], cfg, rcbf=rcbf)
+    alone = ls.integrate_batch(plant, law, x1[None, :], cfg, rcbf=rcbf)
     assert np.array_equal(batch[1].x, alone[0].x)
     # h_V reuses the law's barrier passes, so a recurrent barrier built on
     # another barrier is refused
     with pytest.raises(ls.ConfigurationError, match="law's barrier"):
-        ls.integrate(pair, law, x0, cfg, rcbf=ls.build_scenario_rcbf(scn))
+        ls.integrate(plant, law, x0, cfg, rcbf=ls.build_scenario_rcbf(scn))
 
 
 def test_trajectory_recording_semantics(td):
-    scn, pair, law, rcbf = td["scn"], td["pair"], td["law"], td["rcbf"]
+    scn, plant, law, rcbf = td["scn"], td["plant"], td["law"], td["rcbf"]
     cfg = ls.IntegratorConfig(dt=0.001, horizon=0.2)
-    traj = ls.integrate(pair, law, ls.initial_state(scn, law), cfg, rcbf=rcbf)
+    traj = ls.integrate(plant, law, ls.initial_state(scn, law), cfg, rcbf=rcbf)
     assert traj.n_samples == cfg.n_steps + 1
     assert traj.horizon == pytest.approx(0.2, abs=1e-12)
     # recorded series satisfy their defining relations
@@ -114,18 +114,33 @@ def test_trajectory_recording_semantics(td):
     assert traj.min_h() == float(np.min(traj.h))
 
 
+def test_record_holds_one_copy_of_x(td):
+    # z and z_dot are read-only views of the run's x, one run or several
+    scn, plant, law, rcbf = td["scn"], td["plant"], td["law"], td["rcbf"]
+    cfg = ls.IntegratorConfig(dt=0.001, horizon=0.05)
+    x0s = ls.initial_states(scn, law, np.array([[-1.2, 0.3], [-1.0, -0.5], [0.5, 1.0]]))
+    runs = (ls.integrate(plant, law, x0s[0], cfg, rcbf=rcbf),
+            *ls.integrate_batch(plant, law, x0s, cfg, rcbf=rcbf))
+    for traj in runs:
+        for name in ("z", "z_dot"):
+            arr = getattr(traj, name)
+            assert np.shares_memory(arr, traj.x), name
+            assert not arr.flags.writeable, name
+        assert np.array_equal(traj.z, traj.x[:, :2]) and np.array_equal(traj.z_dot, traj.x[:, 2:])
+
+
 def test_recorded_active_is_the_filter_flag(td):
     # the rollout records the stage-1 filter flag, so evaluating the law at
     # the recorded states gives the same flag at every sample, one run or
     # several, with or without a disturbance
-    scn, pair, law = td["scn"], td["pair"], td["law"]
+    scn, plant, law = td["scn"], td["plant"], td["law"]
     cfg = ls.IntegratorConfig(dt=0.001, horizon=2.0)
     z0s = np.array([scn.start, [-1.0, -0.5], [0.5, 1.2]])
     x0s = ls.initial_states(scn, law, z0s, mode="desired")
     sine = ls.make_disturbance("sine", amplitude=0.3, frequency=2.0)
     for dist in (None, sine):
-        alone = ls.integrate(pair, law, x0s[0], cfg, disturbance=dist)
-        batch = ls.integrate_batch(pair, law, x0s, cfg, disturbance=dist)
+        alone = ls.integrate(plant, law, x0s[0], cfg, disturbance=dist)
+        batch = ls.integrate_batch(plant, law, x0s, cfg, disturbance=dist)
         assert len(batch) == 3
         for rec in (alone, *batch):
             assert rec.active.dtype == bool and rec.active.shape == rec.h.shape == (cfg.n_steps + 1,)
@@ -135,9 +150,9 @@ def test_recorded_active_is_the_filter_flag(td):
 
 
 def test_trajectory_csv_round_trip(tmp_path, td):
-    scn, pair, law, rcbf = td["scn"], td["pair"], td["law"], td["rcbf"]
+    scn, plant, law, rcbf = td["scn"], td["plant"], td["law"], td["rcbf"]
     cfg = ls.IntegratorConfig(dt=0.01, horizon=0.1)
-    traj = ls.integrate(pair, law, ls.initial_state(scn, law), cfg, rcbf=rcbf)
+    traj = ls.integrate(plant, law, ls.initial_state(scn, law), cfg, rcbf=rcbf)
     path = tmp_path / "run.csv"
     traj.to_csv(path, preamble=["alpha = 0.5"])
     text = path.read_text()
@@ -158,15 +173,13 @@ def test_empty_batch_rolls_nothing(td, monkeypatch):
     step = ls.dynamics.rk4_step
     monkeypatch.setattr(ls.dynamics, "rk4_step", lambda *a: calls.append(1) or step(*a))
     cfg = ls.IntegratorConfig(dt=td["scn"].integrator.dt, horizon=0.05)
-    runs = ls.integrate_batch(td["pair"], td["law"], np.empty((0, 4)), cfg, rcbf=td["rcbf"])
+    runs = ls.integrate_batch(td["plant"], td["law"], np.empty((0, 4)), cfg, rcbf=td["rcbf"])
     assert runs == () and calls == []
     with pytest.raises(ls.ConfigurationError, match="shape"):
-        ls.integrate_batch(td["pair"], td["law"], np.empty((0, 3)), cfg)
+        ls.integrate_batch(td["plant"], td["law"], np.empty((0, 3)), cfg)
 
 
 def test_divergence_reports_step_and_run():
-    pair = ls.double_integrator_pair()
-
     def evaluate(x):
         # one run: x is a tuple of floats
         zeros = (0.0, 0.0)
@@ -179,13 +192,13 @@ def test_divergence_reports_step_and_run():
     law = ls.ClosedLoopLaw(goal=None, gains=None, barrier=None, evaluate=evaluate)
     cfg = ls.IntegratorConfig(dt=0.1, horizon=20.0)
     with pytest.raises(ls.DivergenceError, match="non-finite state at step"):
-        ls.integrate(pair, law, np.array([0.0, 0.0, 1.0, 0.0]), cfg)
+        ls.integrate(double_integrator, law, np.array([0.0, 0.0, 1.0, 0.0]), cfg)
 
 
 def test_constant_disturbance_equals_shifted_input(linear):
     # additive d on the input channel: u(x) + d with constant d must match a
     # law whose feedback is shifted by the same constant, bit for bit
-    scn, pair, law = linear["scn"], linear["pair"], linear["law"]
+    scn, plant, law = linear["scn"], linear["plant"], linear["law"]
     d0 = np.array([0.3, -0.2])
     d = ls.Disturbance(
         kind="constant",
@@ -200,8 +213,8 @@ def test_constant_disturbance_equals_shifted_input(linear):
     shifted = dataclasses.replace(law, evaluate=shifted_evaluate)
     cfg = ls.IntegratorConfig(dt=0.001, horizon=0.5)
     x0 = np.array([0.1, -0.2, 0.3, 0.4])
-    a = ls.integrate(pair, law, x0, cfg, disturbance=d)
-    b = ls.integrate(pair, shifted, x0, cfg)
+    a = ls.integrate(plant, law, x0, cfg, disturbance=d)
+    b = ls.integrate(plant, shifted, x0, cfg)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.e_dot, b.e_dot)
 
@@ -209,7 +222,7 @@ def test_constant_disturbance_equals_shifted_input(linear):
 def test_disturbance_signal_of_another_shape_is_refused(linear):
     # the kernel takes one planar input per stage time, (T, 2), shared by
     # every run; a signal of any other shape is refused by name, not broadcast
-    pair, law = linear["pair"], linear["law"]
+    plant, law = linear["plant"], linear["law"]
     cfg = ls.IntegratorConfig(dt=0.001, horizon=0.01)
     x0 = np.array([0.1, -0.2, 0.3, 0.4])
     sine = ls.make_disturbance("sine", amplitude=0.4, frequency=1.5)
@@ -222,16 +235,16 @@ def test_disturbance_signal_of_another_shape_is_refused(linear):
         for x0s in (x0[None, :], np.stack([x0, -x0, 0.5 * x0])):
             want = f"must return shape (11, 2) on 11 stage times, got {got}"
             with pytest.raises(ls.ConfigurationError, match=re.escape(want)):
-                ls.integrate_batch(pair, law, x0s, cfg, disturbance=d)
+                ls.integrate_batch(plant, law, x0s, cfg, disturbance=d)
 
 
-def _reference_states(pair, law, x0, cfg, signal):
+def _reference_states(plant, law, x0, cfg, signal):
     """rk4_step on f(t, x) = F(x, u(x) + signal(t)), the signal read at each
     scalar stage time rk4_step forms, on Python floats."""
 
     def f(t, x):
         d = np.asarray(signal(t), dtype=float).tolist()
-        return pair.fom_field(x, tuple([ui + di for ui, di in zip(law.evaluate(x).u, d)]))
+        return plant(x, tuple([ui + di for ui, di in zip(law.evaluate(x).u, d)]))
 
     x = tuple(np.asarray(x0, dtype=float).tolist())
     states = [x]
@@ -246,24 +259,24 @@ def test_stage_time_grids_match_scalar_stage_times(of):
     # per rollout; each entry must be the signal at rk4_step's scalar stage
     # time, bit for bit. At segment 0.0125 = 12.5 dt, t + dt/2 lands on
     # segment boundaries, where floor_divide on an array must round as on a scalar.
-    pair, law = of["pair"], of["law"]
+    plant, law = of["plant"], of["law"]
     cfg = ls.IntegratorConfig(dt=0.001, horizon=0.3)
     x0s = np.array([[2.0, 0.0, 0.0, 0.0], [1.5, -0.4, 0.3, -0.2], [-0.7, 0.9, -0.5, 0.6]])
     for dist in (
         ls.make_disturbance("sine", amplitude=0.1, frequency=7.3),
         ls.make_disturbance("random", amplitude=0.1, seed=7, segment=0.0125),
     ):
-        batch = ls.integrate_batch(pair, law, x0s, cfg, disturbance=dist)
+        batch = ls.integrate_batch(plant, law, x0s, cfg, disturbance=dist)
         for k, x0 in enumerate(x0s):
-            want = _reference_states(pair, law, x0, cfg, dist.signal)
-            alone = ls.integrate(pair, law, x0, cfg, disturbance=dist)
+            want = _reference_states(plant, law, x0, cfg, dist.signal)
+            alone = ls.integrate(plant, law, x0, cfg, disturbance=dist)
             assert _same_bits(alone.x, want), (dist.kind, k)
             assert _same_bits(batch[k].x, want), (dist.kind, k)
 
 
 def test_disturbance_evaluated_three_times_per_rollout(of):
     # once per stage-time grid, whatever the horizon and the number of runs
-    pair, law = of["pair"], of["law"]
+    plant, law = of["plant"], of["law"]
     sine = ls.make_disturbance("sine", amplitude=0.1, frequency=0.37)
     calls = []
 
@@ -277,7 +290,7 @@ def test_disturbance_evaluated_three_times_per_rollout(of):
         cfg = ls.IntegratorConfig(dt=0.001, horizon=horizon)
         for x0s in (x0[None, :], np.stack([x0, -x0, 0.5 * x0])):
             calls.clear()
-            ls.integrate_batch(pair, law, x0s, cfg, disturbance=spy)
+            ls.integrate_batch(plant, law, x0s, cfg, disturbance=spy)
             assert calls == [(cfg.n_steps + 1,)] * 3, (horizon, len(x0s))
 
 
@@ -307,10 +320,10 @@ _CSV_COLUMNS = tuple(name for name in _RECORDED if name != "active")
 def _crafted_world():
     """Two mirror-image disks, so states on x = 0 tie exactly, and a goal
     on the right disk's boundary line x = 1.5."""
-    pair = ls.double_integrator_pair()
+    plant = double_integrator
     b = ls.min_distance_barrier(ls.ObstacleField(centers=[[-1.0, 0.0], [1.0, 0.0]], radii=[0.5, 0.5]))
     law = ls.assemble_closed_loop(b, ls.Gains(k_p=1.8, k_d=8.0, alpha=0.5), [1.5, 2.0])
-    return pair, law, ls.build_rcbf(ls.Rtf(), b, alpha=0.5)
+    return plant, law, ls.build_rcbf(ls.Rtf(), b, alpha=0.5)
 
 
 _CRAFTED_STARTS = [
@@ -341,11 +354,11 @@ def test_float_path_matches_column_path(td):
     cfg = ls.IntegratorConfig(dt=0.001, horizon=0.3)
     sine = ls.make_disturbance("sine", amplitude=0.3, frequency=2.0)
     worlds = [
-        (td["pair"], td["law"], td["rcbf"], random_starts, None),
-        (td["pair"], td["law"], None, random_starts[:3], sine),
+        (td["plant"], td["law"], td["rcbf"], random_starts, None),
+        (td["plant"], td["law"], None, random_starts[:3], sine),
         (*_crafted_world(), np.array(_CRAFTED_STARTS), None),
     ]
-    for pair, law, rcbf, x0s, dist in worlds:
+    for plant, law, rcbf, x0s, dist in worlds:
         seen = []
 
         def evaluate(x, law=law, seen=seen):
@@ -353,23 +366,23 @@ def test_float_path_matches_column_path(td):
             return law.evaluate(x)
 
         spy = dataclasses.replace(law, evaluate=evaluate)
-        batch = ls.integrate_batch(pair, spy, x0s, cfg, rcbf=rcbf, disturbance=dist)
+        batch = ls.integrate_batch(plant, spy, x0s, cfg, rcbf=rcbf, disturbance=dist)
         assert isinstance(seen[0], np.ndarray) and seen[0].flags.c_contiguous
         for k, x0 in enumerate(x0s):
             seen.clear()
-            alone = ls.integrate(pair, spy, x0, cfg, rcbf=rcbf, disturbance=dist)
+            alone = ls.integrate(plant, spy, x0, cfg, rcbf=rcbf, disturbance=dist)
             assert type(seen[0]) is float
             row = batch[k]
             for name in _RECORDED:
                 assert _same_bits(getattr(alone, name), getattr(row, name)), (k, name)
 
     # a diverging start raises at the same step and time on either path
-    pair, law, rcbf = _crafted_world()
+    plant, law, rcbf = _crafted_world()
     for x0 in _DIVERGING_STARTS:
         with pytest.raises(ls.DivergenceError) as alone:
-            ls.integrate(pair, law, np.array(x0), cfg, rcbf=rcbf)
+            ls.integrate(plant, law, np.array(x0), cfg, rcbf=rcbf)
         with pytest.raises(ls.DivergenceError) as batch:
-            ls.integrate_batch(pair, law, np.array([x0, _CRAFTED_STARTS[0]]), cfg, rcbf=rcbf)
+            ls.integrate_batch(plant, law, np.array([x0, _CRAFTED_STARTS[0]]), cfg, rcbf=rcbf)
         assert str(alone.value) == str(batch.value)
         assert "run 0" in str(alone.value)
 
@@ -387,7 +400,7 @@ def test_one_run_stays_on_python_scalars(world, request):
     # numpy dispatch per operation from then on: every field of the law and
     # every component of rk4_step's output stays a Python float or bool
     w = request.getfixturevalue(world)
-    pair, law, field = w["pair"], w["law"], w["barrier"].field
+    plant, law, field = w["plant"], w["law"], w["barrier"].field
     zs = [tuple(c) for c in field.centers.tolist()]  # 0/0 in the gradient
     if field.count == 2:
         # equidistant from both disks: the two margins tie exactly
@@ -399,7 +412,7 @@ def test_one_run_stays_on_python_scalars(world, request):
     xs += [z + v for z in zs for v in [(0.0, 0.0), (0.3, -0.2)]]
 
     def f(t, x):
-        return pair.fom_field(x, law.evaluate(x).u)
+        return plant(x, law.evaluate(x).u)
 
     for x in xs:
         inter = law.evaluate(x)
@@ -416,7 +429,7 @@ def test_one_run_makes_no_primitive_calls(td, monkeypatch):
     # per pass, two in-place np.sqrt, for the one extra obstacle one
     # in-place np.minimum and three np.copyto (distance, dx, dy), and two
     # in-place np.divide; the clamp makes one in-place np.maximum
-    pair, law, rcbf, scn = td["pair"], td["law"], td["rcbf"], td["scn"]
+    plant, law, rcbf, scn = td["plant"], td["law"], td["rcbf"], td["scn"]
     cfg = ls.IntegratorConfig(dt=scn.integrator.dt, horizon=0.05)
     x0 = ls.initial_state(scn, law)
     calls = Counter()
@@ -433,9 +446,9 @@ def test_one_run_makes_no_primitive_calls(td, monkeypatch):
 
     for module in (ls.barrier, ls.controller):
         monkeypatch.setattr(module, "np", CountingNumpy())
-    ls.integrate(pair, law, x0, cfg, rcbf=rcbf)
+    ls.integrate(plant, law, x0, cfg, rcbf=rcbf)
     assert calls == {}
-    ls.integrate_batch(pair, law, np.stack([x0, x0 + [0.1, -0.2, 0.0, 0.0]]), cfg, rcbf=rcbf)
+    ls.integrate_batch(plant, law, np.stack([x0, x0 + [0.1, -0.2, 0.0, 0.0]]), cfg, rcbf=rcbf)
     passes = 4 * cfg.n_steps + 1
     assert calls == {"sqrt": 2 * passes, "minimum": passes, "copyto": 3 * passes,
                      "divide": 2 * passes, "maximum": passes}
@@ -446,7 +459,7 @@ def test_array_entry_points_hold_their_own_errstate(two_disks):
     # array entry points hold one, so at a disk center (0/0) and on the
     # exact tie no warning escapes, and every row keeps the bits of one
     # run's float pass
-    _pair, law, _rcbf = _crafted_world()
+    _plant, law, _rcbf = _crafted_world()
     b = law.barrier
     zs = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.7], [-0.0, 1.0], [0.5, 0.5]])
     xs = np.concatenate([zs, np.zeros_like(zs)], axis=1)
@@ -489,7 +502,7 @@ def test_array_entry_points_match_batch_rows():
     # the two array entry points, BarrierFn and ClosedLoopLaw.evaluate, run a
     # single state (2,) or (4,) on floats and a batch (K, .) on columns; every
     # layer behind them takes float tuples or columns, and the two agree
-    pair, law, _rcbf = _crafted_world()
+    plant, law, _rcbf = _crafted_world()
     b, gains, dt = law.barrier, law.gains, 0.001
     goal = tuple(law.goal.tolist())
     rng = np.random.default_rng(3)
@@ -501,7 +514,7 @@ def test_array_entry_points_match_batch_rows():
     zs, vs = xs[:, :2], xs[:, 2:]
 
     def f(t, x):
-        return pair.fom_field(x, law.evaluate(x).u)
+        return plant(x, law.evaluate(x).u)
 
     def cols(a):
         return tuple(np.ascontiguousarray(a.T))
@@ -517,7 +530,7 @@ def test_array_entry_points_match_batch_rows():
             "safe": ls.safe_velocity(b, gains.alpha, cols(zs), cols(vs)),
             "tracking": ls.tracking_control(gains.k_d, cols(vs), cols(zs)),
             "law": law.evaluate(xs),
-            "fom": pair.fom_field(cols(xs), cols(vs)),
+            "fom": plant(cols(xs), cols(vs)),
             "rk4": ls.rk4_step(f, 0.0, cols(xs), dt),
         }
         for k, (x, z, v) in enumerate(zip(xs, zs, vs)):
@@ -529,7 +542,7 @@ def test_array_entry_points_match_batch_rows():
                 "safe": ls.safe_velocity(b, gains.alpha, zc, vc),
                 "tracking": ls.tracking_control(gains.k_d, vc, zc),
                 "law": law.evaluate(x),
-                "fom": pair.fom_field(xc, vc),
+                "fom": plant(xc, vc),
                 "rk4": ls.rk4_step(f, 0.0, xc, dt),
             }
             for name, got in single.items():
@@ -547,7 +560,7 @@ def test_csv_matches_savetxt(tmp_path, td):
     # the block-wise '%' writer gives np.savetxt's text byte for byte, NaN,
     # infinities, -0.0 and subnormals included, across its 512-row blocks
     traj = ls.integrate(
-        td["pair"], td["law"], ls.initial_state(td["scn"], td["law"]),
+        td["plant"], td["law"], ls.initial_state(td["scn"], td["law"]),
         ls.IntegratorConfig(dt=0.001, horizon=1.0), rcbf=td["rcbf"],
     )
     rng = np.random.default_rng(4)
@@ -584,7 +597,7 @@ def test_recording_blocks_are_seamless(n_steps, td, tmp_path, monkeypatch):
     # dtype and shape), its states rk4_step's, and its CSV, written a
     # formatting chunk at a time, the whole-table text
     assert ls.dynamics._ROW_BLOCK == 512
-    pair, law, rcbf, scn = td["pair"], td["law"], td["rcbf"], td["scn"]
+    plant, law, rcbf, scn = td["plant"], td["law"], td["rcbf"], td["scn"]
     cfg = ls.IntegratorConfig(dt=0.001, horizon=n_steps * 0.001)
     assert cfg.n_steps == n_steps
     dist = ls.make_disturbance("random", amplitude=0.2, seed=7, segment=0.0125)
@@ -592,7 +605,7 @@ def test_recording_blocks_are_seamless(n_steps, td, tmp_path, monkeypatch):
     x0s = ls.initial_states(scn, law, z0s, mode="desired")
 
     def records():
-        return [ls.integrate_batch(pair, law, x0s[:k], cfg, rcbf=rcbf, disturbance=dist)
+        return [ls.integrate_batch(plant, law, x0s[:k], cfg, rcbf=rcbf, disturbance=dist)
                 for k in (1, 3)]
 
     blocked = records()
@@ -605,11 +618,11 @@ def test_recording_blocks_are_seamless(n_steps, td, tmp_path, monkeypatch):
             assert run.x.shape == (n_steps + 1, 4)
             for name in _RECORDED:
                 assert _same_bits(getattr(run, name), getattr(one, name)), (len(want), k, name)
-    alone = ls.integrate(pair, law, x0s[0], cfg, rcbf=rcbf, disturbance=dist)
+    alone = ls.integrate(plant, law, x0s[0], cfg, rcbf=rcbf, disturbance=dist)
     for k, x0 in enumerate(x0s):
-        states = _reference_states(pair, law, x0, cfg, dist.signal)
+        states = _reference_states(plant, law, x0, cfg, dist.signal)
         assert _same_bits(blocked[1][k].x, states), k
-    assert _same_bits(alone.x, _reference_states(pair, law, x0s[0], cfg, dist.signal))
+    assert _same_bits(alone.x, _reference_states(plant, law, x0s[0], cfg, dist.signal))
     preamble = ["alpha = 0.5"]
     for k, traj in enumerate([alone, blocked[1][2]]):
         path = tmp_path / f"run{k}.csv"
@@ -623,7 +636,7 @@ def test_to_csv_memory_budget(td, td_transit, tmp_path):
     # so a 1 s (1001-row) and a 10 s (10001-row) run peak alike (joined
     # 512-row blocks peaked at 0.87 MiB on the 1 s run)
     short = ls.integrate(
-        td["pair"], td["law"], ls.initial_state(td["scn"], td["law"]),
+        td["plant"], td["law"], ls.initial_state(td["scn"], td["law"]),
         ls.IntegratorConfig(dt=0.001, horizon=1.0), rcbf=td["rcbf"],
     )
     for traj in (short, td_transit):
@@ -656,7 +669,7 @@ def test_integrate_memory_budget(td):
     tracemalloc.start()
     try:
         traj = ls.integrate(
-            td["pair"], td["law"], x0, scn.integrator, rcbf=td["rcbf"], disturbance=td["dist"]
+            td["plant"], td["law"], x0, scn.integrator, rcbf=td["rcbf"], disturbance=td["dist"]
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:

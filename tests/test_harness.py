@@ -56,7 +56,7 @@ def test_evaluate_expectations():
 
 
 def test_run_simulate_artifacts(tmp_path):
-    scn = ls.parse_scenario(QUIET_WORLD, name="quiet")
+    scn = ls.parse_scenario(QUIET_WORLD)
     art = ls.run_simulate(scn, out_dir=tmp_path)
     assert art.trajectory_csv == tmp_path / "simulate.csv"
     assert art.report_path == tmp_path / "simulate_report.txt"
@@ -86,7 +86,7 @@ def test_run_simulate_artifacts(tmp_path):
 
 
 def test_run_simulate_is_reproducible(tmp_path):
-    scn = ls.parse_scenario(QUIET_WORLD, name="quiet")
+    scn = ls.parse_scenario(QUIET_WORLD)
     a = ls.run_simulate(scn, out_dir=tmp_path / "a")
     b = ls.run_simulate(scn, out_dir=tmp_path / "b")
     assert a.trajectory_csv.read_bytes() == b.trajectory_csv.read_bytes()

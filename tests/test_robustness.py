@@ -301,6 +301,22 @@ def test_iss_envelope_validation(far_rcbf):
         ls.build_iss_envelope(far_rcbf, 1.0, d_sup=float("inf"))
 
 
+def test_iss_envelope_refuses_a_non_finite_offset(far_rcbf):
+    # a finite gain and sup norm whose offset overflows: the product itself,
+    # iota = a2 e^{beta tau} mu / M (about 12.2 mu here) or only
+    # gamma_margin = iota / alpha_e (alpha_e is about 0.6)
+    assert far_rcbf.alpha_e < 1.0
+    for d_sup in (1e10, 1.5e7, 1e7):
+        with pytest.raises(
+            ls.ConfigurationError,
+            match=f"^mu gain 1e\\+300 at disturbance sup norm {d_sup!r} gives a "
+            "non-finite envelope offset$",
+        ):
+            ls.build_iss_envelope(far_rcbf, 1e300, d_sup=d_sup)
+    env = ls.build_iss_envelope(far_rcbf, 1e300, d_sup=1e6)
+    assert np.isfinite(env.gamma_margin) and env.gamma_margin > env.iota > 1e307
+
+
 def test_check_iss_envelope_offset_bound(far_rcbf):
     env = ls.build_iss_envelope(far_rcbf, 0.5, d_sup=0.2)
     t = np.arange(0, 3001) * 0.001
@@ -382,20 +398,20 @@ def test_in_robust_set_zero_gamma_delegates(far_rcbf):
 def test_mu_gain_is_amplitude_free(linear):
     # the filter never engages on quiet starts here, so the loop is linear
     # and the transient ratio must not depend on the probe amplitude
-    pair, law = linear["pair"], linear["law"]
+    plant, law = linear["plant"], linear["law"]
     cfg = ls.IntegratorConfig(dt=1e-3, horizon=3.0)
     x0 = np.concatenate([law.goal, np.zeros(2)])
     ratios = []
     for amp in (0.05, 0.2):
         d = ls.make_disturbance("sine", amplitude=amp, frequency=0.5)
-        traj = ls.integrate(pair, law, x0, cfg, disturbance=d)
+        traj = ls.integrate(plant, law, x0, cfg, disturbance=d)
         assert not traj.active.any()
         ratios.append(float(np.max(traj.v)) / amp)
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
     assert 0.1 < ratios[0] < 0.2
 
 
-def _reference_mu_gain(pair, law, cfg):
+def _reference_mu_gain(plant, law, cfg):
     # the recorded gain: per probe, the largest V of its Trajectory over the
     # amplitude, maxed over the probes
     x0 = np.concatenate([law.goal, np.zeros(2)])
@@ -405,7 +421,7 @@ def _reference_mu_gain(pair, law, cfg):
         ls.make_disturbance("sine", amplitude=0.1, frequency=0.5),
         ls.make_disturbance("sine", amplitude=0.1, frequency=1.0),
     ):
-        c = max(c, float(np.max(ls.integrate(pair, law, x0, cfg, disturbance=d).v)) / 0.1)
+        c = max(c, float(np.max(ls.integrate(plant, law, x0, cfg, disturbance=d).v)) / 0.1)
     return c
 
 
@@ -415,8 +431,8 @@ def test_mu_gain_folds_the_recorded_maximum(world, horizon, request):
     # bits of the recorded Trajectory.v's maximum
     w = request.getfixturevalue(world)
     cfg = ls.IntegratorConfig(dt=1e-3, horizon=horizon)
-    c = ls.estimate_mu_gain(w["pair"], w["law"], cfg)
-    assert _bits(c) == _bits(_reference_mu_gain(w["pair"], w["law"], cfg))
+    c = ls.estimate_mu_gain(w["plant"], w["law"], cfg)
+    assert _bits(c) == _bits(_reference_mu_gain(w["plant"], w["law"], cfg))
     if world == "of" and horizon == 2.0:  # the benchmark's calibration
         assert c == MU_GAIN
 
@@ -442,20 +458,20 @@ def test_mu_gain_records_nothing(of, monkeypatch):
 
     monkeypatch.setattr(robustness, "make_disturbance", counted_make)
     cfg = ls.IntegratorConfig(dt=1e-3, horizon=2.0)
-    assert ls.estimate_mu_gain(of["pair"], of["law"], cfg) == MU_GAIN
+    assert ls.estimate_mu_gain(of["plant"], of["law"], cfg) == MU_GAIN
     assert calls == {"integrate_batch": 0, "rk4_step": 3 * cfg.n_steps, "signal": 9}
 
 
 def test_mu_gain_probe_divergence_matches_integrate(of):
     # a plant that blows up: the first probe raises the DivergenceError the
     # same rollout raises through integrate, at the same step and time
-    pair = ls.ModelPair(fom_field=lambda x, u: (x[2], x[3], u[0] + 1000.0 * x[2], u[1]))
+    plant = lambda x, u: (x[2], x[3], u[0] + 1000.0 * x[2], u[1])
     law, cfg = of["law"], ls.IntegratorConfig(dt=1e-3, horizon=2.0)
     x0 = np.concatenate([law.goal, np.zeros(2)])
     with pytest.raises(ls.DivergenceError) as recorded:
-        ls.integrate(pair, law, x0, cfg, disturbance=ls.make_disturbance("constant", amplitude=0.1))
+        ls.integrate(plant, law, x0, cfg, disturbance=ls.make_disturbance("constant", amplitude=0.1))
     with pytest.raises(ls.DivergenceError) as folded:
-        ls.estimate_mu_gain(pair, law, cfg)
+        ls.estimate_mu_gain(plant, law, cfg)
     assert str(folded.value) == str(recorded.value)
     assert re.fullmatch(r"non-finite state at step \d+ \(t=\S+\), run 0", str(folded.value))
 
@@ -463,7 +479,7 @@ def test_mu_gain_probe_divergence_matches_integrate(of):
 def test_mu_gain_frozen_regression(of):
     # default schedule: constant plus two sine probes at amplitude 0.1; the
     # 0.5 Hz probe sits near the loop's peak gain and sets the value
-    c = ls.estimate_mu_gain(of["pair"], of["law"], ls.IntegratorConfig(dt=1e-3, horizon=6.0))
+    c = ls.estimate_mu_gain(of["plant"], of["law"], ls.IntegratorConfig(dt=1e-3, horizon=6.0))
     assert c == MU_GAIN
     # the sweep must exceed the DC gain 1/k_d = 0.125 of this loop
     assert c > 0.125

@@ -22,8 +22,7 @@ OPEN_FIELD_DIGEST = "5128ab6a8b9aca9a2129bb932223a56342ce55434dd802da25eb7cbf71d
 
 
 def test_minimal_scenario_defaults():
-    scn = ls.parse_scenario(MINIMAL, name="mini")
-    assert scn.name == "mini"
+    scn = ls.parse_scenario(MINIMAL)
     assert np.array_equal(scn.start, [-1.0, 0.25])
     assert np.array_equal(scn.goal, [2.0, 0.0])
     assert scn.field.count == 1
@@ -409,4 +408,4 @@ def test_bundled_path_and_load_errors(tmp_path):
         ls.load_scenario(tmp_path / "missing.scn")
     p = tmp_path / "ok.scn"
     p.write_text(MINIMAL)
-    assert ls.load_scenario(p).name == "ok.scn"
+    ls.load_scenario(p)

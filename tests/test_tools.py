@@ -83,7 +83,8 @@ def test_cli_costs_runs_one_command(capsys):
 def test_artifact_digests_check(monkeypatch, tmp_path, capsys):
     # the simulate run, the case-study run (three 10 s CSVs, one with an
     # all-NaN hV column), the two random-disturbance iss runs (the only
-    # artifacts a random table feeds; one on segment boundaries) and the
+    # artifacts a random table feeds; one on segment boundaries), the iss
+    # run without a disturbance (the zero-offset ISS branches) and the
     # three 6x6, 0.5 s certify runs (the float path, a disturbance, starts at
     # rest, and the margin over a window clipped to the horizon), against
     # their lines in the checked-in digests: a match exits 0, one altered
@@ -91,7 +92,7 @@ def test_artifact_digests_check(monkeypatch, tmp_path, capsys):
     digests = _load("artifact_digests")
     labels = (
         "simulate", "case_study", "iss_random", "iss_random_boundary",
-        "certify_chunk1", "certify_open_field", "certify_zero",
+        "iss_no_disturbance", "certify_chunk1", "certify_open_field", "certify_zero",
     )
     monkeypatch.setattr(digests, "RUNS", [run for run in digests.RUNS if run[0] in labels])
     lines = [
@@ -99,7 +100,7 @@ def test_artifact_digests_check(monkeypatch, tmp_path, capsys):
         for ln in (ROOT / "tools" / "artifact_digests.txt").read_text().splitlines(keepends=True)
         if ln.split()[1].startswith(tuple(f"{label}{sep}" for label in labels for sep in "./"))
     ]
-    assert len(lines) == 29
+    assert len(lines) == 32
     expected = tmp_path / "expected.txt"
     expected.write_text("".join(lines))
     assert digests.main(["--check", str(expected)]) == 0
