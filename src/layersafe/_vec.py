@@ -1,4 +1,4 @@
-"""The two component forms the control stack runs on, and vector sums.
+"""The two component forms the control stack runs on, and the one vector norm.
 
 Each layer's arithmetic is written on a tuple of state components, which
 take one of two forms: Python floats for one run (K = 1), contiguous 1-D
@@ -9,12 +9,11 @@ plain float code that gives numpy's bits, columns as numpy calls. Arrays
 enter at two places, ClosedLoopLaw.evaluate and BarrierFn, which convert
 with split and join; the rollout kernel splits its initial states.
 finite reads the four components of a state.
-Sums run 0.0 + p0 + p1 + ... left to right, the order np.sum(..., axis=-1)
-uses for a trailing axis shorter than 8, so the two agree bit for bit there,
-signed zeros included.
 The planner, filter and tracking layers are planar: they are written on the
-two components (x, y) directly, with no sum helper, and the filter's inner
-product spells out vsum's order for two parts, (p0 + 0.0) + p1.
+two components (x, y) directly. vnorm, the one Euclidean norm, is too: an
+array caller splits its array first. For two parts np.sum(..., axis=-1)
+adds (p0 + 0.0) + p1, which the filter's inner product spells out; a square
+is never -0.0, so vnorm's x*x + y*y has np.sum's bits without the + 0.0.
 """
 from __future__ import annotations
 
@@ -38,38 +37,13 @@ def join(v):
     return np.asarray(v)[()]
 
 
-def sqrt(x):
-    """The root of a sum of squares, a float or a column."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def vsum(parts):
-    """0.0 + parts[0] + parts[1] + ..., left to right."""
-    out = parts[0] + 0.0
-    for p in parts[1:]:
-        out = out + p
-    return out
-
-
-def vdot(a, b) -> np.ndarray:
-    """Inner product over the trailing axis."""
-    p = np.asarray(a, dtype=float) * np.asarray(b, dtype=float)
-    return vsum([p[..., i] for i in range(p.shape[-1])])
-
-
 def vnorm(v):
-    """Euclidean norm of a tuple of components, or over an array's trailing axis.
-
-    A tuple's squares are summed left to right without vsum's leading 0.0 +:
-    a square is never -0.0 and 0.0 + s is s for every other square, NaN
-    included, so the bits are vsum's with one add less per norm.
-    """
-    if isinstance(v, tuple):
-        out = v[0] * v[0]
-        for c in v[1:]:
-            out += c * c
-        return sqrt(out)
-    return np.sqrt(vdot(v, v))
+    """The Euclidean norm of a planar vector's components (x, y), floats or
+    columns: the root of x*x + y*y, summed in place in x*x's own column."""
+    x, y = v
+    s = x * x
+    s += y * y
+    return math.sqrt(s) if type(s) is float else np.sqrt(s)
 
 
 def finite(x):

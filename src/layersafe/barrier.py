@@ -61,7 +61,7 @@ class ObstacleField:
     def center_distances(self, z) -> np.ndarray:
         """Distances from z (..., 2) to every center, shape (..., P)."""
         z = np.asarray(z, dtype=float)
-        return vnorm(z[..., None, :] - self.centers)
+        return vnorm(split(z[..., None, :] - self.centers))
 
     def nearest(self, z) -> np.ndarray:
         """Index of the nearest obstacle by signed margin; ties take the lowest index."""

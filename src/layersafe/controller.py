@@ -10,9 +10,9 @@ plain velocity-error feedback u = -k_d (z_dot - z_dot_s). Each layer takes
 and returns tuples of components only (see _vec): Python floats for one
 state, ndarray columns for a batch. The layers are planar: each is written
 on the two components (x, y), one expression per component, and the
-filter's inner product n . z_dot_d keeps vsum's order, (p0 + 0.0) + p1, so
-its signed zeros are those of np.sum. Arrays enter the stack at two
-places: the law's ``evaluate`` and the barrier (BarrierFn). ``evaluate``
+filter's inner product n . z_dot_d keeps np.sum's order for two parts,
+(p0 + 0.0) + p1, so its signed zeros are those of np.sum. Arrays enter the
+stack at two places: the law's ``evaluate`` and the barrier (BarrierFn). ``evaluate``
 unpacks the state's four components (zx, zy, vx, vy) itself: the plant's
 state is position x[:2], velocity x[2:4]. One evaluation returns a LawIntermediates, a
 NamedTuple: it is indexable and iterable in field order, and ``_replace``
@@ -100,7 +100,7 @@ def safe_velocity(b: BarrierFn, alpha: float, z, z_dot_d):
     """
     h, n = b.value_and_gradient(z)
     (nx, ny), (vx, vy) = n, z_dot_d
-    # n . z_dot_d in vsum's order: (p0 + 0.0) + p1, which keeps its signed zeros
+    # n . z_dot_d in np.sum's order for two parts, (p0 + 0.0) + p1, with its signed zeros
     corr = -((nx * vx + 0.0) + ny * vy) - alpha * h
     if type(corr) is float:
         corr = corr if corr > 0.0 or corr != corr else 0.0

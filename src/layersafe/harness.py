@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._io import atomic_write_text
-from ._vec import vnorm
+from ._vec import split, vnorm
 from .controller import ClosedLoopLaw
 from .dynamics import IntegratorConfig, Trajectory, integrate
 from .errors import ConfigurationError, DivergenceError
@@ -29,7 +29,6 @@ from .recurrence import (
     scan,
 )
 from .robustness import (
-    _check_gain,
     build_iss_envelope,
     check_iss_envelope,
     check_practical_rtf,
@@ -121,27 +120,24 @@ def _emit(scn, label, traj, summary, checks, out_dir) -> RunArtifacts:
 
 
 class _Run(NamedTuple):
-    """A scenario rolled out from its start: the built loop, the record, the
-    summary and check lines every run reports, and the certificate's
-    recurrence verdict (None when the rollout is shorter than the window)."""
+    """A scenario rolled out from its start: the record, the summary and
+    check lines every run reports, and the certificate's recurrence verdict
+    (None when the rollout is shorter than the window)."""
 
-    loop: Loop
     traj: Trajectory
     summary: dict
     rtf_v: RecurrenceVerdict | None
     checks: list
 
 
-def _roll(scn: Scenario, needs_region: str = "") -> _Run:
-    """Build the loop and roll out from the scenario start.
+def _roll(scn: Scenario, loop: Loop) -> _Run:
+    """Roll ``loop``, the scenario's built closed loop, out from its start.
 
-    Without a certified region, build_loop refuses a run named by
-    ``needs_region`` before it rolls; any other run rolls with no recurrent
-    barrier (h_V is NaN) and says so. A run whose h is not finite somewhere
-    (it overflowed) is refused with a DivergenceError naming the first such
-    time, before any check runs.
+    A loop with no recurrent barrier (no certified region) rolls with h_V
+    NaN and says so. A run whose h is not finite somewhere (it overflowed)
+    is refused with a DivergenceError naming the first such time, before any
+    check runs.
     """
-    loop = build_loop(scn, needs_region)
     plant, law, rcbf, dist = loop
     checks = []
     if rcbf is None:
@@ -158,18 +154,18 @@ def _roll(scn: Scenario, needs_region: str = "") -> _Run:
         "min_h": float(rec.min_h),
         "min_h_v": float(rec.min_h_v),
         "max_edot": float(np.max(traj.v)),
-        "final_goal_distance": float(vnorm(traj.z[-1] - law.goal)),
+        "final_goal_distance": vnorm(split(traj.z[-1] - law.goal)),
         "rtf_margin": float(rec.rtf_margin) if rtf_v is not None else float("nan"),
         "chain_min_slack": (
             check_safety_chain(traj, rcbf).min_slack if rcbf is not None else float("nan")
         ),
     }
-    return _Run(loop, traj, summary, rtf_v, checks)
+    return _Run(traj, summary, rtf_v, checks)
 
 
 def run_simulate(scn: Scenario, out_dir=None) -> RunArtifacts:
     """One rollout from the scenario start; CSV, report, declared expectations."""
-    run = _roll(scn)
+    run = _roll(scn, build_loop(scn))
     return _emit(scn, "simulate", run.traj, run.summary, run.checks, out_dir)
 
 
@@ -201,7 +197,7 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
     artifacts = []
     rows = []
     for tag, scn_a in runs.items():
-        run = _roll(scn_a)
+        run = _roll(scn_a, build_loop(scn_a))
         traj, summary, rtf_v = run.traj, run.summary, run.rtf_v
         # the exponential envelope constrains error-only starts; a quiet start
         # (zero initial tracking error) has no meaningful ratio to report
@@ -270,7 +266,7 @@ def run_recurrence_demo(scn: Scenario, out_dir=None) -> RunArtifacts:
     Records every interval where h_V < 0, its duration, and the return time;
     requires the recurrence rate to exceed alpha.
     """
-    run = _roll(scn, needs_region="the demo")
+    run = _roll(scn, build_loop(scn, needs_region="the demo"))
     traj, summary = run.traj, run.summary
 
     dips = negative_intervals(traj.h_v)
@@ -327,7 +323,7 @@ def effective_disturbance_bound(traj: Trajectory, law: ClosedLoopLaw) -> float:
         ok = ok & (near[:-2] == near[1:-1]) & (near[1:-1] == near[2:])
     if not np.any(ok):
         return 0.0
-    return float(np.max(vnorm(acc[ok])))
+    return float(np.max(vnorm(split(acc[ok]))))
 
 
 def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArtifacts:
@@ -336,16 +332,17 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
     The class-K offset is linear, mu(r) = c r; unless supplied, c is calibrated
     by estimate_mu_gain from quiet-start runs under a constant disturbance and
     sines at 0.5 and 1 Hz (amplitude 0.1, each the whole number of steps
-    nearest 6 s); a supplied c must be finite and > 0.
+    nearest 6 s); a supplied c must be finite and > 0. The envelope is built,
+    and a gain it refuses is refused, before the disturbed run rolls.
     """
-    if mu_gain is not None:
-        _check_gain(mu_gain)
-    (plant, law, rcbf, dist), traj, summary, rtf_v, _ = _roll(scn, needs_region="the ISS run")
+    loop = build_loop(scn, needs_region="the ISS run")
+    plant, law, rcbf, dist = loop
     if mu_gain is None:
         dt = scn.integrator.dt
         cal_cfg = IntegratorConfig(dt=dt, horizon=round(6.0 / dt) * dt)
         mu_gain = estimate_mu_gain(plant, law, cal_cfg)
     env = build_iss_envelope(rcbf, mu_gain, dist.sup_norm)
+    traj, summary, rtf_v, _ = _roll(scn, loop)
     iss_v = check_iss_envelope(traj, env)
     in0 = bool(traj.h_v[0] - env.gamma_margin >= 0.0)  # h_V(0) as the rollout recorded it
     prtf = check_practical_rtf(traj, env) if rtf_v is not None else None

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._vec import vnorm
+from ._vec import split, vnorm
 from .barrier import BarrierFn
 from .dynamics import Trajectory
 from .errors import ConfigurationError, HypothesisViolationError, require_number
@@ -226,7 +226,7 @@ class RecurrentCbf:
 
     def value(self, z, e_dot):
         """h_V at sampled states; a rollout records it through combine."""
-        return self.combine(vnorm(e_dot), self.barrier.value(z))
+        return self.combine(vnorm(split(e_dot)), self.barrier.value(z))
 
     def combine(self, v, h):
         """h_V from a certificate value V and a barrier value h already at hand."""

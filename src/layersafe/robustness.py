@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._vec import finite
+from ._vec import finite, vnorm
 from .dynamics import IntegratorConfig, Trajectory, _rollout
 from .errors import ConfigurationError, DivergenceError, require_number
 from .recurrence import (
@@ -224,8 +224,8 @@ def _disk(amp: float, angles: np.ndarray, radii: np.ndarray) -> tuple:
     theta = uniform(0, 2 pi) and radius = amp * sqrt(uniform(0, 1)), where
     uniform(0, hi) is 0.0 + hi * random(), the same float as hi * random().
     The table's sup norm is sqrt(max(c0*c0 + c1*c1)) over its blocks of
-    rows (_largest_norm), the bits of vnorm's largest value: 0.0 + c0*c0 is
-    c0*c0, and a correctly rounded sqrt is monotone.
+    rows (_largest_norm), the bits of vnorm((c0, c1))'s largest value: a
+    correctly rounded sqrt is monotone.
     """
     theta = np.multiply(angles, 2.0 * np.pi, out=angles)
     radius = np.sqrt(radii, out=radii)
@@ -269,23 +269,30 @@ class IssEnvelope:
     gamma_margin: float
 
 
-def _check_gain(mu_gain: float) -> None:
-    if not (np.isfinite(mu_gain) and mu_gain > 0):
-        raise ConfigurationError(f"mu gain must be finite and positive, got {mu_gain!r}")
-
-
 def build_iss_envelope(rcbf: RecurrentCbf, mu_gain: float, d_sup: float) -> IssEnvelope:
     """Assemble the envelope constants from a recurrent barrier and a linear
-    offset gain, finite and > 0, at the disturbance sup norm d_sup. A gain
-    and sup norm, each finite, whose iota or iota / alpha_e is not finite
-    are refused: no envelope check can judge an infinite offset."""
-    _check_gain(mu_gain)
+    offset gain, finite and > 0, at the disturbance sup norm d_sup. A zero
+    offset mu_at_d gives iota = gamma_margin = 0.0 whatever e^{beta tau} is.
+    A nonzero one is refused where e^{beta tau} overflows, or where iota or
+    iota / alpha_e is not finite: no envelope check can judge an infinite
+    offset."""
+    if not (np.isfinite(mu_gain) and mu_gain > 0):
+        raise ConfigurationError(f"mu gain must be finite and positive, got {mu_gain!r}")
     if not (np.isfinite(d_sup) and d_sup >= 0):
         raise ConfigurationError("disturbance sup norm must be finite and >= 0")
     mu_gain, d_sup = float(mu_gain), float(d_sup)
     mu_at_d = mu_gain * d_sup
     rtf = rcbf.rtf
-    iota = float(rtf.a2 * float(np.exp(rtf.beta * rtf.tau)) * mu_at_d / rtf.m_overshoot)
+    if mu_at_d == 0.0:
+        return IssEnvelope(rtf, mu_gain, d_sup, mu_at_d, 0.0, 0.0)
+    with np.errstate(over="ignore"):
+        growth = float(np.exp(rtf.beta * rtf.tau))
+    if growth == math.inf:
+        raise ConfigurationError(
+            f"rtf.beta = {rtf.beta!r} and rtf.tau = {rtf.tau!r} give e^(beta tau) beyond "
+            "the float range: the envelope offset has no finite floor"
+        )
+    iota = float(rtf.a2 * growth * mu_at_d / rtf.m_overshoot)
     gamma_margin = float(iota / rcbf.alpha_e)
     if not (math.isfinite(iota) and math.isfinite(gamma_margin)):
         raise ConfigurationError(
@@ -344,9 +351,10 @@ def estimate_mu_gain(plant, law, cfg: IntegratorConfig) -> float:
     is linear while the filter is inactive, so the ratio is amplitude-free;
     the frequency sweep matters because the loop's peak gain sits at a
     nonzero frequency. Each probe is one rollout on the single-run path
-    whose largest ||e_dot|| is folded as the kernel runs (see _largest_v):
-    the gain is the float np.max(integrate(...).v) / amplitude gives, maxed
-    over the probes, with no Trajectory recorded.
+    whose largest ||e_dot||, vnorm's value as integrate records it, is
+    folded as the kernel runs (see _largest_v): the gain is the float
+    np.max(integrate(...).v) / amplitude gives, maxed over the probes, with
+    no Trajectory recorded.
     """
     x0s = np.concatenate([np.asarray(law.goal, dtype=float), np.zeros(2)])[None, :]
     amp, c = _PROBE_AMPLITUDE, 0.0
@@ -365,10 +373,9 @@ def _largest_v(plant, law, x0s, cfg: IntegratorConfig, d_sig) -> float:
     """The largest V = ||e_dot|| over the samples of the rollout from x0s,
     (1, 4), folded as the kernel yields them.
 
-    V is _derived's vnorm in float code, vsum's order for two parts (vnorm
-    leaves out the + 0.0, which never changes a square), so it has the bits
-    integrate records in Trajectory.v; a NaN V sticks, as in
-    np.max. A non-finite state raises the DivergenceError integrate raises.
+    V is vnorm((vx - sx, vy - sy)), the expression _derived records, so it
+    has the bits of integrate's Trajectory.v; a NaN V sticks, as in np.max.
+    A non-finite state raises the DivergenceError integrate raises.
     """
     v_max = -math.inf
     with np.errstate(all="ignore"):  # integrate_batch's, around the same kernel
@@ -377,8 +384,7 @@ def _largest_v(plant, law, x0s, cfg: IntegratorConfig, d_sig) -> float:
             if not finite(x):
                 raise DivergenceError(f"non-finite state at step {k} (t={t:.6g}), run 0")
             (_, _, vx, vy), (sx, sy) = x, inter.z_dot_s
-            ex, ey = vx - sx, vy - sy
-            v = math.sqrt((ex * ex + 0.0) + ey * ey)
+            v = vnorm((vx - sx, vy - sy))
             if v > v_max or v != v:
                 v_max = v
     return v_max

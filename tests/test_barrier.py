@@ -1,5 +1,7 @@
 """Obstacle field and min-distance barrier behavior."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -149,26 +151,40 @@ def test_batch_matches_scalar_bitwise():
 
 
 def test_vec_sums_match_numpy_bitwise():
-    """vnorm and vdot sum a short trailing axis, or components, exactly as np.sum does."""
+    """vnorm on a planar vector's components gives np.sum's root bit for bit."""
     rng = np.random.default_rng(7)
-    for n in range(1, 5):
-        for shape in [(n,), (1, n), (9, n), (3, 4, n)]:
-            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
-            c = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
-            a.flat[::5] = -0.0
-            c.flat[::3] = 0.0
-            a.flat[1::7] = np.inf
-            c.flat[2::11] = np.nan
-            with np.errstate(all="ignore"):
-                assert _same_bits(ls._vec.vdot(a, c), np.sum(a * c, axis=-1))
-                assert _same_bits(ls._vec.vnorm(a), np.sqrt(np.sum(a * a, axis=-1)))
-                # as components: floats for a vector, columns otherwise
-                parts = ls._vec.split(a)
-                assert isinstance(parts[0], float) == (a.ndim == 1)
-                assert _same_bits(ls._vec.vnorm(parts), np.sqrt(np.sum(a * a, axis=-1)))
-            # an all -0.0 sum is +0.0, as numpy's reduction gives
-            neg = np.full(shape, -0.0)
-            assert _same_bits(ls._vec.vdot(neg, np.ones(shape)), np.sum(neg, axis=-1))
+    for shape in [(2,), (1, 2), (9, 2), (3, 4, 2)]:
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        a.flat[::5] = -0.0
+        a.flat[1::7] = np.inf
+        with np.errstate(all="ignore"):
+            # as components: floats for a vector, columns otherwise
+            parts = ls._vec.split(a)
+            assert isinstance(parts[0], float) == (a.ndim == 1)
+            assert _same_bits(ls._vec.vnorm(parts), np.sqrt(np.sum(a * a, axis=-1)))
+
+
+def test_split_callers_match_numpy_norm_bitwise():
+    # the callers that split an array before vnorm: the field's center
+    # distances, the recurrent barrier's V and effective_disturbance_bound's
+    # norm, each against np.sum's root on the probe rows (inf, NaN, 1e200)
+    field = two_disks_field()
+    b = ls.min_distance_barrier(field)
+    rcbf = ls.build_rcbf(ls.Rtf(), b, alpha=0.5)
+    zs = _probe_states(field, np.random.default_rng(3))
+    no_field = SimpleNamespace(barrier=SimpleNamespace())
+    with np.errstate(all="ignore"):
+        diff = zs[:, None, :] - field.centers
+        assert _same_bits(field.center_distances(zs), np.sqrt(np.sum(diff * diff, axis=-1)))
+        norms = np.sqrt(np.sum(zs * zs, axis=-1))
+        assert _same_bits(rcbf.value(zs, zs), -norms + rcbf.alpha_e * b.value(zs))
+        for row, norm in zip(zs, norms):
+            # three samples whose one central difference, over 2 dt = 1.0, is row
+            traj = SimpleNamespace(
+                n_samples=3, dt=0.5, z_s_dot=np.array([[0.0, 0.0], [0.0, 0.0], row]),
+                active=np.ones(3, dtype=bool),
+            )
+            assert _same_bits(ls.effective_disturbance_bound(traj, no_field), norm)
 
 
 def test_gradient_is_unit_norm():

@@ -194,7 +194,7 @@ def _single_run_mismatches(scn, report):
         if "not rolled" in r.note:
             continue
         start = dataclasses.replace(scn, start=r.point, velocity_mode=report.velocity_mode)
-        s = harness._roll(start).summary
+        s = harness._roll(start, ls.build_loop(start)).summary
         want = (s["min_h"], s["min_h_v"], s["rtf_margin"])
         if (r.min_h, r.min_h_v, r.rtf_margin) != want:
             bad.append((tuple(r.point.tolist()), (r.min_h, r.min_h_v, r.rtf_margin), want))

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from layersafe import dynamics
 from layersafe.cli import main
 
 GOOD = """\
@@ -257,6 +258,22 @@ def test_iss_rejects_non_finite_envelope(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "mu gain 1e+300 at disturbance sup norm 10000000000.0 gives a non-finite" in err
+    assert not out.exists()
+
+
+def test_iss_refuses_its_envelope_before_it_rolls(tmp_path, capsys, monkeypatch):
+    # the envelope is built before the disturbed run, so a refused gain
+    # costs no RK4 step
+    calls = []
+    step = dynamics.rk4_step
+    monkeypatch.setattr(dynamics, "rk4_step", lambda *a: calls.append(1) or step(*a))
+    out = tmp_path / "out"
+    argv = ["iss", "open_field", "--mu-gain", "1e300",
+            "--disturbance", "kind=constant,amplitude=1e10", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "mu gain 1e+300 at disturbance sup norm 10000000000.0 gives a non-finite" in err
+    assert calls == []
     assert not out.exists()
 
 

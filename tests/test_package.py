@@ -56,6 +56,32 @@ def test_only_scenario_builds_the_loop():
     assert found == []
 
 
+def test_only_vnorm_and_the_fused_passes_take_a_root():
+    # _vec.vnorm is the one norm, one body on (x, y) with no if statement
+    # for another argument shape; the barrier kernel's fused passes, the
+    # random table's radius draw and its overflow-safe sup norm keep their
+    # own roots
+    allowed = {
+        ("_vec.py", "vnorm"),
+        ("barrier.py", "min_distance_barrier"),
+        ("robustness.py", "_disk"),
+        ("robustness.py", "_largest_norm"),
+    }
+    found = []
+    for path in sorted((ROOT / "src" / "layersafe").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) in allowed:
+                if top.name == "vnorm":
+                    found += [f"vnorm:{n.lineno} if" for n in ast.walk(top) if isinstance(n, ast.If)]
+                continue
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if isinstance(node, ast.Call) and name == "sqrt":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_readme_quick_start_runs(monkeypatch, tmp_path, capsys):
     # the README's library example, run as written: a renamed or removed name
     # fails here instead of leaving the docs stale

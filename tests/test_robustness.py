@@ -317,6 +317,22 @@ def test_iss_envelope_refuses_a_non_finite_offset(far_rcbf):
     assert np.isfinite(env.gamma_margin) and env.gamma_margin > env.iota > 1e307
 
 
+def test_iss_envelope_at_an_overflowing_recurrence_growth():
+    # e^{beta tau} overflows at beta tau = 800: a zero offset still gives
+    # exact zeros, with no overflow warning, and a nonzero one is refused
+    # naming the constants that overflow rather than the gain
+    b = ls.min_distance_barrier(ls.ObstacleField(centers=[[50.0, 50.0]], radii=[0.5]))
+    rcbf = ls.build_rcbf(ls.Rtf(beta=800.0, tau=1.0), b, alpha=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = ls.build_iss_envelope(rcbf, 0.14, 0.0)
+        assert (env.mu_at_d, env.iota, env.gamma_margin) == (0.0, 0.0, 0.0)
+        with pytest.raises(
+            ls.ConfigurationError, match=r"^rtf\.beta = 800\.0 and rtf\.tau = 1\.0 give e\^"
+        ):
+            ls.build_iss_envelope(rcbf, 0.14, 0.1)
+
+
 def test_check_iss_envelope_offset_bound(far_rcbf):
     env = ls.build_iss_envelope(far_rcbf, 0.5, d_sup=0.2)
     t = np.arange(0, 3001) * 0.001
