@@ -5,10 +5,18 @@ take one of two forms: Python floats for one run (K = 1), contiguous 1-D
 float columns for several. Where the forms need different code (a root, a
 choice between obstacles, a clamp, a division), the barrier kernel and the
 filter check the form once per call and write each form once: floats as
-plain float code that gives numpy's bits, columns as numpy calls. Arrays
+plain float code that gives numpy's bits, columns as numpy calls. A column
+branch takes its constants as read-only 0-d float64 arrays made once (const),
+at build time or once per step size, never per call: under NEP 50 numpy
+converts a Python float operand on every call, about 0.4 us more per call
+than a 0-d array costs. Column temporaries are written in place (out=) only
+where each ufunc keeps the operand order of the float code, so NaN signs and
+signed zeros keep their bits. Arrays
 enter at two places, ClosedLoopLaw.evaluate and BarrierFn, which convert
 with split and join; the rollout kernel splits its initial states.
-finite reads the four components of a state.
+finite reads the four components of a state, with no constant. The planner and tracking take
+their gains as a float or, on columns, a Gain, whose negation is a prebuilt
+0-d array: they are written once, as -k * (...), for both forms.
 The planner, filter and tracking layers are planar: they are written on the
 two components (x, y) directly. vnorm, the one Euclidean norm, is too: an
 array caller splits its array first. For two parts np.sum(..., axis=-1)
@@ -20,6 +28,31 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def const(c) -> np.ndarray:
+    """c as a read-only 0-d float64 array: a column branch's constant."""
+    a = np.array(c, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+# the column branches' zero; ufuncs read it as they read 0.0
+ZERO = const(0.0)
+
+
+class Gain:
+    """A gain k for the column form of a layer that reads it as -k: -Gain(k)
+    is a prebuilt 0-d array of -k, so -k * column takes no Python float and
+    makes no call to negate k."""
+
+    __slots__ = ("_neg",)
+
+    def __init__(self, k: float):
+        self._neg = const(-k)
+
+    def __neg__(self):
+        return self._neg
 
 
 def split(a) -> tuple:
@@ -48,6 +81,9 @@ def vnorm(v):
 
 def finite(x):
     """Whether each run's four state components are all finite: a bool for
-    floats, else an array. 0 * c is 0 exactly when c is finite."""
+    floats, else an array. c - c is 0 exactly when c is finite, else NaN,
+    so the sum s of the four is NaN unless all are finite, and s == s says
+    which, on either form with no constant to convert."""
     x0, x1, x2, x3 = x
-    return 0.0 * x0 + 0.0 * x1 + 0.0 * x2 + 0.0 * x3 == 0.0
+    s = (x0 - x0) + (x1 - x1) + (x2 - x2) + (x3 - x3)
+    return s == s

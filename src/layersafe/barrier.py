@@ -11,9 +11,11 @@ components (see _vec): Python floats for one state, ndarray columns for a
 batch, and it checks which once per pass. Floats take straight-line float
 code; columns take numpy calls that write into the pass's own columns
 (np.sqrt, np.minimum, np.copyto and np.divide with out= or where=), never
-into the caller's, with the same bits either way. Array callers go through
-BarrierFn, which splits a state array into components, holds np.errstate
-around the pass and joins the results.
+into the caller's, with the same bits either way. The column branch reads
+each center and radius as a 0-d array made when the barrier is built, never
+a Python float (see _vec), and keeps the float code's operand order. Array
+callers go through BarrierFn, which splits a state array into components,
+holds np.errstate around the pass and joins the results.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._vec import join, split, vnorm
+from ._vec import const, join, split, vnorm
 from .errors import ConfigurationError
 
 _NDARRAY = np.ndarray  # bound once: a pass reads no attribute of np for its form test
@@ -128,6 +130,10 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
     (cx0, cy0, r0), *rest = [
         (float(cx), float(cy), float(r)) for (cx, cy), r in zip(field.centers, field.radii)
     ]
+    # the same constants as 0-d arrays, for the column branch
+    (cx0_c, cy0_c, r0_c), *rest_c = [
+        tuple(map(const, obstacle)) for obstacle in [(cx0, cy0, r0), *rest]
+    ]
 
     def value_and_gradient(z):
         # the nearest obstacle's margin and unit offset, on the components
@@ -151,8 +157,8 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
                 return h, (dx / dist, dy / dist)
             with np.errstate(divide="ignore", invalid="ignore"):  # numpy's inf and NaN signs
                 return h, (float(np.divide(dx, dist)), float(np.divide(dy, dist)))
-        dx = zx - cx0
-        dy = zy - cy0
+        dx = zx - cx0_c
+        dy = zy - cy0_c
         if not (isinstance(dx, _NDARRAY) and isinstance(dy, _NDARRAY)):  # 0-d arrays give scalars
             raise ConfigurationError(
                 "barrier components must be two Python floats or two ndarray columns, "
@@ -161,13 +167,13 @@ def min_distance_barrier(field: ObstacleField) -> BarrierFn:
         # vnorm's sum of squares, built and rooted in the pass's own columns
         dist = dx * dx
         dist += dy * dy
-        h = np.sqrt(dist, out=dist) - r0
-        for cx, cy, r in rest:
+        h = np.subtract(np.sqrt(dist, out=dist), r0_c)
+        for cx, cy, r in rest_c:
             ex = zx - cx
             ey = zy - cy
             d = ex * ex
             d += ey * ey
-            m = np.sqrt(d, out=d) - r
+            m = np.subtract(np.sqrt(d, out=d), r)
             near = m < h
             np.minimum(m, h, out=h)  # the strict-< select's bits (see the docstring)
             np.copyto(dist, d, where=near)

@@ -14,7 +14,12 @@ filter's inner product n . z_dot_d keeps np.sum's order for two parts,
 (p0 + 0.0) + p1, so its signed zeros are those of np.sum. Arrays enter the
 stack at two places: the law's ``evaluate`` and the barrier (BarrierFn). ``evaluate``
 unpacks the state's four components (zx, zy, vx, vy) itself: the plant's
-state is position x[:2], velocity x[2:4]. One evaluation returns a LawIntermediates, a
+state is position x[:2], velocity x[2:4]. On columns every layer takes its
+constants as 0-d arrays made when the law is assembled (see _vec): the goal,
+alpha and the gains as Gain, whose negation is ready made; the filter's 0.0
+is _vec.ZERO. The filter's column branch writes its temporaries in place,
+each ufunc with the float code's operand order, so the bits are the same.
+One evaluation returns a LawIntermediates, a
 NamedTuple: it is indexable and iterable in field order, and ``_replace``
 gives a copy with some fields changed.
 """
@@ -25,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._vec import join, split
+from ._vec import ZERO, Gain, const, join, split
 from .barrier import BarrierFn
 from .errors import ConfigurationError, require_number
 
@@ -50,8 +55,8 @@ class Gains:
 class LawIntermediates(NamedTuple):
     """One evaluation of the layered law at a state: every layer's output.
 
-    h and grad_h are the barrier value and gradient the filter used; u is the
-    tracking input. Fields take the form of the state given to evaluate:
+    h is the barrier value the filter used; u is the tracking input. Fields
+    take the form of the state given to evaluate:
     tuples of components for components, arrays for an array.
     """
 
@@ -59,7 +64,6 @@ class LawIntermediates(NamedTuple):
     z_dot_s: tuple | np.ndarray
     active: bool | np.ndarray
     h: float | np.ndarray
-    grad_h: tuple | np.ndarray
     u: tuple | np.ndarray
 
 
@@ -87,26 +91,35 @@ def desired_velocity(goal, k_p: float, z):
 def safe_velocity(b: BarrierFn, alpha: float, z, z_dot_d):
     """Minimally corrected velocity admissible for the nearest-obstacle constraint.
 
-    Returns (z_dot_s, active, h, grad_h). When the constraint is inactive the
-    input passes through unchanged; otherwise the correction is the exact
-    distance to the half-space boundary, applied along the barrier gradient,
-    which is the closest feasible point to z_dot_d. h and grad_h are the
-    barrier value and gradient it was computed from, so a caller needs no
-    second barrier pass. Components are Python floats or ndarray columns.
-    The correction max(c, 0) is np.maximum(c, 0.0) on columns, in place in
-    the correction's own column, and the same rule written in float code on
-    one run's float, so a K = 1 step makes no numpy call for it. Both keep
-    NaN and turn -0.0 into 0.0.
+    Returns (z_dot_s, active, h). When the constraint is inactive the input
+    passes through unchanged; otherwise the correction is the exact distance
+    to the half-space boundary, applied along the barrier gradient, which is
+    the closest feasible point to z_dot_d. h is the barrier value it was
+    computed from, so a caller needs no second barrier pass. Components are
+    Python floats or ndarray columns, as the barrier's h says. The correction
+    max(c, 0) is written in float code on one run's floats, so a K = 1 step
+    makes no numpy call for it, and is np.maximum(c, 0.0) on columns, in
+    place in the correction's own column. Both keep NaN and turn -0.0 into
+    0.0. On columns alpha may be a float or a 0-d array (evaluate passes one).
     """
-    h, n = b.value_and_gradient(z)
-    (nx, ny), (vx, vy) = n, z_dot_d
-    # n . z_dot_d in np.sum's order for two parts, (p0 + 0.0) + p1, with its signed zeros
-    corr = -((nx * vx + 0.0) + ny * vy) - alpha * h
-    if type(corr) is float:
+    h, (nx, ny) = b.value_and_gradient(z)
+    vx, vy = z_dot_d
+    if type(h) is float:
+        # n . z_dot_d in np.sum's order for two parts, (p0 + 0.0) + p1, with its signed zeros
+        corr = -((nx * vx + 0.0) + ny * vy) - alpha * h
         corr = corr if corr > 0.0 or corr != corr else 0.0
-    else:
-        np.maximum(corr, 0.0, out=corr)  # corr is this pass's own column
-    return (vx + corr * nx, vy + corr * ny), corr > 0.0, h, n
+        return (vx + corr * nx, vy + corr * ny), corr > 0.0, h
+    # the same expressions on columns, each in a temporary of this pass
+    corr = np.multiply(nx, vx)
+    np.add(corr, ZERO, out=corr)
+    p1 = np.multiply(ny, vy)
+    np.add(corr, p1, out=corr)
+    np.negative(corr, out=corr)
+    np.subtract(corr, np.multiply(alpha, h, out=p1), out=corr)
+    np.maximum(corr, ZERO, out=corr)
+    sx = np.multiply(corr, nx)
+    sy = np.multiply(corr, ny)
+    return (np.add(vx, sx, out=sx), np.add(vy, sy, out=sy)), np.greater(corr, ZERO), h
 
 
 def tracking_control(k_d: float, z_dot, z_dot_s):
@@ -120,23 +133,43 @@ def assemble_closed_loop(b: BarrierFn, gains: Gains, goal) -> ClosedLoopLaw:
 
     The law reads the state as (position, velocity) over four components,
     x[:2] and x[2:4], and evaluate unpacks them directly. The goal is a
-    planar position.
+    planar position. The constants are held twice, as floats for one run
+    and as 0-d arrays for columns (see _vec), and evaluate picks them by
+    the first component's type.
     """
     goal = np.asarray(goal, dtype=float)
     if goal.shape != (2,):
         raise ConfigurationError("goal must have shape (2,)")
-    goal_c = split(goal)
+    goal_f = split(goal)
     k_p, k_d, alpha = float(gains.k_p), float(gains.k_d), float(gains.alpha)
+    goal_c, k_p_c, alpha_c, k_d_c = tuple(map(const, goal_f)), Gain(k_p), const(alpha), Gain(k_d)
     new = tuple.__new__  # a LawIntermediates without NamedTuple.__new__'s argument handling
 
     def evaluate(x):
-        if not isinstance(x, tuple):
+        # one run's floats take the body below with the float constants,
+        # columns on_columns, an array the split below: one test on the
+        # first component, the only test a float stage makes here
+        try:
+            first = x[0]
+        except IndexError:  # an empty batch array
+            first = None
+        if type(first) is not float:
+            if isinstance(x, tuple):
+                return on_columns(x)
             with np.errstate(all="ignore"):  # the barrier's column division and overflow
                 return LawIntermediates._make(map(join, evaluate(split(x))))
         zx, zy, vx, vy = x
-        z_dot_d = desired_velocity(goal_c, k_p, (zx, zy))
-        z_dot_s, active, h, grad_h = safe_velocity(b, alpha, (zx, zy), z_dot_d)
+        z_dot_d = desired_velocity(goal_f, k_p, (zx, zy))
+        z_dot_s, active, h = safe_velocity(b, alpha, (zx, zy), z_dot_d)
         u = tracking_control(k_d, (vx, vy), z_dot_s)
-        return new(LawIntermediates, (z_dot_d, z_dot_s, active, h, grad_h, u))
+        return new(LawIntermediates, (z_dot_d, z_dot_s, active, h, u))
+
+    def on_columns(x):
+        # evaluate's body with the column constants
+        zx, zy, vx, vy = x
+        z_dot_d = desired_velocity(goal_c, k_p_c, (zx, zy))
+        z_dot_s, active, h = safe_velocity(b, alpha_c, (zx, zy), z_dot_d)
+        u = tracking_control(k_d_c, (vx, vy), z_dot_s)
+        return new(LawIntermediates, (z_dot_d, z_dot_s, active, h, u))
 
     return ClosedLoopLaw(goal=goal, gains=gains, barrier=b, evaluate=evaluate)

@@ -19,7 +19,12 @@ The kernel's state is a tuple of four components, position then velocity
 (zx, zy, vx, vy; see _vec): floats for one run, contiguous columns for
 several. The plant, double_integrator, is one function on tuples of
 components, and rk4_step unpacks the four components of the state and of
-each stage slope. The kernel splits the initial states. integrate_batch
+each stage slope. rk4_step checks the form once per step: floats take plain
+float code, columns the same expressions with dt/2, dt, dt/6 and 2.0 as 0-d
+arrays made once per step size (a Python float operand costs numpy a
+conversion on every call; see _vec), each stage state and the update built
+in place in a temporary of the step, every ufunc with the float code's
+operand order, so both give the same bits. The kernel splits the initial states. integrate_batch
 records the samples into batch arrays one row block (_ROW_BLOCK samples)
 at a time, so it holds the Python objects of at most one block at once,
 and returns one Trajectory per start, the one rollout record, whose fields
@@ -32,12 +37,13 @@ _io.format_chunks).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from ._io import atomic_write_text, format_chunks
-from ._vec import finite, join, split, vnorm
+from ._vec import const, finite, join, split, vnorm
 from .errors import ConfigurationError, DivergenceError, require_number
 
 # samples recorded per block
@@ -170,9 +176,13 @@ _CSV_STEMS = {name: _CSV_RENAMES.get(name, name) for name in _FIELDS if name != 
 
 def rk4_step(f, t, x, dt):
     """One classical Runge-Kutta step of x_dot = f(t, x), for x and f(t, x)
-    the four state components (x0, x1, x2, x3): floats or columns."""
+    the four state components (x0, x1, x2, x3): floats or columns. Floats
+    take the float code below; columns take the same expressions with 0-d
+    constants, in temporaries of the step (see _column_step)."""
     half, t_half, sixth = 0.5 * dt, t + 0.5 * dt, dt / 6.0
     x0, x1, x2, x3 = x
+    if type(x0) is not float:
+        return _column_step(f, t, x, dt, t_half, _step_constants(dt))
     a0, a1, a2, a3 = f(t, x)
     b0, b1, b2, b3 = f(t_half, (x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3))
     c0, c1, c2, c3 = f(t_half, (x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3))
@@ -183,6 +193,42 @@ def rk4_step(f, t, x, dt):
         x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
         x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
     )
+
+
+@lru_cache(maxsize=8)
+def _step_constants(dt: float) -> tuple:
+    """The column step's constants dt/2, dt, dt/6 and 2.0 as 0-d arrays,
+    made once per step size: the floats rk4_step forms from dt."""
+    return const(0.5 * dt), const(dt), const(dt / 6.0), const(2.0)
+
+
+def _column_step(f, t, x, dt, t_half, constants):
+    """rk4_step on columns. Each stage state x + h k and the update
+    x + dt/6 (k1 + 2 k2 + 2 k3 + k4) is built in the temporary of its first
+    product, every ufunc taking its operands in the float code's order."""
+    half, dt_c, sixth, two = constants
+    a = f(t, x)
+    b = f(t_half, _stage(x, half, a))
+    c = f(t_half, _stage(x, half, b))
+    d = f(t + dt, _stage(x, dt_c, c))
+    out = []
+    for xi, ai, bi, ci, di in zip(x, a, b, c, d):
+        s = np.multiply(two, bi)
+        np.add(ai, s, out=s)
+        np.add(s, np.multiply(two, ci), out=s)
+        np.add(s, di, out=s)
+        np.multiply(sixth, s, out=s)
+        out.append(np.add(xi, s, out=s))
+    return tuple(out)
+
+
+def _stage(x, h, k) -> tuple:
+    """The stage state x + h k on columns, each sum in its product's column."""
+    out = []
+    for xi, ki in zip(x, k):
+        s = np.multiply(h, ki)
+        out.append(np.add(xi, s, out=s))
+    return tuple(out)
 
 
 def _stage_table(d, n_times: int) -> tuple:

@@ -20,17 +20,21 @@ of samples, the run commands the whole record.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._vec import split, vnorm
+from ._vec import const, split, vnorm
 from .barrier import BarrierFn
 from .dynamics import Trajectory
 from .errors import ConfigurationError, HypothesisViolationError, require_number
 
 _H_TOL = 1e-6  # a sample counts as a violation only below -_H_TOL
+# the largest x whose np.exp is finite: log of the largest double
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -97,11 +101,25 @@ def fold_min(x, prev=None):
 
 def fold_window(t, v, beta: float, tau: float, dt: float, prev=None):
     """NaN-skipping minimum of e^{beta t} v over the samples in (0, tau] to
-    half a step, folded into ``prev``; inf while the window holds none."""
+    half a step, folded into ``prev``; inf while the window holds none.
+    t increases, so the window's last weight is its largest; when it
+    overflows to inf, a sample with V = 0 weighs 0 (V itself, as a finite
+    weight gives), not inf * 0 = NaN, and no warning is raised."""
     win = _window(t, dt, 0.0, tau)
-    w = np.exp(beta * t[win])
-    m = np.fmin.reduce((w[:, None] if v.ndim > 1 else w) * v[win], axis=0, initial=np.inf)
+    bt, vw = beta * t[win], v[win]
+    if win.stop > win.start and bt[-1] > _EXP_MAX:  # the last weight overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            wv = np.where(vw == 0.0, vw, _weighted(bt, vw))
+    else:
+        wv = _weighted(bt, vw)
+    m = np.fmin.reduce(wv, axis=0, initial=np.inf)
     return m if prev is None else np.fmin(prev, m)
+
+
+def _weighted(bt, v):
+    """e^{bt} v, one weight per sample (axis 0)."""
+    w = np.exp(bt)
+    return (w[:, None] if v.ndim > 1 else w) * v
 
 
 def fold_first(t, hit, prev=None):
@@ -224,13 +242,18 @@ class RecurrentCbf:
     alpha: float
     alpha_e: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "_alpha_e", const(self.alpha_e))  # combine's operand
+
     def value(self, z, e_dot):
         """h_V at sampled states; a rollout records it through combine."""
         return self.combine(vnorm(split(e_dot)), self.barrier.value(z))
 
     def combine(self, v, h):
-        """h_V from a certificate value V and a barrier value h already at hand."""
-        return -np.asarray(v, dtype=float) + self.alpha_e * np.asarray(h, dtype=float)
+        """h_V from a certificate value V and a barrier value h already at
+        hand, floats or arrays (kept as they are, columns included); alpha_e
+        enters as a 0-d array (see _vec)."""
+        return -np.asanyarray(v, dtype=float) + self._alpha_e * np.asanyarray(h, dtype=float)
 
 
 def build_rcbf(rtf: Rtf, b: BarrierFn, alpha: float) -> RecurrentCbf:

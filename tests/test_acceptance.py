@@ -324,7 +324,7 @@ def test_criterion_09_velocity_filter_projection(td):
         a = float(alphas[lo])
         v_oracle = oracle_block(z[lo:hi], zd[lo:hi], h[lo:hi], n[lo:hi], a)
         comps = [tuple(np.ascontiguousarray(v[lo:hi].T)) for v in (z, zd)]
-        v_closed, active, _h, _n = ls.safe_velocity(b, a, *comps)
+        v_closed, active, _h = ls.safe_velocity(b, a, *comps)
         v_closed = np.stack(v_closed, axis=-1)
         worst = max(worst, float(np.max(np.linalg.norm(v_closed - v_oracle, axis=1))))
         n_active += int(active.sum())

@@ -410,3 +410,44 @@ def test_report_writers_match_per_line_reference(small_report, tmp_path):
             path = tmp_path / "cloud.csv"
             report.point_cloud_csv(path, verdict=verdict)
             assert path.read_text() == _reference_csv(report, verdict), verdict
+
+
+class _CountingColumn(np.ndarray):
+    """A column that records each ufunc call it takes part in: the ufunc's
+    name and its operands' types. Results stay counting columns."""
+
+    calls = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _CountingColumn.calls.append((ufunc.__name__, tuple(type(i) for i in inputs)))
+        inputs = [i.view(np.ndarray) if isinstance(i, _CountingColumn) else i for i in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_CountingColumn) if isinstance(result, np.ndarray) else result
+
+
+def test_column_step_takes_no_python_scalar_operand(td, monkeypatch):
+    # a certify step on columns: four law evaluations, the RK4 update and the
+    # scan's finiteness, V and h_V for its sample. Every ufunc it calls on
+    # the state's columns takes its constants as 0-d arrays, never a Python
+    # float or int, which numpy converts on every call (NEP 50). The columns
+    # are wrapped after split, as np.ascontiguousarray would drop the subclass
+    split = ls.dynamics.split
+    monkeypatch.setattr(
+        ls.dynamics, "split", lambda a: tuple(c.view(_CountingColumn) for c in split(a))
+    )
+    plant, law, rcbf, scn = td["plant"], td["law"], td["rcbf"], td["scn"]
+    x0s = ls.initial_states(scn, law, np.array([[0.0, -1.5], [0.3, -1.2], [-0.2, -1.4]]))
+    calls = _CountingColumn.calls
+    counts = []
+    for n_steps in (2, 4):
+        calls.clear()
+        with np.errstate(all="ignore"):
+            ls.certify._scan_chunk(plant, law, rcbf, x0s, scn.integrator.dt, n_steps, None)
+        counts.append(len(calls))
+        scalars = [c for c in calls if any(issubclass(t, (float, int)) for t in c[1])]
+        assert scalars == []
+    assert (counts[1] - counts[0]) / 2 == 225  # ufunc calls per step

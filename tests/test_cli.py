@@ -1,11 +1,13 @@
 """Exit codes and artifacts of the command-line front end (in-process)."""
 import csv
+import math
+import re
 import subprocess
 import sys
 
 import pytest
 
-from layersafe import dynamics
+from layersafe import bundled_scenario_path, dynamics
 from layersafe.cli import main
 
 GOOD = """\
@@ -275,6 +277,23 @@ def test_iss_refuses_its_envelope_before_it_rolls(tmp_path, capsys, monkeypatch)
     assert "mu gain 1e+300 at disturbance sup norm 10000000000.0 gives a non-finite" in err
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, report", [
+    (["simulate"], "simulate_report.txt"),
+    (["iss", "--disturbance", "kind=none", "--mu-gain", "0.14"], "iss_report.txt"),
+])
+def test_runs_at_an_overflowing_recurrence_weight(tmp_path, capsys, command, report):
+    # beta = 800 puts e^{beta t} past the largest double inside the window
+    # (0, tau]: the recurrence check folds it with no warning (warnings are
+    # errors in this suite) and reports a finite margin
+    text = bundled_scenario_path("open_field.scn").read_text()
+    for key, value in (("rtf.beta", "800"), ("rtf.tau", "1.0"), ("sim.horizon", "2.0")):
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+    out = tmp_path / "out"
+    assert main([command[0], _write(tmp_path, text), *command[1:], "--out", str(out)]) == 0
+    margin = re.search(r"^  rtf_margin = (\S+)$", (out / report).read_text(), flags=re.M)
+    assert math.isfinite(float(margin.group(1)))
 
 
 def test_recurrence_demo_without_certified_region(tmp_path, capsys):

@@ -50,7 +50,7 @@ def test_safe_velocity_known_correction():
     b = single_disk()
     z = np.array([0.9, 0.3])
     z_dot_d = np.array([-1.0, 0.0])
-    z_s, active, _h, _n = ls.safe_velocity(b, 0.5, comps(z), comps(z_dot_d))
+    z_s, active, _h = ls.safe_velocity(b, 0.5, comps(z), comps(z_dot_d))
     assert np.allclose(stacked(z_s), [-0.25, 0.0], atol=1e-14)
     assert bool(active)
 
@@ -61,7 +61,7 @@ def test_safe_velocity_inactive_is_identity():
     z = rng.uniform(-3, 3, size=(2000, 2))
     z = z[b.field.center_distances(z)[:, 0] > 0.05]
     zd = rng.uniform(-4, 4, size=(z.shape[0], 2))
-    zs, active, _h, _n = ls.safe_velocity(b, 0.5, comps(z), comps(zd))
+    zs, active, _h = ls.safe_velocity(b, 0.5, comps(z), comps(zd))
     zs = stacked(zs)
     h = b.value(z)
     n = b.value_and_gradient(z)[1]
@@ -91,7 +91,7 @@ def test_safe_velocity_is_minimal_change():
     z = rng.uniform(-3, 3, size=(500, 2))
     z = z[b.field.center_distances(z)[:, 0] > 0.05]
     zd = rng.uniform(-4, 4, size=(z.shape[0], 2))
-    zs, active, _h, _n = ls.safe_velocity(b, 0.7, comps(z), comps(zd))
+    zs, active, _h = ls.safe_velocity(b, 0.7, comps(z), comps(zd))
     zs = stacked(zs)
     n = b.value_and_gradient(z)[1]
     tang = np.stack([-n[:, 1], n[:, 0]], axis=1)
@@ -142,10 +142,10 @@ def test_layers_match_numpy_reference_bitwise():
         zd = ls.desired_velocity(comps(goal), k_p, as_comps(z[rows]))
         assert _bits(stacked(zd)) == _bits(zd_ref[rows])
         for v, zs_ref, active_ref, u_ref in refs:
-            zs, active, h_out, n_out = ls.safe_velocity(b, alpha, as_comps(z[rows]), as_comps(v[rows]))
+            zs, active, h_out = ls.safe_velocity(b, alpha, as_comps(z[rows]), as_comps(v[rows]))
             assert _bits(stacked(zs)) == _bits(zs_ref[rows])
             assert np.array_equal(active, active_ref[rows])
-            assert _bits(h_out) == _bits(h[rows]) and _bits(stacked(n_out)) == _bits(n[rows])
+            assert _bits(h_out) == _bits(h[rows])
             u = ls.tracking_control(k_d, as_comps(z_dot[rows]), zs)
             assert _bits(stacked(u)) == _bits(u_ref[rows])
 
@@ -166,7 +166,7 @@ def test_layers_match_numpy_reference_bitwise():
         corr = np.maximum(corr, 0.0)
         zs_ref = v + corr[:, None] * n
         for rows in (slice(None), 0, 1, 2):  # columns, then floats
-            zs, active, _h, _n = ls.safe_velocity(disk, alpha, comps(z[rows]), comps(v[rows]))
+            zs, active, _h = ls.safe_velocity(disk, alpha, comps(z[rows]), comps(v[rows]))
             assert _bits(stacked(zs)) == _bits(zs_ref[rows]), rows
             assert np.array_equal(active, corr[rows] > 0.0)
 
@@ -188,7 +188,7 @@ def test_law_evaluate_returns_law_intermediates():
     law = ls.build_law(scn, ls.build_barrier(scn))
     inter = law.evaluate(tuple(ls.initial_state(scn, law).tolist()))
     assert type(inter) is ls.LawIntermediates
-    assert inter._fields == ("z_dot_d", "z_dot_s", "active", "h", "grad_h", "u")
+    assert inter._fields == ("z_dot_d", "z_dot_s", "active", "h", "u")
     assert list(inter) == [getattr(inter, name) for name in inter._fields]
     assert ls.LawIntermediates(*inter) == inter
     changed = inter._replace(h=-1.0)
@@ -207,12 +207,10 @@ def test_assembled_law_consistency():
     inter = law.evaluate(x)
     zd_direct = ls.desired_velocity(comps(law.goal), law.gains.k_p, comps(x[:, :2]))
     assert np.array_equal(np.asarray(inter.z_dot_d), stacked(zd_direct))
-    zs_direct, act_direct, _h, _n = ls.safe_velocity(b, law.gains.alpha, comps(x[:, :2]), zd_direct)
+    zs_direct, act_direct, _h = ls.safe_velocity(b, law.gains.alpha, comps(x[:, :2]), zd_direct)
     assert np.array_equal(np.asarray(inter.z_dot_s), stacked(zs_direct))
     assert np.array_equal(np.asarray(inter.active), np.asarray(act_direct))
-    h_direct, grad_direct = b.value_and_gradient(x[:, :2])
-    assert np.array_equal(inter.h, h_direct)
-    assert np.array_equal(inter.grad_h, grad_direct)
+    assert np.array_equal(inter.h, b.value(x[:, :2]))
     u_direct = ls.tracking_control(law.gains.k_d, comps(x[:, 2:4]), zs_direct)
     assert np.array_equal(np.asarray(inter.u), stacked(u_direct))
 

@@ -185,7 +185,7 @@ def test_divergence_reports_step_and_run():
         zeros = (0.0, 0.0)
         return ls.LawIntermediates(
             z_dot_d=zeros, z_dot_s=zeros, active=False,
-            h=np.nan, grad_h=(np.nan, np.nan),
+            h=np.nan,
             u=tuple([1e4 * v for v in x[2:4]]),
         )
 
@@ -419,16 +419,17 @@ def test_one_run_stays_on_python_scalars(world, request):
         for name in inter._fields:
             assert _python_scalars(getattr(inter, name)), (x, name)
         assert _python_scalars(ls.rk4_step(f, 0.0, x, 0.001)), x
-    at_center = law.evaluate(zs[0] + (0.0, 0.0))
-    assert not all(np.isfinite(at_center.grad_h))
+    assert not all(np.isfinite(law.barrier.value_and_gradient(zs[0])[1]))  # 0/0 at a center
 
 
 def test_one_run_makes_no_primitive_calls(td, monkeypatch):
-    # a K = 1 rollout runs the barrier kernel and the filter's clamp as plain
-    # float code, with no numpy call per pass; on columns the kernel makes,
-    # per pass, two in-place np.sqrt, for the one extra obstacle one
-    # in-place np.minimum and three np.copyto (distance, dx, dy), and two
-    # in-place np.divide; the clamp makes one in-place np.maximum
+    # a K = 1 rollout runs the barrier kernel and the filter as plain float
+    # code, with no numpy call per pass; on columns the kernel makes, per
+    # pass, two in-place np.sqrt, two np.subtract of a radius, for the one
+    # extra obstacle one in-place np.minimum and three np.copyto (distance,
+    # dx, dy), and two in-place np.divide; the filter makes its five
+    # products, four sums, the negation, the subtraction of alpha h, the
+    # in-place np.maximum clamp and the np.greater flag as np calls
     plant, law, rcbf, scn = td["plant"], td["law"], td["rcbf"], td["scn"]
     cfg = ls.IntegratorConfig(dt=scn.integrator.dt, horizon=0.05)
     x0 = ls.initial_state(scn, law)
@@ -450,8 +451,10 @@ def test_one_run_makes_no_primitive_calls(td, monkeypatch):
     assert calls == {}
     ls.integrate_batch(plant, law, np.stack([x0, x0 + [0.1, -0.2, 0.0, 0.0]]), cfg, rcbf=rcbf)
     passes = 4 * cfg.n_steps + 1
-    assert calls == {"sqrt": 2 * passes, "minimum": passes, "copyto": 3 * passes,
-                     "divide": 2 * passes, "maximum": passes}
+    assert calls == {"sqrt": 2 * passes, "subtract": 3 * passes, "minimum": passes,
+                     "copyto": 3 * passes, "divide": 2 * passes, "multiply": 5 * passes,
+                     "add": 4 * passes, "negative": passes, "maximum": passes,
+                     "greater": passes}
 
 
 def test_array_entry_points_hold_their_own_errstate(two_disks):
@@ -676,3 +679,68 @@ def test_integrate_memory_budget(td):
         tracemalloc.stop()
     assert traj.n_samples == 10001
     assert peak < 4.5e6, peak
+
+
+def _rk4_by_operators(f, t, x, dt):
+    """rk4_step's float code, operator for operator, on any form."""
+    half, t_half, sixth = 0.5 * dt, t + 0.5 * dt, dt / 6.0
+    a = f(t, x)
+    b = f(t_half, tuple([xi + half * ki for xi, ki in zip(x, a)]))
+    c = f(t_half, tuple([xi + half * ki for xi, ki in zip(x, b)]))
+    d = f(t + dt, tuple([xi + dt * ki for xi, ki in zip(x, c)]))
+    return tuple([
+        xi + sixth * (ai + 2.0 * bi + 2.0 * ci + di) for xi, ai, bi, ci, di in zip(x, a, b, c, d)
+    ])
+
+
+def test_column_branches_keep_the_float_code_bits():
+    # the barrier, the filter and rk4_step on columns, compared as int64 bit
+    # patterns on rows of signed zeros, infinities and NaNs of either sign,
+    # at a disk center and on the bisector x = 0 where both disks tie: the
+    # barrier against one run's float pass, row by row; the filter and
+    # rk4_step against their float code's expressions evaluated by numpy
+    # operators on the same columns, which keep every operand's place (a
+    # CPython float product of two NaNs may take either sign, see
+    # _same_bits_but_nan_sign, so the float pass pins those rows only up to
+    # NaN signs). A column branch that takes an operand in another order
+    # gives another NaN sign here wherever these rows can show it, as in
+    # x + h k with a NaN position and a NaN velocity of the other sign
+    plant, law, _rcbf = _crafted_world()
+    b, alpha = law.barrier, law.gains.alpha
+    nan, inf = np.nan, np.inf
+    special = [0.0, -0.0, inf, -inf, nan, -nan]
+    zs = [(-1.0, 0.0), (1.0, 0.0), (0.0, 0.7), (-0.0, 1.0), (1.5, 2.0), (0.2, -1.3)]
+    zs += [(c, 0.4) for c in special] + [(0.3, c) for c in special]
+    vs = [(0.3, -0.2), (-0.0, 0.0), (0.0, -0.0)] + [(c, 0.1) for c in special]
+    xs = np.array([z + v for z in zs for v in vs])
+    z_c, v_c, x_c = (tuple(np.ascontiguousarray(a.T)) for a in (xs[:, :2], xs[:, 2:], xs))
+
+    def f(t, x):
+        return plant(x, law.evaluate(x).u)
+
+    def rows(v):
+        return np.asarray(np.stack(v, axis=-1) if isinstance(v, tuple) else v, dtype=float)
+
+    def bits(v):
+        return rows(v).view(np.int64)
+
+    with np.errstate(all="ignore"):
+        h, n = b.value_and_gradient(z_c)
+        for k, z in enumerate(xs[:, :2].tolist()):
+            want_h, want_n = b.value_and_gradient(tuple(z))
+            assert bits(h)[k] == bits(want_h) and np.array_equal(bits(n)[k], bits(want_n)), z
+
+        (sx, sy), active, h_f = ls.safe_velocity(b, alpha, z_c, v_c)
+        (nx, ny), (vx, vy) = n, v_c
+        corr = np.maximum(-((nx * vx + 0.0) + ny * vy) - alpha * h, 0.0)
+        want = (vx + corr * nx, vy + corr * ny)
+        assert np.array_equal(bits((sx, sy)), bits(want)) and np.array_equal(bits(h_f), bits(h))
+        assert np.array_equal(active, corr > 0.0)
+
+        step = ls.rk4_step(f, 0.0, x_c, 0.001)
+        assert np.array_equal(bits(step), bits(_rk4_by_operators(f, 0.0, x_c, 0.001)))
+        for k, x in enumerate(xs.tolist()):
+            want_s = ls.safe_velocity(b, alpha, tuple(x[:2]), tuple(x[2:]))[0]
+            assert _same_bits_but_nan_sign(rows((sx, sy))[k], rows(want_s)), x
+            want_x = ls.rk4_step(f, 0.0, tuple(x), 0.001)
+            assert _same_bits_but_nan_sign(rows(step)[k], rows(want_x)), x

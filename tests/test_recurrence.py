@@ -182,6 +182,20 @@ def test_fold_window_empty_and_first_time_earliest():
     assert first.tolist() == [1.0, 4.0]
 
 
+def test_fold_window_zero_v_weighs_zero_where_the_weight_overflows():
+    # e^{800 t} overflows past t ~ 0.887: a zero V there weighs 0 (V itself,
+    # signed zeros kept), not inf * 0 = NaN, and no warning is raised; a
+    # positive V weighs inf and a NaN V is skipped, as at any weight
+    t = np.arange(11) * 0.1
+    v = np.array([[1.0, 0.0], [2.0, 1.0], [0.5, 0.5], [1.0, 2.0], [1.0, 0.3], [1.0, 0.1],
+                  [1.0, 0.2], [1.0, 0.2], [1.0, 0.2], [0.0, -0.0], [np.nan, 0.0]])
+    got = fold_window(t, v, 800.0, 1.0, 0.1)
+    assert _same_bits(got, np.array([0.0, -0.0]))
+    got = fold_window(t[9:], v[9:, 0], 800.0, 1.0, 0.1, prev=np.float64(3.0))
+    assert _same_bits(got, np.float64(0.0))
+    assert fold_window(t[9:], np.array([1.0, 2.0]), 800.0, 1.0, 0.1) == np.inf
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
