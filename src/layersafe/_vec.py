@@ -11,9 +11,9 @@ at build time or once per step size, never per call: under NEP 50 numpy
 converts a Python float operand on every call, about 0.4 us more per call
 than a 0-d array costs. Column temporaries are written in place (out=) only
 where each ufunc keeps the operand order of the float code, so NaN signs and
-signed zeros keep their bits. Arrays
-enter at two places, ClosedLoopLaw.evaluate and BarrierFn, which convert
-with split and join; the rollout kernel splits its initial states.
+signed zeros keep their bits. Arrays enter at two places,
+ClosedLoopLaw.evaluate and BarrierFn, which both convert through on_array
+(split, one pass under np.errstate, join); the rollout splits its starts.
 finite reads the four components of a state, with no constant. The planner and tracking take
 their gains as a float or, on columns, a Gain, whose negation is a prebuilt
 0-d array: they are written once, as -k * (...), for both forms.
@@ -68,6 +68,13 @@ def join(v):
     if isinstance(v, tuple):
         return np.stack(np.broadcast_arrays(*v), axis=-1)
     return np.asarray(v)[()]
+
+
+def on_array(fn, a) -> tuple:
+    """fn run on an array's components (split), each result joined, under
+    np.errstate(all="ignore"): a column pass divides by zero and overflows."""
+    with np.errstate(all="ignore"):
+        return tuple(map(join, fn(split(a))))
 
 
 def vnorm(v):

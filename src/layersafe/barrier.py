@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._vec import const, join, split, vnorm
+from ._vec import const, on_array, split, vnorm
 from .errors import ConfigurationError
 
 _NDARRAY = np.ndarray  # bound once: a pass reads no attribute of np for its form test
@@ -96,9 +96,7 @@ class BarrierFn:
         z = np.asarray(z, dtype=float)
         if z.shape[-1:] != (2,):
             raise ConfigurationError(f"states must have shape (..., 2), got {z.shape}")
-        with np.errstate(all="ignore"):
-            h, grad = self.vg_fn(split(z))
-        return join(h), join(grad)
+        return on_array(self.vg_fn, z)
 
     def value(self, z):
         return self._vg(z)[0]

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._io import atomic_write_text
 from ._vec import finite, split
-from .dynamics import IntegratorConfig, _derived, _rollout, integrate
+from .dynamics import IntegratorConfig, _rollout, _tracking_error, integrate
 from .errors import ConfigurationError
 from .recurrence import containment_times, scan
 from .scenario import Scenario, build_loop, initial_states
@@ -195,8 +195,8 @@ def _scan_chunk(plant, law, rcbf, x0s, dt, n_steps, d_sig):
     rec = None
     for i, (t_i, x, _u, inter) in enumerate(_rollout(plant, law, x0s, dt, n_steps, d_sig)):
         j = i % _BLOCK
-        t[j], h[j], ok[j] = t_i, inter.h, finite(x)
-        v[j], h_v[j] = _derived(rcbf, x[2:], inter.z_dot_s, inter.h)[1:]
+        v_j = _tracking_error(x[2:], inter.z_dot_s)[1]
+        t[j], h[j], v[j], h_v[j], ok[j] = t_i, inter.h, v_j, rcbf.combine(v_j, inter.h), finite(x)
         if j == _BLOCK - 1 or i == n_steps:  # a full block, or the last sample
             b = slice(j + 1)
             rec = scan(t[b], h[b], v[b], h_v[b], ok[b], rcbf.rtf, dt, rec)
@@ -242,8 +242,8 @@ def certify_initial_set(
         # initial diagnostics for every point, including the skipped ones
         x0 = split(x0s)
         inter0 = law.evaluate(x0)
-        h0 = inter0.h
-        v0, h_v0 = _derived(rcbf, x0[2:], inter0.z_dot_s, h0)[1:]
+        h0, v0 = inter0.h, _tracking_error(x0[2:], inter0.z_dot_s)[1]
+        h_v0 = rcbf.combine(v0, h0)
         in_s_v, rolled = h_v0 >= 0.0, h0 >= 0.0
         roll_idx = np.flatnonzero(rolled)
         # the t = 0 sample stands for the points that are not rolled, whose

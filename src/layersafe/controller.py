@@ -11,14 +11,15 @@ and returns tuples of components only (see _vec): Python floats for one
 state, ndarray columns for a batch. The layers are planar: each is written
 on the two components (x, y), one expression per component, and the
 filter's inner product n . z_dot_d keeps np.sum's order for two parts,
-(p0 + 0.0) + p1, so its signed zeros are those of np.sum. Arrays enter the
-stack at two places: the law's ``evaluate`` and the barrier (BarrierFn). ``evaluate``
-unpacks the state's four components (zx, zy, vx, vy) itself: the plant's
-state is position x[:2], velocity x[2:4]. On columns every layer takes its
-constants as 0-d arrays made when the law is assembled (see _vec): the goal,
-alpha and the gains as Gain, whose negation is ready made; the filter's 0.0
-is _vec.ZERO. The filter's column branch writes its temporaries in place,
-each ufunc with the float code's operand order, so the bits are the same.
+(p0 + 0.0) + p1, so its signed zeros are those of np.sum. Arrays enter through
+_vec.on_array at the law's ``evaluate`` and the barrier. ``evaluate`` has one
+body for both forms and unpacks the state's four components (zx, zy, vx, vy)
+itself: the plant's state is position x[:2], velocity x[2:4]. On columns every
+layer takes its constants as 0-d arrays made when the law is assembled (see
+_vec): the goal, alpha and the gains as Gain, whose negation is ready made;
+the filter's 0.0 is _vec.ZERO. The filter's column branch writes its
+temporaries in place, each ufunc with the float code's operand order, so the
+bits are the same.
 One evaluation returns a LawIntermediates, a
 NamedTuple: it is indexable and iterable in field order, and ``_replace``
 gives a copy with some fields changed.
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._vec import ZERO, Gain, const, join, split
+from ._vec import ZERO, Gain, const, on_array, split
 from .barrier import BarrierFn
 from .errors import ConfigurationError, require_number
 
@@ -53,14 +54,13 @@ class Gains:
 
 
 class LawIntermediates(NamedTuple):
-    """One evaluation of the layered law at a state: every layer's output.
+    """One evaluation of the layered law at a state: what the rollout reads.
 
     h is the barrier value the filter used; u is the tracking input. Fields
     take the form of the state given to evaluate:
     tuples of components for components, arrays for an array.
     """
 
-    z_dot_d: tuple | np.ndarray
     z_dot_s: tuple | np.ndarray
     active: bool | np.ndarray
     h: float | np.ndarray
@@ -133,43 +133,36 @@ def assemble_closed_loop(b: BarrierFn, gains: Gains, goal) -> ClosedLoopLaw:
 
     The law reads the state as (position, velocity) over four components,
     x[:2] and x[2:4], and evaluate unpacks them directly. The goal is a
-    planar position. The constants are held twice, as floats for one run
-    and as 0-d arrays for columns (see _vec), and evaluate picks them by
-    the first component's type.
+    planar position. The constants come in both forms, floats for one run
+    and 0-d arrays for columns (see _vec); evaluate's one body takes the
+    set its first component's type picks.
     """
     goal = np.asarray(goal, dtype=float)
     if goal.shape != (2,):
         raise ConfigurationError("goal must have shape (2,)")
     goal_f = split(goal)
     k_p, k_d, alpha = float(gains.k_p), float(gains.k_d), float(gains.alpha)
-    goal_c, k_p_c, alpha_c, k_d_c = tuple(map(const, goal_f)), Gain(k_p), const(alpha), Gain(k_d)
+    on_floats = goal_f, k_p, alpha, k_d
+    on_columns = tuple(map(const, goal_f)), Gain(k_p), const(alpha), Gain(k_d)
     new = tuple.__new__  # a LawIntermediates without NamedTuple.__new__'s argument handling
 
     def evaluate(x):
-        # one run's floats take the body below with the float constants,
-        # columns on_columns, an array the split below: one test on the
-        # first component, the only test a float stage makes here
+        # one test on the first component picks the constants: the only
+        # test a float stage makes here; an array goes through on_array
         try:
             first = x[0]
         except IndexError:  # an empty batch array
             first = None
-        if type(first) is not float:
-            if isinstance(x, tuple):
-                return on_columns(x)
-            with np.errstate(all="ignore"):  # the barrier's column division and overflow
-                return LawIntermediates._make(map(join, evaluate(split(x))))
+        if type(first) is float:
+            goal, k_p, alpha, k_d = on_floats
+        elif isinstance(x, tuple):
+            goal, k_p, alpha, k_d = on_columns
+        else:
+            return LawIntermediates._make(on_array(evaluate, x))
         zx, zy, vx, vy = x
-        z_dot_d = desired_velocity(goal_f, k_p, (zx, zy))
-        z_dot_s, active, h = safe_velocity(b, alpha, (zx, zy), z_dot_d)
+        z = (zx, zy)
+        z_dot_s, active, h = safe_velocity(b, alpha, z, desired_velocity(goal, k_p, z))
         u = tracking_control(k_d, (vx, vy), z_dot_s)
-        return new(LawIntermediates, (z_dot_d, z_dot_s, active, h, u))
-
-    def on_columns(x):
-        # evaluate's body with the column constants
-        zx, zy, vx, vy = x
-        z_dot_d = desired_velocity(goal_c, k_p_c, (zx, zy))
-        z_dot_s, active, h = safe_velocity(b, alpha_c, (zx, zy), z_dot_d)
-        u = tracking_control(k_d_c, (vx, vy), z_dot_s)
-        return new(LawIntermediates, (z_dot_d, z_dot_s, active, h, u))
+        return new(LawIntermediates, (z_dot_s, active, h, u))
 
     return ClosedLoopLaw(goal=goal, gains=gains, barrier=b, evaluate=evaluate)

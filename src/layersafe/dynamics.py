@@ -29,9 +29,11 @@ records the samples into batch arrays one row block (_ROW_BLOCK samples)
 at a time, so it holds the Python objects of at most one block at once,
 and returns one Trajectory per start, the one rollout record, whose fields
 are read-only views of that run's column; z and z_dot are views of its x,
-so the record holds one copy of each. Trajectory.to_csv writes its table
-as '%.17g' of every field, byte for byte, each formatting chunk of rows
-(about 2560 values) written as soon as it is formatted (see
+so the record holds one copy of each. V = ||e_dot|| and the divergence
+message each have one builder, _tracking_error and _divergence, which
+certify and the gain calibration call too. Trajectory.to_csv writes its
+table as '%.17g' of every field, byte for byte, each formatting chunk of
+rows (about 2560 values) written as soon as it is formatted (see
 _io.format_chunks).
 """
 from __future__ import annotations
@@ -303,14 +305,16 @@ def _per_sample(vals, runs: int) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 
-def _derived(rcbf, z_dot, z_s_dot, h):
-    """e_dot = z_dot - z_dot_s, v = ||e_dot|| and h_V (NaN without ``rcbf``)
-    from z_dot, z_dot_s and h, with vectors as tuples of components (see
-    _vec)."""
-    e_dot = tuple([a - b for a, b in zip(z_dot, z_s_dot)])
-    v = vnorm(e_dot)
-    h_v = np.full(np.shape(h), np.nan) if rcbf is None else rcbf.combine(v, h)
-    return e_dot, v, h_v
+def _tracking_error(z_dot, z_s_dot) -> tuple:
+    """e_dot = z_dot - z_dot_s and V = ||e_dot||, on planar components (see _vec)."""
+    (vx, vy), (sx, sy) = z_dot, z_s_dot
+    e_dot = (vx - sx, vy - sy)
+    return e_dot, vnorm(e_dot)
+
+
+def _divergence(k: int, t: float, run: int) -> DivergenceError:
+    """The error for run ``run``'s non-finite state at step k, time t."""
+    return DivergenceError(f"non-finite state at step {k} (t={t:.6g}), run {run}")
 
 
 def integrate_batch(
@@ -357,9 +361,7 @@ def integrate_batch(
         for k, (t, x, u, inter) in enumerate(_rollout(plant, law, x0s, dt, cfg.n_steps, d_sig)):
             ok = finite(x)
             if not (ok if runs == 1 else ok.all()):
-                raise DivergenceError(
-                    f"non-finite state at step {k} (t={t:.6g}), run {int(np.argmin(ok))}"
-                )
+                raise _divergence(k, t, int(np.argmin(ok)))
             samples.append((x, u, (inter.h,), inter.z_dot_s, inter.active))
             if len(samples) == _ROW_BLOCK:
                 blocks.append(_record(samples, runs))
@@ -368,7 +370,8 @@ def integrate_batch(
             blocks.append(_record(samples, runs))
 
         x, u, h, z_s_dot, active = (np.concatenate(parts) for parts in zip(*blocks))
-        e_dot, v, h_v = _derived(rcbf, split(x[..., 2:]), split(z_s_dot), h)
+        e_dot, v = _tracking_error(split(x[..., 2:]), split(z_s_dot))
+        h_v = np.full(h.shape, np.nan) if rcbf is None else rcbf.combine(v, h)
         e_dot = join(e_dot)
         # e(t) = integral of e_dot, trapezoid rule; the reference starts on the run
         e = np.empty_like(e_dot)

@@ -220,7 +220,8 @@ def check_exponential_envelope(traj: Trajectory, beta: float, m: float) -> Envel
     """Pointwise V(t) <= m e^{-beta t} V(0), 1e-9 relative tolerance, V = ||e_dot|| as recorded.
 
     A zero initial error is degenerate: the verdict is true only if the error
-    stays identically zero.
+    stays identically zero. Where the bound underflows (beta t past about
+    745), a zero V has ratio 0 and a positive one ratio inf, with no warning.
     """
     en = traj.v
     e0 = float(en[0])
@@ -228,7 +229,9 @@ def check_exponential_envelope(traj: Trajectory, beta: float, m: float) -> Envel
         if np.all(en == 0.0):
             return EnvelopeVerdict(holds=True, worst_ratio=0.0)
         return EnvelopeVerdict(holds=False, worst_ratio=float("inf"))
-    ratios = en / (m * e0 * np.exp(-beta * traj.t))
+    bound = m * e0 * np.exp(-beta * traj.t)
+    with np.errstate(divide="ignore", over="ignore"):  # an underflowed bound, 0 or subnormal
+        ratios = np.divide(en, bound, out=np.zeros_like(en), where=en != 0.0)
     worst = float(np.max(ratios))
     return EnvelopeVerdict(holds=worst <= 1.0 + 1e-9, worst_ratio=worst)
 
@@ -301,17 +304,30 @@ def check_safety_chain(traj: Trajectory, rcbf: RecurrentCbf) -> ChainReport:
     alpha = rcbf.alpha
     c_h = rcbf.barrier.grad_bound
     t = traj.t
-    dt = traj.dt
     h = traj.h
-    en = traj.v
-
-    # I_k = e^{-alpha t_k} * trapezoid of e^{alpha s} ||e_dot(s)||; O(T) via cumsum
-    c = np.exp(alpha * t) * en
-    csum = np.cumsum(c)
-    inner = csum - 0.5 * c - 0.5 * c[0]
-    integral = np.exp(-alpha * t) * dt * inner
-
+    integral = _chain_integral(alpha, t, traj.v, traj.dt)
     lower = np.exp(-alpha * t) * h[0] - c_h * integral
     slack = h - lower
     i = int(np.argmin(slack))
     return ChainReport(t=t, slack=slack, min_slack=float(slack[i]), min_slack_t=float(t[i]))
+
+
+def _chain_integral(alpha: float, t, v, dt: float):
+    """I_k = e^{-alpha t_k} * trapezoid of e^{alpha s} V(s) over [t_0, t_k], O(T)
+    via cumsum, over spans of alpha t-length _EXP_MAX / 2 so that no weight
+    e^{alpha (t - t_a)} from a span's start t_a overflows; the running sum
+    (less half the first sample) is carried scaled to each span's start. With
+    t_0 = 0 and alpha t_end within _EXP_MAX / 2 this is one span, the single
+    cumsum (csum - c/2) - c_0/2 bit for bit."""
+    integral = np.empty_like(v)
+    carry, a = -0.5 * v[0], 0
+    while a < t.size:
+        b = max(a + 1, int(np.searchsorted(t, t[a] + _EXP_MAX / (2.0 * alpha), side="right")))
+        at = alpha * (t[a:b] - t[a])
+        c = np.exp(at) * v[a:b]
+        s = np.cumsum(c)
+        integral[a:b] = np.exp(-at) * dt * ((s - 0.5 * c) + carry)
+        if b < t.size:
+            carry = np.exp(-alpha * (t[b] - t[a])) * (s[-1] + carry)
+        a = b
+    return integral

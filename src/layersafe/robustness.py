@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._vec import finite, vnorm
-from .dynamics import IntegratorConfig, Trajectory, _rollout
-from .errors import ConfigurationError, DivergenceError, require_number
+from ._vec import finite
+from .dynamics import IntegratorConfig, Trajectory, _divergence, _rollout, _tracking_error
+from .errors import ConfigurationError, require_number
 from .recurrence import (
     RecurrenceVerdict,
     RecurrentCbf,
@@ -124,9 +124,9 @@ def make_disturbance(kind: str, **fields) -> Disturbance:
     piecewise-constant on segments, values in the closed amplitude disk,
     one row of a table of 2**16 rows per segment; no table is held: a call
     draws the rows of the segments its times span, at most one period, see
-    _random_rows, and sup_norm, the largest row norm, is measured once a
-    block of rows at a time, finite for every finite amplitude and
-    positive for every positive one).
+    _random_rows, and sup_norm, the largest row norm, is measured once,
+    reading the table through _random_rows a block of rows at a time,
+    finite for every finite amplitude and positive for every positive one).
     A random signal raises ConfigurationError at a time t with
     t / segment >= 2**53, where floats no longer count whole segments, and a
     sine at a time t where 2*pi*frequency*t is not finite.
@@ -188,12 +188,9 @@ def make_disturbance(kind: str, **fields) -> Disturbance:
             rows = np.concatenate([rows, _random_rows(amp, seed, 0, count - head)])
         return rows[(m - lo) % _RANDOM_TABLE]
 
-    # the sup norm streams both draw sequences through the table a block at a time
-    angles, radii = _draws(seed, 0), _draws(seed, _RANDOM_TABLE)
     sup = 0.0
-    for _ in range(_RANDOM_TABLE // _TABLE_BLOCK):
-        block = _disk(amp, angles.random(_TABLE_BLOCK), radii.random(_TABLE_BLOCK))
-        sup = max(sup, _largest_norm(*block))
+    for lo in range(0, _RANDOM_TABLE, _TABLE_BLOCK):
+        sup = max(sup, _largest_norm(*_random_rows(amp, seed, lo, _TABLE_BLOCK).T))
     return Disturbance(kind=kind, signal=signal, sup_norm=sup)
 
 
@@ -351,7 +348,7 @@ def estimate_mu_gain(plant, law, cfg: IntegratorConfig) -> float:
     is linear while the filter is inactive, so the ratio is amplitude-free;
     the frequency sweep matters because the loop's peak gain sits at a
     nonzero frequency. Each probe is one rollout on the single-run path
-    whose largest ||e_dot||, vnorm's value as integrate records it, is
+    whose largest ||e_dot||, the V integrate records, is
     folded as the kernel runs (see _largest_v): the gain is the float
     np.max(integrate(...).v) / amplitude gives, maxed over the probes, with
     no Trajectory recorded.
@@ -373,18 +370,17 @@ def _largest_v(plant, law, x0s, cfg: IntegratorConfig, d_sig) -> float:
     """The largest V = ||e_dot|| over the samples of the rollout from x0s,
     (1, 4), folded as the kernel yields them.
 
-    V is vnorm((vx - sx, vy - sy)), the expression _derived records, so it
-    has the bits of integrate's Trajectory.v; a NaN V sticks, as in np.max.
-    A non-finite state raises the DivergenceError integrate raises.
+    V comes from dynamics._tracking_error, as integrate's Trajectory.v does,
+    so it has that record's bits; a NaN V sticks, as in np.max. A non-finite
+    state raises integrate's DivergenceError (dynamics._divergence).
     """
     v_max = -math.inf
     with np.errstate(all="ignore"):  # integrate_batch's, around the same kernel
         samples = _rollout(plant, law, x0s, cfg.dt, cfg.n_steps, d_sig)
         for k, (t, x, _u, inter) in enumerate(samples):
             if not finite(x):
-                raise DivergenceError(f"non-finite state at step {k} (t={t:.6g}), run 0")
-            (_, _, vx, vy), (sx, sy) = x, inter.z_dot_s
-            v = vnorm((vx - sx, vy - sy))
+                raise _divergence(k, t, 0)
+            v = _tracking_error(x[2:], inter.z_dot_s)[1]
             if v > v_max or v != v:
                 v_max = v
     return v_max

@@ -282,18 +282,31 @@ def test_iss_refuses_its_envelope_before_it_rolls(tmp_path, capsys, monkeypatch)
 @pytest.mark.parametrize("command, report", [
     (["simulate"], "simulate_report.txt"),
     (["iss", "--disturbance", "kind=none", "--mu-gain", "0.14"], "iss_report.txt"),
+    (["case-study", "--alphas", "0.5"], "case_study_alpha_0.5_report.txt"),
 ])
 def test_runs_at_an_overflowing_recurrence_weight(tmp_path, capsys, command, report):
     # beta = 800 puts e^{beta t} past the largest double inside the window
     # (0, tau]: the recurrence check folds it with no warning (warnings are
-    # errors in this suite) and reports a finite margin
-    text = bundled_scenario_path("open_field.scn").read_text()
-    for key, value in (("rtf.beta", "800"), ("rtf.tau", "1.0"), ("sim.horizon", "2.0")):
+    # errors in this suite) and reports a finite margin. case-study runs the
+    # two_disks transit from its desired velocity, a nonzero initial error
+    # whose envelope bound m e0 e^{-beta t} underflows to 0 past beta t ~ 745:
+    # the envelope check gives that V the ratio inf, again with no warning,
+    # and the transit fails its expectations
+    study = command[0] == "case-study"
+    text = bundled_scenario_path("two_disks.scn" if study else "open_field.scn").read_text()
+    keys = [("rtf.beta", "800"), ("rtf.tau", "1.0"), ("sim.horizon", "2.0")]
+    if study:
+        keys.append(("sim.initial_velocity", "desired"))
+    for key, value in keys:
         text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
     out = tmp_path / "out"
-    assert main([command[0], _write(tmp_path, text), *command[1:], "--out", str(out)]) == 0
-    margin = re.search(r"^  rtf_margin = (\S+)$", (out / report).read_text(), flags=re.M)
+    code = main([command[0], _write(tmp_path, text), *command[1:], "--out", str(out)])
+    assert code == (1 if study else 0)
+    summary = (out / report).read_text()
+    margin = re.search(r"^  rtf_margin = (\S+)$", summary, flags=re.M)
     assert math.isfinite(float(margin.group(1)))
+    if study:
+        assert "\n  envelope_worst_ratio = inf\n" in summary
 
 
 def test_recurrence_demo_without_certified_region(tmp_path, capsys):

@@ -188,7 +188,7 @@ def test_law_evaluate_returns_law_intermediates():
     law = ls.build_law(scn, ls.build_barrier(scn))
     inter = law.evaluate(tuple(ls.initial_state(scn, law).tolist()))
     assert type(inter) is ls.LawIntermediates
-    assert inter._fields == ("z_dot_d", "z_dot_s", "active", "h", "u")
+    assert inter._fields == ("z_dot_s", "active", "h", "u")
     assert list(inter) == [getattr(inter, name) for name in inter._fields]
     assert ls.LawIntermediates(*inter) == inter
     changed = inter._replace(h=-1.0)
@@ -206,7 +206,6 @@ def test_assembled_law_consistency():
     x = x[keep]
     inter = law.evaluate(x)
     zd_direct = ls.desired_velocity(comps(law.goal), law.gains.k_p, comps(x[:, :2]))
-    assert np.array_equal(np.asarray(inter.z_dot_d), stacked(zd_direct))
     zs_direct, act_direct, _h = ls.safe_velocity(b, law.gains.alpha, comps(x[:, :2]), zd_direct)
     assert np.array_equal(np.asarray(inter.z_dot_s), stacked(zs_direct))
     assert np.array_equal(np.asarray(inter.active), np.asarray(act_direct))

@@ -184,7 +184,7 @@ def test_divergence_reports_step_and_run():
         # one run: x is a tuple of floats
         zeros = (0.0, 0.0)
         return ls.LawIntermediates(
-            z_dot_d=zeros, z_dot_s=zeros, active=False,
+            z_dot_s=zeros, active=False,
             h=np.nan,
             u=tuple([1e4 * v for v in x[2:4]]),
         )

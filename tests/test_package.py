@@ -82,6 +82,36 @@ def test_only_vnorm_and_the_fused_passes_take_a_root():
     assert found == []
 
 
+def _functions(path):
+    """(name, node) of each top-level function and method in a module."""
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, ast.ClassDef):
+            methods = [f for f in top.body if isinstance(f, ast.FunctionDef)]
+            yield from ((f"{top.name}.{f.name}", f) for f in methods)
+        elif isinstance(top, ast.FunctionDef):
+            yield top.name, top
+
+
+def test_each_forked_rule_has_one_copy():
+    # the law has one body for floats and columns, the divergence message is
+    # built in one function, and the random table is read only by _random_rows
+    text, nested, message, draws = "non-finite state at step", [], [], []
+    for path in sorted((ROOT / "src" / "layersafe").glob("*.py")):
+        for name, func in _functions(path):
+            where = f"{path.name}:{name}"
+            for node in ast.walk(func):
+                inner = isinstance(node, ast.FunctionDef) and node is not func
+                if inner and name == "assemble_closed_loop":
+                    nested.append(node.name)
+                elif isinstance(node, ast.Constant) and text in str(node.value):
+                    message.append(where)
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_draws":
+                    draws.append(where)
+    assert nested == ["evaluate"]
+    assert set(message) == {"dynamics.py:_divergence"}
+    assert set(draws) == {"robustness.py:_random_rows"}
+
+
 def test_readme_quick_start_runs(monkeypatch, tmp_path, capsys):
     # the README's library example, run as written: a renamed or removed name
     # fails here instead of leaving the docs stale

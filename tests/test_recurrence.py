@@ -1,4 +1,6 @@
 """Tracking certificates, recurrence checks, and the recurrent barrier."""
+import math
+
 import numpy as np
 import pytest
 
@@ -342,6 +344,26 @@ def test_safety_chain_matches_analytic_integral():
     assert chain.slack[0] == 0.0
     assert chain.min_slack == 0.0
     assert chain.min_slack_t == 0.0
+
+
+@pytest.mark.parametrize("alpha, n", [(0.5, 2001), (5.0, 14161), (5.0, 15001), (2e5, 51)])
+def test_safety_chain_matches_a_float_loop_past_the_exp_range(alpha, n):
+    # I_k = e^{-alpha dt} I_{k-1} + dt/2 (e^{-alpha dt} V_{k-1} + V_k) never
+    # forms e^{alpha t}; with h = 0 the slack is I itself, which the audit
+    # matches to 1e-9 relative below and past alpha t = log(DBL_MAX) ~ 709.8
+    # (alpha t ends at 10, 708, 750 and 1e5), with no warning (warnings are
+    # errors in this suite). At 708 each weight e^{alpha t} fits a double but
+    # its product with V and their cumsum do not; alpha dt = 2000 puts every
+    # sample in a span of its own
+    dt = 0.01
+    t = np.arange(n) * dt
+    v = np.random.default_rng(5).uniform(0.1, 2.0, n)
+    rcbf = ls.build_rcbf(ls.Rtf(beta=2.0 * alpha, tau=1.5), far_barrier(), alpha=alpha)
+    chain = ls.check_safety_chain(synthetic_trajectory(t, v, h=np.zeros(n)), rcbf)
+    decay, integral = math.exp(-alpha * dt), [0.0]
+    for k in range(1, n):
+        integral.append(decay * integral[-1] + dt / 2 * (decay * v[k - 1] + v[k]))
+    np.testing.assert_allclose(chain.slack, integral, rtol=1e-9, atol=0.0)
 
 
 def test_safety_chain_on_bundled_transit(td, td_transit):
