@@ -119,8 +119,15 @@ class CertificateReport:
     horizon: float
     grid: Grid
     per_point: tuple
-    summary: dict
     config_lines: tuple
+
+    @property
+    def summary(self) -> dict:
+        """The number of records with each verdict, every verdict keyed."""
+        counts = dict.fromkeys(VERDICTS, 0)
+        for r in self.per_point:
+            counts[r.verdict] += 1
+        return counts
 
     def records(self, verdict: str | None = None) -> list:
         if verdict is None:
@@ -156,12 +163,11 @@ class CertificateReport:
                 verdict, min_h, min_h_v, "none" if viol is None else "%.10g" % viol, margin,
                 in_s_v, "  # " + note if note else "",
             )
-        counts = [self.summary.get(v, 0) for v in VERDICTS]
         tail = [
             "",
             "summary:",
-            *(f"  {v}: {n}" for v, n in zip(VERDICTS, counts)),
-            f"  total: {sum(counts)}",
+            *(f"  {v}: {n}" for v, n in self.summary.items()),
+            f"  total: {len(self.per_point)}",
             "",
         ]
         table = (row * len(self.per_point)) % tuple(fields)
@@ -256,7 +262,6 @@ def certify_initial_set(
                 field[idx] = part
 
     pts.flags.writeable = False  # each record's point is a view of its row
-    summary = dict.fromkeys(VERDICTS, 0)
     records = []
     for point, is_rolled, viol_t, div_t, in_set, mh, mhv, margin in zip(
         pts, rolled.tolist(), rec.first_violation_t.tolist(), rec.diverged_t.tolist(),
@@ -277,7 +282,6 @@ def certify_initial_set(
             verdict = "certified_safe"
         else:
             verdict = "outside_S_V"
-        summary[verdict] += 1
         records.append(PointRecord(point, verdict, mh, mhv, viol_t, margin, in_set, note))
 
     return CertificateReport(
@@ -287,7 +291,6 @@ def certify_initial_set(
         horizon=horizon,
         grid=grid,
         per_point=tuple(records),
-        summary=summary,
         config_lines=tuple(scn.resolved_lines()),
     )
 

@@ -55,7 +55,7 @@ _ROW_BLOCK = 512
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step RK4 integration settings: a run takes horizon / dt steps,
-    which must be a whole number to 1e-9 relative, so it ends at the horizon.
+    which must be a finite, whole number to 1e-9 relative, so it ends at the horizon.
     A message about one value starts with its scenario key, sim.dt or sim.horizon."""
 
     dt: float = 1e-3
@@ -73,6 +73,10 @@ class IntegratorConfig:
                 f"sim.horizon = {self.horizon!r} must cover at least one sim.dt = {self.dt!r} step"
             )
         steps = self.horizon / self.dt
+        if not np.isfinite(steps):  # round would overflow
+            raise ConfigurationError(
+                f"sim.horizon = {self.horizon!r} holds too many sim.dt = {self.dt!r} steps to count"
+            )
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigurationError(
                 f"sim.horizon = {self.horizon!r} must be a whole number of "

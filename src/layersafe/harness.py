@@ -21,7 +21,6 @@ from .controller import ClosedLoopLaw
 from .dynamics import IntegratorConfig, Trajectory, integrate
 from .errors import ConfigurationError, DivergenceError
 from .recurrence import (
-    RecurrenceVerdict,
     _covers_window,
     check_exponential_envelope,
     check_rtf_recurrence,
@@ -120,13 +119,11 @@ def _emit(scn, label, traj, summary, checks, out_dir) -> RunArtifacts:
 
 
 class _Run(NamedTuple):
-    """A scenario rolled out from its start: the record, the summary and
-    check lines every run reports, and the certificate's recurrence verdict
-    (None when the rollout is shorter than the window)."""
+    """A scenario rolled out from its start: the record, and the summary and
+    check lines every run reports."""
 
     traj: Trajectory
     summary: dict
-    rtf_v: RecurrenceVerdict | None
     checks: list
 
 
@@ -136,7 +133,7 @@ def _roll(scn: Scenario, loop: Loop) -> _Run:
     A loop with no recurrent barrier (no certified region) rolls with h_V
     NaN and says so. A run whose h is not finite somewhere (it overflowed)
     is refused with a DivergenceError naming the first such time, before any
-    check runs.
+    check runs. Its recurrence margin is NaN when it is shorter than the window.
     """
     plant, law, rcbf, dist = loop
     checks = []
@@ -149,18 +146,17 @@ def _roll(scn: Scenario, loop: Loop) -> _Run:
     rec = scan(traj.t, traj.h, traj.v, traj.h_v, True, scn.rtf, traj.dt)
     if not np.isnan(rec.diverged_t):
         raise DivergenceError(f"non-finite barrier value h at t={float(rec.diverged_t):.6g}")
-    rtf_v = check_rtf_recurrence(scn.rtf, traj) if _covers_window(traj, scn.rtf) else None
     summary = {
         "min_h": float(rec.min_h),
         "min_h_v": float(rec.min_h_v),
         "max_edot": float(np.max(traj.v)),
         "final_goal_distance": vnorm(split(traj.z[-1] - law.goal)),
-        "rtf_margin": float(rec.rtf_margin) if rtf_v is not None else float("nan"),
+        "rtf_margin": float(rec.rtf_margin) if _covers_window(traj, scn.rtf) else float("nan"),
         "chain_min_slack": (
             check_safety_chain(traj, rcbf).min_slack if rcbf is not None else float("nan")
         ),
     }
-    return _Run(traj, summary, rtf_v, checks)
+    return _Run(traj, summary, checks)
 
 
 def run_simulate(scn: Scenario, out_dir=None) -> RunArtifacts:
@@ -197,11 +193,11 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
     artifacts = []
     rows = []
     for tag, scn_a in runs.items():
-        run = _roll(scn_a, build_loop(scn_a))
-        traj, summary, rtf_v = run.traj, run.summary, run.rtf_v
+        traj, summary, run_checks = _roll(scn_a, build_loop(scn_a))
+        e0, rtf = float(traj.v[0]), scn_a.rtf
+        rtf_v = check_rtf_recurrence(rtf, traj) if _covers_window(traj, rtf) else None
         # the exponential envelope constrains error-only starts; a quiet start
         # (zero initial tracking error) has no meaningful ratio to report
-        e0, rtf = float(traj.v[0]), scn_a.rtf
         env_v = check_exponential_envelope(traj, rtf.beta, rtf.m_overshoot) if e0 > 0 else None
         summary["envelope_worst_ratio"] = (
             env_v.worst_ratio if env_v is not None else float("nan")
@@ -219,7 +215,7 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
             )
         else:
             checks.append("exponential envelope: not applicable (zero initial error)")
-        checks += run.checks
+        checks += run_checks
         label = f"case_study_alpha_{tag}"
         art = _emit(scn_a, label, traj, summary, checks, out_dir)
         artifacts.append(art)
@@ -245,19 +241,11 @@ def run_case_study(scn: Scenario, alphas, out_dir=None):
 
 
 def negative_intervals(values: np.ndarray) -> list:
-    """Inclusive index ranges [i0, i1] of contiguous values < 0 (NaN excluded)."""
-    with np.errstate(invalid="ignore"):
-        neg = np.asarray(values < 0.0)
-    if not np.any(neg):
-        return []
-    edges = np.diff(neg.astype(np.int8))
-    starts = list(np.flatnonzero(edges == 1) + 1)
-    ends = list(np.flatnonzero(edges == -1))
-    if neg[0]:
-        starts.insert(0, 0)
-    if neg[-1]:
-        ends.append(neg.size - 1)
-    return list(zip(starts, ends))
+    """Inclusive index ranges [i0, i1] of contiguous values < 0 (NaN excluded).
+    With the mask padded by False at both ends, its edges alternate: each
+    run starts at a rising edge and ends one sample before the next fall."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], np.less(values, 0.0), [False]))))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def run_recurrence_demo(scn: Scenario, out_dir=None) -> RunArtifacts:
@@ -342,10 +330,10 @@ def run_iss(scn: Scenario, out_dir=None, mu_gain: float | None = None) -> RunArt
         cal_cfg = IntegratorConfig(dt=dt, horizon=round(6.0 / dt) * dt)
         mu_gain = estimate_mu_gain(plant, law, cal_cfg)
     env = build_iss_envelope(rcbf, mu_gain, dist.sup_norm)
-    traj, summary, rtf_v, _ = _roll(scn, loop)
+    traj, summary, _ = _roll(scn, loop)
     iss_v = check_iss_envelope(traj, env)
     in0 = bool(traj.h_v[0] - env.gamma_margin >= 0.0)  # h_V(0) as the rollout recorded it
-    prtf = check_practical_rtf(traj, env) if rtf_v is not None else None
+    prtf = check_practical_rtf(traj, env) if _covers_window(traj, scn.rtf) else None
     summary["iss_holds"] = 1.0 if iss_v.holds else 0.0
     summary["iss_worst_excess"] = iss_v.worst_excess
     summary["practical_rtf_margin"] = prtf.margin if prtf is not None else float("nan")

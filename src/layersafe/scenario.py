@@ -309,6 +309,8 @@ def parse_scenario(text: str) -> Scenario:
             if part in slot:
                 raise ScenarioError(f"duplicate key {key!r}", line=ln)
             slot[part] = _parsed(_parse_pair if part == "center" else _parse_float, key, val, ln)
+            if part == "radius" and not slot[part] > 0:  # as ObstacleField refuses it, with the line
+                raise ScenarioError(f"{key} must be positive, got {slot[part]!r}", line=ln)
             continue
         if key not in _KEYS:
             raise ScenarioError(f"unknown key {key!r}", line=ln)

@@ -380,12 +380,22 @@ def _crafted_report(grid, rows):
         )
         for p, (verdict, min_h, min_h_v, viol, margin, in_s_v, note) in zip(grid.points, rows)
     )
-    got = Counter(r.verdict for r in records)
     return ls.CertificateReport(
         scenario_hash="0" * 64, alpha=0.5, velocity_mode="desired", horizon=2.0, grid=grid,
-        per_point=records, summary={v: got.get(v, 0) for v in ls.VERDICTS},
-        config_lines=("gains.alpha = 0.5", "sim.dt = 0.001"),
+        per_point=records, config_lines=("gains.alpha = 0.5", "sim.dt = 0.001"),
     )
+
+
+def test_report_counts_come_from_its_records():
+    # a report keeps no tally beside its records: each verdict's count is
+    # read from them, a verdict no record holds included
+    assert "summary" not in {f.name for f in dataclasses.fields(ls.CertificateReport)}
+    grid = ls.Grid(lower=[0.0, 0.0], upper=[1.0, 1.0], counts=(2, 2))
+    row = ("unsafe_witness", -1.0, -1.0, 0.5, 0.0, True, "")
+    report = _crafted_report(grid, [("certified_safe", *row[1:]), row, row, ("outside_S_V", *row[1:])])
+    want = {"certified_safe": 1, "unsafe_witness": 2, "outside_S_V": 1, "indeterminate": 0}
+    assert report.summary == want
+    assert "  unsafe_witness: 2\n  outside_S_V: 1\n  indeterminate: 0\n  total: 4\n" in report.to_text()
 
 
 def test_report_writers_match_per_line_reference(small_report, tmp_path):

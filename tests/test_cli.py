@@ -1,4 +1,5 @@
 """Exit codes and artifacts of the command-line front end (in-process)."""
+import argparse
 import csv
 import math
 import re
@@ -8,7 +9,8 @@ import sys
 import pytest
 
 from layersafe import bundled_scenario_path, dynamics
-from layersafe.cli import main
+from layersafe.cli import build_parser, main
+from layersafe.scenario import _VELOCITY_MODES
 
 GOOD = """\
 start = 0.4, 0.0
@@ -130,6 +132,36 @@ def test_certify_non_finite_horizon(tmp_path, capsys):
         capsys.readouterr().err
     )
     assert not out.exists()
+
+
+def test_step_count_that_overflows_is_refused(tmp_path, capsys):
+    # horizon / dt overflows to inf, which round() could not count: a usage
+    # error naming the horizon, at its line in a scenario file, not a traceback
+    text = bundled_scenario_path("two_disks.scn").read_text()
+    path = _write(tmp_path, text.replace("sim.dt = 0.001\n", "sim.dt = 1e-320\n"))
+    out = tmp_path / "out"
+    assert main(["simulate", path, "--out", str(out)]) == 2
+    want = "error: line 29: sim.horizon = 10.0 holds too many sim.dt = 1e-320 steps to count\n"
+    assert capsys.readouterr().err == want
+    argv = ["certify", "two_disks", "--grid", "pos:3x3", "--horizon", "1e306", "--out", str(out)]
+    assert main(argv) == 2
+    want = "error: horizon = 1e+306 holds too many sim.dt = 0.001 steps to count\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+def test_non_positive_obstacle_radius_names_its_line(tmp_path, capsys):
+    text = bundled_scenario_path("two_disks.scn").read_text()
+    path = _write(tmp_path, text.replace("obstacle.2.radius = 0.5\n", "obstacle.2.radius = -0.5\n"))
+    assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: line 14: obstacle.2.radius must be positive, got -0.5\n"
+
+
+def test_velocity_choices_are_the_scenario_modes():
+    # one list of velocity modes: the scenario key's, which certify reads too
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    velocity = next(a for a in sub.choices["certify"]._actions if a.dest == "velocity")
+    assert velocity.choices == _VELOCITY_MODES
 
 
 def test_bad_alphas(tmp_path, capsys):

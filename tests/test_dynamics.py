@@ -47,6 +47,16 @@ def test_horizon_must_be_whole_steps():
         ls.parse_scenario(text.replace("sim.horizon = 10.0\n", "sim.horizon = 10.0005\n"))
 
 
+def test_step_count_must_be_finite():
+    # horizon / dt overflows to inf, which round() would raise on
+    for dt, horizon in ((1e-320, 10.0), (1e-3, 1e306)):
+        with pytest.raises(
+            ls.ConfigurationError,
+            match=re.escape(f"sim.horizon = {horizon!r} holds too many sim.dt = {dt!r} steps to count"),
+        ):
+            ls.IntegratorConfig(dt=dt, horizon=horizon)
+
+
 def test_double_integrator_structure():
     x = tuple(np.array([1.0, 2.0, 3.0, 4.0]).tolist())
     u = tuple(np.array([5.0, 6.0]).tolist())

@@ -108,6 +108,40 @@ def test_run_whose_barrier_overflows_is_refused(two_disks, tmp_path):
     assert not (tmp_path / "api").exists() and not (tmp_path / "cli").exists()
 
 
+def test_recurrence_verdict_is_checked_only_where_it_is_printed(tmp_path, monkeypatch):
+    # case-study prints the recurrence verdict, once per alpha whose run
+    # spans tau (1.5 s here), with or without a certified region; the other
+    # commands print only the margin their one scan folds
+    calls = []
+    check = ls.harness.check_rtf_recurrence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(ls.harness, "check_rtf_recurrence", counted)
+
+    def world(name, horizon):
+        path = tmp_path / f"{name}_{horizon}.scn"
+        text = ls.bundled_scenario_path(f"{name}.scn").read_text()
+        path.write_text(text.replace("sim.horizon = 10.0\n", f"sim.horizon = {horizon}\n"))
+        return str(path)
+
+    # two_disks misses its declared goal distance in so short a run: exit 1
+    out = str(tmp_path / "out")
+    for argv, code in (
+        (["simulate", world("two_disks", 1.5)], 1),
+        (["recurrence-demo", world("two_disks", 1.5)], 1),
+        (["iss", world("open_field", 1.5), "--mu-gain", repr(MU_GAIN)], 0),
+    ):
+        assert main([*argv, "--out", out]) == code
+        assert calls == [], argv[0]
+    for horizon, n_calls in ((1.5, 2), (1.0, 0)):
+        assert main(["case-study", world("two_disks", horizon), "--alphas", "0.5,5", "--out", out]) == 1
+        assert len(calls) == n_calls
+        calls.clear()
+
+
 def test_case_study_sweep(two_disks, tmp_path):
     scn = two_disks.with_horizon(2.0)
     arts, summary_path = ls.run_case_study(scn, alphas=(0.5, 1.0, 5.0), out_dir=tmp_path)

@@ -275,6 +275,13 @@ def test_missing_pieces():
         )
     with pytest.raises(ls.ScenarioError, match="obstacle.2.radius is missing"):
         ls.parse_scenario(MINIMAL + "obstacle.2.center = 3, 3\n")
+    # a radius the obstacle field would refuse is refused at its line
+    for radius in ("-0.5", "0.0"):
+        with pytest.raises(
+            ls.ScenarioError, match=f"^line 9: obstacle.2.radius must be positive, got {radius}$"
+        ) as ei:
+            ls.parse_scenario(MINIMAL + f"obstacle.2.center = 3, 3\nobstacle.2.radius = {radius}\n")
+        assert ei.value.line == 9
     with pytest.raises(ls.ScenarioError, match="sim.initial_velocity must be one of"):
         ls.parse_scenario(MINIMAL + "sim.initial_velocity = sideways\n")
     with pytest.raises(ls.ScenarioError, match="disturbance.kind must be"):

@@ -84,15 +84,17 @@ def test_artifact_digests_check(monkeypatch, tmp_path, capsys):
     # the simulate run, the case-study run (three 10 s CSVs, one with an
     # all-NaN hV column), the two random-disturbance iss runs (the only
     # artifacts a random table feeds; one on segment boundaries), the iss
-    # run without a disturbance (the zero-offset ISS branches) and the
+    # run without a disturbance (the zero-offset ISS branches), the
     # three 6x6, 0.5 s certify runs (the float path, a disturbance, starts at
-    # rest, and the margin over a window clipped to the horizon), against
+    # rest, and the margin over a window clipped to the horizon) and the
+    # recurrence demo (its dip intervals and margin), against
     # their lines in the checked-in digests: a match exits 0, one altered
     # digest exits 1 with a diff naming its line
     digests = _load("artifact_digests")
     labels = (
         "simulate", "case_study", "iss_random", "iss_random_boundary",
         "iss_no_disturbance", "certify_chunk1", "certify_open_field", "certify_zero",
+        "recurrence_demo",
     )
     monkeypatch.setattr(digests, "RUNS", [run for run in digests.RUNS if run[0] in labels])
     lines = [
@@ -100,7 +102,7 @@ def test_artifact_digests_check(monkeypatch, tmp_path, capsys):
         for ln in (ROOT / "tools" / "artifact_digests.txt").read_text().splitlines(keepends=True)
         if ln.split()[1].startswith(tuple(f"{label}{sep}" for label in labels for sep in "./"))
     ]
-    assert len(lines) == 32
+    assert len(lines) == 35
     expected = tmp_path / "expected.txt"
     expected.write_text("".join(lines))
     assert digests.main(["--check", str(expected)]) == 0
